@@ -60,18 +60,13 @@ from .hermitian import (
 from .polytopes import (
     FaceTieError,
     PolytopeContact,
-    PolytopeHeightReport,
     TangentBody,
     UnboundedBodyError,
-    constant_height_check,
     cross_generators,
     cube_generators,
     intersect_bodies,
     polar_contact,
     polar_radial,
-    polytope_area_mc,
-    polytope_gamma_mc,
-    polytope_volume_mc,
     random_unit_generators,
     simplex_generators,
 )

@@ -32,7 +32,7 @@ def _add_overrides(parser: argparse.ArgumentParser):
 
 
 def _apply_overrides(cfg, args):
-    from .config import _parse_shape
+    from .config import _parse_shape, _check_shards
 
     updates = {}
     if args.seed is not None:
@@ -40,9 +40,7 @@ def _apply_overrides(cfg, args):
             raise ConfigError("seed", f"must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
     if args.shards is not None:
-        if args.shards < 1:
-            raise ConfigError("shards", f"must be >= 1, got {args.shards}")
-        updates["shards"] = args.shards
+        updates["shards"] = _check_shards(args.shards, cfg.experiment)
     if args.samples is not None:
         from .config import MIN_SAMPLES
         floor = MIN_SAMPLES[cfg.experiment]

@@ -40,7 +40,6 @@ TOLERANCE_DEFAULTS = {
     "sigma": 3.0,
     "height_tol": 1e-9,
     "corner_ratio_max": 0.2,
-    "nongeneric_max": 1e-3,
     "p_threshold": 0.01,
 }
 
@@ -71,6 +70,16 @@ def _parse_shape(value):
     if m < 2:
         raise ConfigError("shape", f"M must be >= 2, got {m}")
     return (k, m)
+
+
+def _check_shards(shards, experiment: str) -> int:
+    """Validate a shard count; sampler-validate draws no sharded sweep, so it
+    takes only one shard."""
+    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+        raise ConfigError("shards", f"expected an integer >= 1, got {shards!r}")
+    if shards > 1 and experiment == "sampler-validate":
+        raise ConfigError("shards", f"sampler-validate runs unsharded, got {shards}")
+    return shards
 
 
 def _require_int(d: dict, key: str, minimum: int):
@@ -166,9 +175,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
     n = _require_int(d, "n_samples", MIN_SAMPLES[exp])
     seed = _require_int(d, "seed", 0)
-    shards = d.get("shards", 1)
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ConfigError("shards", f"expected an integer >= 1, got {shards!r}")
+    shards = _check_shards(d.get("shards", 1), exp)
 
     fieldname = d.get("field", "complex")
     if fieldname not in ("complex", "real"):

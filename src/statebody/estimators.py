@@ -6,13 +6,19 @@ Volume and area come from radial integrals over uniform directions omega:
     A = S_{D-1}   * E[r(omega)^{D-1} / <omega, n(omega)>]
 
 with D the body dimension and n(omega) the outward unit normal at the contact
-point. Powers r^D are formed in the log domain, batch partial sums use
-pairwise summation and shard merges happen in a fixed order, so estimates are
-deterministic functions of (config, seed, shard count). Every stderr carries a
-relative floating-point resolution floor: degenerate cases (the N = 2 body is
-a round ball, and paired area/volume samples of a constant-height body differ
-only by eigensolver jitter) would otherwise report a noise-level stderr and
-turn acceptance bands into rounding lotteries.
+point. The same four estimators (volume, area, gamma, height certificate)
+serve the state bodies and the polytopes of :mod:`statebody.polytopes`; only
+the per-direction kernel that yields (log r, height, generic) differs.
+
+Every sampling loop runs through :func:`_sweep`, which splits n samples into
+shards and chunks, gives each its own child stream and concatenates results in
+fixed index order. Powers r^D are formed in the log domain and reductions use
+pairwise summation, so estimates are deterministic functions of (config, seed,
+shard count). Every stderr carries a relative floating-point resolution floor:
+degenerate cases (the N = 2 body is a round ball, and paired area/volume
+samples of a constant-height body differ only by eigensolver jitter) would
+otherwise report a noise-level stderr and turn acceptance bands into rounding
+lotteries.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polytopes
 from .geometry import (
     BodySpec,
     _contact_batch,
@@ -30,11 +37,11 @@ from .geometry import (
     inscribed_radius,
 )
 from .hermitian import BipartiteShape, hermitian_part, partial_transpose
+from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
 BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
-PPT_TOL = 1e-12
 NONGENERIC_WARN_FRACTION = 1e-3
 
 
@@ -86,7 +93,11 @@ class AreaCrossCheck:
 
 @dataclass(frozen=True)
 class HeightCertificate:
-    """Sampled constant-height certificate for one body."""
+    """Sampled constant-height certificate for one body.
+
+    ``insphere_radius`` is the radius the support heights are compared with:
+    the insphere radius of a state body, the unit sphere of a polytope.
+    """
 
     body: str
     n_samples: int
@@ -98,8 +109,14 @@ class HeightCertificate:
 
     @property
     def passed(self) -> bool:
-        frac = self.n_nongeneric / max(self.n_samples, 1)
-        return self.max_abs_deviation <= self.tol and frac < NONGENERIC_WARN_FRACTION
+        return (self.max_abs_deviation <= self.tol
+                and not _degenerate(self.n_nongeneric, self.n_samples))
+
+
+def _degenerate(n_nongeneric: int, n: int) -> bool:
+    """Whether non-generic directions, a measure-zero set on a sound body,
+    make up at least NONGENERIC_WARN_FRACTION of n samples."""
+    return n_nongeneric / max(n, 1) >= NONGENERIC_WARN_FRACTION
 
 
 def sphere_area(d: int) -> float:
@@ -121,11 +138,20 @@ def _shard_sizes(n: int, shards: int):
     return [base + (1 if k < extra else 0) for k in range(shards)]
 
 
-def _chunks(n: int):
-    start = 0
-    while start < n:
-        yield min(BATCH, n - start)
-        start += BATCH
+def _sweep(n: int, rng: RngStream, shards: int, kernel, batch: int = BATCH):
+    """Run ``kernel(stream, count)`` over n samples in shards and chunks.
+
+    Shard k draws from rng.child(k), or from rng itself when there is one
+    shard; chunk j of a shard draws from that stream's child(j) and holds at
+    most ``batch`` samples. The kernel returns a tuple of arrays; each is
+    concatenated over chunks in fixed index order.
+    """
+    parts = []
+    for k, n_k in enumerate(_shard_sizes(n, shards)):
+        stream = rng.child(k) if shards > 1 else rng
+        for j, start in enumerate(range(0, n_k, batch)):
+            parts.append(kernel(stream.child(j), min(batch, n_k - start)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _floor_stderr(value: float, stderr: float) -> float:
@@ -161,121 +187,141 @@ def _binomial_estimate(hits: int, n: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-def _collect_radial(body: BodySpec, n: int, rng: RngStream, shards: int,
-                    want_heights: bool):
-    """Per-sample radial data: log r, support heights, generic mask.
+@dataclass(frozen=True)
+class _Radial:
+    """Per-direction radial samples of one body.
 
-    Chunked so matrix stacks never exceed the batch size; only scalar arrays
-    are retained. Shards and chunks each consume their own child stream and
-    results concatenate in fixed index order.
+    ``logr`` holds log r(omega), ``h`` the support height of the face met and
+    ``generic`` whether that face is unique; both are None when heights were
+    not asked for. ``r_ref`` is the radius every support height equals on a
+    constant-height body; ``r_in`` is the insphere radius when it is known
+    exactly, else None.
     """
-    logr, heights, generic = [], [], []
-    for k, n_k in enumerate(_shard_sizes(n, shards)):
-        stream = rng.child(k) if shards > 1 else rng
-        for j, count in enumerate(_chunks(n_k)):
-            omegas = sample_direction(body.shape, stream.child(j), count)
-            if want_heights:
-                _, _, h, data, nong = _contact_batch(body, omegas)
-                heights.append(h)
-                generic.append(~nong)
-            else:
-                data = _radial_batch(body, omegas, want_vectors=False)
-            logr.append(np.log(data["r"]))
-    out_logr = np.concatenate(logr)
-    out_h = np.concatenate(heights) if want_heights else None
-    out_gen = np.concatenate(generic) if want_heights else None
-    return out_logr, out_h, out_gen
+
+    dim: int
+    r_ref: float
+    r_in: float | None
+    logr: np.ndarray
+    h: np.ndarray | None
+    generic: np.ndarray | None
 
 
-def mc_volume(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Estimate:
-    """Volume of the body by the radial integral over uniform directions."""
-    _check_n(n)
-    d = body.shape.dim_body
-    logr, _, _ = _collect_radial(body, n, rng, shards, want_heights=False)
-    vals = np.exp(d * logr)
-    value, stderr = _mean_estimate(vals, sphere_area(d) / d)
-    return Estimate(value, stderr, n, rng.describe(), f"mc_volume[{body}]")
+def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+            shards: int, heights: bool = True) -> _Radial:
+    """Sweep n uniform directions of a state body or a polytope.
 
-
-def mc_area(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Estimate:
-    """Boundary area of the body by the radial surface integral.
-
-    Non-generic directions (no unique supporting hyperplane) are discarded;
-    they form a measure-zero set, and the discarded fraction is checked
-    against NONGENERIC_WARN_FRACTION.
+    State bodies draw traceless directions in chunks of BATCH, and without
+    heights solve for eigenvalues only. Polytopes draw in chunks of
+    polytopes._SWEEP_BATCH and measure heights against the unit sphere, which
+    is their insphere when every generator has unit norm.
     """
-    _check_n(n)
-    d = body.shape.dim_body
-    logr, h, gen = _collect_radial(body, n, rng, shards, want_heights=True)
-    n_gen = int(np.sum(gen))
+    if isinstance(body, polytopes.TangentBody):
+        logr, h, gen = _sweep(
+            n, rng, shards,
+            lambda stream, count: polytopes._radial_sweep(body, count, stream),
+            batch=polytopes._SWEEP_BATCH)
+        return _Radial(body.dim, 1.0, 1.0 if body.all_unit else None, logr, h, gen)
+
+    def kernel(stream, count):
+        omegas = sample_direction(body.shape, stream, count)
+        if not heights:
+            return (np.log(_radial_batch(body, omegas, want_vectors=False)["r"]),)
+        _, _, h, data, nong = _contact_batch(body, omegas)
+        return np.log(data["r"]), h, ~nong
+
+    out = _sweep(n, rng, shards, kernel)
+    logr, h, gen = out if heights else (out[0], None, None)
+    r_in = inscribed_radius(body.shape.n)
+    return _Radial(body.shape.dim_body, r_in, r_in, logr, h, gen)
+
+
+def _generic_terms(rad: _Radial, n: int):
+    """Volume and area integrands r^D and r^D / h on the generic directions.
+
+    Non-generic directions (no unique supporting face) are discarded; they
+    form a measure-zero set, so a discarded fraction of NONGENERIC_WARN_FRACTION
+    or more means the body is degenerate.
+    """
+    n_gen = int(np.sum(rad.generic))
     if n_gen == 0:
         raise InsufficientSamplesError("all sampled directions were non-generic")
-    if (n - n_gen) / n >= NONGENERIC_WARN_FRACTION:
+    if _degenerate(n - n_gen, n):
         raise InsufficientSamplesError(
             f"non-generic fraction {(n - n_gen) / n:.2e} too large; "
             "the body looks degenerate"
         )
-    vals = np.exp(d * logr[gen]) / h[gen]
-    value, stderr = _mean_estimate(vals, sphere_area(d))
-    return Estimate(value, stderr, n_gen, rng.describe(), f"mc_area[{body}]")
+    v = np.exp(rad.dim * rad.logr[rad.generic])
+    return v, v / rad.h[rad.generic]
 
 
-def mc_gamma(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Estimate:
+def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+              shards: int = 1) -> Estimate:
+    """Volume of a state body or polytope by the radial integral over
+    uniform directions."""
+    _check_n(n)
+    rad = _radial(body, n, rng, shards, heights=False)
+    d = rad.dim
+    value, stderr = _mean_estimate(np.exp(d * rad.logr), sphere_area(d) / d)
+    return Estimate(value, stderr, n, rng.describe(), f"mc_volume[{body}]")
+
+
+def mc_area(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+            shards: int = 1) -> Estimate:
+    """Boundary area of a state body or polytope by the radial surface
+    integral over generic directions."""
+    _check_n(n)
+    rad = _radial(body, n, rng, shards)
+    _, a = _generic_terms(rad, n)
+    value, stderr = _mean_estimate(a, sphere_area(rad.dim))
+    return Estimate(value, stderr, len(a), rng.describe(), f"mc_area[{body}]")
+
+
+def mc_gamma(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+             shards: int = 1) -> Estimate:
     """The dimensionless ratio gamma = r_in * A / V on shared direction samples.
 
     A and V share the same radial samples, so gamma is a correlated ratio; the
     stderr comes from the paired delta method. For a constant-height body the
-    estimate equals the body dimension up to eigensolver rounding.
+    estimate equals the body dimension up to rounding. A polytope with a
+    generator inside the unit ball takes r_in as the smallest support height
+    seen (an empirical value, noted in the estimator id).
     """
     _check_n(n)
-    d = body.shape.dim_body
-    r_in = inscribed_radius(body.shape.n)
-    logr, h, gen = _collect_radial(body, n, rng, shards, want_heights=True)
-    n_gen = int(np.sum(gen))
-    if n_gen == 0:
-        raise InsufficientSamplesError("all sampled directions were non-generic")
-    v = np.exp(d * logr[gen])
-    a = v / h[gen]
-    value, stderr = _ratio_estimate(a, v, r_in * d)
-    return Estimate(value, stderr, n_gen, rng.describe(), f"mc_gamma[{body}]")
+    rad = _radial(body, n, rng, shards)
+    v, a = _generic_terms(rad, n)
+    r_in, tag = rad.r_in, ""
+    if r_in is None:
+        r_in, tag = float(np.min(rad.h[rad.generic])), ",insphere=empirical"
+    value, stderr = _ratio_estimate(a, v, r_in * rad.dim)
+    return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}{tag}]")
 
 
-def height_certificate(body: BodySpec, n: int, rng: RngStream,
-                       tol: float = 1e-9) -> HeightCertificate:
-    """Max deviation of sampled support heights from the insphere radius."""
+def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
+                       rng: RngStream, tol: float = 1e-9,
+                       shards: int = 1) -> HeightCertificate:
+    """Max deviation of sampled support heights from the reference radius:
+    the insphere radius of a state body, the unit sphere of a polytope."""
     _check_n(n)
-    r_in = inscribed_radius(body.shape.n)
-    _, h, gen = _collect_radial(body, n, rng, 1, want_heights=True)
-    devs = np.abs(h[gen] - r_in)
+    rad = _radial(body, n, rng, shards)
+    devs = np.abs(rad.h[rad.generic] - rad.r_ref)
     return HeightCertificate(
         body=str(body),
         n_samples=n,
-        n_nongeneric=int(n - np.sum(gen)),
+        n_nongeneric=int(n - np.sum(rad.generic)),
         max_abs_deviation=float(np.max(devs)) if devs.size else float("nan"),
-        insphere_radius=r_in,
+        insphere_radius=rad.r_ref,
         tol=tol,
         seed=rng.describe(),
     )
-
-
-def _ppt_mask(states: np.ndarray, shape: BipartiteShape,
-              tol: float = PPT_TOL) -> np.ndarray:
-    pt = partial_transpose(hermitian_part(states), shape)
-    w = np.linalg.eigvalsh(pt)
-    return w[..., 0] >= -tol
 
 
 def estimate_p_interior(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
     """PPT probability of Hilbert-Schmidt interior samples."""
     _check_n(n)
-    hits = 0
-    for k, n_k in enumerate(_shard_sizes(n, shards)):
-        stream = rng.child(k) if shards > 1 else rng
-        for j, count in enumerate(_chunks(n_k)):
-            states = sample_state_hs(shape, stream.child(j), count)
-            hits += int(np.sum(_ppt_mask(states, shape)))
-    p, se = _binomial_estimate(hits, n)
+    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
+        _ppt_mask(sample_state_hs(shape, stream, count), shape),))
+    p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"p_interior[{shape}]")
 
 
@@ -283,13 +329,9 @@ def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
     """PPT probability of boundary samples under the surface measure."""
     _check_n(n)
-    hits = 0
-    for k, n_k in enumerate(_shard_sizes(n, shards)):
-        stream = rng.child(k) if shards > 1 else rng
-        for j, count in enumerate(_chunks(n_k)):
-            states, _ = sample_boundary_state_hs(shape, stream.child(j), count)
-            hits += int(np.sum(_ppt_mask(states, shape)))
-    p, se = _binomial_estimate(hits, n)
+    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
+        _ppt_mask(sample_boundary_state_hs(shape, stream, count)[0], shape),))
+    p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"p_boundary[{shape}]")
 
 
@@ -314,7 +356,8 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
     return OmegaReport(shape, p_v, p_a, omega, omega * rel)
 
 
-def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream) -> CornerProbeResult:
+def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
+                 shards: int = 1) -> CornerProbeResult:
     """Fractions of boundary samples with a partial-transpose eigenvalue
     within each delta of zero.
 
@@ -327,21 +370,22 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream) -> Corne
         raise ValueError(f"deltas must be nonnegative, got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be strictly decreasing, got {deltas}")
-    counts = np.zeros(len(deltas), dtype=np.int64)
-    for j, count in enumerate(_chunks(n)):
-        states, _ = sample_boundary_state_hs(shape, rng.child(j), count)
+
+    def kernel(stream, count):
+        states, _ = sample_boundary_state_hs(shape, stream, count)
         pt = partial_transpose(hermitian_part(states), shape)
-        closest = np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
-        for i, d in enumerate(deltas):
-            counts[i] += int(np.sum(closest < d))
+        return (np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1),)
+
+    (closest,) = _sweep(n, rng, shards, kernel)
     rows = []
-    for d, c in zip(deltas, counts):
-        p, se = _binomial_estimate(int(c), n)
+    for d in deltas:
+        p, se = _binomial_estimate(int(np.sum(closest < d)), n)
         rows.append((d, p, se))
     return CornerProbeResult(shape, n, rng.describe(), tuple(rows))
 
 
-def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> Estimate:
+def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream,
+                             shards: int = 1) -> Estimate:
     """PPT fraction of the full body's boundary via the radial area integral.
 
     Weighs each sampled direction by its surface element and tests the contact
@@ -352,22 +396,22 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> E
     _check_n(n)
     body = BodySpec("full", shape)
     d = shape.dim_body
-    w_parts, hit_parts = [], []
-    for j, count in enumerate(_chunks(n)):
-        omegas = sample_direction(shape, rng.child(j), count)
+
+    def kernel(stream, count):
+        omegas = sample_direction(shape, stream, count)
         points, _, h, data, nong = _contact_batch(body, omegas)
         gen = ~nong
         w = np.exp(d * np.log(data["r"][gen])) / h[gen]
-        w_parts.append(w)
-        hit_parts.append(_ppt_mask(points[gen], shape))
-    w = np.concatenate(w_parts)
-    hits = np.concatenate(hit_parts).astype(float)
-    value, stderr = _ratio_estimate(w * hits, w, 1.0)
+        return w, _ppt_mask(points[gen], shape)
+
+    w, hits = _sweep(n, rng, shards, kernel)
+    value, stderr = _ratio_estimate(w * hits.astype(float), w, 1.0)
     return Estimate(value, stderr, len(w), rng.describe(),
                     f"boundary_ppt_fraction[{shape}]")
 
 
-def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream) -> AreaCrossCheck:
+def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
+                        shards: int = 1) -> AreaCrossCheck:
     """PPT boundary area two ways: radial integral vs doubled hit count.
 
     Route one integrates the radial surface element over the PPT body. Route
@@ -379,14 +423,14 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream) -> AreaCr
     _check_n(n)
     ppt_body = BodySpec("ppt", shape)
     full_body = BodySpec("full", shape)
-    a_ppt = mc_area(ppt_body, n, rng.child(0))
-    p_a = estimate_p_boundary(shape, n, rng.child(1))
+    a_ppt = mc_area(ppt_body, n, rng.child(0), shards)
+    p_a = estimate_p_boundary(shape, n, rng.child(1), shards)
     if shape.field == "complex":
-        v_tot = mc_volume(full_body, n, rng.child(2))
+        v_tot = mc_volume(full_body, n, rng.child(2), shards)
         a_tot_value = v_tot.value * analytic_area_volume_ratio(shape.n)
         a_tot_rel = v_tot.stderr / v_tot.value
     else:
-        a_tot = mc_area(full_body, n, rng.child(2))
+        a_tot = mc_area(full_body, n, rng.child(2), shards)
         a_tot_value = a_tot.value
         a_tot_rel = a_tot.stderr / a_tot.value
     doubled_value = 2.0 * p_a.value * a_tot_value

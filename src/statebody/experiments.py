@@ -24,10 +24,8 @@ from .geometry import BodySpec
 from .hermitian import BipartiteShape
 from .polytopes import (
     TangentBody,
-    constant_height_check,
     cross_generators,
     cube_generators,
-    polytope_gamma_mc,
     random_unit_generators,
     simplex_generators,
 )
@@ -75,7 +73,8 @@ def _run_height_check(config: ExperimentConfig, rng: RngStream):
     shape = _shape(config)
     body = BodySpec(config.body, shape)
     cert = height_certificate(body, config.n_samples, rng,
-                              tol=config.tolerance("height_tol"))
+                              tol=config.tolerance("height_tol"),
+                              shards=config.shards)
     metrics = {
         "body": cert.body,
         "max_abs_deviation": cert.max_abs_deviation,
@@ -88,7 +87,8 @@ def _run_height_check(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
-    res = corner_probe(_shape(config), config.n_samples, config.deltas, rng)
+    res = corner_probe(_shape(config), config.n_samples, config.deltas, rng,
+                       config.shards)
     fracs = [row[1] for row in res.rows]
     monotone = all(a >= b for a, b in zip(fracs, fracs[1:]))
     ratio_max = config.tolerance("corner_ratio_max")
@@ -107,7 +107,7 @@ def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_area_crosscheck(config: ExperimentConfig, rng: RngStream):
-    acc = cross_validate_area(_shape(config), config.n_samples, rng)
+    acc = cross_validate_area(_shape(config), config.n_samples, rng, config.shards)
     sigma = config.tolerance("sigma")
     metrics = {
         "area_ppt_radial": _estimate_metrics(acc.radial),
@@ -133,8 +133,9 @@ def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:
 
 def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
     body = _build_polytope(config, rng)
-    est = polytope_gamma_mc(body, config.n_samples, rng)
-    height = constant_height_check(body, min(config.n_samples, 20000), rng.child(7))
+    est = mc_gamma(body, config.n_samples, rng, config.shards)
+    height = height_certificate(body, min(config.n_samples, 20000), rng.child(7),
+                                shards=config.shards)
     target = config.target if config.target is not None else float(body.dim)
     sigma = config.tolerance("sigma")
     dev = (est.value - target) / est.stderr
@@ -143,7 +144,7 @@ def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
         "dim": body.dim,
         "n_generators": body.n_generators,
         "all_unit": body.all_unit,
-        "height_max_deviation": height.max_deviation,
+        "height_max_deviation": height.max_abs_deviation,
     }
     return metrics, est.value, est.stderr, target, dev, bool(abs(dev) <= sigma)
 

@@ -222,9 +222,17 @@ def min_eigenvalue(a) -> float:
     return float(w[0])
 
 
+def ppt_mask(states: np.ndarray, shape: BipartiteShape,
+             tol: float = PPT_TOL) -> np.ndarray:
+    """Batched PPT test: True where the partial transpose of a state has no
+    eigenvalue below -tol. Works on stacks along leading axes."""
+    w = np.linalg.eigvalsh(hermitian_part(partial_transpose(states, shape)))
+    return w[..., 0] >= -tol
+
+
 def is_ppt(rho, shape: BipartiteShape, tol: float = PPT_TOL) -> bool:
     """Whether the partial transpose of ``rho`` has no eigenvalue below -tol."""
-    return min_eigenvalue(partial_transpose(_as_matrix(rho), shape)) >= -tol
+    return bool(ppt_mask(_as_matrix(rho), shape, tol))
 
 
 def negativity(rho, shape: BipartiteShape) -> float:

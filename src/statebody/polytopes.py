@@ -5,7 +5,9 @@ unit ball: X = {x : <x, y> <= 1 for all y in Y}. When every generator has unit
 norm each exposed face is tangent to the unit sphere and the body has constant
 height, so gamma = r * A / V equals the ambient dimension, mirroring the state
 body without any quantum machinery. Shorter generators push their face outward
-and break the equality exactly when that face is exposed.
+and break the equality exactly when that face is exposed. The volume, area,
+gamma and height estimators of :mod:`statebody.estimators` accept a
+TangentBody wherever they accept a state body.
 """
 
 from __future__ import annotations
@@ -15,13 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .estimators import (
-    Estimate,
-    _floor_stderr,
-    _mean_estimate,
-    _ratio_estimate,
-    sphere_area,
-)
 from .sampling import RngStream
 
 NORM_SLACK = 1e-12
@@ -75,6 +70,9 @@ class TangentBody:
 
     def __repr__(self):
         return f"TangentBody(dim={self.dim}, n_generators={self.n_generators})"
+
+    def __str__(self):
+        return f"polytope:dim={self.dim}"
 
 
 def _check_origin_interior(g: np.ndarray):
@@ -175,112 +173,32 @@ def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:
     return TangentBody(merged, validate=False)
 
 
+# chunk size for polytope sweeps: keeps the (batch, n_generators) product
+# matrix small (65,536 x 500 float64 would be 262 MB)
 _SWEEP_BATCH = 1 << 13
 
 
 def _radial_sweep(body: TangentBody, n: int, rng: RngStream):
-    """Per-direction radial data: log r, support distance, tie mask.
-
-    Chunked so the (batch, n_generators) product matrix stays small; chunk j
-    draws from rng.child(j).
+    """Radial data of n uniform directions drawn from ``rng`` in one chunk:
+    log r, support distance of the binding face, and a mask that is False
+    where two generators tie (the direction hits an edge, not a face).
     """
-    logr_parts, h_parts, ok_parts = [], [], []
-    done, j = 0, 0
-    while done < n:
-        count = min(_SWEEP_BATCH, n - done)
-        gen = rng.child(j).generator()
-        dirs = gen.standard_normal((count, body.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        s = dirs @ body.generators.T
-        idx = np.argmax(s, axis=1)
-        smax = s[np.arange(count), idx]
-        if np.any(smax <= 0.0):
-            bad = dirs[int(np.argmin(smax))]
-            raise UnboundedBodyError(
-                f"body is unbounded along direction {np.round(bad, 6).tolist()}"
-            )
-        if s.shape[1] > 1:
-            s2 = np.partition(s, -2, axis=1)[:, -2]
-        else:
-            s2 = np.full(count, -np.inf)
-        ties = (smax - s2) <= TIE_TOL * np.maximum(smax, 1.0)
-        logr_parts.append(np.log(1.0 / smax))
-        h_parts.append(1.0 / body._norms[idx])
-        ok_parts.append(~ties)
-        done += count
-        j += 1
-    return (np.concatenate(logr_parts), np.concatenate(h_parts),
-            np.concatenate(ok_parts))
-
-
-def polytope_gamma_mc(body: TangentBody, n: int, rng: RngStream) -> Estimate:
-    """gamma = r_in * A / V by the same radial integrals used on state bodies.
-
-    The insphere radius is exactly one for all-unit generator sets; otherwise
-    it is taken as the smallest binding support distance seen in the sweep
-    (an empirical estimate, noted in the estimator id).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    d = body.dim
-    logr, h, ok = _radial_sweep(body, n, rng)
-    logr, h = logr[ok], h[ok]
-    if logr.size == 0:
-        raise FaceTieError("every sampled direction tied; degenerate body")
-    v = np.exp(d * logr)
-    a = v / h
-    if body.all_unit:
-        r_in, tag = 1.0, "insphere=unit"
+    dirs = rng.generator().standard_normal((n, body.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    s = dirs @ body.generators.T
+    idx = np.argmax(s, axis=1)
+    smax = s[np.arange(n), idx]
+    if np.any(smax <= 0.0):
+        bad = dirs[int(np.argmin(smax))]
+        raise UnboundedBodyError(
+            f"body is unbounded along direction {np.round(bad, 6).tolist()}"
+        )
+    if s.shape[1] > 1:
+        s2 = np.partition(s, -2, axis=1)[:, -2]
     else:
-        r_in, tag = float(np.min(h)), "insphere=empirical"
-    value, stderr = _ratio_estimate(a, v, r_in * d)
-    return Estimate(value, stderr, int(logr.size), rng.describe(),
-                    f"polytope_gamma[dim={d},{tag}]")
-
-
-def polytope_volume_mc(body: TangentBody, n: int, rng: RngStream) -> Estimate:
-    """Volume by the radial integral; handy for calibrating small examples."""
-    d = body.dim
-    logr, _, _ = _radial_sweep(body, n, rng)
-    value, stderr = _mean_estimate(np.exp(d * logr), sphere_area(d) / d)
-    return Estimate(value, stderr, n, rng.describe(), f"polytope_volume[dim={d}]")
-
-
-def polytope_area_mc(body: TangentBody, n: int, rng: RngStream) -> Estimate:
-    """Boundary area by the radial surface integral."""
-    d = body.dim
-    logr, h, ok = _radial_sweep(body, n, rng)
-    vals = np.exp(d * logr[ok]) / h[ok]
-    value, stderr = _mean_estimate(vals, sphere_area(d))
-    return Estimate(value, stderr, int(np.sum(ok)), rng.describe(),
-                    f"polytope_area[dim={d}]")
-
-
-@dataclass(frozen=True)
-class PolytopeHeightReport:
-    """Sampled constant-height verdict for a polar body."""
-
-    max_deviation: float
-    passed: bool
-    tol: float
-    n_samples: int
-    n_ties: int
-
-
-def constant_height_check(body: TangentBody, n: int, rng: RngStream,
-                          tol: float = 1e-9) -> PolytopeHeightReport:
-    """Max |support_distance - 1| over the faces met by a direction sweep."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _, h, ok = _radial_sweep(body, n, rng)
-    dev = float(np.max(np.abs(h[ok] - 1.0))) if np.any(ok) else float("nan")
-    return PolytopeHeightReport(
-        max_deviation=dev,
-        passed=bool(dev <= tol),
-        tol=tol,
-        n_samples=n,
-        n_ties=int(n - np.sum(ok)),
-    )
+        s2 = np.full(n, -np.inf)
+    ties = (smax - s2) <= TIE_TOL * np.maximum(smax, 1.0)
+    return np.log(1.0 / smax), 1.0 / body._norms[idx], ~ties
 
 
 def cube_generators(dim: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from statebody import (
     RngStream,
     TangentBody,
     config_from_dict,
-    constant_height_check,
     corner_probe,
     cross_validate_area,
     cube_generators,
@@ -29,7 +28,6 @@ from statebody import (
     mc_area,
     mc_gamma,
     mc_volume,
-    polytope_gamma_mc,
     random_unit_generators,
     run_experiment,
     sampler_validation,
@@ -154,13 +152,13 @@ def test_criterion_6_polytope_constant_height_lab():
     bits, ok = [], True
     for dim in (2, 3, 4):
         for maker in (cube_generators, simplex_generators):
-            est = polytope_gamma_mc(TangentBody(maker(dim)), N_POLY,
+            est = mc_gamma(TangentBody(maker(dim)), N_POLY,
                                     RngStream(3600 + dim))
             good = abs(est.value - dim) <= SIGMA * est.stderr
             ok &= good
             bits.append(f"{maker.__name__[:-11]}{dim}: {est.value:.6g}")
     rect = TangentBody(np.array([[1.0, 0], [-1.0, 0], [0, -1.0], [0, 2 / 3]]))
-    rect_est = polytope_gamma_mc(rect, N_POLY, RngStream(3610))
+    rect_est = mc_gamma(rect, N_POLY, RngStream(3610))
     rect_ok = abs(rect_est.value - 1.8) <= SIGMA * rect_est.stderr
     ok &= rect_ok
     bits.append(f"rect: {rect_est.value:.4f}+-{rect_est.stderr:.4f}")
@@ -168,7 +166,7 @@ def test_criterion_6_polytope_constant_height_lab():
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     rot = cube_generators(2) @ np.array([[c, -s], [s, c]]).T
     octa = intersect_bodies(TangentBody(cube_generators(2)), TangentBody(rot))
-    octa_est = polytope_gamma_mc(octa, N_POLY, RngStream(3611))
+    octa_est = mc_gamma(octa, N_POLY, RngStream(3611))
     octa_ok = abs(octa_est.value - 2.0) <= SIGMA * octa_est.stderr
     ok &= octa_ok
     bits.append(f"octagon: {octa_est.value:.6g}")
@@ -179,11 +177,11 @@ def test_criterion_6_polytope_constant_height_lab():
     n_exposed = 0
     for i in range(20):
         gens = random_unit_generators(4, 500, RngStream(3620 + i))
-        rep = constant_height_check(TangentBody(gens), 20_000, RngStream(3640 + i))
+        rep = height_certificate(TangentBody(gens), 20_000, RngStream(3640 + i))
         ok &= rep.passed
         shrunk = gens.copy()
         shrunk[0] *= 0.8
-        srep = constant_height_check(TangentBody(shrunk), 20_000,
+        srep = height_certificate(TangentBody(shrunk), 20_000,
                                      RngStream(3660 + i))
         if _face_exposed(shrunk, 0):
             n_exposed += 1
@@ -196,10 +194,10 @@ def test_criterion_6_polytope_constant_height_lab():
     exposed = np.vstack([cube_generators(2),
                          0.8 * np.array([[1.0, 1.0]]) / math.sqrt(2.0)])
     assert _face_exposed(exposed, 4)
-    erep = constant_height_check(TangentBody(exposed), 20_000, RngStream(3680))
+    erep = height_certificate(TangentBody(exposed), 20_000, RngStream(3680))
     ok &= not erep.passed
     bits.append(f"random bodies: 20 pass, {n_exposed} shrunk-exposed,"
-                f" pinned exposed dev={erep.max_deviation:.3f}")
+                f" pinned exposed dev={erep.max_abs_deviation:.3f}")
     line = _report(6, "polytope lab", ok, "; ".join(bits))
     assert ok, line
 

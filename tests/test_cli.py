@@ -76,6 +76,13 @@ def test_validate_samplers_runs(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_validate_samplers_rejects_shards(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, experiment="sampler-validate", shape=None,
+                    n_samples=10000, seed=11)
+    assert main(["validate-samplers", str(cfg), "--shards", "2"]) == 2
+    assert "shards" in capsys.readouterr().err
+
+
 def test_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     main(["run", str(cfg)])

@@ -125,6 +125,20 @@ def test_tolerance_overrides():
         config_from_dict(base(tolerances={"sigma": -1.0}))
 
 
+def test_removed_nongeneric_max_is_unknown():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(base(tolerances={"nongeneric_max": 1e-3}))
+    assert err.value.field == "tolerances.nongeneric_max"
+
+
+def test_sampler_validate_rejects_shards():
+    d = {"experiment": "sampler-validate", "n_samples": 10000, "seed": 0}
+    assert config_from_dict({**d, "shards": 1}).shards == 1
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({**d, "shards": 2})
+    assert err.value.field == "shards"
+
+
 def test_hash_is_stable_and_sensitive():
     cfg = config_from_dict(base())
     assert cfg.config_hash() == config_from_dict(base()).config_hash()

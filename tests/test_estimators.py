@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from statebody import estimators
 from statebody import (
     BipartiteShape,
     BodySpec,
@@ -110,8 +111,28 @@ def test_estimator_rejects_bad_n():
 
 def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     monkeypatch.setattr("statebody.geometry.GAP_TOL", 10.0)
-    with pytest.raises(InsufficientSamplesError):
-        mc_area(QUBIT, 500, RngStream(2))
+    for estimator in (mc_area, mc_gamma):
+        with pytest.raises(InsufficientSamplesError):
+            estimator(QUBIT, 500, RngStream(2))
+
+
+def test_nongeneric_fraction_rule_is_shared(monkeypatch):
+    # flag 1% of directions non-generic: far above NONGENERIC_WARN_FRACTION
+    # but not all of them
+    contact = estimators._contact_batch
+
+    def flagged(body, omegas):
+        points, normals, heights, data, nongeneric = contact(body, omegas)
+        nongeneric[: len(nongeneric) // 100] = True
+        return points, normals, heights, data, nongeneric
+
+    monkeypatch.setattr(estimators, "_contact_batch", flagged)
+    body = BodySpec("full", BipartiteShape(1, 3))
+    for estimator in (mc_area, mc_gamma):
+        with pytest.raises(InsufficientSamplesError, match="fraction"):
+            estimator(body, 1000, RngStream(3))
+    cert = height_certificate(body, 1000, RngStream(3))
+    assert cert.max_abs_deviation <= cert.tol and not cert.passed
 
 
 # ---------------------------------------------------------------------------

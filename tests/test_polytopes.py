@@ -10,15 +10,15 @@ from statebody import (
     RngStream,
     TangentBody,
     UnboundedBodyError,
-    constant_height_check,
     cross_generators,
     cube_generators,
+    height_certificate,
     intersect_bodies,
+    mc_area,
+    mc_gamma,
+    mc_volume,
     polar_contact,
     polar_radial,
-    polytope_area_mc,
-    polytope_gamma_mc,
-    polytope_volume_mc,
     random_unit_generators,
     simplex_generators,
 )
@@ -182,15 +182,15 @@ def test_intersection_dimension_mismatch():
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_cube_gamma_is_dimension(dim):
     body = TangentBody(cube_generators(dim))
-    est = polytope_gamma_mc(body, 30000, RngStream(201))
+    est = mc_gamma(body, 30000, RngStream(201))
     assert est.value == pytest.approx(dim, abs=1e-9)
-    assert est.estimator_id == f"polytope_gamma[dim={dim},insphere=unit]"
+    assert est.estimator_id == f"mc_gamma[polytope:dim={dim}]"
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_simplex_gamma_is_dimension(dim):
     body = TangentBody(simplex_generators(dim))
-    est = polytope_gamma_mc(body, 30000, RngStream(202))
+    est = mc_gamma(body, 30000, RngStream(202))
     assert est.value == pytest.approx(dim, abs=1e-9)
 
 
@@ -201,19 +201,19 @@ def test_rectangle_gamma_volume_area():
     radius 1, so gamma = 9/5 instead of the dimension 2.
     """
     body = TangentBody(RECT)
-    gamma = polytope_gamma_mc(body, 100_000, RngStream(203))
+    gamma = mc_gamma(body, 100_000, RngStream(203))
     assert "insphere=empirical" in gamma.estimator_id
     assert abs(gamma.value - 1.8) < 4 * gamma.stderr
-    vol = polytope_volume_mc(body, 100_000, RngStream(204))
+    vol = mc_volume(body, 100_000, RngStream(204))
     assert abs(vol.value - 5.0) < 4 * vol.stderr
-    area = polytope_area_mc(body, 100_000, RngStream(205))
+    area = mc_area(body, 100_000, RngStream(205))
     assert abs(area.value - 9.0) < 4 * area.stderr
 
 
 def test_gamma_determinism():
     body = TangentBody(RECT)
-    a = polytope_gamma_mc(body, 15000, RngStream(77))
-    b = polytope_gamma_mc(body, 15000, RngStream(77))
+    a = mc_gamma(body, 15000, RngStream(77))
+    b = mc_gamma(body, 15000, RngStream(77))
     assert a.value == b.value and a.stderr == b.stderr
 
 
@@ -221,7 +221,7 @@ def test_octagon_gamma():
     cut = intersect_bodies(
         TangentBody(cube_generators(2)), TangentBody(rotated_square(math.pi / 4))
     )
-    est = polytope_gamma_mc(cut, 30000, RngStream(206))
+    est = mc_gamma(cut, 30000, RngStream(206))
     assert est.value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -230,16 +230,16 @@ def test_octagon_gamma():
 
 
 def test_cube_constant_height_passes():
-    rep = constant_height_check(TangentBody(cube_generators(3)), 20000, RngStream(301))
+    rep = height_certificate(TangentBody(cube_generators(3)), 20000, RngStream(301))
     assert rep.passed
-    assert rep.max_deviation == pytest.approx(0.0, abs=1e-12)
-    assert rep.n_ties == 0
+    assert rep.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
+    assert rep.n_nongeneric == 0
 
 
 def test_rectangle_constant_height_fails():
-    rep = constant_height_check(TangentBody(RECT), 20000, RngStream(302))
+    rep = height_certificate(TangentBody(RECT), 20000, RngStream(302))
     assert not rep.passed
-    assert rep.max_deviation == pytest.approx(0.5, abs=1e-12)
+    assert rep.max_abs_deviation == pytest.approx(0.5, abs=1e-12)
 
 
 def test_shrunk_generator_breaks_constant_height():
@@ -248,17 +248,17 @@ def test_shrunk_generator_breaks_constant_height():
     gens = np.vstack([cube_generators(2), 0.8 * np.array([[1.0, 1.0]]) / math.sqrt(2.0)])
     body = TangentBody(gens)
     assert not body.all_unit
-    rep = constant_height_check(body, 20000, RngStream(303))
+    rep = height_certificate(body, 20000, RngStream(303))
     assert not rep.passed
-    assert rep.max_deviation == pytest.approx(0.25, abs=1e-12)
-    est = polytope_gamma_mc(body, 50000, RngStream(304))
+    assert rep.max_abs_deviation == pytest.approx(0.25, abs=1e-12)
+    est = mc_gamma(body, 50000, RngStream(304))
     assert est.value < 2.0 - 4 * est.stderr
 
 
 def test_random_unit_body_has_constant_height():
     gens = random_unit_generators(4, 500, RngStream(305))
     body = TangentBody(gens)
-    rep = constant_height_check(body, 20000, RngStream(306))
+    rep = height_certificate(body, 20000, RngStream(306))
     assert rep.passed
-    est = polytope_gamma_mc(body, 30000, RngStream(307))
+    est = mc_gamma(body, 30000, RngStream(307))
     assert est.value == pytest.approx(4.0, abs=1e-9)

@@ -144,7 +144,9 @@ def _sweep(n: int, rng: RngStream, shards: int, kernel, batch: int = BATCH):
     Shard k draws from rng.child(k), or from rng itself when there is one
     shard; chunk j of a shard draws from that stream's child(j) and holds at
     most ``batch`` samples. The kernel returns a tuple of arrays; each is
-    concatenated over chunks in fixed index order.
+    concatenated over chunks in fixed index order. Kernels whose caller only
+    counts return per-chunk counts, so memory grows with the number of chunks
+    rather than with n.
     """
     parts = []
     for k, n_k in enumerate(_shard_sizes(n, shards)):
@@ -193,13 +195,11 @@ class _Radial:
 
     ``logr`` holds log r(omega), ``h`` the support height of the face met and
     ``generic`` whether that face is unique; both are None when heights were
-    not asked for. ``r_ref`` is the radius every support height equals on a
-    constant-height body; ``r_in`` is the insphere radius when it is known
-    exactly, else None.
+    not asked for. ``r_in`` is the insphere radius when it is known exactly,
+    else None.
     """
 
     dim: int
-    r_ref: float
     r_in: float | None
     logr: np.ndarray
     h: np.ndarray | None
@@ -220,7 +220,7 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
             n, rng, shards,
             lambda stream, count: polytopes._radial_sweep(body, count, stream),
             batch=polytopes._SWEEP_BATCH)
-        return _Radial(body.dim, 1.0, 1.0 if body.all_unit else None, logr, h, gen)
+        return _Radial(body.dim, 1.0 if body.all_unit else None, logr, h, gen)
 
     def kernel(stream, count):
         omegas = sample_direction(body.shape, stream, count)
@@ -231,8 +231,7 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     out = _sweep(n, rng, shards, kernel)
     logr, h, gen = out if heights else (out[0], None, None)
-    r_in = inscribed_radius(body.shape.n)
-    return _Radial(body.shape.dim_body, r_in, r_in, logr, h, gen)
+    return _Radial(body.shape.dim_body, inscribed_radius(body.shape.n), logr, h, gen)
 
 
 def _generic_terms(rad: _Radial, n: int):
@@ -303,13 +302,15 @@ def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
     the insphere radius of a state body, the unit sphere of a polytope."""
     _check_n(n)
     rad = _radial(body, n, rng, shards)
-    devs = np.abs(rad.h[rad.generic] - rad.r_ref)
+    # a polytope's reference is the unit sphere, even when r_in is unknown
+    r_ref = rad.r_in if rad.r_in is not None else 1.0
+    devs = np.abs(rad.h[rad.generic] - r_ref)
     return HeightCertificate(
         body=str(body),
         n_samples=n,
         n_nongeneric=int(n - np.sum(rad.generic)),
         max_abs_deviation=float(np.max(devs)) if devs.size else float("nan"),
-        insphere_radius=rad.r_ref,
+        insphere_radius=r_ref,
         tol=tol,
         seed=rng.describe(),
     )
@@ -320,7 +321,7 @@ def estimate_p_interior(shape: BipartiteShape, n: int, rng: RngStream,
     """PPT probability of Hilbert-Schmidt interior samples."""
     _check_n(n)
     (hits,) = _sweep(n, rng, shards, lambda stream, count: (
-        _ppt_mask(sample_state_hs(shape, stream, count), shape),))
+        _ppt_mask(sample_state_hs(shape, stream, count), shape).sum(keepdims=True),))
     p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"p_interior[{shape}]")
 
@@ -330,7 +331,8 @@ def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
     """PPT probability of boundary samples under the surface measure."""
     _check_n(n)
     (hits,) = _sweep(n, rng, shards, lambda stream, count: (
-        _ppt_mask(sample_boundary_state_hs(shape, stream, count)[0], shape),))
+        _ppt_mask(sample_boundary_state_hs(shape, stream, count)[0], shape)
+        .sum(keepdims=True),))
     p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"p_boundary[{shape}]")
 
@@ -374,18 +376,18 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     def kernel(stream, count):
         states, _ = sample_boundary_state_hs(shape, stream, count)
         pt = partial_transpose(hermitian_part(states), shape)
-        return (np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1),)
+        closest = np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
+        return (np.array([[np.sum(closest < d) for d in deltas]]),)
 
-    (closest,) = _sweep(n, rng, shards, kernel)
+    (counts,) = _sweep(n, rng, shards, kernel)
     rows = []
-    for d in deltas:
-        p, se = _binomial_estimate(int(np.sum(closest < d)), n)
+    for d, c in zip(deltas, counts.sum(axis=0)):
+        p, se = _binomial_estimate(int(c), n)
         rows.append((d, p, se))
     return CornerProbeResult(shape, n, rng.describe(), tuple(rows))
 
 
-def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream,
-                             shards: int = 1) -> Estimate:
+def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> Estimate:
     """PPT fraction of the full body's boundary via the radial area integral.
 
     Weighs each sampled direction by its surface element and tests the contact
@@ -404,7 +406,7 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream,
         w = np.exp(d * np.log(data["r"][gen])) / h[gen]
         return w, _ppt_mask(points[gen], shape)
 
-    w, hits = _sweep(n, rng, shards, kernel)
+    w, hits = _sweep(n, rng, 1, kernel)
     value, stderr = _ratio_estimate(w * hits.astype(float), w, 1.0)
     return Estimate(value, stderr, len(w), rng.describe(),
                     f"boundary_ppt_fraction[{shape}]")

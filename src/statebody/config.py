@@ -147,8 +147,10 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """Identity of the experiment; ``output_path`` is not part of it."""
+        canon = self.canonical_dict()
+        del canon["output_path"]
+        blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -23,10 +23,11 @@ smallest eigenvalue to zero in the flat-measure eigenvalue density:
 
     f(lambda) ~ prod_{i<j} |l_i - l_j|^beta * prod_i l_i^beta
 
-over the nonzero eigenvalues, with beta = 2 (complex) or 1 (real). A
-rectangular Wishart spectrum reproduces f in the complex case; the real
-default is a Metropolis chain targeting f directly, and the two routes are
-cross-validated against each other in the test suite.
+over the nonzero eigenvalues, with beta = 2 (complex) or 1 (real). The
+spectrum of a rectangular Ginibre Gram matrix reproduces f exactly in both
+fields and is the production route. A Metropolis chain targeting f directly
+is kept only as an independent oracle: the sampler battery and the test
+suite compare the two routes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .hermitian import BipartiteShape, DensityMatrix, TracelessDirection, hermit
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
 
-# Metropolis defaults: enough burn-in for the small simplices used here.
+# Metropolis oracle settings: enough burn-in for the small simplices used here.
 _MH_BURN = 4096
 _MH_THIN = 16
 _MH_CHAINS = 256
@@ -96,6 +97,13 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
+def _gram(gen: np.random.Generator, size: int, rows: int, cols: int,
+          field: str) -> np.ndarray:
+    """Hermitian part of G G^dag for a (size, rows, cols) Ginibre stack G."""
+    g = _ginibre(gen, (size, rows, cols), field)
+    return hermitian_part(g @ np.conj(np.swapaxes(g, -1, -2)))
+
+
 def sample_haar_unitary(n: int, field: str, rng: RngStream, size: int | None = None):
     """Haar-distributed unitary (orthogonal for ``field='real'``) matrices.
 
@@ -130,9 +138,7 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int | None = No
     n = shape.n
     b = 1 if size is None else int(size)
     cols = n if shape.field == "complex" else n + 1
-    g = _ginibre(rng.generator(), (b, n, cols), shape.field)
-    w = g @ np.conj(np.swapaxes(g, -1, -2))
-    w = hermitian_part(w)
+    w = _gram(rng.generator(), b, n, cols, shape.field)
     tr = np.trace(w, axis1=-2, axis2=-1).real
     rho = w / tr[:, None, None]
     if size is None:
@@ -157,19 +163,13 @@ def _logdensity_boundary(lam: np.ndarray, beta: int) -> np.ndarray:
 
 
 def boundary_eigenvalues_metropolis(
-    n: int,
-    field: str,
-    rng: RngStream,
-    size: int,
-    *,
-    burn: int = _MH_BURN,
-    thin: int = _MH_THIN,
-    chains: int = _MH_CHAINS,
+    n: int, field: str, rng: RngStream, size: int
 ) -> np.ndarray:
     """Nonzero boundary eigenvalues via a random-walk Metropolis chain.
 
-    Targets f(lambda) on the (N-2)-simplex directly; serves as the default
-    real-case sampler and as the independent oracle for the Wishart route.
+    Targets f(lambda) on the (N-2)-simplex directly. It is the independent
+    oracle for the Wishart route, used only by the sampler battery and the
+    tests; its kept samples are correlated, so no estimator draws from it.
     Returns a (size, N-1) array of eigenvalue rows summing to one, sorted
     ascending. Step size adapts during burn-in only, so the kept samples come
     from a fixed, detailed-balanced kernel.
@@ -181,17 +181,16 @@ def boundary_eigenvalues_metropolis(
     if m == 1:
         return np.ones((size, 1))
     beta = 2 if field == "complex" else 1
-    c = min(chains, max(8, size))
+    c = min(_MH_CHAINS, max(8, size))
     gen = rng.generator()
     lam = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1)
     logf = _logdensity_boundary(lam, beta)
     step = 0.5 / m
     acc = 0
     window = 0
-    keep_every = max(1, int(thin))
     needed = int(np.ceil(size / c))
     kept = []
-    total = burn + needed * keep_every
+    total = _MH_BURN + needed * _MH_THIN
     for t in range(total):
         z = gen.standard_normal((c, m))
         z -= z.mean(axis=-1, keepdims=True)  # keeps the trace sum fixed
@@ -201,7 +200,7 @@ def boundary_eigenvalues_metropolis(
         accept = u < (logf_p - logf)
         lam = np.where(accept[:, None], prop, lam)
         logf = np.where(accept, logf_p, logf)
-        if t < burn:
+        if t < _MH_BURN:
             acc += int(np.sum(accept))
             window += c
             if window >= 128 * c:
@@ -209,7 +208,7 @@ def boundary_eigenvalues_metropolis(
                 step *= float(np.exp(0.4 * (rate - 0.35)))
                 acc = 0
                 window = 0
-        elif (t - burn) % keep_every == keep_every - 1:
+        elif (t - _MH_BURN) % _MH_THIN == _MH_THIN - 1:
             kept.append(np.sort(lam, axis=-1))
     out = np.concatenate(kept, axis=0)[:size]
     return out
@@ -229,9 +228,7 @@ def boundary_eigenvalues_wishart(
     if m < 1:
         raise ValueError(f"need n >= 2, got {n}")
     cols = n + 1 if field == "complex" else n + 2
-    g = _ginibre(rng.generator(), (size, m, cols), field)
-    w = g @ np.conj(np.swapaxes(g, -1, -2))
-    lam = np.linalg.eigvalsh(hermitian_part(w))
+    lam = np.linalg.eigvalsh(_gram(rng.generator(), size, m, cols, field))
     lam = lam / np.sum(lam, axis=-1, keepdims=True)
     return lam
 
@@ -260,17 +257,14 @@ def sample_boundary_state_hs(
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
     The eigenvector flag is an independent Haar frame and the smallest
-    eigenvalue is exactly zero by construction. Complex eigenvalues use the
-    Wishart route; real ones use the Metropolis chain (the validated oracle
-    for the real exponents). Returns a :class:`BoundaryState` for
-    ``size=None``, else a pair (states, zero_eigvecs) of stacked arrays.
+    eigenvalue is exactly zero by construction. The nonzero eigenvalues come
+    from the exact Wishart route in both fields. Returns a
+    :class:`BoundaryState` for ``size=None``, else a pair (states,
+    zero_eigvecs) of stacked arrays.
     """
     n = shape.n
     b = 1 if size is None else int(size)
-    if shape.field == "complex":
-        lam = boundary_eigenvalues_wishart(n, shape.field, rng.child(0), b)
-    else:
-        lam = boundary_eigenvalues_metropolis(n, shape.field, rng.child(0), b)
+    lam = boundary_eigenvalues_wishart(n, shape.field, rng.child(0), b)
     u = sample_haar_unitary(n, shape.field, rng.child(1), b)
     rho = _assemble_boundary(lam, u)
     psi = np.ascontiguousarray(u[:, :, 0])

@@ -1,7 +1,8 @@
 """Distribution checks for the samplers, used by the validate-samplers command.
 
-Two-sample tests pit the production route against an independent one (Wishart
-spectrum vs Metropolis chain for boundary eigenvalues); scalar checks compare
+Two-sample tests pit the production route against an independent one (for
+boundary eigenvalues in both fields, the Wishart spectrum against the
+Metropolis chain, which serves only as this oracle); scalar checks compare
 sampled tail probabilities against closed-form values. Each check reports a
 p-value or a sigma deviation plus a verdict.
 """
@@ -80,9 +81,8 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     """
     checks = {}
 
-    # boundary eigenvalue law: production route vs independent Metropolis
-    # chain; for the real field the production route IS the chain, so the
-    # Wishart spectrum plays the independent role there
+    # boundary eigenvalue law: production Wishart route vs the independent
+    # Metropolis chain, for either field
     lam3_w = boundary_eigenvalues_wishart(3, field, rng.child(10), n)
     lam3_m = boundary_eigenvalues_metropolis(3, field, rng.child(11), n)
     ks = stats.ks_2samp(lam3_w[:, -1], lam3_m[:, -1])

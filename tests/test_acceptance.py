@@ -50,19 +50,30 @@ def _report(num: int, name: str, ok: bool, detail: str) -> str:
 
 
 def test_criterion_1_interior_boundary_ppt_ratio():
-    """The interior PPT probability is twice the boundary one."""
+    """The interior PPT probability is twice the boundary one.
+
+    For 2x2, PPT = separable (Horodecki 1996), so p_interior is the exact
+    Hilbert-Schmidt separability probability, 8/33 complex and 29/64 real
+    (Slater; Lovas & Andai 2017), and p_boundary is half of it.
+    """
     cases = [
-        (BipartiteShape(2, 2, "complex"), 3101),
-        (BipartiteShape(2, 3, "complex"), 3102),
-        (BipartiteShape(2, 2, "real"), 3103),
+        (BipartiteShape(2, 2, "complex"), 3101, 8 / 33),
+        (BipartiteShape(2, 3, "complex"), 3102, None),
+        (BipartiteShape(2, 2, "real"), 3103, 29 / 64),
     ]
     bits, ok = [], True
-    for shape, seed in cases:
+    for shape, seed, p_sep in cases:
         rep = estimate_omega(shape, N_OMEGA, RngStream(seed))
         dev = (rep.omega - 2.0) / rep.stderr
         good = abs(dev) <= SIGMA and rep.stderr < 0.05
+        bit = f"{shape}: {rep.omega:.4f}+-{rep.stderr:.4f} ({dev:+.2f}s)"
+        if p_sep is not None:
+            dev_v = (rep.p_interior.value - p_sep) / rep.p_interior.stderr
+            dev_a = (rep.p_boundary.value - p_sep / 2) / rep.p_boundary.stderr
+            good &= abs(dev_v) <= SIGMA and abs(dev_a) <= SIGMA
+            bit += f", p_int {dev_v:+.2f}s, p_bdy {dev_a:+.2f}s"
         ok &= good
-        bits.append(f"{shape}: {rep.omega:.4f}+-{rep.stderr:.4f} ({dev:+.2f}s)")
+        bits.append(bit)
     line = _report(1, "omega = 2", ok, "; ".join(bits))
     assert ok, line
 

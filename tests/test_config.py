@@ -144,6 +144,7 @@ def test_hash_is_stable_and_sensitive():
     assert cfg.config_hash() == config_from_dict(base()).config_hash()
     assert cfg.config_hash() != config_from_dict(base(seed=2)).config_hash()
     assert cfg.config_hash() != config_from_dict(base(n_samples=2000)).config_hash()
+    assert cfg.config_hash() == config_from_dict(base(output_path="elsewhere")).config_hash()
     assert len(cfg.config_hash()) == 64
 
 

@@ -183,12 +183,17 @@ def test_omega_report():
 
 
 def test_boundary_fraction_two_routes_agree():
-    """Hit counting on boundary samples vs the radial-ratio route."""
-    shape = BipartiteShape(2, 2)
-    hits = estimate_p_boundary(shape, 30000, RngStream(55))
-    radial = mc_boundary_ppt_fraction(shape, 30000, RngStream(56))
-    pooled = math.hypot(hits.stderr, radial.stderr)
-    assert abs(hits.value - radial.value) < SIGMA_LOOSE * pooled
+    """Hit counting on boundary samples vs the radial-ratio route.
+
+    The radial route never draws a boundary state, so in each field it is an
+    independent check of the production boundary sampler.
+    """
+    for field in ("complex", "real"):
+        shape = BipartiteShape(2, 2, field)
+        hits = estimate_p_boundary(shape, 30000, RngStream(55))
+        radial = mc_boundary_ppt_fraction(shape, 30000, RngStream(56))
+        pooled = math.hypot(hits.stderr, radial.stderr)
+        assert abs(hits.value - radial.value) < SIGMA_LOOSE * pooled, field
 
 
 def test_cross_validate_area():

@@ -7,7 +7,6 @@ Exit codes: 0 experiment ran and passed its band, 1 ran but failed the band,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,47 +23,27 @@ def _add_overrides(parser: argparse.ArgumentParser):
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--shards", type=int, help="override the shard count")
-    parser.add_argument("--samples", type=int, help="override n_samples")
+    parser.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int,
+                        help="override n_samples")
     parser.add_argument("--field", choices=["complex", "real"],
                         help="override the matrix field")
     parser.add_argument("--shape", help="override the system shape, e.g. 2x3")
-    parser.add_argument("--output", help="override the output directory")
+    parser.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                        help="override the output directory")
 
 
-def _apply_overrides(cfg, args):
-    from .config import _parse_shape, _check_shards
-
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {args.seed}")
-        updates["seed"] = args.seed
-    if args.shards is not None:
-        updates["shards"] = _check_shards(args.shards, cfg.experiment)
-    if args.samples is not None:
-        from .config import MIN_SAMPLES
-        floor = MIN_SAMPLES[cfg.experiment]
-        if args.samples < floor:
-            raise ConfigError("n_samples",
-                              f"must be >= {floor} for {cfg.experiment}, "
-                              f"got {args.samples}")
-        updates["n_samples"] = args.samples
-    if args.field is not None:
-        updates["field"] = args.field
-    if args.shape is not None:
-        updates["shape"] = _parse_shape(args.shape)
-    if args.output is not None:
-        updates["output_path"] = args.output
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+# config fields the options above override, by their argparse dest
+_OVERRIDES = ("seed", "shards", "n_samples", "field", "shape", "output_path")
 
 
 def _cmd_run(args, force_experiment: str | None = None) -> int:
-    cfg = config_from_json(args.config)
+    overrides = {key: getattr(args, key) for key in _OVERRIDES
+                 if getattr(args, key) is not None}
+    cfg = config_from_json(args.config, overrides)
     if force_experiment and cfg.experiment != force_experiment:
         raise ConfigError("experiment",
                           f"this command runs {force_experiment!r} configs, "
                           f"got {cfg.experiment!r}")
-    cfg = _apply_overrides(cfg, args)
     record = run_experiment(cfg)
     print(summary_line(record))
     return 0 if record.passed else 1

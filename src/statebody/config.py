@@ -1,24 +1,17 @@
 """Experiment configuration: JSON in, validated dataclass out.
 
-Validation errors always name the offending field so a bad config fails with
-an actionable message (and exit code 2 at the CLI).
+``config_from_dict`` is the one place that decides what a config means. Every
+experiment reads ``SHARED_FIELDS`` plus the fields ``READS`` lists for it; a
+field it does not read is rejected rather than silently ignored. Validation
+errors always name the offending field so a bad config fails with an
+actionable message (and exit code 2 at the CLI).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as _dc_field
-
-EXPERIMENTS = (
-    "omega",
-    "gamma",
-    "height-check",
-    "corner-probe",
-    "area-crosscheck",
-    "polytope-gamma",
-    "sampler-validate",
-)
+from dataclasses import asdict, dataclass, field as _dc_field, fields
 
 # smallest n_samples that keeps each experiment statistically meaningful
 MIN_SAMPLES = {
@@ -31,7 +24,21 @@ MIN_SAMPLES = {
     "sampler-validate": 10_000,
 }
 
-_SHAPE_REQUIRED = ("omega", "gamma", "height-check", "corner-probe", "area-crosscheck")
+SHARED_FIELDS = ("experiment", "n_samples", "seed", "shards", "tolerances",
+                 "output_path")
+
+# the fields each experiment reads besides the shared ones; polytope-gamma
+# reads either explicit generators or a preset (see _reads)
+READS = {
+    "omega": ("field", "shape"),
+    "gamma": ("field", "shape", "body"),
+    "height-check": ("field", "shape", "body"),
+    "corner-probe": ("field", "shape", "deltas"),
+    "area-crosscheck": ("field", "shape"),
+    "polytope-gamma": ("preset", "dim", "n_generators", "generators", "target"),
+    "sampler-validate": ("field",),
+}
+
 _PPT_REQUIRED = ("omega", "corner-probe", "area-crosscheck")
 
 POLYTOPE_PRESETS = ("cube", "cross", "simplex", "random-unit")
@@ -52,45 +59,19 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
-def _parse_shape(value):
-    if isinstance(value, str):
-        parts = value.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError("shape", f"expected 'KxM', got {value!r}")
-        try:
-            value = [int(p) for p in parts]
-        except ValueError:
-            raise ConfigError("shape", f"expected 'KxM' with integers, got {value!r}")
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        raise ConfigError("shape", f"expected [K, M] integers, got {value!r}")
-    k, m = value
-    if k < 1:
-        raise ConfigError("shape", f"K must be >= 1, got {k}")
-    if m < 2:
-        raise ConfigError("shape", f"M must be >= 2, got {m}")
-    return (k, m)
+def _reads(experiment: str, generators, preset) -> tuple:
+    """All fields ``experiment`` reads: explicit generators replace the
+    preset, and only the random-unit preset reads ``n_generators``."""
+    if generators is not None:
+        unread = ("preset", "dim", "n_generators")
+    else:
+        unread = () if preset == "random-unit" else ("n_generators",)
+    return SHARED_FIELDS + tuple(k for k in READS[experiment] if k not in unread)
 
 
-def _check_shards(shards, experiment: str) -> int:
-    """Validate a shard count; sampler-validate draws no sharded sweep, so it
-    takes only one shard."""
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ConfigError("shards", f"expected an integer >= 1, got {shards!r}")
-    if shards > 1 and experiment == "sampler-validate":
-        raise ConfigError("shards", f"sampler-validate runs unsharded, got {shards}")
-    return shards
-
-
-def _require_int(d: dict, key: str, minimum: int):
-    if key not in d:
-        raise ConfigError(key, "required field is missing")
-    v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(key, f"expected an integer, got {v!r}")
-    if v < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {v}")
-    return v
+def _plain(value):
+    """Tuples as JSON lists, so a canonical dict equals its JSON round trip."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -117,33 +98,13 @@ class ExperimentConfig:
         return self.tolerances.get(key, TOLERANCE_DEFAULTS[key])
 
     def canonical_dict(self) -> dict:
-        """Resolved config with defaults applied, for hashing and records."""
-        out = {
-            "experiment": self.experiment,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "field": self.field,
-            "shards": self.shards,
-            "output_path": self.output_path,
-            "tolerances": {k: self.tolerances.get(k, v)
-                           for k, v in sorted(TOLERANCE_DEFAULTS.items())},
-        }
-        if self.shape is not None:
-            out["shape"] = list(self.shape)
-        if self.experiment in ("gamma", "height-check"):
-            out["body"] = self.body
-        if self.experiment == "corner-probe":
-            out["deltas"] = list(self.deltas)
-        if self.experiment == "polytope-gamma":
-            if self.generators is not None:
-                out["generators"] = [list(g) for g in self.generators]
-            else:
-                out["preset"] = self.preset
-                out["dim"] = self.dim
-                if self.preset == "random-unit":
-                    out["n_generators"] = self.n_generators
-            if self.target is not None:
-                out["target"] = self.target
+        """Resolved config with defaults applied, for hashing and records:
+        the shared fields plus the set fields the experiment reads."""
+        keep = _reads(self.experiment, self.generators, self.preset)
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+               if f.name in keep and getattr(self, f.name) is not None}
+        out["tolerances"] = {k: self.tolerances.get(k, v)
+                             for k, v in sorted(TOLERANCE_DEFAULTS.items())}
         return out
 
     def config_hash(self) -> str:
@@ -154,120 +115,143 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_KNOWN_KEYS = {
-    "experiment", "n_samples", "seed", "field", "shape", "body", "shards",
-    "deltas", "preset", "dim", "n_generators", "generators", "target",
-    "tolerances", "output_path",
-}
+# every field at its default; None marks the three required ones
+_DEFAULTS = asdict(ExperimentConfig(experiment=None, n_samples=None, seed=None))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_int(key: str, v, minimum: int) -> int:
+    if v is None:
+        raise ConfigError(key, "required field is missing")
+    if not _is_int(v):
+        raise ConfigError(key, f"expected an integer, got {v!r}")
+    if v < minimum:
+        raise ConfigError(key, f"must be >= {minimum}, got {v}")
+    return v
+
+
+def _parse_shape(value) -> tuple:
+    if isinstance(value, str):
+        parts = value.lower().split("x")
+        if len(parts) != 2:
+            raise ConfigError("shape", f"expected 'KxM', got {value!r}")
+        try:
+            value = [int(p) for p in parts]
+        except ValueError:
+            raise ConfigError("shape", f"expected 'KxM' with integers, got {value!r}")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_is_int(v) for v in value)):
+        raise ConfigError("shape", f"expected [K, M] integers, got {value!r}")
+    k, m = value
+    if k < 1:
+        raise ConfigError("shape", f"K must be >= 1, got {k}")
+    if m < 2:
+        raise ConfigError("shape", f"M must be >= 2, got {m}")
+    return (k, m)
+
+
+def _parse_deltas(value) -> tuple:
+    if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
+        raise ConfigError("deltas", f"expected a list of numbers, got {value!r}")
+    deltas = tuple(float(x) for x in value)
+    if any(x < 0 for x in deltas):
+        raise ConfigError("deltas", f"must be nonnegative, got {list(deltas)}")
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ConfigError("deltas", f"must be strictly decreasing, got {list(deltas)}")
+    return deltas
+
+
+def _parse_generators(value) -> tuple:
+    try:
+        gens = tuple(tuple(float(x) for x in row) for row in value)
+    except (TypeError, ValueError):
+        raise ConfigError("generators", "expected a list of numeric rows")
+    if len({len(row) for row in gens}) != 1:
+        raise ConfigError("generators", "rows have inconsistent lengths")
+    return gens
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Validate a config; a JSON null counts as an absent field."""
     if not isinstance(d, dict):
         raise ConfigError("<root>", f"expected a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - _KNOWN_KEYS)
+    unknown = sorted(set(d) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(unknown[0], "unknown configuration field")
+    given = {k: v for k, v in d.items() if v is not None}
 
-    if "experiment" not in d:
+    exp = given.get("experiment")
+    if exp is None:
         raise ConfigError("experiment", "required field is missing")
-    exp = d["experiment"]
-    if exp not in EXPERIMENTS:
-        raise ConfigError("experiment",
-                          f"must be one of {list(EXPERIMENTS)}, got {exp!r}")
+    if not isinstance(exp, str) or exp not in READS:
+        raise ConfigError("experiment", f"must be one of {list(READS)}, got {exp!r}")
+    keep = _reads(exp, given.get("generators"), given.get("preset"))
+    unread = sorted(set(given) - set(keep))
+    if unread:
+        raise ConfigError(unread[0], f"experiment {exp!r} does not read it; it reads "
+                                     f"{', '.join(keep)}")
+    c = {k: given.get(k, _DEFAULTS[k]) for k in keep}
 
-    n = _require_int(d, "n_samples", MIN_SAMPLES[exp])
-    seed = _require_int(d, "seed", 0)
-    shards = _check_shards(d.get("shards", 1), exp)
+    _require_int("n_samples", c["n_samples"], MIN_SAMPLES[exp])
+    _require_int("seed", c["seed"], 0)
+    _require_int("shards", c["shards"], 1)
+    if c["shards"] > 1 and exp == "sampler-validate":
+        # the sampler battery draws no sharded sweep
+        raise ConfigError("shards", f"sampler-validate runs unsharded, got {c['shards']}")
 
-    fieldname = d.get("field", "complex")
-    if fieldname not in ("complex", "real"):
-        raise ConfigError("field", f"must be 'complex' or 'real', got {fieldname!r}")
-
-    shape = None
-    if "shape" in d and d["shape"] is not None:
-        shape = _parse_shape(d["shape"])
-    if exp in _SHAPE_REQUIRED and shape is None:
-        raise ConfigError("shape", f"required for experiment {exp!r}")
-
-    body = d.get("body", "full")
-    if body not in ("full", "ppt"):
-        raise ConfigError("body", f"must be 'full' or 'ppt', got {body!r}")
-    needs_ppt = exp in _PPT_REQUIRED or (exp in ("gamma", "height-check")
-                                         and body == "ppt")
-    if needs_ppt and shape is not None and shape[0] < 2:
+    if "field" in c and c["field"] not in ("complex", "real"):
+        raise ConfigError("field", f"must be 'complex' or 'real', got {c['field']!r}")
+    if "shape" in c:
+        if c["shape"] is None:
+            raise ConfigError("shape", f"required for experiment {exp!r}")
+        c["shape"] = _parse_shape(c["shape"])
+    if "body" in c and c["body"] not in ("full", "ppt"):
+        raise ConfigError("body", f"must be 'full' or 'ppt', got {c['body']!r}")
+    if (exp in _PPT_REQUIRED or c.get("body") == "ppt") and c["shape"][0] < 2:
         raise ConfigError("shape",
                           f"experiment {exp!r} needs a bipartite K >= 2 system, "
-                          f"got {shape[0]}x{shape[1]}")
+                          f"got {c['shape'][0]}x{c['shape'][1]}")
+    if "deltas" in c:
+        c["deltas"] = _parse_deltas(c["deltas"])
 
-    deltas = tuple(float(x) for x in d.get("deltas", (1e-1, 1e-2, 1e-3, 1e-4)))
-    if exp == "corner-probe":
-        if any(x < 0 for x in deltas):
-            raise ConfigError("deltas", f"must be nonnegative, got {list(deltas)}")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigError("deltas",
-                              f"must be strictly decreasing, got {list(deltas)}")
+    if c.get("generators") is not None:
+        c["generators"] = _parse_generators(c["generators"])
+    if "preset" in c and c["preset"] not in POLYTOPE_PRESETS:
+        raise ConfigError("preset", f"must be one of {list(POLYTOPE_PRESETS)} (or "
+                                    f"give 'generators'), got {c['preset']!r}")
+    if "dim" in c:
+        _require_int("dim", c["dim"], 2)
+    if "n_generators" in c:
+        _require_int("n_generators", c["n_generators"], c["dim"] + 1)
+    if c.get("target") is not None:
+        if not _is_number(c["target"]):
+            raise ConfigError("target", f"expected a number, got {c['target']!r}")
+        c["target"] = float(c["target"])
 
-    preset = d.get("preset")
-    dim = d.get("dim")
-    gens = d.get("generators")
-    n_gen = d.get("n_generators", 500)
-    target = d.get("target")
-    if exp == "polytope-gamma":
-        if gens is not None:
-            try:
-                gens = tuple(tuple(float(x) for x in row) for row in gens)
-            except (TypeError, ValueError):
-                raise ConfigError("generators", "expected a list of numeric rows")
-            widths = {len(row) for row in gens}
-            if len(widths) != 1:
-                raise ConfigError("generators", "rows have inconsistent lengths")
-        else:
-            if preset not in POLYTOPE_PRESETS:
-                raise ConfigError(
-                    "preset",
-                    f"must be one of {list(POLYTOPE_PRESETS)} (or give "
-                    f"'generators'), got {preset!r}")
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-                raise ConfigError("dim", f"expected an integer >= 2, got {dim!r}")
-            if not isinstance(n_gen, int) or isinstance(n_gen, bool) or n_gen < dim + 1:
-                raise ConfigError("n_generators",
-                                  f"expected an integer > dim, got {n_gen!r}")
-        if target is not None and not isinstance(target, (int, float)):
-            raise ConfigError("target", f"expected a number, got {target!r}")
-
-    tols = d.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances", f"expected an object, got {tols!r}")
-    for k, v in tols.items():
+    if not isinstance(c["tolerances"], dict):
+        raise ConfigError("tolerances", f"expected an object, got {c['tolerances']!r}")
+    for k, v in c["tolerances"].items():
         if k not in TOLERANCE_DEFAULTS:
             raise ConfigError(f"tolerances.{k}", "unknown tolerance key")
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+        if not _is_number(v) or v <= 0:
             raise ConfigError(f"tolerances.{k}", f"expected a positive number, got {v!r}")
-
-    out_path = d.get("output_path", "results")
-    if not isinstance(out_path, str) or not out_path:
-        raise ConfigError("output_path", f"expected a nonempty string, got {out_path!r}")
-
-    return ExperimentConfig(
-        experiment=exp,
-        n_samples=n,
-        seed=seed,
-        field=fieldname,
-        shape=shape,
-        body=body,
-        shards=shards,
-        deltas=deltas,
-        preset=preset,
-        dim=dim,
-        n_generators=n_gen,
-        generators=gens,
-        target=float(target) if target is not None else None,
-        tolerances=dict(tols),
-        output_path=out_path,
-    )
+    c["tolerances"] = dict(c["tolerances"])
+    if not isinstance(c["output_path"], str) or not c["output_path"]:
+        raise ConfigError("output_path",
+                          f"expected a nonempty string, got {c['output_path']!r}")
+    return ExperimentConfig(**c)
 
 
-def config_from_json(path) -> ExperimentConfig:
+def config_from_json(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load a JSON config; ``overrides`` replace its fields before the one
+    validation pass, so they are checked exactly like the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -275,4 +259,6 @@ def config_from_json(path) -> ExperimentConfig:
         raise ConfigError("<file>", f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}")
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     return config_from_dict(data)

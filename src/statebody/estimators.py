@@ -337,6 +337,18 @@ def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
     return Estimate(p, se, n, rng.describe(), f"p_boundary[{shape}]")
 
 
+def _nonzero_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
+                        shards: int) -> Estimate:
+    """estimate_p_boundary for use as a denominator: zero hits raise."""
+    p_a = estimate_p_boundary(shape, n, rng, shards)
+    if p_a.value == 0.0:
+        raise InsufficientSamplesError(
+            f"too few PPT boundary hits: none in {n} samples for {shape}; "
+            "omega and the doubled PPT area are undefined at this sample size"
+        )
+    return p_a
+
+
 def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
                    shards: int = 1) -> OmegaReport:
     """Omega = p_interior / p_boundary on independent streams.
@@ -346,12 +358,7 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
     the boundary area evenly.
     """
     p_v = estimate_p_interior(shape, n, rng.child(0), shards)
-    p_a = estimate_p_boundary(shape, n, rng.child(1), shards)
-    if p_a.value == 0.0:
-        raise InsufficientSamplesError(
-            f"no PPT boundary hits in {n} samples for {shape}; "
-            "omega is undefined at this sample size"
-        )
+    p_a = _nonzero_p_boundary(shape, n, rng.child(1), shards)
     omega = p_v.value / p_a.value
     rel = math.sqrt((p_v.stderr / p_v.value) ** 2 + (p_a.stderr / p_a.value) ** 2) \
         if p_v.value > 0 else float("inf")
@@ -426,7 +433,7 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     ppt_body = BodySpec("ppt", shape)
     full_body = BodySpec("full", shape)
     a_ppt = mc_area(ppt_body, n, rng.child(0), shards)
-    p_a = estimate_p_boundary(shape, n, rng.child(1), shards)
+    p_a = _nonzero_p_boundary(shape, n, rng.child(1), shards)
     if shape.field == "complex":
         v_tot = mc_volume(full_body, n, rng.child(2), shards)
         a_tot_value = v_tot.value * analytic_area_volume_ratio(shape.n)

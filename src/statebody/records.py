@@ -12,7 +12,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,20 +43,7 @@ class ResultRecord:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "metrics": self.metrics,
-            "value": self.value,
-            "stderr": self.stderr,
-            "target": self.target,
-            "sigma_dev": self.sigma_dev,
-            "passed": self.passed,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     def csv_row(self) -> dict:
         shape = self.config.get("shape")
@@ -129,21 +116,8 @@ def load_records(results_dir):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            records.append(ResultRecord(
-                experiment=data["experiment"],
-                config=data["config"],
-                config_hash=data["config_hash"],
-                metrics=data["metrics"],
-                value=data["value"],
-                stderr=data.get("stderr"),
-                target=data.get("target"),
-                sigma_dev=data.get("sigma_dev"),
-                passed=bool(data["passed"]),
-                version=data.get("version", ""),
-                created_utc=data.get("created_utc", ""),
-                wall_time_s=data.get("wall_time_s", 0.0),
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
+            records.append(ResultRecord(**data))
+        except (json.JSONDecodeError, TypeError, OSError) as exc:
             errors.append((path.name, f"{type(exc).__name__}: {exc}"))
     return records, errors
 

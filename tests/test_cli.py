@@ -63,6 +63,24 @@ def test_seed_override_changes_the_record(tmp_path):
     assert main(["run", str(cfg), "--samples", "10"]) == 2  # floor still applies
 
 
+def test_overrides_are_validated_like_the_file(tmp_path, capsys):
+    omega = dict(experiment="omega", shape="2x2", n_samples=10000)
+    polytope = dict(experiment="polytope-gamma", shape=None, preset="cube", dim=3)
+    cases = [
+        (omega, ["--shape", "1x4"], "shape"),  # 1xM has no partial transpose
+        (dict(omega, experiment="gamma", body="ppt"), ["--shape", "1x4"], "shape"),
+        (dict(omega, experiment="corner-probe", n_samples=1000), ["--shape", "1x3"],
+         "shape"),
+        (polytope, ["--shape", "2x2"], "shape"),
+        (polytope, ["--field", "real"], "field"),
+    ]
+    for over, flags, name in cases:
+        cfg = write_cfg(tmp_path, **over)
+        assert main(["run", str(cfg), *flags]) == 2
+        assert f"config error: {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # no record and no CSV row
+
+
 def test_validate_samplers_rejects_other_experiments(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["validate-samplers", str(cfg)]) == 2

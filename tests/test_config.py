@@ -92,9 +92,30 @@ def test_corner_probe_delta_validation():
     good = {"experiment": "corner-probe", "shape": "2x2", "n_samples": 1000,
             "seed": 0, "deltas": [1e-1, 1e-3]}
     assert config_from_dict(good).deltas == (1e-1, 1e-3)
-    with pytest.raises(ConfigError) as err:
-        config_from_dict({**good, "deltas": [1e-3, 1e-1]})
-    assert err.value.field == "deltas"
+    for bad in ([1e-3, 1e-1], 0.1, ["a"], [0.1, None], "0.1"):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**good, "deltas": bad})
+        assert err.value.field == "deltas"
+
+
+def test_unread_fields_are_rejected():
+    cube = {"experiment": "polytope-gamma", "n_samples": 1000, "seed": 0,
+            "preset": "cube", "dim": 3}
+    cases = [
+        (base(deltas=[0.1, 0.01]), "deltas"),
+        ({**cube, "field": "real"}, "field"),
+        ({**cube, "n_generators": 10}, "n_generators"),
+        ({"experiment": "polytope-gamma", "n_samples": 1000, "seed": 0,
+          "generators": [[1, 0], [-1, 0], [0, 1], [0, -1]], "preset": "cube"},
+         "preset"),
+    ]
+    for d, name in cases:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(d)
+        assert err.value.field == name
+    # a JSON null counts as absent, and random-unit does read n_generators
+    config_from_dict({**cube, "field": None, "shape": None})
+    config_from_dict({**cube, "preset": "random-unit", "n_generators": 10})
 
 
 def test_polytope_config_validation():

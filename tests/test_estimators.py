@@ -182,6 +182,15 @@ def test_omega_report():
     assert again.omega == rep.omega and again.stderr == rep.stderr
 
 
+def test_zero_ppt_boundary_hits_raise():
+    # 3x3 boundary states are almost never PPT: none among these 500 draws,
+    # and both omega and the doubled area divide by p_boundary
+    shape = BipartiteShape(3, 3)
+    for estimator in (estimate_omega, cross_validate_area):
+        with pytest.raises(InsufficientSamplesError, match="too few PPT boundary hits"):
+            estimator(shape, 500, RngStream(1))
+
+
 def test_boundary_fraction_two_routes_agree():
     """Hit counting on boundary samples vs the radial-ratio route.
 

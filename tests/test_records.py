@@ -67,10 +67,14 @@ def test_load_records_roundtrip(tmp_path):
 def test_load_records_reports_corrupt_files(tmp_path):
     write_record(make_record(), tmp_path)
     (tmp_path / "zz-broken.json").write_text("{]")
+    data = make_record().to_dict()
+    (tmp_path / "zz-extra-key.json").write_text(json.dumps({**data, "extra": 1}))
+    del data["stderr"]
+    (tmp_path / "zz-missing-key.json").write_text(json.dumps(data))
     records, errors = load_records(tmp_path)
     assert len(records) == 1
-    assert len(errors) == 1
-    assert errors[0][0] == "zz-broken.json"
+    assert [name for name, _ in errors] == [
+        "zz-broken.json", "zz-extra-key.json", "zz-missing-key.json"]
 
 
 def test_render_report(tmp_path):

@@ -1,7 +1,8 @@
 """Command line entry points: run, report, validate-samplers.
 
 Exit codes: 0 experiment ran and passed its band, 1 ran but failed the band,
-2 configuration error, 3 numerical or sampling failure.
+2 configuration error, 3 numerical or sampling failure (the error types
+:func:`main` names). Any other exception is a bug and is not caught.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .config import ConfigError, config_from_json
 from .estimators import InsufficientSamplesError
 from .experiments import run_experiment, summary_line
 from .geometry import NonGenericDirectionError
+from .polytopes import UnboundedBodyError
 from .records import load_records, render_report
 
 
@@ -96,8 +98,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InsufficientSamplesError, NonGenericDirectionError,
-            np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+    except (InsufficientSamplesError, NonGenericDirectionError, UnboundedBodyError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

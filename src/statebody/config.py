@@ -161,6 +161,9 @@ def _parse_deltas(value) -> tuple:
     if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
         raise ConfigError("deltas", f"expected a list of numbers, got {value!r}")
     deltas = tuple(float(x) for x in value)
+    if len(deltas) < 2:
+        # the verdict compares the last two fractions
+        raise ConfigError("deltas", f"needs at least two thresholds, got {list(deltas)}")
     if any(x < 0 for x in deltas):
         raise ConfigError("deltas", f"must be nonnegative, got {list(deltas)}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):

@@ -316,37 +316,38 @@ def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
     )
 
 
+def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
+                  shards: int, draw) -> Estimate:
+    """PPT fraction of n states that ``draw(stream, count)`` returns in chunks."""
+    _check_n(n)
+    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
+        _ppt_mask(draw(stream, count), shape).sum(keepdims=True),))
+    p, se = _binomial_estimate(int(np.sum(hits)), n)
+    return Estimate(p, se, n, rng.describe(), f"{label}[{shape}]")
+
+
 def estimate_p_interior(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
     """PPT probability of Hilbert-Schmidt interior samples."""
-    _check_n(n)
-    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
-        _ppt_mask(sample_state_hs(shape, stream, count), shape).sum(keepdims=True),))
-    p, se = _binomial_estimate(int(np.sum(hits)), n)
-    return Estimate(p, se, n, rng.describe(), f"p_interior[{shape}]")
+    return _ppt_fraction("p_interior", shape, n, rng, shards, lambda stream, count:
+                         sample_state_hs(shape, stream, count))
 
 
 def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
     """PPT probability of boundary samples under the surface measure."""
-    _check_n(n)
-    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
-        _ppt_mask(sample_boundary_state_hs(shape, stream, count)[0], shape)
-        .sum(keepdims=True),))
-    p, se = _binomial_estimate(int(np.sum(hits)), n)
-    return Estimate(p, se, n, rng.describe(), f"p_boundary[{shape}]")
+    return _ppt_fraction("p_boundary", shape, n, rng, shards, lambda stream, count:
+                         sample_boundary_state_hs(shape, stream, count)[0])
 
 
-def _nonzero_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
-                        shards: int) -> Estimate:
-    """estimate_p_boundary for use as a denominator: zero hits raise."""
-    p_a = estimate_p_boundary(shape, n, rng, shards)
-    if p_a.value == 0.0:
+def _with_hits(est: Estimate, route: str, shape: BipartiteShape) -> Estimate:
+    """``est`` for use in a ratio: a PPT fraction with zero hits raises."""
+    if est.value == 0.0:
         raise InsufficientSamplesError(
-            f"too few PPT boundary hits: none in {n} samples for {shape}; "
-            "omega and the doubled PPT area are undefined at this sample size"
+            f"too few PPT {route} hits: none in {est.n_samples} samples for "
+            f"{shape}; the ratios built on it are undefined at this sample size"
         )
-    return p_a
+    return est
 
 
 def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
@@ -355,13 +356,15 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
 
     For any bipartite system this ratio is exactly two: the PPT body shares
     its volume with the reflected body and a corner set of measure zero splits
-    the boundary area evenly.
+    the boundary area evenly. Zero PPT hits on either route raise
+    :class:`InsufficientSamplesError`, the boundary checked first.
     """
     p_v = estimate_p_interior(shape, n, rng.child(0), shards)
-    p_a = _nonzero_p_boundary(shape, n, rng.child(1), shards)
+    p_a = _with_hits(estimate_p_boundary(shape, n, rng.child(1), shards),
+                     "boundary", shape)
+    _with_hits(p_v, "interior", shape)
     omega = p_v.value / p_a.value
-    rel = math.sqrt((p_v.stderr / p_v.value) ** 2 + (p_a.stderr / p_a.value) ** 2) \
-        if p_v.value > 0 else float("inf")
+    rel = math.sqrt((p_v.stderr / p_v.value) ** 2 + (p_a.stderr / p_a.value) ** 2)
     return OmegaReport(shape, p_v, p_a, omega, omega * rel)
 
 
@@ -433,7 +436,8 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     ppt_body = BodySpec("ppt", shape)
     full_body = BodySpec("full", shape)
     a_ppt = mc_area(ppt_body, n, rng.child(0), shards)
-    p_a = _nonzero_p_boundary(shape, n, rng.child(1), shards)
+    p_a = _with_hits(estimate_p_boundary(shape, n, rng.child(1), shards),
+                     "boundary", shape)
     if shape.field == "complex":
         v_tot = mc_volume(full_body, n, rng.child(2), shards)
         a_tot_value = v_tot.value * analytic_area_volume_ratio(shape.n)

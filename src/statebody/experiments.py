@@ -8,11 +8,12 @@ and CSV row under the config's output path.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .estimators import (
     corner_probe,
     cross_validate_area,
@@ -24,6 +25,7 @@ from .geometry import BodySpec
 from .hermitian import BipartiteShape
 from .polytopes import (
     TangentBody,
+    UnboundedBodyError,
     cross_generators,
     cube_generators,
     random_unit_generators,
@@ -39,34 +41,30 @@ def _shape(config: ExperimentConfig) -> BipartiteShape:
     return BipartiteShape(k, m, config.field)
 
 
-def _estimate_metrics(est) -> dict:
-    return {"value": est.value, "stderr": est.stderr, "n_samples": est.n_samples,
-            "seed": est.seed, "estimator_id": est.estimator_id}
+def _band(config: ExperimentConfig, value: float, stderr: float, target: float):
+    """(value, stderr, target, sigma_dev, passed) of a value checked against
+    ``target`` within the config's sigma band."""
+    dev = (value - target) / stderr
+    return value, stderr, target, dev, bool(abs(dev) <= config.tolerance("sigma"))
 
 
 def _run_omega(config: ExperimentConfig, rng: RngStream):
     rep = estimate_omega(_shape(config), config.n_samples, rng, config.shards)
-    sigma = config.tolerance("sigma")
-    dev = (rep.omega - 2.0) / rep.stderr
     metrics = {
-        "p_interior": _estimate_metrics(rep.p_interior),
-        "p_boundary": _estimate_metrics(rep.p_boundary),
+        "p_interior": asdict(rep.p_interior),
+        "p_boundary": asdict(rep.p_boundary),
         "omega": rep.omega,
         "omega_stderr": rep.stderr,
     }
-    return metrics, rep.omega, rep.stderr, 2.0, dev, bool(abs(dev) <= sigma)
+    return metrics, *_band(config, rep.omega, rep.stderr, 2.0)
 
 
 def _run_gamma(config: ExperimentConfig, rng: RngStream):
     shape = _shape(config)
     body = BodySpec(config.body, shape)
     est = mc_gamma(body, config.n_samples, rng, config.shards)
-    target = float(shape.dim_body)
-    sigma = config.tolerance("sigma")
-    dev = (est.value - target) / est.stderr
-    metrics = {"gamma": _estimate_metrics(est), "body": str(body),
-               "dim_body": shape.dim_body}
-    return metrics, est.value, est.stderr, target, dev, bool(abs(dev) <= sigma)
+    metrics = {"gamma": asdict(est), "body": str(body), "dim_body": shape.dim_body}
+    return metrics, *_band(config, est.value, est.stderr, float(shape.dim_body))
 
 
 def _run_height_check(config: ExperimentConfig, rng: RngStream):
@@ -91,13 +89,8 @@ def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
                        config.shards)
     fracs = [row[1] for row in res.rows]
     monotone = all(a >= b for a, b in zip(fracs, fracs[1:]))
-    ratio_max = config.tolerance("corner_ratio_max")
-    if len(fracs) >= 2 and fracs[-2] > 0:
-        last_ratio = fracs[-1] / fracs[-2]
-        ratio_ok = last_ratio <= ratio_max
-    else:
-        last_ratio = float("nan")
-        ratio_ok = False
+    last_ratio = fracs[-1] / fracs[-2] if fracs[-2] > 0 else float("nan")
+    ratio_ok = last_ratio <= config.tolerance("corner_ratio_max")  # False on nan
     metrics = {
         "rows": [{"delta": d, "fraction": f, "stderr": s} for d, f, s in res.rows],
         "monotone": monotone,
@@ -110,8 +103,8 @@ def _run_area_crosscheck(config: ExperimentConfig, rng: RngStream):
     acc = cross_validate_area(_shape(config), config.n_samples, rng, config.shards)
     sigma = config.tolerance("sigma")
     metrics = {
-        "area_ppt_radial": _estimate_metrics(acc.radial),
-        "area_ppt_doubled": _estimate_metrics(acc.doubled),
+        "area_ppt_radial": asdict(acc.radial),
+        "area_ppt_doubled": asdict(acc.doubled),
         "discrepancy_sigma": acc.discrepancy_sigma,
     }
     return (metrics, acc.discrepancy_sigma, None, 0.0, acc.discrepancy_sigma,
@@ -119,8 +112,8 @@ def _run_area_crosscheck(config: ExperimentConfig, rng: RngStream):
 
 
 def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:
-    if config.generators is not None:
-        return TangentBody(np.asarray(config.generators, dtype=float))
+    """The config's polytope; generators the polytope rules reject are a
+    config error, an unbounded body a numerical one."""
     builders = {
         "cube": lambda: cube_generators(config.dim),
         "cross": lambda: cross_generators(config.dim),
@@ -128,7 +121,15 @@ def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:
         "random-unit": lambda: random_unit_generators(
             config.dim, config.n_generators, rng.child(999)),
     }
-    return TangentBody(builders[config.preset]())
+    explicit = config.generators is not None
+    try:
+        if explicit:
+            return TangentBody(np.asarray(config.generators, dtype=float))
+        return TangentBody(builders[config.preset]())
+    except UnboundedBodyError:
+        raise
+    except ValueError as exc:
+        raise ConfigError("generators" if explicit else "dim", str(exc)) from exc
 
 
 def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
@@ -137,16 +138,14 @@ def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
     height = height_certificate(body, min(config.n_samples, 20000), rng.child(7),
                                 shards=config.shards)
     target = config.target if config.target is not None else float(body.dim)
-    sigma = config.tolerance("sigma")
-    dev = (est.value - target) / est.stderr
     metrics = {
-        "gamma": _estimate_metrics(est),
+        "gamma": asdict(est),
         "dim": body.dim,
         "n_generators": body.n_generators,
         "all_unit": body.all_unit,
         "height_max_deviation": height.max_abs_deviation,
     }
-    return metrics, est.value, est.stderr, target, dev, bool(abs(dev) <= sigma)
+    return metrics, *_band(config, est.value, est.stderr, target)
 
 
 def _run_sampler_validate(config: ExperimentConfig, rng: RngStream):

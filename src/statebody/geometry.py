@@ -11,7 +11,8 @@ and the PPT body is the minimum of that constraint and the same constraint
 applied to the partially transposed direction. Both bodies have constant
 height: every generic boundary point lies on a face tangent to the insphere of
 radius 1/sqrt((N-1)N), which the support-height computation certifies
-numerically.
+numerically. The single-direction queries run the batch kernels the
+estimators use on a stack of one.
 """
 
 from __future__ import annotations
@@ -91,18 +92,10 @@ class BoundaryContact:
 
 
 def _direction_stack(body: BodySpec, omega) -> np.ndarray:
-    if isinstance(omega, TracelessDirection):
-        m = omega.mat
-    else:
-        m = np.asarray(omega)
-        if m.ndim == 2:
-            tr = complex(np.trace(m))
-            nrm = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-            if abs(tr) > 1e-12 or abs(nrm - 1.0) > 1e-12:
-                raise ValueError(
-                    f"direction must be traceless unit norm (trace {abs(tr):.2e}, "
-                    f"norm {nrm:.12f})"
-                )
+    """A (k, N, N) stack; a single direction is validated as a TracelessDirection."""
+    m = omega.mat if isinstance(omega, TracelessDirection) else np.asarray(omega)
+    if m.ndim == 2:
+        m = TracelessDirection(m).mat
     if m.shape[-1] != body.shape.n:
         raise ValueError(
             f"direction dimension {m.shape[-1]} != body dimension {body.shape.n}"
@@ -160,9 +153,7 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
 
 def radial_function(body: BodySpec, omega) -> float:
     """Distance from I/N to the boundary of ``body`` along ``omega``."""
-    omegas = _direction_stack(body, omega)
-    data = _radial_batch(body, omegas, want_vectors=False)
-    r = data["r"]
+    r = _radial_batch(body, _direction_stack(body, omega), want_vectors=False)["r"]
     return float(r[0]) if r.shape == (1,) else r
 
 
@@ -193,26 +184,35 @@ def _contact_batch(body: BodySpec, omegas: np.ndarray):
     return points, normals, heights, data, nongeneric
 
 
-def boundary_contact(body: BodySpec, omega) -> BoundaryContact:
-    """Contact data where the ray from I/N along ``omega`` leaves the body.
-
-    Raises :class:`NonGenericDirectionError` when the touching face is not
-    unique (degenerate smallest eigenvalue, or a corner of the PPT body where
-    both constraints bind); callers doing Monte Carlo may discard those.
+def _generic_contact(body: BodySpec, omega):
+    """Point, normal, height, partial-transpose binding and zero eigenvector
+    along one direction. Raises :class:`NonGenericDirectionError` when the
+    touching face is not unique (degenerate smallest eigenvalue, or a corner
+    of the PPT body where both constraints bind).
     """
-    omegas = _direction_stack(body, omega)
-    points, normals, heights, data, nongeneric = _contact_batch(body, omegas)
+    points, normals, heights, data, nongeneric = _contact_batch(
+        body, _direction_stack(body, omega))
     if bool(nongeneric[0]):
         raise NonGenericDirectionError(
             f"direction is non-generic (eigenvalue gap {data['gap'][0]:.2e} "
             f"or constraint tie); supporting hyperplane not unique"
         )
-    binding = "partial-transpose" if bool(data["binding_pt"][0]) else "direct"
+    return (points[0], normals[0], float(heights[0]), bool(data["binding_pt"][0]),
+            data["phi"][0])
+
+
+def boundary_contact(body: BodySpec, omega) -> BoundaryContact:
+    """Contact data where the ray from I/N along ``omega`` leaves the body.
+
+    Raises :class:`NonGenericDirectionError` on a non-generic direction;
+    callers doing Monte Carlo may discard those.
+    """
+    point, normal, _, binding_pt, phi = _generic_contact(body, omega)
     return BoundaryContact(
-        point=DensityMatrix(points[0], check_psd=False),
-        normal=TracelessDirection(normals[0]),
-        binding=binding,
-        zero_eigvec=np.ascontiguousarray(data["phi"][0]),
+        point=DensityMatrix(point, check_psd=False),
+        normal=TracelessDirection(normal),
+        binding="partial-transpose" if binding_pt else "direct",
+        zero_eigvec=np.ascontiguousarray(phi),
     )
 
 
@@ -220,13 +220,10 @@ def support_height(body: BodySpec, omega) -> float:
     """Height <x - rho*, n(x)> of the supporting hyperplane met along omega.
 
     Constant-height certificate: for both bodies this equals the insphere
-    radius 1/sqrt((N-1)N) for every generic direction.
+    radius 1/sqrt((N-1)N) for every generic direction. Raises
+    :class:`NonGenericDirectionError` on a non-generic direction.
     """
-    omegas = _direction_stack(body, omega)
-    points, normals, heights, data, nongeneric = _contact_batch(body, omegas)
-    if bool(nongeneric[0]):
-        raise NonGenericDirectionError("non-generic direction, height undefined")
-    return float(heights[0])
+    return _generic_contact(body, omega)[2]
 
 
 def tangency_state(psi: np.ndarray, n: int | None = None) -> DensityMatrix:

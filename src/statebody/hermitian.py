@@ -18,7 +18,7 @@ class DimensionMismatchError(ValueError):
 
 def _as_matrix(a) -> np.ndarray:
     """Accept a wrapper type or a bare array, return the underlying ndarray."""
-    if isinstance(a, HermitianMatrix) or isinstance(a, TracelessDirection):
+    if isinstance(a, HermitianMatrix):
         return a.mat
     m = np.asarray(a)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -119,34 +119,23 @@ class DensityMatrix(HermitianMatrix):
                 )
 
 
-class TracelessDirection:
+class TracelessDirection(HermitianMatrix):
     """A traceless Hermitian matrix of unit Hilbert-Schmidt norm.
 
     Construction validates rather than repairs; use :meth:`toward` to project
     an arbitrary Hermitian matrix onto the direction sphere.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ()
 
     def __init__(self, mat, *, atol: float = HERM_ATOL):
-        m = hermitian_part(np.asarray(mat, dtype=np.result_type(mat, np.float64)))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        tr = complex(np.trace(m))
+        super().__init__(mat)
+        tr = complex(np.trace(self.mat))
         if abs(tr) > atol:
             raise ValueError(f"direction is not traceless: trace = {tr:.3e}")
-        nrm = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+        nrm = float(np.sqrt(np.sum(np.abs(self.mat) ** 2)))
         if abs(nrm - 1.0) > atol:
             raise ValueError(f"direction is not unit norm: |omega| = {nrm:.16f}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TracelessDirection is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     @classmethod
     def toward(cls, target) -> "TracelessDirection":
@@ -158,9 +147,6 @@ class TracelessDirection:
         if nrm < 1e-14:
             raise ValueError("target is proportional to the identity")
         return cls(m / nrm)
-
-    def __repr__(self):
-        return f"TracelessDirection(dim={self.dim})"
 
 
 def hs_inner(a, b) -> float:

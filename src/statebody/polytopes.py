@@ -7,7 +7,10 @@ height, so gamma = r * A / V equals the ambient dimension, mirroring the state
 body without any quantum machinery. Shorter generators push their face outward
 and break the equality exactly when that face is exposed. The volume, area,
 gamma and height estimators of :mod:`statebody.estimators` accept a
-TangentBody wherever they accept a state body.
+TangentBody wherever they accept a state body. One kernel, :func:`_binding`,
+finds the binding generator of a stack of directions; the estimators' sweep
+and the single-direction queries both run it, so they share one tie rule and
+one unboundedness check.
 """
 
 from __future__ import annotations
@@ -109,25 +112,41 @@ class PolytopeContact:
     generator_index: int
 
 
-def _support_products(body: TangentBody, direction: np.ndarray) -> np.ndarray:
+def _binding(body: TangentBody, dirs: np.ndarray):
+    """Binding data of a stack of unit directions, one per row: the largest
+    support product <d, y>, the index of the generator attaining it, and a
+    mask that is True where a second generator comes within TIE_TOL (the
+    direction hits an edge, not a face). The radial function is 1 / smax.
+    """
+    s = dirs @ body.generators.T
+    rows = np.arange(len(s))
+    idx = np.argmax(s, axis=1)
+    smax = s[rows, idx]
+    if np.any(smax <= 0.0):
+        bad = dirs[int(np.argmin(smax))]
+        raise UnboundedBodyError(
+            f"body is unbounded along direction {np.round(bad, 6).tolist()}"
+        )
+    # the runner-up product, in place: no copy of the (rows, generators) matrix
+    s[rows, idx] = -np.inf
+    ties = (smax - s.max(axis=1)) <= TIE_TOL * np.maximum(smax, 1.0)
+    return smax, idx, ties
+
+
+def _unit_direction(body: TangentBody, direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float).reshape(-1)
     if d.size != body.dim:
         raise ValueError(f"direction length {d.size} != dim {body.dim}")
     nrm = np.linalg.norm(d)
     if not np.isfinite(nrm) or nrm < 1e-300:
         raise ValueError("direction must be a nonzero vector")
-    return body.generators @ (d / nrm), d / nrm
+    return d / nrm
 
 
 def polar_radial(body: TangentBody, direction) -> float:
     """Distance from the origin to the boundary along ``direction``."""
-    s, _ = _support_products(body, direction)
-    smax = float(np.max(s))
-    if smax <= 0.0:
-        raise UnboundedBodyError(
-            f"body is unbounded along direction {np.round(direction, 6).tolist()}"
-        )
-    return 1.0 / smax
+    smax, _, _ = _binding(body, _unit_direction(body, direction)[None])
+    return 1.0 / float(smax[0])
 
 
 def polar_contact(body: TangentBody, direction) -> PolytopeContact:
@@ -136,23 +155,17 @@ def polar_contact(body: TangentBody, direction) -> PolytopeContact:
     Raises :class:`FaceTieError` when two generators bind within TIE_TOL;
     those directions hit an edge, not a face.
     """
-    s, unit = _support_products(body, direction)
-    order = np.argsort(s)
-    smax = float(s[order[-1]])
-    if smax <= 0.0:
-        raise UnboundedBodyError(
-            f"body is unbounded along direction {np.round(direction, 6).tolist()}"
-        )
-    if len(s) > 1 and (smax - float(s[order[-2]])) <= TIE_TOL * max(smax, 1.0):
+    unit = _unit_direction(body, direction)
+    smax, idx, ties = _binding(body, unit[None])
+    idx = int(idx[0])
+    if ties[0]:
         raise FaceTieError(
-            f"generators {int(order[-1])} and {int(order[-2])} tie along this "
-            "direction; no unique face"
+            f"generator {idx} ties with another along this direction; no unique face"
         )
-    idx = int(order[-1])
     y = body.generators[idx]
     ynorm = float(np.linalg.norm(y))
     return PolytopeContact(
-        point=unit / smax,
+        point=unit / float(smax[0]),
         normal=y / ynorm,
         support_distance=1.0 / ynorm,
         generator_index=idx,
@@ -185,19 +198,7 @@ def _radial_sweep(body: TangentBody, n: int, rng: RngStream):
     """
     dirs = rng.generator().standard_normal((n, body.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    s = dirs @ body.generators.T
-    idx = np.argmax(s, axis=1)
-    smax = s[np.arange(n), idx]
-    if np.any(smax <= 0.0):
-        bad = dirs[int(np.argmin(smax))]
-        raise UnboundedBodyError(
-            f"body is unbounded along direction {np.round(bad, 6).tolist()}"
-        )
-    if s.shape[1] > 1:
-        s2 = np.partition(s, -2, axis=1)[:, -2]
-    else:
-        s2 = np.full(n, -np.inf)
-    ties = (smax - s2) <= TIE_TOL * np.maximum(smax, 1.0)
+    smax, idx, ties = _binding(body, dirs)
     return np.log(1.0 / smax), 1.0 / body._norms[idx], ~ties
 
 

@@ -45,6 +45,14 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     assert "n_samples" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "nope.json")]) == 2
+    # generator sets the polytope rules reject name the field that made them
+    polytope = dict(experiment="polytope-gamma", shape=None)
+    for over, name in ((dict(preset="cross", dim=20), "dim"),
+                       (dict(generators=[[1.5, 0], [-1, 0], [0, 1], [0, -1]]),
+                        "generators")):
+        cfg = write_cfg(tmp_path, **polytope, **over)
+        assert main(["run", str(cfg)]) == 2
+        assert f"config error: {name}:" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_three(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_corner_probe_delta_validation():
     good = {"experiment": "corner-probe", "shape": "2x2", "n_samples": 1000,
             "seed": 0, "deltas": [1e-1, 1e-3]}
     assert config_from_dict(good).deltas == (1e-1, 1e-3)
-    for bad in ([1e-3, 1e-1], 0.1, ["a"], [0.1, None], "0.1"):
+    for bad in ([1e-3, 1e-1], 0.1, ["a"], [0.1, None], "0.1", [], [0.1]):
         with pytest.raises(ConfigError) as err:
             config_from_dict({**good, "deltas": bad})
         assert err.value.field == "deltas"

@@ -189,6 +189,10 @@ def test_zero_ppt_boundary_hits_raise():
     for estimator in (estimate_omega, cross_validate_area):
         with pytest.raises(InsufficientSamplesError, match="too few PPT boundary hits"):
             estimator(shape, 500, RngStream(1))
+    # here the boundary route has hits but the interior route has none, which
+    # would make omega 0 with a NaN stderr
+    with pytest.raises(InsufficientSamplesError, match="too few PPT interior hits"):
+        estimate_omega(shape, 10_000, RngStream(13))
 
 
 def test_boundary_fraction_two_routes_agree():

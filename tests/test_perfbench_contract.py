@@ -1,0 +1,99 @@
+"""The names and result positions that perfbench's tracer relies on.
+
+``perfbench/spans.py`` patches module globals of statebody by name and its
+counters index the results of the patched calls. A refactor that renames one
+of those globals or reorders a result tuple would otherwise surface only in
+the slow benchmark smoke check.
+"""
+
+import importlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from statebody import BipartiteShape, BodySpec, RngStream, TangentBody, cube_generators
+from statebody import estimators, mc_gamma, polytopes
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# boundaries whose functions left the package; their time counts to callers
+RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check"}
+
+SHAPE = BipartiteShape(2, 2)
+ROWS = 6
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _small_result(attr: str):
+    """A real result of the function each counted boundary wraps, on ROWS items."""
+    rng = RngStream(17)
+    if attr in ("sample_state_hs", "sample_boundary_state_hs", "sample_direction"):
+        return getattr(estimators, attr)(SHAPE, rng, ROWS)
+    if attr in ("boundary_eigenvalues_wishart", "boundary_eigenvalues_metropolis"):
+        from statebody import sampling
+        return getattr(sampling, attr)(3, "complex", rng, ROWS)
+    if attr == "_ppt_mask":
+        return estimators._ppt_mask(estimators.sample_state_hs(SHAPE, rng, ROWS), SHAPE)
+    if attr == "_contact_batch":
+        omegas = estimators.sample_direction(SHAPE, rng, ROWS)
+        return estimators._contact_batch(BodySpec("ppt", SHAPE), omegas)
+    if attr == "_radial_sweep":
+        return polytopes._radial_sweep(TangentBody(cube_generators(3)), ROWS, rng)
+    raise AssertionError(f"no small result for counted boundary {attr}")
+
+
+def test_every_boundary_resolves(spans):
+    missing = set()
+    for module_name, attr, _, _ in spans.BOUNDARIES:
+        module = importlib.import_module(f"statebody.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.add(f"{module_name}.{attr}")
+    assert missing == RETIRED
+
+
+def test_each_counter_reads_a_real_result(spans):
+    for _, attr, _, count in spans.BOUNDARIES:
+        if count is None:
+            continue
+        counts = Counter()
+        count(counts, _small_result(attr))
+        assert counts, attr
+        # every counter starts from a total of ROWS items and counts a
+        # subset of them (hits, generic directions or ties)
+        totals = {k: v for k, v in counts.items()
+                  if k in ("sampling.draws", "hermitian.ppt_tests",
+                           "geometry.directions", "polytopes.directions")}
+        assert list(totals.values()) == [ROWS], (attr, counts)
+        assert all(0 <= v <= ROWS for v in counts.values()), (attr, counts)
+
+
+def test_installed_tracer_sees_the_production_calls(spans):
+    def current():
+        return [getattr(importlib.import_module(f"statebody.{m}"), a, None)
+                for m, a, _, _ in spans.BOUNDARIES]
+
+    originals = current()
+    tracer = spans.Tracer()
+    with spans.installed(tracer) as missing:
+        estimators.estimate_omega(SHAPE, 256, RngStream(3))
+        mc_gamma(BodySpec("ppt", SHAPE), 128, RngStream(4))
+        mc_gamma(TangentBody(cube_generators(3)), 64, RngStream(5))
+    assert set(missing) == RETIRED
+    assert tracer.counts["hermitian.ppt_tests"] == 512  # both PPT routes
+    assert tracer.counts["geometry.directions"] == 128
+    assert tracer.counts["polytopes.directions"] == 64
+    # interior and boundary states, their Wishart spectra and the directions
+    assert tracer.counts["sampling.draws"] == 256 + 2 * 256 + 128
+    assert all(a is b for a, b in zip(current(), originals))  # patches undone

@@ -36,7 +36,7 @@ from .geometry import (
     analytic_area_volume_ratio,
     inscribed_radius,
 )
-from .hermitian import BipartiteShape, hermitian_part, partial_transpose
+from .hermitian import BipartiteShape, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -242,8 +242,6 @@ def _generic_terms(rad: _Radial, n: int):
     or more means the body is degenerate.
     """
     n_gen = int(np.sum(rad.generic))
-    if n_gen == 0:
-        raise InsufficientSamplesError("all sampled directions were non-generic")
     if _degenerate(n - n_gen, n):
         raise InsufficientSamplesError(
             f"non-generic fraction {(n - n_gen) / n:.2e} too large; "
@@ -299,17 +297,19 @@ def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
                        rng: RngStream, tol: float = 1e-9,
                        shards: int = 1) -> HeightCertificate:
     """Max deviation of sampled support heights from the reference radius:
-    the insphere radius of a state body, the unit sphere of a polytope."""
+    the insphere radius of a state body, the unit sphere of a polytope. No
+    generic direction at all raises :class:`InsufficientSamplesError`."""
     _check_n(n)
     rad = _radial(body, n, rng, shards)
+    if not np.any(rad.generic):
+        raise InsufficientSamplesError(f"all {n} sampled directions were non-generic")
     # a polytope's reference is the unit sphere, even when r_in is unknown
     r_ref = rad.r_in if rad.r_in is not None else 1.0
-    devs = np.abs(rad.h[rad.generic] - r_ref)
     return HeightCertificate(
         body=str(body),
         n_samples=n,
         n_nongeneric=int(n - np.sum(rad.generic)),
-        max_abs_deviation=float(np.max(devs)) if devs.size else float("nan"),
+        max_abs_deviation=float(np.max(np.abs(rad.h[rad.generic] - r_ref))),
         insphere_radius=r_ref,
         tol=tol,
         seed=rng.describe(),
@@ -385,7 +385,7 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
 
     def kernel(stream, count):
         states, _ = sample_boundary_state_hs(shape, stream, count)
-        pt = partial_transpose(hermitian_part(states), shape)
+        pt = partial_transpose(states, shape)
         closest = np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
         return (np.array([[np.sum(closest < d) for d in deltas]]),)
 
@@ -429,25 +429,16 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     Route one integrates the radial surface element over the PPT body. Route
     two doubles p_boundary times the total area (the boundary splits evenly
     between the body's own faces and reflected ones, the corner set being
-    area-free), taking the total area from the closed-form area/volume ratio
-    in the complex case and from the radial area integral in the real case.
+    area-free). The total area is the sampled volume of the full body times
+    the closed-form constant-height ratio A/V = D / r_in, in either field.
     """
     _check_n(n)
-    ppt_body = BodySpec("ppt", shape)
-    full_body = BodySpec("full", shape)
-    a_ppt = mc_area(ppt_body, n, rng.child(0), shards)
+    a_ppt = mc_area(BodySpec("ppt", shape), n, rng.child(0), shards)
     p_a = _with_hits(estimate_p_boundary(shape, n, rng.child(1), shards),
                      "boundary", shape)
-    if shape.field == "complex":
-        v_tot = mc_volume(full_body, n, rng.child(2), shards)
-        a_tot_value = v_tot.value * analytic_area_volume_ratio(shape.n)
-        a_tot_rel = v_tot.stderr / v_tot.value
-    else:
-        a_tot = mc_area(full_body, n, rng.child(2), shards)
-        a_tot_value = a_tot.value
-        a_tot_rel = a_tot.stderr / a_tot.value
-    doubled_value = 2.0 * p_a.value * a_tot_value
-    rel = math.sqrt((p_a.stderr / p_a.value) ** 2 + a_tot_rel ** 2)
+    v_tot = mc_volume(BodySpec("full", shape), n, rng.child(2), shards)
+    doubled_value = 2.0 * p_a.value * (v_tot.value * analytic_area_volume_ratio(shape))
+    rel = math.sqrt((p_a.stderr / p_a.value) ** 2 + (v_tot.stderr / v_tot.value) ** 2)
     doubled = Estimate(doubled_value, _floor_stderr(doubled_value, doubled_value * rel),
                        n, rng.describe(), f"doubled_area[{shape}]")
     disc = abs(a_ppt.value - doubled.value) / math.sqrt(

@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .estimators import (
+    InsufficientSamplesError,
     corner_probe,
     cross_validate_area,
     estimate_omega,
@@ -88,9 +89,13 @@ def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
     res = corner_probe(_shape(config), config.n_samples, config.deltas, rng,
                        config.shards)
     fracs = [row[1] for row in res.rows]
+    if fracs[-2] == 0:
+        raise InsufficientSamplesError(
+            f"no boundary sample within delta {res.rows[-2][0]:g} of the corner set; "
+            "the last ratio is undefined at this sample size")
     monotone = all(a >= b for a, b in zip(fracs, fracs[1:]))
-    last_ratio = fracs[-1] / fracs[-2] if fracs[-2] > 0 else float("nan")
-    ratio_ok = last_ratio <= config.tolerance("corner_ratio_max")  # False on nan
+    last_ratio = fracs[-1] / fracs[-2]
+    ratio_ok = last_ratio <= config.tolerance("corner_ratio_max")
     metrics = {
         "rows": [{"delta": d, "fraction": f, "stderr": s} for d, f, s in res.rows],
         "monotone": monotone,
@@ -119,7 +124,7 @@ def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:
         "cross": lambda: cross_generators(config.dim),
         "simplex": lambda: simplex_generators(config.dim),
         "random-unit": lambda: random_unit_generators(
-            config.dim, config.n_generators, rng.child(999)),
+            config.dim, config.n_generators, rng),
     }
     explicit = config.generators is not None
     try:
@@ -133,9 +138,10 @@ def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:
 
 
 def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
-    body = _build_polytope(config, rng)
-    est = mc_gamma(body, config.n_samples, rng, config.shards)
-    height = height_certificate(body, min(config.n_samples, 20000), rng.child(7),
+    # sibling streams, so no sweep chunk can redraw the generators
+    body = _build_polytope(config, rng.child(0))
+    est = mc_gamma(body, config.n_samples, rng.child(1), config.shards)
+    height = height_certificate(body, min(config.n_samples, 20000), rng.child(2),
                                 shards=config.shards)
     target = config.target if config.target is not None else float(body.dim)
     metrics = {

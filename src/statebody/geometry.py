@@ -69,15 +69,16 @@ def inscribed_radius(n: int) -> float:
     return 1.0 / np.sqrt((n - 1.0) * n)
 
 
-def analytic_area_volume_ratio(n: int) -> float:
-    """Closed-form boundary-area to volume ratio sqrt(N(N-1)) (N^2 - 1).
+def analytic_area_volume_ratio(shape: BipartiteShape) -> float:
+    """Closed-form boundary-area to volume ratio D sqrt(N(N-1)) of the state
+    body, D its dimension.
 
-    Known for the complex state body only; together with the insphere radius
-    it gives r * A/V = N^2 - 1, the constant-height value.
+    Every constant-height body has A/V = D / r_in, and the state body has
+    constant height in either field; with the insphere radius this gives
+    r * A/V = D (N^2 - 1 for complex matrices).
     """
-    if not n >= 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return float(np.sqrt(n * (n - 1.0)) * (n * n - 1.0))
+    n = shape.n
+    return float(shape.dim_body * np.sqrt(n * (n - 1.0)))
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ class DensityMatrix(HermitianMatrix):
 
     __slots__ = ()
 
-    def __init__(self, mat, *, tol_psd: float = PSD_TOL, check_psd: bool = True):
+    def __init__(self, mat, *, check_psd: bool = True):
         super().__init__(mat)
         tr = float(np.trace(self.mat).real)
         if abs(tr) < 1e-14:
@@ -112,10 +112,10 @@ class DensityMatrix(HermitianMatrix):
         object.__setattr__(self, "mat", m)
         if check_psd:
             lo = float(np.linalg.eigvalsh(self.mat)[0])
-            if lo < -tol_psd:
+            if lo < -PSD_TOL:
                 raise ValueError(
                     f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
-                    f"< -{tol_psd:.1e}"
+                    f"< -{PSD_TOL:.1e}"
                 )
 
 
@@ -128,13 +128,13 @@ class TracelessDirection(HermitianMatrix):
 
     __slots__ = ()
 
-    def __init__(self, mat, *, atol: float = HERM_ATOL):
+    def __init__(self, mat):
         super().__init__(mat)
         tr = complex(np.trace(self.mat))
-        if abs(tr) > atol:
+        if abs(tr) > HERM_ATOL:
             raise ValueError(f"direction is not traceless: trace = {tr:.3e}")
         nrm = float(np.sqrt(np.sum(np.abs(self.mat) ** 2)))
-        if abs(nrm - 1.0) > atol:
+        if abs(nrm - 1.0) > HERM_ATOL:
             raise ValueError(f"direction is not unit norm: |omega| = {nrm:.16f}")
 
     @classmethod
@@ -172,13 +172,13 @@ def hs_distance(a, b) -> float:
     return float(np.sqrt(np.sum(np.abs(am - bm) ** 2)))
 
 
-def partial_transpose(a, shape: BipartiteShape):
+def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     """Transpose the first tensor factor of a K x M system.
 
-    Acts on stacks of matrices along leading axes. Wrapper input is returned
-    re-wrapped; bare arrays come back as arrays.
+    Acts on stacks of matrices along leading axes and accepts wrapper types,
+    but always returns a bare array: the partial transpose of a state need not
+    be a state (a Bell state's has eigenvalue -1/2).
     """
-    wrapped = isinstance(a, HermitianMatrix)
     m = _as_matrix(a)
     n = shape.n
     if m.shape[-1] != n:
@@ -188,12 +188,7 @@ def partial_transpose(a, shape: BipartiteShape):
     lead = m.shape[:-2]
     r = m.reshape(lead + (shape.k, shape.m, shape.k, shape.m))
     r = np.swapaxes(r, -4, -2)
-    out = np.ascontiguousarray(r.reshape(lead + (n, n)))
-    if wrapped:
-        return type(a)(out) if not isinstance(a, DensityMatrix) else DensityMatrix(
-            out, check_psd=False
-        )
-    return out
+    return np.ascontiguousarray(r.reshape(lead + (n, n)))
 
 
 def min_eigenvalue(a) -> float:
@@ -208,17 +203,18 @@ def min_eigenvalue(a) -> float:
     return float(w[0])
 
 
-def ppt_mask(states: np.ndarray, shape: BipartiteShape,
-             tol: float = PPT_TOL) -> np.ndarray:
-    """Batched PPT test: True where the partial transpose of a state has no
-    eigenvalue below -tol. Works on stacks along leading axes."""
-    w = np.linalg.eigvalsh(hermitian_part(partial_transpose(states, shape)))
-    return w[..., 0] >= -tol
+def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """Batched PPT test on stacks of exactly Hermitian states, as the samplers
+    return them (``eigvalsh`` reads one triangle): True where the partial
+    transpose has no eigenvalue below -PPT_TOL."""
+    w = np.linalg.eigvalsh(partial_transpose(states, shape))
+    return w[..., 0] >= -PPT_TOL
 
 
-def is_ppt(rho, shape: BipartiteShape, tol: float = PPT_TOL) -> bool:
-    """Whether the partial transpose of ``rho`` has no eigenvalue below -tol."""
-    return bool(ppt_mask(_as_matrix(rho), shape, tol))
+def is_ppt(rho, shape: BipartiteShape) -> bool:
+    """Whether the partial transpose of the Hermitian part of ``rho`` has no
+    eigenvalue below -PPT_TOL."""
+    return bool(ppt_mask(hermitian_part(_as_matrix(rho)), shape))
 
 
 def negativity(rho, shape: BipartiteShape) -> float:

@@ -39,19 +39,18 @@ class TangentBody:
 
     __slots__ = ("generators", "dim", "_norms", "_all_unit")
 
-    def __init__(self, generators, *, validate: bool = True):
+    def __init__(self, generators):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError(f"generators must be a (m, dim) array, got {g.shape}")
         norms = np.linalg.norm(g, axis=1)
-        if validate:
-            worst = float(np.max(norms))
-            if worst > 1.0 + NORM_SLACK:
-                raise ValueError(
-                    f"generator norm {worst:.12f} exceeds one; generators must "
-                    "lie in the unit ball"
-                )
-            _check_origin_interior(g)
+        worst = float(np.max(norms))
+        if worst > 1.0 + NORM_SLACK:
+            raise ValueError(
+                f"generator norm {worst:.12f} exceeds one; generators must "
+                "lie in the unit ball"
+            )
+        _check_origin_interior(g)
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "generators", g)
@@ -177,13 +176,12 @@ def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:
 
     Generators are deduplicated and canonically ordered, so the operation is
     commutative and associative at the generator-set level and the radial
-    function of the result is exactly the minimum of the two inputs.
+    function of the result is exactly the minimum of the two inputs. The
+    union is validated like any generator set (at most 2 * dim small LPs).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    merged = np.unique(np.vstack([a.generators, b.generators]), axis=0)
-    # parents were validated and a union only shrinks the body
-    return TangentBody(merged, validate=False)
+    return TangentBody(np.unique(np.vstack([a.generators, b.generators]), axis=0))
 
 
 # chunk size for polytope sweeps: keeps the (batch, n_generators) product

@@ -2,7 +2,8 @@
 
 The ``metrics`` block of a record is fully determined by (config, seed,
 shards); timestamps and wall time live outside it, so reruns of an identical
-config reproduce ``metrics`` byte for byte.
+config reproduce ``metrics`` byte for byte. Records are strict JSON: a NaN or
+infinity is refused on write and reported as an error on load.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def write_record(record: ResultRecord, out_dir) -> Path:
     if not record.created_utc:
         record.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
     json_path = out / record_filename(record)
-    _atomic_write(json_path, json.dumps(record.to_dict(), indent=2, sort_keys=False)
-                  + "\n")
+    _atomic_write(json_path, json.dumps(record.to_dict(), indent=2, sort_keys=False,
+                                        allow_nan=False) + "\n")
     csv_path = out / CSV_NAME
     new_file = not csv_path.exists()
     with open(csv_path, "a", newline="") as fh:
@@ -108,6 +109,10 @@ def write_record(record: ResultRecord, out_dir) -> Path:
     return json_path
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
 def load_records(results_dir):
     """All parseable records in a directory plus a list of failures."""
     root = Path(results_dir)
@@ -115,9 +120,9 @@ def load_records(results_dir):
     for path in sorted(root.glob("*.json")):
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
             records.append(ResultRecord(**data))
-        except (json.JSONDecodeError, TypeError, OSError) as exc:
+        except (ValueError, TypeError, OSError) as exc:
             errors.append((path.name, f"{type(exc).__name__}: {exc}"))
     return records, errors
 

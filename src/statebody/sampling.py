@@ -67,10 +67,6 @@ class RngStream:
     seed: int
     stream: int = 0
 
-    @property
-    def algorithm(self) -> str:
-        return _ALGORITHM
-
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
         key = ((self.stream & _MASK64) << 64) | (self.seed & _MASK64)

@@ -60,6 +60,13 @@ def test_numerical_error_exit_three(tmp_path, capsys):
                     generators=[[1, 0], [0, 1]])
     assert main(["run", str(cfg)]) == 3
     assert "unbounded" in capsys.readouterr().err
+    # no boundary sample this close to the corner set: the last ratio of the
+    # corner probe is undefined, and no record is written
+    cfg = write_cfg(tmp_path, experiment="corner-probe", shape="2x2", seed=1,
+                    deltas=[1e-7, 1e-8])
+    assert main(["run", str(cfg)]) == 3
+    assert "delta 1e-07" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_the_record(tmp_path):

@@ -111,7 +111,7 @@ def test_estimator_rejects_bad_n():
 
 def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     monkeypatch.setattr("statebody.geometry.GAP_TOL", 10.0)
-    for estimator in (mc_area, mc_gamma):
+    for estimator in (mc_area, mc_gamma, height_certificate):
         with pytest.raises(InsufficientSamplesError):
             estimator(QUBIT, 500, RngStream(2))
 
@@ -210,9 +210,10 @@ def test_boundary_fraction_two_routes_agree():
 
 
 def test_cross_validate_area():
-    check = cross_validate_area(BipartiteShape(2, 2), 30000, RngStream(66))
-    assert abs(check.discrepancy_sigma) < SIGMA_LOOSE
-    assert check.radial.value > 0 and check.doubled.value > 0
+    for field, seed in (("complex", 66), ("real", 67)):
+        check = cross_validate_area(BipartiteShape(2, 2, field), 30000, RngStream(seed))
+        assert abs(check.discrepancy_sigma) < SIGMA_LOOSE, field
+        assert check.radial.value > 0 and check.doubled.value > 0
 
 
 # ---------------------------------------------------------------------------

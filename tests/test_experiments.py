@@ -1,15 +1,24 @@
-"""Experiment dispatch: every sampling experiment honours its shard count."""
+"""Experiment dispatch: every sampling experiment honours its shard count,
+draws from disjoint streams and writes a record that loads strictly."""
 
 import pytest
 
-from statebody import config_from_dict, run_experiment
-from statebody import estimators
+from statebody import config_from_dict, load_records, run_experiment
+from statebody import estimators, experiments, polytopes
+from statebody.config import MIN_SAMPLES
 
 CONFIGS = [
     {"experiment": "height-check", "shape": "2x2", "body": "ppt", "n_samples": 1000},
     {"experiment": "corner-probe", "shape": "2x2", "n_samples": 1000},
     {"experiment": "area-crosscheck", "shape": "2x2", "n_samples": 10000},
     {"experiment": "polytope-gamma", "preset": "cube", "dim": 3, "n_samples": 1000},
+]
+
+# the kinds that CONFIGS leaves out, so that together they cover every kind
+OTHER_KINDS = [
+    {"experiment": "omega", "shape": "2x2"},
+    {"experiment": "gamma", "shape": "1x3", "body": "full"},
+    {"experiment": "sampler-validate", "field": "complex"},
 ]
 
 
@@ -25,3 +34,36 @@ def test_shards_reach_the_sweep(config, monkeypatch):
     monkeypatch.setattr(estimators, "_sweep", recording)
     run_experiment(config_from_dict({**config, "seed": 1, "shards": 3}), write=False)
     assert seen and set(seen) == {3}
+
+
+def test_polytope_directions_never_redraw_the_generators(monkeypatch):
+    # one direction per chunk, so the sweeps run through 1,000 child streams
+    monkeypatch.setattr(polytopes, "_SWEEP_BATCH", 1)
+    swept, drawn = set(), set()
+    sweep, draw = polytopes._radial_sweep, experiments.random_unit_generators
+
+    def recording_sweep(body, n, rng):
+        swept.add(rng)
+        return sweep(body, n, rng)
+
+    def recording_draw(dim, count, rng):
+        drawn.add(rng)
+        return draw(dim, count, rng)
+
+    monkeypatch.setattr(polytopes, "_radial_sweep", recording_sweep)
+    monkeypatch.setattr(experiments, "random_unit_generators", recording_draw)
+    run_experiment(config_from_dict({"experiment": "polytope-gamma",
+                                     "preset": "random-unit", "dim": 6,
+                                     "n_samples": 1000, "seed": 5}), write=False)
+    assert len(swept) == 2000 and len(drawn) == 1  # gamma and height sweeps
+    assert swept.isdisjoint(drawn)
+
+
+def test_every_kind_writes_a_strict_record(tmp_path):
+    for config in CONFIGS + OTHER_KINDS:
+        exp = config["experiment"]
+        run_experiment(config_from_dict({**config, "n_samples": MIN_SAMPLES[exp],
+                                         "seed": 1, "output_path": str(tmp_path)}))
+    records, errors = load_records(tmp_path)
+    assert errors == []
+    assert sorted(r.experiment for r in records) == sorted(MIN_SAMPLES)

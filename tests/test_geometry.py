@@ -75,13 +75,17 @@ def test_inscribed_radius_values():
 
 
 def test_area_volume_ratio_values():
-    # sqrt(N(N-1)) * (N^2-1); with the insphere radius this gives gamma = D
-    assert analytic_area_volume_ratio(2) == pytest.approx(3 * math.sqrt(2.0))
-    assert analytic_area_volume_ratio(3) == pytest.approx(8 * math.sqrt(6.0))
-    assert analytic_area_volume_ratio(4) == pytest.approx(15 * math.sqrt(12.0))
-    for n in (2, 3, 4, 6):
-        gamma = analytic_area_volume_ratio(n) * inscribed_radius(n)
-        assert gamma == pytest.approx(n * n - 1, abs=1e-12)
+    # D sqrt(N(N-1)); with the insphere radius this gives gamma = D
+    ratio = analytic_area_volume_ratio
+    assert ratio(BipartiteShape(1, 2)) == pytest.approx(3 * math.sqrt(2.0))
+    assert ratio(BipartiteShape(1, 3)) == pytest.approx(8 * math.sqrt(6.0))
+    assert ratio(BipartiteShape(2, 2)) == pytest.approx(15 * math.sqrt(12.0))
+    assert ratio(BipartiteShape(2, 2, "real")) == pytest.approx(9 * math.sqrt(12.0))
+    for k, m in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        for field in ("complex", "real"):
+            shape = BipartiteShape(k, m, field)
+            gamma = ratio(shape) * inscribed_radius(shape.n)
+            assert gamma == pytest.approx(shape.dim_body, abs=1e-12)
 
 
 def test_body_spec_validation():

@@ -214,9 +214,15 @@ def test_partial_transpose_dimension_mismatch():
 
 def test_bell_partial_transpose_spectrum():
     shape = BipartiteShape(2, 2)
-    ta = partial_transpose(bell_state(), shape)
-    eigs = np.sort(np.linalg.eigvalsh(ta))
-    assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=ATOL)
+    # wrapper input comes back as a bare array: the transpose of a state is
+    # not a state
+    for rho in (bell_state(), DensityMatrix(bell_state())):
+        ta = partial_transpose(rho, shape)
+        assert type(ta) is np.ndarray
+        eigs = np.sort(np.linalg.eigvalsh(ta))
+        assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=ATOL)
+    direction = TracelessDirection.toward(bell_state())
+    assert type(partial_transpose(direction, shape)) is np.ndarray
     assert negativity(bell_state(), shape) == pytest.approx(0.5, abs=ATOL)
     assert not is_ppt(bell_state(), shape)
 

@@ -97,8 +97,6 @@ def test_unbounded_body_is_rejected():
     with pytest.raises(UnboundedBodyError) as err:
         TangentBody(half)
     assert "direction" in str(err.value)
-    # validation can be bypassed for bodies known bounded by construction
-    TangentBody(cube_generators(2), validate=False)
 
 
 # ---------------------------------------------------------------------------

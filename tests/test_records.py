@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from statebody import ResultRecord, load_records, render_report, write_record
 from statebody.records import CSV_COLUMNS, CSV_NAME, record_filename
 
@@ -66,15 +68,21 @@ def test_load_records_roundtrip(tmp_path):
 
 def test_load_records_reports_corrupt_files(tmp_path):
     write_record(make_record(), tmp_path)
+    with pytest.raises(ValueError):  # a non-finite value is never written
+        write_record(make_record(seed=2, value=float("nan")), tmp_path)
     (tmp_path / "zz-broken.json").write_text("{]")
     data = make_record().to_dict()
     (tmp_path / "zz-extra-key.json").write_text(json.dumps({**data, "extra": 1}))
+    (tmp_path / "zz-nan.json").write_text(json.dumps({**data, "value": float("nan")}))
+    (tmp_path / "zz-infinity.json").write_text(
+        json.dumps({**data, "metrics": {"omega": float("inf")}}))
     del data["stderr"]
     (tmp_path / "zz-missing-key.json").write_text(json.dumps(data))
     records, errors = load_records(tmp_path)
     assert len(records) == 1
     assert [name for name, _ in errors] == [
-        "zz-broken.json", "zz-extra-key.json", "zz-missing-key.json"]
+        "zz-broken.json", "zz-extra-key.json", "zz-infinity.json",
+        "zz-missing-key.json", "zz-nan.json"]
 
 
 def test_render_report(tmp_path):

@@ -78,7 +78,6 @@ from .sampling import (
     boundary_eigenvalues_wishart,
     sample_boundary_state_hs,
     sample_direction,
-    sample_haar_unitary,
     sample_state_hs,
 )
 from .validation import sampler_validation, two_sample_chi2

@@ -8,7 +8,6 @@ draws therefore need distinct streams, usually obtained via
 ========================  =====================================================
 sampler                   distribution
 ========================  =====================================================
-sample_haar_unitary       Haar measure on U(N) (complex) or O(N) (real)
 sample_state_hs           Hilbert-Schmidt (flat) measure on the state body
 sample_boundary_state_hs  induced surface measure on the boundary (one
                           eigenvalue exactly zero)
@@ -16,18 +15,20 @@ sample_direction          uniform on the unit sphere of traceless Hermitian
                           (or real symmetric) matrices
 ========================  =====================================================
 
-The interior sampler normalizes a Ginibre Gram matrix G G^dag; a square G
-reproduces the flat measure in the complex case, and an N x (N+1) real G in
-the real case. Boundary eigenvalues carry the density obtained by setting the
-smallest eigenvalue to zero in the flat-measure eigenvalue density:
+Both state samplers normalize a Ginibre Gram matrix G G^dag. For the interior
+a square G reproduces the flat measure in the complex case, and an N x (N+1)
+real G in the real case. A boundary draw takes one column more and projects
+G off a uniform unit vector psi before forming the Gram matrix, so psi is the
+zero eigenvector. Its nonzero eigenvalues then carry the density obtained by
+setting the smallest eigenvalue to zero in the flat-measure eigenvalue
+density:
 
     f(lambda) ~ prod_{i<j} |l_i - l_j|^beta * prod_i l_i^beta
 
-over the nonzero eigenvalues, with beta = 2 (complex) or 1 (real). The
-spectrum of a rectangular Ginibre Gram matrix reproduces f exactly in both
-fields and is the production route. A Metropolis chain targeting f directly
-is kept only as an independent oracle: the sampler battery and the test
-suite compare the two routes.
+with beta = 2 (complex) or 1 (real), and its eigenvectors form a Haar frame.
+A Metropolis chain targeting f directly is kept only as an independent
+oracle: the sampler battery and the test suite compare its spectra with
+those of production boundary states.
 """
 
 from __future__ import annotations
@@ -93,36 +94,11 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
-def _gram(gen: np.random.Generator, size: int, rows: int, cols: int,
-          field: str) -> np.ndarray:
-    """Hermitian part of G G^dag for a (size, rows, cols) Ginibre stack G."""
-    g = _ginibre(gen, (size, rows, cols), field)
-    return hermitian_part(g @ np.conj(np.swapaxes(g, -1, -2)))
-
-
-def sample_haar_unitary(n: int, field: str, rng: RngStream, size: int | None = None):
-    """Haar-distributed unitary (orthogonal for ``field='real'``) matrices.
-
-    Parameters
-    ----------
-    n : matrix dimension
-    field : 'complex' or 'real'
-    rng : stream to draw from
-    size : None for a single (n, n) matrix, else a (size, n, n) stack
-
-    Notes
-    -----
-    QR of a Ginibre matrix with the R diagonal rephased to be positive; the
-    rephasing makes the factorization unique, which is what makes the
-    resulting Q exactly Haar rather than merely unitary.
-    """
-    _check_field(field)
-    b = 1 if size is None else int(size)
-    g = _ginibre(rng.generator(), (b, n, n), field)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    return q[0] if size is None else q
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    """Trace-one Hermitian part of G G^dag for a (size, rows, cols) stack G."""
+    w = hermitian_part(g @ np.conj(np.swapaxes(g, -1, -2)))
+    tr = np.trace(w, axis1=-2, axis2=-1).real
+    return w / tr[:, None, None]
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int | None = None):
@@ -134,9 +110,7 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int | None = No
     n = shape.n
     b = 1 if size is None else int(size)
     cols = n if shape.field == "complex" else n + 1
-    w = _gram(rng.generator(), b, n, cols, shape.field)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    rho = w / tr[:, None, None]
+    rho = _normalized_gram(_ginibre(rng.generator(), (b, n, cols), shape.field))
     if size is None:
         return DensityMatrix(rho[0], check_psd=False)
     return rho
@@ -164,11 +138,11 @@ def boundary_eigenvalues_metropolis(
     """Nonzero boundary eigenvalues via a random-walk Metropolis chain.
 
     Targets f(lambda) on the (N-2)-simplex directly. It is the independent
-    oracle for the Wishart route, used only by the sampler battery and the
-    tests; its kept samples are correlated, so no estimator draws from it.
-    Returns a (size, N-1) array of eigenvalue rows summing to one, sorted
-    ascending. Step size adapts during burn-in only, so the kept samples come
-    from a fixed, detailed-balanced kernel.
+    oracle for the spectra of production boundary states, used only by the
+    sampler battery and the tests; its kept samples are correlated, so no
+    estimator draws from it. Returns a (size, N-1) array of eigenvalue rows
+    summing to one, sorted ascending. Step size adapts during burn-in only,
+    so the kept samples come from a fixed, detailed-balanced kernel.
     """
     _check_field(field)
     m = n - 1
@@ -213,20 +187,15 @@ def boundary_eigenvalues_metropolis(
 def boundary_eigenvalues_wishart(
     n: int, field: str, rng: RngStream, size: int
 ) -> np.ndarray:
-    """Nonzero boundary eigenvalues via a rectangular Ginibre Gram spectrum.
+    """Nonzero eigenvalues of production boundary states on one N-level body.
 
-    An (N-1) x (N+1) complex Ginibre (or (N-1) x (N+2) real one) has a
-    normalized Gram spectrum distributed exactly by f. Returns (size, N-1)
+    The spectra of ``sample_boundary_state_hs`` with the zero eigenvalue
+    dropped: those of a normalized (N-1) x (N+1) complex (or (N-1) x (N+2)
+    real) Ginibre Gram matrix, distributed exactly by f. Returns (size, N-1)
     rows sorted ascending.
     """
-    _check_field(field)
-    m = n - 1
-    if m < 1:
-        raise ValueError(f"need n >= 2, got {n}")
-    cols = n + 1 if field == "complex" else n + 2
-    lam = np.linalg.eigvalsh(_gram(rng.generator(), size, m, cols, field))
-    lam = lam / np.sum(lam, axis=-1, keepdims=True)
-    return lam
+    states, _ = sample_boundary_state_hs(BipartiteShape(1, n, field), rng, size)
+    return np.linalg.eigvalsh(states)[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -237,33 +206,25 @@ class BoundaryState:
     zero_eigvec: np.ndarray
 
 
-def _assemble_boundary(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """rho = U diag(0, lam) U^dag; the zero eigenvalue sits in column 0."""
-    b, m = lam.shape
-    n = m + 1
-    full = np.zeros((b, n), dtype=lam.dtype)
-    full[:, 1:] = lam
-    rho = (u * full[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
-    return hermitian_part(rho)
-
-
 def sample_boundary_state_hs(
     shape: BipartiteShape, rng: RngStream, size: int | None = None
 ):
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
-    The eigenvector flag is an independent Haar frame and the smallest
-    eigenvalue is exactly zero by construction. The nonzero eigenvalues come
-    from the exact Wishart route in both fields. Returns a
-    :class:`BoundaryState` for ``size=None``, else a pair (states,
-    zero_eigvecs) of stacked arrays.
+    rho = P G G^dag P / Tr(P G G^dag P) with P = I - psi psi^dag, psi a
+    normalized Gaussian vector and G a Ginibre matrix with one column more
+    than the interior draw. psi is the zero eigenvector up to rounding, and
+    P does not depend on the phase of psi. Returns a :class:`BoundaryState`
+    for ``size=None``, else a pair (states, zero_eigvecs) of stacked arrays.
     """
     n = shape.n
     b = 1 if size is None else int(size)
-    lam = boundary_eigenvalues_wishart(n, shape.field, rng.child(0), b)
-    u = sample_haar_unitary(n, shape.field, rng.child(1), b)
-    rho = _assemble_boundary(lam, u)
-    psi = np.ascontiguousarray(u[:, :, 0])
+    cols = n + 1 if shape.field == "complex" else n + 2
+    g = _ginibre(rng.child(0).generator(), (b, n, cols), shape.field)
+    psi = _ginibre(rng.child(1).generator(), (b, n), shape.field)
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
+    rho = _normalized_gram(g)
     if size is None:
         return BoundaryState(DensityMatrix(rho[0], check_psd=False), psi[0])
     return rho, psi

@@ -1,7 +1,7 @@
 """Distribution checks for the samplers, used by the validate-samplers command.
 
-Two-sample tests pit the production route against an independent one (for
-boundary eigenvalues in both fields, the Wishart spectrum against the
+Two-sample tests pit the production route against an independent one (in
+both fields, the spectra of production boundary states against the
 Metropolis chain, which serves only as this oracle); scalar checks compare
 sampled tail probabilities against closed-form values. Each check reports a
 p-value or a sigma deviation plus a verdict.
@@ -84,8 +84,8 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     """
     checks = {}
 
-    # boundary eigenvalue law: production Wishart route vs the independent
-    # Metropolis chain, for either field
+    # boundary eigenvalue law: spectra of production boundary states vs the
+    # independent Metropolis chain, for either field
     lam3_w = boundary_eigenvalues_wishart(3, field, rng.child(10), n)
     lam3_m = boundary_eigenvalues_metropolis(3, field, rng.child(11), n)
     ks = stats.ks_2samp(lam3_w[:, -1], lam3_m[:, -1])

@@ -78,17 +78,24 @@ def test_criterion_1_interior_boundary_ppt_ratio():
     assert ok, line
 
 
-def _hs_volume(n: int) -> float:
-    """Hilbert-Schmidt volume of the complex N x N state body (Zyczkowski &
-    Sommers 2003): sqrt(N) (2 pi)^(N(N-1)/2) prod_{k=1}^N Gamma(k) / Gamma(N^2)."""
-    return math.exp(0.5 * math.log(n) + 0.5 * n * (n - 1) * math.log(2 * math.pi)
-                    + sum(math.lgamma(k) for k in range(1, n + 1))
-                    - math.lgamma(n * n))
+def _hs_volume(n: int, field: str) -> float:
+    """Hilbert-Schmidt volume of the N x N state body (Zyczkowski & Sommers
+    2003): sqrt(N) (2 pi)^(beta N(N-1)/4) prod_{k=1}^N Gamma(1 + beta(k-1)/2)
+    / Gamma(D + 1), with beta = 2 (complex) or 1 (real) and D the body's
+    dimension. The real case is the complex derivation with the real
+    multivariate gamma function and a factor sqrt(2) per off-diagonal
+    coordinate of the Hilbert-Schmidt metric."""
+    beta = 2 if field == "complex" else 1
+    dim = BipartiteShape(1, n, field).dim_body
+    return math.exp(0.5 * math.log(n)
+                    + 0.25 * beta * n * (n - 1) * math.log(2 * math.pi)
+                    + sum(math.lgamma(1 + beta * (k - 1) / 2) for k in range(1, n + 1))
+                    - math.lgamma(dim + 1))
 
 
 def test_criterion_2_gamma_equals_dimension():
     """r * A / V of the full body equals its dimension, plus absolute volumes:
-    the N=2 ball exactly, complex N=3 and 4 against Zyczkowski-Sommers."""
+    the N=2 ball exactly, N=3 and 4 in both fields against Zyczkowski-Sommers."""
     bits, ok = [], True
     for field in ("complex", "real"):
         for m in (2, 3, 4):
@@ -106,12 +113,17 @@ def test_criterion_2_gamma_equals_dimension():
     a_ok = abs(area.value - 2 * math.pi) <= SIGMA * area.stderr
     ok &= v_ok and a_ok
     bits.append(f"V2={vol.value:.8f} A2={area.value:.8f}")
-    assert _hs_volume(2) == pytest.approx(math.pi * math.sqrt(2.0) / 3, rel=1e-14)
-    for m, seed in ((3, 3209), (4, 3210)):
-        vol = mc_volume(BodySpec("full", BipartiteShape(1, m)), N_GAMMA, RngStream(seed))
-        dev = (vol.value - _hs_volume(m)) / vol.stderr
+    assert _hs_volume(2, "complex") == pytest.approx(math.pi * math.sqrt(2.0) / 3,
+                                                     rel=1e-14)
+    assert _hs_volume(2, "real") == pytest.approx(math.pi / 2, rel=1e-14)
+    for field, m, seed in (("complex", 3, 3209), ("complex", 4, 3210),
+                           ("real", 3, 3211), ("real", 4, 3212)):
+        shape = BipartiteShape(1, m, field)
+        vol = mc_volume(BodySpec("full", shape), N_GAMMA, RngStream(seed))
+        dev = (vol.value - _hs_volume(m, field)) / vol.stderr
         ok &= abs(dev) <= SIGMA
-        bits.append(f"V{m}={vol.value:.6g} vs {_hs_volume(m):.6g} ({dev:+.2f}s)")
+        bits.append(f"V({shape})={vol.value:.6g} vs {_hs_volume(m, field):.6g}"
+                    f" ({dev:+.2f}s)")
     line = _report(2, "gamma = D", ok, "; ".join(bits))
     assert ok, line
 

@@ -182,17 +182,26 @@ def test_omega_report():
     assert again.omega == rep.omega and again.stderr == rep.stderr
 
 
-def test_zero_ppt_boundary_hits_raise():
+def test_zero_ppt_boundary_hits_raise(monkeypatch):
     # 3x3 boundary states are almost never PPT: none among these 500 draws,
     # and both omega and the doubled area divide by p_boundary
     shape = BipartiteShape(3, 3)
     for estimator in (estimate_omega, cross_validate_area):
         with pytest.raises(InsufficientSamplesError, match="too few PPT boundary hits"):
             estimator(shape, 500, RngStream(1))
-    # here the boundary route has hits but the interior route has none, which
-    # would make omega 0 with a NaN stderr
+    # every boundary draw is the PPT product state |00><00| and every interior
+    # draw an entangled Werner state, so only the interior route has no hits,
+    # which would make omega 0 with a NaN stderr
+    product = np.zeros((4, 4))
+    product[0, 0] = 1.0
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    werner = 0.9 * np.outer(phi, phi) + 0.025 * np.eye(4)
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", lambda shape, rng, size:
+                        (np.repeat(product[None], size, axis=0), None))
+    monkeypatch.setattr(estimators, "sample_state_hs", lambda shape, rng, size:
+                        np.repeat(werner[None], size, axis=0))
     with pytest.raises(InsufficientSamplesError, match="too few PPT interior hits"):
-        estimate_omega(shape, 10_000, RngStream(13))
+        estimate_omega(BipartiteShape(2, 2), 1000, RngStream(13))
 
 
 def test_boundary_fraction_two_routes_agree():

@@ -20,7 +20,8 @@ from statebody import estimators, mc_gamma, polytopes
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # boundaries whose functions left the package; their time counts to callers
-RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check"}
+RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check",
+           "sampling.sample_haar_unitary"}
 
 SHAPE = BipartiteShape(2, 2)
 ROWS = 6
@@ -94,6 +95,6 @@ def test_installed_tracer_sees_the_production_calls(spans):
     assert tracer.counts["hermitian.ppt_tests"] == 512  # both PPT routes
     assert tracer.counts["geometry.directions"] == 128
     assert tracer.counts["polytopes.directions"] == 64
-    # interior and boundary states, their Wishart spectra and the directions
-    assert tracer.counts["sampling.draws"] == 256 + 2 * 256 + 128
+    # interior states, boundary states and the directions
+    assert tracer.counts["sampling.draws"] == 256 + 256 + 128
     assert all(a is b for a, b in zip(current(), originals))  # patches undone

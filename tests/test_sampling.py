@@ -1,4 +1,4 @@
-"""Samplers: streams, Haar frames, interior/boundary measures, directions."""
+"""Samplers: streams, interior/boundary measures, directions."""
 
 import math
 
@@ -16,11 +16,9 @@ from statebody import (
     hs_inner,
     sample_boundary_state_hs,
     sample_direction,
-    sample_haar_unitary,
     sample_state_hs,
 )
 
-UNITARY_ATOL = 1e-12
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
 
@@ -61,34 +59,6 @@ def test_child_differs_from_parent():
 def test_stream_is_frozen():
     with pytest.raises(AttributeError):
         RngStream(1).seed = 2
-
-
-# ---------------------------------------------------------------------------
-# Haar frames
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_haar_unitarity(field):
-    u = sample_haar_unitary(5, field, RngStream(11))
-    assert np.allclose(u @ u.conj().T, np.eye(5), atol=UNITARY_ATOL)
-    stack = sample_haar_unitary(3, field, RngStream(12), size=50)
-    assert stack.shape == (50, 3, 3)
-    prods = stack @ np.conj(np.swapaxes(stack, -1, -2))
-    assert np.allclose(prods, np.eye(3), atol=UNITARY_ATOL)
-
-
-def test_haar_first_moment():
-    # E|U_00|^2 = 1/n for the invariant measure
-    stack = sample_haar_unitary(3, "complex", RngStream(21), size=20000)
-    m = np.mean(np.abs(stack[:, 0, 0]) ** 2)
-    # |U_00|^2 is Beta(1, 2): sd of the mean is sqrt(1/18/20000)
-    assert abs(m - 1 / 3) < 6 * math.sqrt(1 / 18 / 20000)
-
-
-def test_haar_determinism():
-    a = sample_haar_unitary(4, "complex", RngStream(8), size=3)
-    b = sample_haar_unitary(4, "complex", RngStream(8), size=3)
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +149,14 @@ def test_wishart_matches_metropolis(field, n):
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
+def test_battery_spectrum_is_the_production_spectrum(field):
+    """The chain oracle is compared with the spectra production draws."""
+    lam = boundary_eigenvalues_wishart(4, field, RngStream(43), 50)
+    states, _ = sample_boundary_state_hs(BipartiteShape(1, 4, field), RngStream(43), 50)
+    assert np.array_equal(lam, np.linalg.eigvalsh(states)[:, 1:])
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
 def test_boundary_states_sit_on_the_boundary(field):
     shape = BipartiteShape(1, 4, field)
     out = sample_boundary_state_hs(shape, RngStream(61))
@@ -199,7 +177,7 @@ def test_boundary_pinned_sample():
     states, _ = sample_boundary_state_hs(BipartiteShape(1, 3), RngStream(5), size=2)
     eigs = np.linalg.eigvalsh(states[0])
     assert eigs == pytest.approx(
-        [0.0, 0.1648162278960816, 0.8351837721039179], abs=1e-13
+        [0.0, 0.37877330275764615, 0.6212266972423541], abs=1e-13
     )
 
 

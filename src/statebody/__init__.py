@@ -72,7 +72,6 @@ from .polytopes import (
 )
 from .records import ResultRecord, load_records, render_report, write_record
 from .sampling import (
-    BoundaryState,
     RngStream,
     boundary_eigenvalues_metropolis,
     boundary_eigenvalues_wishart,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field as _dc_field, fields
 
 # smallest n_samples that keeps each experiment statistically meaningful
@@ -124,7 +125,10 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float: JSON's NaN and Infinity are rejected. The
+    comparison is math.isfinite without its OverflowError on huge ints."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -math.inf < v < math.inf)
 
 
 def _require_int(key: str, v, minimum: int) -> int:
@@ -159,13 +163,15 @@ def _parse_shape(value) -> tuple:
 
 def _parse_deltas(value) -> tuple:
     if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
-        raise ConfigError("deltas", f"expected a list of numbers, got {value!r}")
+        raise ConfigError("deltas",
+                          f"expected a list of finite numbers, got {value!r}")
     deltas = tuple(float(x) for x in value)
     if len(deltas) < 2:
         # the verdict compares the last two fractions
         raise ConfigError("deltas", f"needs at least two thresholds, got {list(deltas)}")
-    if any(x < 0 for x in deltas):
-        raise ConfigError("deltas", f"must be nonnegative, got {list(deltas)}")
+    if any(x <= 0 for x in deltas):
+        # no sample has |lambda| < 0, so a zero threshold passes vacuously
+        raise ConfigError("deltas", f"must be positive, got {list(deltas)}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("deltas", f"must be strictly decreasing, got {list(deltas)}")
     return deltas
@@ -205,6 +211,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     _require_int("n_samples", c["n_samples"], MIN_SAMPLES[exp])
     _require_int("seed", c["seed"], 0)
     _require_int("shards", c["shards"], 1)
+    if c["shards"] > c["n_samples"]:
+        # every shard beyond n_samples draws nothing and only costs time
+        raise ConfigError("shards", f"must be <= n_samples = {c['n_samples']}, "
+                                    f"got {c['shards']}")
     if c["shards"] > 1 and exp == "sampler-validate":
         # the sampler battery draws no sharded sweep
         raise ConfigError("shards", f"sampler-validate runs unsharded, got {c['shards']}")
@@ -235,7 +245,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         _require_int("n_generators", c["n_generators"], c["dim"] + 1)
     if c.get("target") is not None:
         if not _is_number(c["target"]):
-            raise ConfigError("target", f"expected a number, got {c['target']!r}")
+            raise ConfigError("target", f"expected a finite number, got {c['target']!r}")
         c["target"] = float(c["target"])
 
     if not isinstance(c["tolerances"], dict):
@@ -244,7 +254,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if k not in TOLERANCE_DEFAULTS:
             raise ConfigError(f"tolerances.{k}", "unknown tolerance key")
         if not _is_number(v) or v <= 0:
-            raise ConfigError(f"tolerances.{k}", f"expected a positive number, got {v!r}")
+            raise ConfigError(f"tolerances.{k}",
+                              f"expected a positive finite number, got {v!r}")
     c["tolerances"] = dict(c["tolerances"])
     if not isinstance(c["output_path"], str) or not c["output_path"]:
         raise ConfigError("output_path",

@@ -378,8 +378,8 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     """
     _check_n(n)
     deltas = [float(x) for x in deltas]
-    if any(x < 0 for x in deltas):
-        raise ValueError(f"deltas must be nonnegative, got {deltas}")
+    if any(x <= 0 for x in deltas):
+        raise ValueError(f"deltas must be positive, got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be strictly decreasing, got {deltas}")
 

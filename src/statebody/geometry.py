@@ -93,15 +93,14 @@ class BoundaryContact:
 
 
 def _direction_stack(body: BodySpec, omega) -> np.ndarray:
-    """A (k, N, N) stack; a single direction is validated as a TracelessDirection."""
-    m = omega.mat if isinstance(omega, TracelessDirection) else np.asarray(omega)
-    if m.ndim == 2:
-        m = TracelessDirection(m).mat
-    if m.shape[-1] != body.shape.n:
+    """One direction, validated as a TracelessDirection, as a stack of one."""
+    if not isinstance(omega, TracelessDirection):
+        omega = TracelessDirection(omega)
+    if omega.dim != body.shape.n:
         raise ValueError(
-            f"direction dimension {m.shape[-1]} != body dimension {body.shape.n}"
+            f"direction dimension {omega.dim} != body dimension {body.shape.n}"
         )
-    return m[None] if m.ndim == 2 else m
+    return omega.mat[None]
 
 
 def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
@@ -155,7 +154,7 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
 def radial_function(body: BodySpec, omega) -> float:
     """Distance from I/N to the boundary of ``body`` along ``omega``."""
     r = _radial_batch(body, _direction_stack(body, omega), want_vectors=False)["r"]
-    return float(r[0]) if r.shape == (1,) else r
+    return float(r[0])
 
 
 def _contact_batch(body: BodySpec, omegas: np.ndarray):
@@ -210,7 +209,7 @@ def boundary_contact(body: BodySpec, omega) -> BoundaryContact:
     """
     point, normal, _, binding_pt, phi = _generic_contact(body, omega)
     return BoundaryContact(
-        point=DensityMatrix(point, check_psd=False),
+        point=DensityMatrix(point),
         normal=TracelessDirection(normal),
         binding="partial-transpose" if binding_pt else "direct",
         zero_eigvec=np.ascontiguousarray(phi),
@@ -243,4 +242,4 @@ def tangency_state(psi: np.ndarray, n: int | None = None) -> DensityMatrix:
         raise ValueError("zero vector")
     v = v / nrm
     proj = np.outer(v, np.conj(v))
-    return DensityMatrix((np.eye(n, dtype=complex) - proj) / (n - 1.0), check_psd=False)
+    return DensityMatrix((np.eye(n, dtype=complex) - proj) / (n - 1.0))

@@ -17,12 +17,11 @@ class DimensionMismatchError(ValueError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    """Accept a wrapper type or a bare array, return the underlying ndarray."""
-    if isinstance(a, HermitianMatrix):
-        return a.mat
-    m = np.asarray(a)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    """The ndarray of one square matrix, given as a wrapper type or a bare
+    array; a stack of matrices is rejected."""
+    m = a.mat if isinstance(a, HermitianMatrix) else np.asarray(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {m.shape}")
     return m
 
 
@@ -94,15 +93,11 @@ class HermitianMatrix:
 
 
 class DensityMatrix(HermitianMatrix):
-    """Hermitian, trace renormalized to one, positive semidefinite up to tol.
-
-    ``check_psd=False`` skips the eigenvalue check for matrices that are
-    positive by construction (e.g. G G^dag sampler output).
-    """
+    """Hermitian, trace renormalized to one, positive semidefinite up to tol."""
 
     __slots__ = ()
 
-    def __init__(self, mat, *, check_psd: bool = True):
+    def __init__(self, mat):
         super().__init__(mat)
         tr = float(np.trace(self.mat).real)
         if abs(tr) < 1e-14:
@@ -110,13 +105,12 @@ class DensityMatrix(HermitianMatrix):
         m = self.mat / tr
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(self.mat)[0])
-            if lo < -PSD_TOL:
-                raise ValueError(
-                    f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
-                    f"< -{PSD_TOL:.1e}"
-                )
+        lo = float(np.linalg.eigvalsh(self.mat)[0])
+        if lo < -PSD_TOL:
+            raise ValueError(
+                f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
+                f"< -{PSD_TOL:.1e}"
+            )
 
 
 class TracelessDirection(HermitianMatrix):
@@ -179,11 +173,11 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     but always returns a bare array: the partial transpose of a state need not
     be a state (a Bell state's has eigenvalue -1/2).
     """
-    m = _as_matrix(a)
+    m = a.mat if isinstance(a, HermitianMatrix) else np.asarray(a)
     n = shape.n
-    if m.shape[-1] != n:
+    if m.shape[-2:] != (n, n):
         raise DimensionMismatchError(
-            f"matrix dimension {m.shape[-1]} != {shape.k}*{shape.m} = {n}"
+            f"matrix shape {m.shape[-2:]} is not {shape.k}*{shape.m} = {n} square"
         )
     lead = m.shape[:-2]
     r = m.reshape(lead + (shape.k, shape.m, shape.k, shape.m))

@@ -3,14 +3,16 @@
 Every sampler is a pure function of an :class:`RngStream` value: calling it
 twice with the same stream and size returns bit-identical output. Distinct
 draws therefore need distinct streams, usually obtained via
-:meth:`RngStream.child`.
+:meth:`RngStream.child`. Samplers always return (size, N, N) stacks; a single
+draw is ``sample_*(shape, rng, 1)[0]``, on the same stream.
 
 ========================  =====================================================
 sampler                   distribution
 ========================  =====================================================
 sample_state_hs           Hilbert-Schmidt (flat) measure on the state body
 sample_boundary_state_hs  induced surface measure on the boundary (one
-                          eigenvalue exactly zero)
+                          eigenvalue exactly zero), with the zero
+                          eigenvectors
 sample_direction          uniform on the unit sphere of traceless Hermitian
                           (or real symmetric) matrices
 ========================  =====================================================
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermitian import BipartiteShape, DensityMatrix, TracelessDirection, hermitian_part
+from .hermitian import BipartiteShape, hermitian_part
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -101,19 +103,12 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
     return w / tr[:, None, None]
 
 
-def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int | None = None):
-    """States distributed by the flat Hilbert-Schmidt measure on the body.
-
-    Returns a :class:`DensityMatrix` when ``size`` is None, else a
-    (size, N, N) ndarray stack.
-    """
+def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
+    """A (size, N, N) stack of states distributed by the flat Hilbert-Schmidt
+    measure on the body."""
     n = shape.n
-    b = 1 if size is None else int(size)
     cols = n if shape.field == "complex" else n + 1
-    rho = _normalized_gram(_ginibre(rng.generator(), (b, n, cols), shape.field))
-    if size is None:
-        return DensityMatrix(rho[0], check_psd=False)
-    return rho
+    return _normalized_gram(_ginibre(rng.generator(), (size, n, cols), shape.field))
 
 
 def _logdensity_boundary(lam: np.ndarray, beta: int) -> np.ndarray:
@@ -198,40 +193,27 @@ def boundary_eigenvalues_wishart(
     return np.linalg.eigvalsh(states)[:, 1:]
 
 
-@dataclass(frozen=True)
-class BoundaryState:
-    """A boundary sample: the state and its (exact) zero eigenvector."""
-
-    state: DensityMatrix
-    zero_eigvec: np.ndarray
-
-
-def sample_boundary_state_hs(
-    shape: BipartiteShape, rng: RngStream, size: int | None = None
-):
+def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
     rho = P G G^dag P / Tr(P G G^dag P) with P = I - psi psi^dag, psi a
     normalized Gaussian vector and G a Ginibre matrix with one column more
     than the interior draw. psi is the zero eigenvector up to rounding, and
-    P does not depend on the phase of psi. Returns a :class:`BoundaryState`
-    for ``size=None``, else a pair (states, zero_eigvecs) of stacked arrays.
+    P does not depend on the phase of psi. Returns the pair (states,
+    zero_eigvecs) of (size, N, N) and (size, N) stacks.
     """
     n = shape.n
-    b = 1 if size is None else int(size)
     cols = n + 1 if shape.field == "complex" else n + 2
-    g = _ginibre(rng.child(0).generator(), (b, n, cols), shape.field)
-    psi = _ginibre(rng.child(1).generator(), (b, n), shape.field)
+    g = _ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
+    psi = _ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
-    rho = _normalized_gram(g)
-    if size is None:
-        return BoundaryState(DensityMatrix(rho[0], check_psd=False), psi[0])
-    return rho, psi
+    return _normalized_gram(g), psi
 
 
-def sample_direction(shape: BipartiteShape, rng: RngStream, size: int | None = None):
-    """Uniform directions on the traceless unit sphere of the body's span.
+def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
+    """A (size, N, N) stack of uniform directions on the traceless unit sphere
+    of the body's span.
 
     A Gaussian Hermitian (real symmetric) matrix with i.i.d. standard-normal
     coefficients on any Hilbert-Schmidt orthonormal basis, projected traceless
@@ -239,13 +221,9 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int | None = N
     generalized Gell-Mann basis without materializing the basis.
     """
     n = shape.n
-    b = 1 if size is None else int(size)
-    g = _ginibre(rng.generator(), (b, n, n), shape.field)
+    g = _ginibre(rng.generator(), (size, n, n), shape.field)
     h = hermitian_part(g)
     tr = np.trace(h, axis1=-2, axis2=-1).real
     h = h - (tr / n)[:, None, None] * np.eye(n, dtype=h.dtype)
     nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
-    h = h / nrm[:, None, None]
-    if size is None:
-        return TracelessDirection(h[0])
-    return h
+    return h / nrm[:, None, None]

@@ -55,6 +55,15 @@ def test_config_error_exit_two(tmp_path, capsys):
         assert f"config error: {name}:" in capsys.readouterr().err
 
 
+def test_non_finite_tolerance_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(write_cfg(tmp_path).read_text()[:-1]
+                   + ', "tolerances": {"sigma": Infinity}}')
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: tolerances.sigma:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_error_exit_three(tmp_path, capsys):
     cfg = write_cfg(tmp_path, experiment="polytope-gamma", shape=None,
                     generators=[[1, 0], [0, 1]])

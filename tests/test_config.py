@@ -92,7 +92,7 @@ def test_corner_probe_delta_validation():
     good = {"experiment": "corner-probe", "shape": "2x2", "n_samples": 1000,
             "seed": 0, "deltas": [1e-1, 1e-3]}
     assert config_from_dict(good).deltas == (1e-1, 1e-3)
-    for bad in ([1e-3, 1e-1], 0.1, ["a"], [0.1, None], "0.1", [], [0.1]):
+    for bad in ([1e-3, 1e-1], 0.1, ["a"], [0.1, None], "0.1", [], [0.1], [0.1, 0.0]):
         with pytest.raises(ConfigError) as err:
             config_from_dict({**good, "deltas": bad})
         assert err.value.field == "deltas"
@@ -158,6 +158,34 @@ def test_sampler_validate_rejects_shards():
     with pytest.raises(ConfigError) as err:
         config_from_dict({**d, "shards": 2})
     assert err.value.field == "shards"
+
+
+def test_shards_beyond_samples_are_rejected():
+    assert config_from_dict(base(shards=1000)).shards == 1000
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(base(shards=1001))
+    assert err.value.field == "shards"
+
+
+def test_non_finite_numbers_are_rejected(tmp_path):
+    # json parses NaN and Infinity; a record cannot hold them, so they must
+    # fail here rather than after the run
+    gamma = '"experiment": "gamma", "shape": "1x3"'
+    probe = '"experiment": "corner-probe", "shape": "2x2"'
+    cube = '"experiment": "polytope-gamma", "preset": "cube", "dim": 3'
+    cases = [
+        (gamma, '"tolerances": {"sigma": Infinity}', "tolerances.sigma"),
+        (gamma, '"tolerances": {"p_threshold": NaN}', "tolerances.p_threshold"),
+        (probe, '"deltas": [Infinity, 0.1]', "deltas"),
+        (cube, '"target": NaN', "target"),
+        (cube, '"target": -Infinity', "target"),
+    ]
+    path = tmp_path / "cfg.json"
+    for head, text, name in cases:
+        path.write_text(f'{{{head}, "n_samples": 1000, "seed": 0, {text}}}')
+        with pytest.raises(ConfigError) as err:
+            config_from_json(path)
+        assert err.value.field == name
 
 
 def test_hash_is_stable_and_sensitive():

@@ -245,3 +245,5 @@ def test_corner_probe_validates_deltas():
         corner_probe(shape, 1000, (1e-2, 1e-1), RngStream(1))  # not decreasing
     with pytest.raises(ValueError):
         corner_probe(shape, 1000, (1e-1, -1e-2), RngStream(1))  # negative
+    with pytest.raises(ValueError):
+        corner_probe(shape, 1000, (1e-1, 0.0), RngStream(1))  # passes vacuously

@@ -17,13 +17,19 @@ from statebody import (
     boundary_contact,
     hs_distance,
     hs_inner,
+    hs_norm,
     inscribed_radius,
+    is_ppt,
+    min_eigenvalue,
+    negativity,
     partial_transpose,
     radial_function,
     sample_direction,
+    sample_state_hs,
     support_height,
     tangency_state,
 )
+from statebody.geometry import _radial_batch
 
 HEIGHT_TOL = 1e-9
 MEMBERSHIP_SLACK = 1e-13
@@ -130,7 +136,7 @@ def test_radial_stack_matches_singles():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs = radial_function(body, omegas)
+    rs = _radial_batch(body, omegas, want_vectors=False)["r"]
     assert rs.shape == (20,)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])
@@ -142,6 +148,30 @@ def test_radial_rejects_bad_directions():
         radial_function(body, np.eye(4))  # not traceless
     with pytest.raises(ValueError):
         radial_function(body, np.diag([1.0, -1.0, 0.0]))  # wrong dimension
+
+
+_SHAPE = BipartiteShape(2, 2)
+_PPT = BodySpec("ppt", _SHAPE)
+
+
+@pytest.mark.parametrize("query", [
+    lambda om, rho: radial_function(_PPT, om),
+    lambda om, rho: boundary_contact(_PPT, om),
+    lambda om, rho: support_height(_PPT, om),
+    lambda om, rho: hs_inner(rho, rho),
+    lambda om, rho: hs_norm(rho),
+    lambda om, rho: hs_distance(rho, rho),
+    lambda om, rho: min_eigenvalue(rho),
+    lambda om, rho: negativity(rho, _SHAPE),
+    lambda om, rho: is_ppt(rho, _SHAPE),
+], ids=["radial_function", "boundary_contact", "support_height", "hs_inner",
+        "hs_norm", "hs_distance", "min_eigenvalue", "negativity", "is_ppt"])
+def test_single_item_queries_reject_stacks(query):
+    """A (k, N, N) stack is an error, not an answer for row 0 or a sum."""
+    omegas = sample_direction(_SHAPE, RngStream(47), size=5)
+    states = sample_state_hs(_SHAPE, RngStream(48), size=5)
+    with pytest.raises(ValueError):
+        query(omegas, states)
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,6 @@ def test_density_matrix_rejects_negative_eigenvalue():
     bad = np.diag([1.2, -0.2, 0.0])
     with pytest.raises(ValueError):
         DensityMatrix(bad)
-    # the check can be waived for trusted bulk input
-    DensityMatrix(bad, check_psd=False)
 
 
 def test_traceless_direction_validates():

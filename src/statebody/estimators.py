@@ -119,6 +119,16 @@ def _degenerate(n_nongeneric: int, n: int) -> bool:
     return n_nongeneric / max(n, 1) >= NONGENERIC_WARN_FRACTION
 
 
+def _require_generic(n_gen: int, n: int):
+    """Raise :class:`InsufficientSamplesError` when n_gen generic directions
+    out of n leave a :func:`_degenerate` non-generic share."""
+    if _degenerate(n - n_gen, n):
+        raise InsufficientSamplesError(
+            f"non-generic fraction {(n - n_gen) / n:.2e} too large; "
+            "the body looks degenerate"
+        )
+
+
 def sphere_area(d: int) -> float:
     """Surface area 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
     if d < 1:
@@ -225,9 +235,9 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     def kernel(stream, count):
         omegas = sample_direction(body.shape, stream, count)
         if not heights:
-            return (np.log(_radial_batch(body, omegas, want_vectors=False)["r"]),)
-        _, _, h, data, nong = _contact_batch(body, omegas)
-        return np.log(data["r"]), h, ~nong
+            return (np.log(_radial_batch(body, omegas, want_vectors=False)[0]),)
+        r, h, _, _, nong = _contact_batch(body, omegas)
+        return np.log(r), h, ~nong
 
     out = _sweep(n, rng, shards, kernel)
     logr, h, gen = out if heights else (out[0], None, None)
@@ -237,16 +247,9 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 def _generic_terms(rad: _Radial, n: int):
     """Volume and area integrands r^D and r^D / h on the generic directions.
 
-    Non-generic directions (no unique supporting face) are discarded; they
-    form a measure-zero set, so a discarded fraction of NONGENERIC_WARN_FRACTION
-    or more means the body is degenerate.
+    Non-generic directions (no unique supporting face) are discarded.
     """
-    n_gen = int(np.sum(rad.generic))
-    if _degenerate(n - n_gen, n):
-        raise InsufficientSamplesError(
-            f"non-generic fraction {(n - n_gen) / n:.2e} too large; "
-            "the body looks degenerate"
-        )
+    _require_generic(int(np.sum(rad.generic)), n)
     v = np.exp(rad.dim * rad.logr[rad.generic])
     return v, v / rad.h[rad.generic]
 
@@ -403,7 +406,8 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> E
     Weighs each sampled direction by its surface element and tests the contact
     point for PPT; agrees with estimate_p_boundary without ever drawing a
     boundary sample, which makes it an independent check on the boundary
-    sampler's eigenvalue density.
+    sampler's eigenvalue density. Too many non-generic directions raise
+    :class:`InsufficientSamplesError`, as in the area estimators.
     """
     _check_n(n)
     body = BodySpec("full", shape)
@@ -411,12 +415,13 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> E
 
     def kernel(stream, count):
         omegas = sample_direction(shape, stream, count)
-        points, _, h, data, nong = _contact_batch(body, omegas)
+        r, h, _, _, nong = _contact_batch(body, omegas)
         gen = ~nong
-        w = np.exp(d * np.log(data["r"][gen])) / h[gen]
-        return w, _ppt_mask(points[gen], shape)
+        w = np.exp(d * np.log(r[gen])) / h[gen]
+        return w, _ppt_mask(body.center + r[gen, None, None] * omegas[gen], shape)
 
     w, hits = _sweep(n, rng, 1, kernel)
+    _require_generic(len(w), n)
     value, stderr = _ratio_estimate(w * hits.astype(float), w, 1.0)
     return Estimate(value, stderr, len(w), rng.describe(),
                     f"boundary_ppt_fraction[{shape}]")

@@ -11,8 +11,11 @@ and the PPT body is the minimum of that constraint and the same constraint
 applied to the partially transposed direction. Both bodies have constant
 height: every generic boundary point lies on a face tangent to the insphere of
 radius 1/sqrt((N-1)N), which the support-height computation certifies
-numerically. The single-direction queries run the batch kernels the
-estimators use on a stack of one.
+numerically. The batch contact kernel reads each support height off the
+binding eigenpair (the zero eigenvector phi of omega or of its partial
+transpose), so it forms no contact point, projector or normal; only the
+single-direction queries, which run the same kernel on a stack of one, build
+the one point and normal they return.
 """
 
 from __future__ import annotations
@@ -104,84 +107,63 @@ def _direction_stack(body: BodySpec, omega) -> np.ndarray:
 
 
 def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
-    """Radial data for a stack of directions.
-
-    Returns a dict with radii ``r``, binding masks, smallest-eigenvalue gaps
-    and (optionally) the zero eigenvectors of the touching points, all as
-    stacked arrays. Vectorized over the leading axis.
+    """Radial data ``(r, binding_pt, nongeneric, phi)`` for a stack of
+    directions: radii, where the partial-transpose constraint binds, where the
+    touching face is not unique (degenerate smallest eigenvalue of the binding
+    matrix, or both constraints within GAP_TOL: a corner), and the zero
+    eigenvectors of the binding matrices (None unless ``want_vectors``).
     """
     n = body.shape.n
-    eig = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
-
-    def crunch(mats):
-        if want_vectors:
-            w, v = eig(mats)
-            return w, v[..., 0]
-        return eig(mats), None
-
-    w1, phi1 = crunch(omegas)
-    lmin1 = w1[..., 0]
-    if np.any(lmin1 >= 0):
+    mats = [omegas]
+    if body.kind == "ppt":
+        mats.append(partial_transpose(omegas, body.shape))
+    solved = [np.linalg.eigh(m) if want_vectors else (np.linalg.eigvalsh(m), None)
+              for m in mats]
+    w = np.stack([eigvals for eigvals, _ in solved])  # (constraints, B, N)
+    if np.any(w[0, :, 0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
-    r1 = 1.0 / (n * (-lmin1))
-    gap1 = w1[..., 1] - w1[..., 0]
-
-    if body.kind == "full":
-        return {
-            "r": r1,
-            "binding_pt": np.zeros(r1.shape, dtype=bool),
-            "gap": gap1,
-            "phi": phi1,
-            "corner": np.zeros(r1.shape, dtype=bool),
-        }
-
-    pt = partial_transpose(omegas, body.shape)
-    w2, phi2 = crunch(pt)
-    lmin2 = w2[..., 0]
-    r2 = 1.0 / (n * (-lmin2))
-    gap2 = w2[..., 1] - w2[..., 0]
-
-    binding_pt = r2 < r1
-    r = np.where(binding_pt, r2, r1)
-    gap = np.where(binding_pt, gap2, gap1)
-    corner = np.abs(r1 - r2) <= GAP_TOL
+    radii = 1.0 / (n * -w[..., 0])
+    binding_pt = radii[-1] < radii[0]  # never true for the full body
+    gap = w[..., 1] - w[..., 0]
+    nongeneric = np.where(binding_pt, gap[-1], gap[0]) <= GAP_TOL
+    if body.kind == "ppt":
+        nongeneric |= np.abs(radii[0] - radii[1]) <= GAP_TOL
     phi = None
     if want_vectors:
-        phi = np.where(binding_pt[..., None], phi2, phi1)
-    return {"r": r, "binding_pt": binding_pt, "gap": gap, "phi": phi, "corner": corner}
+        vecs = [eigvecs[..., 0] for _, eigvecs in solved]
+        phi = np.where(binding_pt[:, None], vecs[-1], vecs[0])
+    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric, phi
 
 
 def radial_function(body: BodySpec, omega) -> float:
     """Distance from I/N to the boundary of ``body`` along ``omega``."""
-    r = _radial_batch(body, _direction_stack(body, omega), want_vectors=False)["r"]
+    r = _radial_batch(body, _direction_stack(body, omega), want_vectors=False)[0]
     return float(r[0])
 
 
 def _contact_batch(body: BodySpec, omegas: np.ndarray):
-    """Points, normals and support heights for a stack of directions.
+    """``(r, heights, binding_pt, phi, nongeneric)`` for a stack of directions.
 
-    The outward unit normal at a generic contact point is the normalized
-    traceless part of -P_phi (direct binding) or of -T_A(P_phi) (partial
-    transpose binding), phi being the zero eigenvector of the binding matrix.
-    Non-generic directions (eigenvalue gap or constraint tie below GAP_TOL)
-    are returned flagged, not raised.
+    The outward unit normal at a generic contact is c (I/N - P), c =
+    sqrt(N/(N-1)), P the projector onto the zero eigenvector phi of the
+    binding matrix M (omega or T_A(omega)), partially transposed when M is.
+    As <omega, T_A(P)> = <T_A(omega), P>, the support height <r omega, normal>
+    is c r (tr omega / N - <phi|M|phi>): no point, projector or normal is
+    formed. Non-generic directions are returned flagged, not raised.
     """
-    n = body.shape.n
-    data = _radial_batch(body, omegas, want_vectors=True)
-    r, phi = data["r"], data["phi"]
-    points = maximally_mixed(n, body.shape.field) + r[:, None, None] * omegas
-    proj = phi[:, :, None] * np.conj(phi[:, None, :])
+    k, m, n = body.shape.k, body.shape.m, body.shape.n
+    r, binding_pt, nongeneric, phi = _radial_batch(body, omegas, want_vectors=True)
+    blocks = omegas.reshape(-1, k, m, k, m)
+    ket = phi.reshape(-1, k, m)
+    bra = np.conj(ket)
+    quad = np.einsum("bac,bacxy,bxy->b", bra, blocks, ket)
     if body.kind == "ppt":
-        proj_pt = partial_transpose(proj, body.shape)
-        proj = np.where(data["binding_pt"][:, None, None], proj_pt, proj)
-    scale = 1.0 / np.sqrt((n - 1.0) / n)
-    normals = scale * (np.eye(n, dtype=proj.dtype) / n - proj)
-    # support height <point - center, normal>; equals the insphere radius
-    # for constant-height bodies
-    diff = points - np.eye(n, dtype=points.dtype) / n
-    heights = np.sum(diff * np.conj(normals), axis=(-2, -1)).real
-    nongeneric = (data["gap"] <= GAP_TOL) | data["corner"]
-    return points, normals, heights, data, nongeneric
+        # <phi|T_A(omega)|phi>: the partial transpose swaps the two A indices
+        quad_pt = np.einsum("bac,bxcay,bxy->b", bra, blocks, ket)
+        quad = np.where(binding_pt, quad_pt, quad)
+    trace = np.trace(omegas, axis1=-2, axis2=-1)
+    heights = np.sqrt(n / (n - 1.0)) * r * (trace / n - quad).real
+    return r, heights, binding_pt, phi, nongeneric
 
 
 def _generic_contact(body: BodySpec, omega):
@@ -190,15 +172,20 @@ def _generic_contact(body: BodySpec, omega):
     touching face is not unique (degenerate smallest eigenvalue, or a corner
     of the PPT body where both constraints bind).
     """
-    points, normals, heights, data, nongeneric = _contact_batch(
-        body, _direction_stack(body, omega))
+    omegas = _direction_stack(body, omega)
+    r, heights, binding_pt, phi, nongeneric = _contact_batch(body, omegas)
     if bool(nongeneric[0]):
         raise NonGenericDirectionError(
-            f"direction is non-generic (eigenvalue gap {data['gap'][0]:.2e} "
-            f"or constraint tie); supporting hyperplane not unique"
+            "direction is non-generic (degenerate smallest eigenvalue or "
+            "constraint tie); supporting hyperplane not unique"
         )
-    return (points[0], normals[0], float(heights[0]), bool(data["binding_pt"][0]),
-            data["phi"][0])
+    n = body.shape.n
+    proj = np.outer(phi[0], np.conj(phi[0]))
+    if binding_pt[0]:
+        proj = partial_transpose(proj, body.shape)
+    normal = np.sqrt(n / (n - 1.0)) * (np.eye(n) / n - proj)
+    point = body.center + r[0] * omegas[0]
+    return point, normal, float(heights[0]), bool(binding_pt[0]), phi[0]
 
 
 def boundary_contact(body: BodySpec, omega) -> BoundaryContact:
@@ -226,20 +213,20 @@ def support_height(body: BodySpec, omega) -> float:
     return _generic_contact(body, omega)[2]
 
 
-def tangency_state(psi: np.ndarray, n: int | None = None) -> DensityMatrix:
+def tangency_state(psi: np.ndarray) -> DensityMatrix:
     """The state (I - |psi><psi|)/(N-1): one eigenvalue zero, the rest equal.
 
     It is the point where the face of states orthogonal to psi touches the
-    insphere, at distance exactly 1/sqrt((N-1)N) from I/N.
+    insphere, at distance exactly 1/sqrt((N-1)N) from I/N. ``psi`` is one
+    vector of length N >= 2; anything else is rejected.
     """
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if n is None:
-        n = v.size
-    if v.size != n:
-        raise ValueError(f"vector length {v.size} != dimension {n}")
+    v = np.asarray(psi, dtype=complex)
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError(f"expected one vector of length >= 2, got shape {v.shape}")
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-14:
         raise ValueError("zero vector")
     v = v / nrm
+    n = v.size
     proj = np.outer(v, np.conj(v))
     return DensityMatrix((np.eye(n, dtype=complex) - proj) / (n - 1.0))

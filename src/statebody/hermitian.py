@@ -74,9 +74,7 @@ class HermitianMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = np.asarray(mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = _as_matrix(mat)
         m = hermitian_part(m.astype(np.result_type(m.dtype, np.float64)))
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -133,9 +133,9 @@ def _binding(body: TangentBody, dirs: np.ndarray):
 
 
 def _unit_direction(body: TangentBody, direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float).reshape(-1)
-    if d.size != body.dim:
-        raise ValueError(f"direction length {d.size} != dim {body.dim}")
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (body.dim,):
+        raise ValueError(f"expected one vector of length {body.dim}, got shape {d.shape}")
     nrm = np.linalg.norm(d)
     if not np.isfinite(nrm) or nrm < 1e-300:
         raise ValueError("direction must be a nonzero vector")

@@ -36,27 +36,17 @@ def _quantile_edges(pooled: np.ndarray, bins: int) -> np.ndarray:
     return np.unique(edges)
 
 
-def two_sample_chi2(x: np.ndarray, y: np.ndarray) -> float:
-    """p-value of a two-sample chi-squared test on CHI2_BINS quantile bins."""
-    edges = _quantile_edges(np.concatenate([x, y]), CHI2_BINS)
-    cx, _ = np.histogram(x, bins=edges)
-    cy, _ = np.histogram(y, bins=edges)
-    keep = (cx + cy) > 0
-    table = np.vstack([cx[keep], cy[keep]])
-    if table.shape[1] < 2:
-        return 1.0
-    return float(stats.chi2_contingency(table).pvalue)
+def two_sample_chi2(x: np.ndarray, y: np.ndarray, bins: int) -> float:
+    """p-value of a two-sample chi-squared test on (n, d) samples.
 
-
-def two_sample_chi2_2d(x: np.ndarray, y: np.ndarray) -> float:
-    """Joint version for pairs of statistics, on CHI2_BINS_2D marginal
-    quantiles per axis."""
-    edges0 = _quantile_edges(np.concatenate([x[:, 0], y[:, 0]]), CHI2_BINS_2D)
-    edges1 = _quantile_edges(np.concatenate([x[:, 1], y[:, 1]]), CHI2_BINS_2D)
-    cx, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=(edges0, edges1))
-    cy, _, _ = np.histogram2d(y[:, 0], y[:, 1], bins=(edges0, edges1))
-    cx, cy = cx.ravel(), cy.ravel()
-    keep = (cx + cy) >= 10  # merge-by-drop of near-empty corner cells
+    The cells are the grid of ``bins`` pooled marginal quantile bins per axis;
+    cells holding fewer than 10 pooled counts (near-empty corners) are dropped.
+    """
+    pooled = np.concatenate([x, y])
+    edges = [_quantile_edges(pooled[:, j], bins) for j in range(pooled.shape[1])]
+    cx = np.histogramdd(x, bins=edges)[0].ravel()
+    cy = np.histogramdd(y, bins=edges)[0].ravel()
+    keep = (cx + cy) >= 10
     table = np.vstack([cx[keep], cy[keep]])
     if table.shape[1] < 2:
         return 1.0
@@ -91,13 +81,13 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     ks = stats.ks_2samp(lam3_w[:, -1], lam3_m[:, -1])
     checks["boundary_lmax_ks_n3"] = {
         "p_value": float(ks.pvalue), "passed": bool(ks.pvalue > p_threshold)}
-    p3 = two_sample_chi2(lam3_w[:, -1], lam3_m[:, -1])
+    p3 = two_sample_chi2(lam3_w[:, -1:], lam3_m[:, -1:], CHI2_BINS)
     checks["boundary_joint_chi2_n3"] = {
         "p_value": p3, "passed": bool(p3 > p_threshold)}
 
     lam4_w = boundary_eigenvalues_wishart(4, field, rng.child(12), n)
     lam4_m = boundary_eigenvalues_metropolis(4, field, rng.child(13), n)
-    p4 = two_sample_chi2_2d(lam4_w[:, 1:], lam4_m[:, 1:])
+    p4 = two_sample_chi2(lam4_w[:, 1:], lam4_m[:, 1:], CHI2_BINS_2D)
     checks["boundary_joint_chi2_n4"] = {
         "p_value": p4, "passed": bool(p4 > p_threshold)}
 

@@ -114,6 +114,9 @@ def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     for estimator in (mc_area, mc_gamma, height_certificate):
         with pytest.raises(InsufficientSamplesError):
             estimator(QUBIT, 500, RngStream(2))
+    # the radial-ratio boundary PPT fraction discards them by the same rule
+    with pytest.raises(InsufficientSamplesError, match="fraction"):
+        mc_boundary_ppt_fraction(QUBIT.shape, 500, RngStream(2))
 
 
 def test_nongeneric_fraction_rule_is_shared(monkeypatch):
@@ -122,9 +125,9 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
     contact = estimators._contact_batch
 
     def flagged(body, omegas):
-        points, normals, heights, data, nongeneric = contact(body, omegas)
+        r, heights, binding_pt, phi, nongeneric = contact(body, omegas)
         nongeneric[: len(nongeneric) // 100] = True
-        return points, normals, heights, data, nongeneric
+        return r, heights, binding_pt, phi, nongeneric
 
     monkeypatch.setattr(estimators, "_contact_batch", flagged)
     body = BodySpec("full", BipartiteShape(1, 3))

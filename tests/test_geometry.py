@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from statebody import (
     BipartiteShape,
     BodySpec,
+    DensityMatrix,
+    HermitianMatrix,
     NonGenericDirectionError,
     RngStream,
     TracelessDirection,
@@ -29,7 +31,7 @@ from statebody import (
     support_height,
     tangency_state,
 )
-from statebody.geometry import _radial_batch
+from statebody.geometry import _contact_batch, _radial_batch
 
 HEIGHT_TOL = 1e-9
 MEMBERSHIP_SLACK = 1e-13
@@ -136,7 +138,7 @@ def test_radial_stack_matches_singles():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs = _radial_batch(body, omegas, want_vectors=False)["r"]
+    rs = _radial_batch(body, omegas, want_vectors=False)[0]
     assert rs.shape == (20,)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])
@@ -148,6 +150,19 @@ def test_radial_rejects_bad_directions():
         radial_function(body, np.eye(4))  # not traceless
     with pytest.raises(ValueError):
         radial_function(body, np.diag([1.0, -1.0, 0.0]))  # wrong dimension
+
+
+def test_wrapper_input_matches_array_input():
+    body = BodySpec("full", BipartiteShape(1, 2))
+    om = np.diag([1.0, -1.0]) / np.sqrt(2.0)
+    assert radial_function(body, HermitianMatrix(om)) == radial_function(body, om)
+    assert np.array_equal(TracelessDirection(HermitianMatrix(om)).mat,
+                          TracelessDirection(om).mat)
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    assert np.array_equal(HermitianMatrix(rho).mat, HermitianMatrix(rho.mat).mat)
+    # a state is unwrapped, then rejected for what it is: not traceless
+    with pytest.raises(ValueError, match="traceless"):
+        TracelessDirection(rho)
 
 
 _SHAPE = BipartiteShape(2, 2)
@@ -239,6 +254,29 @@ def test_support_height_is_inscribed_radius(field, kind, km):
     assert checked >= 38  # non-generic directions have measure zero
 
 
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("kind,km", [("full", (1, 3)), ("full", (2, 2)),
+                                     ("ppt", (2, 2)), ("ppt", (2, 3))])
+def test_batch_heights_match_explicit_contacts(field, kind, km):
+    """The batch kernel's support heights, read off the binding eigenpair,
+    equal <x - I/N, n(x)> from the explicit point and normal."""
+    shape = BipartiteShape(km[0], km[1], field)
+    body = BodySpec(kind, shape)
+    omegas = sample_direction(shape, RngStream(53), size=30)
+    _, heights, binding_pt, _, nongeneric = _contact_batch(body, omegas)
+    center = np.eye(shape.n) / shape.n
+    checked = 0
+    for om, h, ng in zip(omegas, heights, nongeneric):
+        if ng:
+            continue
+        c = boundary_contact(body, om)
+        assert abs(h - hs_inner(c.point.mat - center, c.normal.mat).real) <= 1e-12
+        checked += 1
+    assert checked >= 28
+    if kind == "ppt":  # both constraints bind somewhere in the sample
+        assert 0 < np.sum(binding_pt) < len(omegas)
+
+
 def test_contact_normal_properties():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
@@ -271,7 +309,7 @@ def test_contact_normal_properties():
 def test_tangency_state_properties(seed, n):
     gen = np.random.default_rng(seed)
     psi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    tau = tangency_state(psi, n)
+    tau = tangency_state(psi)
     eigs = np.linalg.eigvalsh(tau.mat)
     assert eigs[0] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(eigs[1:], 1 / (n - 1), atol=1e-12)
@@ -285,5 +323,6 @@ def test_tangency_state_properties(seed, n):
 def test_tangency_state_rejects_zero_vector():
     with pytest.raises(ValueError):
         tangency_state(np.zeros(3))
-    with pytest.raises(ValueError):
-        tangency_state(np.ones(3), n=4)
+    # one vector per call: a matrix is not read as its flattened entries
+    with pytest.raises(ValueError, match="one vector"):
+        tangency_state(np.eye(2))

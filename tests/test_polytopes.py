@@ -143,6 +143,9 @@ def test_direction_validation():
         polar_radial(body, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         polar_radial(body, [0.0, 0.0])
+    # one vector per call: a matrix is not read as its flattened entries
+    with pytest.raises(ValueError, match="one vector"):
+        polar_radial(TangentBody(cube_generators(4)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

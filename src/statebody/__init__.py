@@ -17,6 +17,7 @@ from .estimators import (
     HeightCertificate,
     InsufficientSamplesError,
     OmegaReport,
+    RadiusLaw,
     corner_probe,
     cross_validate_area,
     estimate_omega,
@@ -27,6 +28,7 @@ from .estimators import (
     mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
+    radius_law,
     sphere_area,
 )
 from .experiments import run_experiment, summary_line

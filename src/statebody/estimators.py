@@ -8,7 +8,11 @@ Volume and area come from radial integrals over uniform directions omega:
 with D the body dimension and n(omega) the outward unit normal at the contact
 point. The same four estimators (volume, area, gamma, height certificate)
 serve the state bodies and the polytopes of :mod:`statebody.polytopes`; only
-the per-direction kernel that yields (log r, height, generic) differs.
+the per-direction kernel that yields (log r, height, generic) differs. On a
+state body that kernel solves for eigenvalues only, and its heights equal the
+insphere radius by construction, so the state-body test of constant height
+that can fail is :func:`radius_law`: boundary radii against interior radial
+values in a two-sample KS test.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
 from . import polytopes
 from .geometry import (
@@ -96,7 +101,13 @@ class HeightCertificate:
     """Sampled constant-height certificate for one body.
 
     ``insphere_radius`` is the radius the support heights are compared with:
-    the insphere radius of a state body, the unit sphere of a polytope.
+    the insphere radius of a state body, the unit sphere of a polytope. On a
+    state body every sampled height is c r (tr omega / N - lambda_min) with
+    r = 1 / (N |lambda_min|), the insphere radius identically, so the
+    certificate reads only eigensolver rounding and cannot fail there;
+    :class:`RadiusLaw` is the state-body test that can. State bodies keep it
+    because the benchmark's gamma-radial workload runs the height-check
+    experiment.
     """
 
     body: str
@@ -111,6 +122,22 @@ class HeightCertificate:
     def passed(self) -> bool:
         return (self.max_abs_deviation <= self.tol
                 and not _degenerate(self.n_nongeneric, self.n_samples))
+
+
+@dataclass(frozen=True)
+class RadiusLaw:
+    """Two-sample KS test of the constant-height radius law on one state body.
+
+    ``p_value`` compares ``n_boundary`` boundary radii with ``n_interior``
+    interior radii; a small value refutes constant height or one of the
+    samplers.
+    """
+
+    body: str
+    n_boundary: int
+    n_interior: int
+    p_value: float
+    seed: str
 
 
 def _degenerate(n_nongeneric: int, n: int) -> bool:
@@ -204,26 +231,25 @@ class _Radial:
     """Per-direction radial samples of one body.
 
     ``logr`` holds log r(omega), ``h`` the support height of the face met and
-    ``generic`` whether that face is unique; both are None when heights were
-    not asked for. ``r_in`` is the insphere radius when it is known exactly,
-    else None.
+    ``generic`` whether that face is unique. ``r_in`` is the insphere radius
+    when it is known exactly, else None.
     """
 
     dim: int
     r_in: float | None
     logr: np.ndarray
-    h: np.ndarray | None
-    generic: np.ndarray | None
+    h: np.ndarray
+    generic: np.ndarray
 
 
 def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
-            shards: int, heights: bool = True) -> _Radial:
+            shards: int) -> _Radial:
     """Sweep n uniform directions of a state body or a polytope.
 
-    State bodies draw traceless directions in chunks of BATCH, and without
-    heights solve for eigenvalues only. Polytopes draw in chunks of
-    polytopes._SWEEP_BATCH and measure heights against the unit sphere, which
-    is their insphere when every generator has unit norm.
+    State bodies draw traceless directions in chunks of BATCH and run the
+    eigenvalue-only contact kernel for every estimator. Polytopes draw in
+    chunks of polytopes._SWEEP_BATCH and measure heights against the unit
+    sphere, which is their insphere when every generator has unit norm.
     """
     if isinstance(body, polytopes.TangentBody):
         logr, h, gen = _sweep(
@@ -234,13 +260,10 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     def kernel(stream, count):
         omegas = sample_direction(body.shape, stream, count)
-        if not heights:
-            return (np.log(_radial_batch(body, omegas, want_vectors=False)[0]),)
         r, h, _, _, nong = _contact_batch(body, omegas)
         return np.log(r), h, ~nong
 
-    out = _sweep(n, rng, shards, kernel)
-    logr, h, gen = out if heights else (out[0], None, None)
+    logr, h, gen = _sweep(n, rng, shards, kernel)
     return _Radial(body.shape.dim_body, inscribed_radius(body.shape.n), logr, h, gen)
 
 
@@ -259,7 +282,7 @@ def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     """Volume of a state body or polytope by the radial integral over
     uniform directions."""
     _check_n(n)
-    rad = _radial(body, n, rng, shards, heights=False)
+    rad = _radial(body, n, rng, shards)
     d = rad.dim
     value, stderr = _mean_estimate(np.exp(d * rad.logr), sphere_area(d) / d)
     return Estimate(value, stderr, n, rng.describe(), f"mc_volume[{body}]")
@@ -317,6 +340,46 @@ def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
         tol=tol,
         seed=rng.describe(),
     )
+
+
+def radius_law(body: BodySpec, n: int, rng: RngStream) -> RadiusLaw:
+    """KS test of the radius law on n boundary and n interior draws.
+
+    Under the surface measure the direction of a boundary point has density
+    r^{D-1} / cos(theta) = r^D / h, which for constant height h is the volume
+    measure's r^D. So the radius |x - I/N| of a sample_boundary_state_hs
+    state (stream child 0) has the law of r(omega) at the unit direction of a
+    sample_state_hs state (child 1); the boundary side needs no eigensolve. A
+    PPT body keeps the PPT rows of both sides: the partial transpose is an
+    isometry fixing I/N, so the reflected faces the boundary sampler never
+    reaches carry the same radius law. No kept row on either side raises
+    :class:`InsufficientSamplesError`.
+    """
+    _check_n(n)
+    shape = body.shape
+
+    def kept(states):
+        """Deviations from I/N of the kept rows and their norms."""
+        if body.kind == "ppt":
+            states = states[_ppt_mask(states, shape)]
+        dev = states - body.center
+        return dev, np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
+
+    def boundary(stream, count):
+        return (kept(sample_boundary_state_hs(shape, stream, count)[0])[1],)
+
+    def interior(stream, count):
+        dev, nrm = kept(sample_state_hs(shape, stream, count))
+        return (_radial_batch(body, dev / nrm[:, None, None])[0],)
+
+    (r_bdy,) = _sweep(n, rng.child(0), 1, boundary)
+    (r_int,) = _sweep(n, rng.child(1), 1, interior)
+    if len(r_bdy) == 0 or len(r_int) == 0:
+        raise InsufficientSamplesError(
+            f"no PPT {'boundary' if len(r_bdy) == 0 else 'interior'} state in "
+            f"{n} draws for {body}; the radius law needs both sides")
+    p_value = float(stats.ks_2samp(r_bdy, r_int).pvalue)
+    return RadiusLaw(str(body), len(r_bdy), len(r_int), p_value, rng.describe())
 
 
 def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,

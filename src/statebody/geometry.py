@@ -11,11 +11,12 @@ and the PPT body is the minimum of that constraint and the same constraint
 applied to the partially transposed direction. Both bodies have constant
 height: every generic boundary point lies on a face tangent to the insphere of
 radius 1/sqrt((N-1)N), which the support-height computation certifies
-numerically. The batch contact kernel reads each support height off the
-binding eigenpair (the zero eigenvector phi of omega or of its partial
-transpose), so it forms no contact point, projector or normal; only the
-single-direction queries, which run the same kernel on a stack of one, build
-the one point and normal they return.
+numerically. Every batch kernel solves for eigenvalues only: the support
+height follows from the smallest eigenvalue of the binding matrix (omega or
+its partial transpose), so no eigenvector, contact point, projector or normal
+is formed. Only the single-direction queries, which run the same kernel on a
+stack of one, solve for the one zero eigenvector that gives the point and
+normal they return.
 """
 
 from __future__ import annotations
@@ -106,20 +107,18 @@ def _direction_stack(body: BodySpec, omega) -> np.ndarray:
     return omega.mat[None]
 
 
-def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
-    """Radial data ``(r, binding_pt, nongeneric, phi)`` for a stack of
-    directions: radii, where the partial-transpose constraint binds, where the
-    touching face is not unique (degenerate smallest eigenvalue of the binding
-    matrix, or both constraints within GAP_TOL: a corner), and the zero
-    eigenvectors of the binding matrices (None unless ``want_vectors``).
+def _radial_batch(body: BodySpec, omegas: np.ndarray):
+    """Radial data ``(r, binding_pt, nongeneric, w_min)`` for a stack of
+    directions, from eigenvalues alone: radii, where the partial-transpose
+    constraint binds, where the touching face is not unique (degenerate
+    smallest eigenvalue of the binding matrix, or both constraints within
+    GAP_TOL: a corner), and the smallest eigenvalue of the binding matrix.
     """
     n = body.shape.n
     mats = [omegas]
     if body.kind == "ppt":
         mats.append(partial_transpose(omegas, body.shape))
-    solved = [np.linalg.eigh(m) if want_vectors else (np.linalg.eigvalsh(m), None)
-              for m in mats]
-    w = np.stack([eigvals for eigvals, _ in solved])  # (constraints, B, N)
+    w = np.stack([np.linalg.eigvalsh(m) for m in mats])  # (constraints, B, N)
     if np.any(w[0, :, 0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
     radii = 1.0 / (n * -w[..., 0])
@@ -128,42 +127,32 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray, *, want_vectors: bool):
     nongeneric = np.where(binding_pt, gap[-1], gap[0]) <= GAP_TOL
     if body.kind == "ppt":
         nongeneric |= np.abs(radii[0] - radii[1]) <= GAP_TOL
-    phi = None
-    if want_vectors:
-        vecs = [eigvecs[..., 0] for _, eigvecs in solved]
-        phi = np.where(binding_pt[:, None], vecs[-1], vecs[0])
-    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric, phi
+    w_min = np.where(binding_pt, w[-1, :, 0], w[0, :, 0])
+    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric, w_min
 
 
 def radial_function(body: BodySpec, omega) -> float:
     """Distance from I/N to the boundary of ``body`` along ``omega``."""
-    r = _radial_batch(body, _direction_stack(body, omega), want_vectors=False)[0]
+    r = _radial_batch(body, _direction_stack(body, omega))[0]
     return float(r[0])
 
 
 def _contact_batch(body: BodySpec, omegas: np.ndarray):
-    """``(r, heights, binding_pt, phi, nongeneric)`` for a stack of directions.
+    """``(r, heights, binding_pt, w_min, nongeneric)`` for a stack of directions.
 
     The outward unit normal at a generic contact is c (I/N - P), c =
     sqrt(N/(N-1)), P the projector onto the zero eigenvector phi of the
     binding matrix M (omega or T_A(omega)), partially transposed when M is.
-    As <omega, T_A(P)> = <T_A(omega), P>, the support height <r omega, normal>
-    is c r (tr omega / N - <phi|M|phi>): no point, projector or normal is
+    As <omega, T_A(P)> = <T_A(omega), P> and <phi|M|phi> = w_min, the smallest
+    eigenvalue of M, the support height <r omega, normal> is
+    c r (tr omega / N - w_min): no eigenvector, point, projector or normal is
     formed. Non-generic directions are returned flagged, not raised.
     """
-    k, m, n = body.shape.k, body.shape.m, body.shape.n
-    r, binding_pt, nongeneric, phi = _radial_batch(body, omegas, want_vectors=True)
-    blocks = omegas.reshape(-1, k, m, k, m)
-    ket = phi.reshape(-1, k, m)
-    bra = np.conj(ket)
-    quad = np.einsum("bac,bacxy,bxy->b", bra, blocks, ket)
-    if body.kind == "ppt":
-        # <phi|T_A(omega)|phi>: the partial transpose swaps the two A indices
-        quad_pt = np.einsum("bac,bxcay,bxy->b", bra, blocks, ket)
-        quad = np.where(binding_pt, quad_pt, quad)
-    trace = np.trace(omegas, axis1=-2, axis2=-1)
-    heights = np.sqrt(n / (n - 1.0)) * r * (trace / n - quad).real
-    return r, heights, binding_pt, phi, nongeneric
+    n = body.shape.n
+    r, binding_pt, nongeneric, w_min = _radial_batch(body, omegas)
+    trace = np.trace(omegas, axis1=-2, axis2=-1).real
+    heights = np.sqrt(n / (n - 1.0)) * r * (trace / n - w_min)
+    return r, heights, binding_pt, w_min, nongeneric
 
 
 def _generic_contact(body: BodySpec, omega):
@@ -173,19 +162,21 @@ def _generic_contact(body: BodySpec, omega):
     of the PPT body where both constraints bind).
     """
     omegas = _direction_stack(body, omega)
-    r, heights, binding_pt, phi, nongeneric = _contact_batch(body, omegas)
+    r, heights, binding_pt, _, nongeneric = _contact_batch(body, omegas)
     if bool(nongeneric[0]):
         raise NonGenericDirectionError(
             "direction is non-generic (degenerate smallest eigenvalue or "
             "constraint tie); supporting hyperplane not unique"
         )
     n = body.shape.n
-    proj = np.outer(phi[0], np.conj(phi[0]))
+    binding = partial_transpose(omegas[0], body.shape) if binding_pt[0] else omegas[0]
+    phi = np.linalg.eigh(binding)[1][:, 0]
+    proj = np.outer(phi, np.conj(phi))
     if binding_pt[0]:
         proj = partial_transpose(proj, body.shape)
     normal = np.sqrt(n / (n - 1.0)) * (np.eye(n) / n - proj)
     point = body.center + r[0] * omegas[0]
-    return point, normal, float(heights[0]), bool(binding_pt[0]), phi[0]
+    return point, normal, float(heights[0]), bool(binding_pt[0]), phi
 
 
 def boundary_contact(body: BodySpec, omega) -> BoundaryContact:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from statebody import estimators
+from statebody import estimators, sampling
 from statebody import (
     BipartiteShape,
     BodySpec,
@@ -24,7 +24,9 @@ from statebody import (
     mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
+    radius_law,
     sphere_area,
+    support_height,
 )
 
 QUBIT = BodySpec("full", BipartiteShape(1, 2))
@@ -125,9 +127,9 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
     contact = estimators._contact_batch
 
     def flagged(body, omegas):
-        r, heights, binding_pt, phi, nongeneric = contact(body, omegas)
+        r, heights, binding_pt, w_min, nongeneric = contact(body, omegas)
         nongeneric[: len(nongeneric) // 100] = True
-        return r, heights, binding_pt, phi, nongeneric
+        return r, heights, binding_pt, w_min, nongeneric
 
     monkeypatch.setattr(estimators, "_contact_batch", flagged)
     body = BodySpec("full", BipartiteShape(1, 3))
@@ -155,6 +157,56 @@ def test_height_certificate_passes(body):
     assert cert.n_nongeneric < 5
     again = height_certificate(body, 5000, RngStream(111))
     assert again.max_abs_deviation == cert.max_abs_deviation
+
+
+def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    full = BodySpec("full", BipartiteShape(1, 3))
+    ppt = BodySpec("ppt", BipartiteShape(2, 2))
+    # the single-direction queries solve for their one zero eigenvector
+    with pytest.raises(AssertionError, match="eigh called"):
+        support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
+    for body in (full, ppt):
+        for estimator in (mc_volume, mc_area, mc_gamma, height_certificate):
+            estimator(body, 2000, RngStream(4))
+        radius_law(body, 2000, RngStream(4))
+    mc_boundary_ppt_fraction(ppt.shape, 2000, RngStream(4))
+
+
+# ---------------------------------------------------------------------------
+# the radius law: boundary radii against interior radial values
+
+
+def _short_boundary_sampler(shape, rng, size):
+    """The production boundary sampler with one Ginibre column too few."""
+    n = shape.n
+    cols = n if shape.field == "complex" else n + 1
+    g = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
+    psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
+    return sampling._normalized_gram(g), psi
+
+
+def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
+    body = BodySpec("full", BipartiteShape(1, 3))
+    law = radius_law(body, 20_000, RngStream(8))
+    assert law.p_value > 0.01
+    assert (law.n_boundary, law.n_interior) == (20_000, 20_000)
+    assert law.seed == RngStream(8).describe()
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _short_boundary_sampler)
+    assert radius_law(body, 20_000, RngStream(8)).p_value < 1e-6
+
+
+def test_radius_law_keeps_ppt_rows_only():
+    law = radius_law(BodySpec("ppt", BipartiteShape(2, 2)), 4000, RngStream(9))
+    # about 12% of boundary and 24% of interior states are PPT
+    assert 0 < law.n_boundary < law.n_interior < 4000
+    with pytest.raises(InsufficientSamplesError, match="no PPT boundary"):
+        radius_law(BodySpec("ppt", BipartiteShape(3, 3)), 500, RngStream(1))
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_radial_stack_matches_singles():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs = _radial_batch(body, omegas, want_vectors=False)[0]
+    rs = _radial_batch(body, omegas)[0]
     assert rs.shape == (20,)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])

@@ -1,5 +1,14 @@
 """Hermitian matrix algebra on bipartite systems: Hilbert-Schmidt geometry,
-partial transposition and the PPT test."""
+partial transposition and the PPT test.
+
+The PPT test (Peres 1996; Horodecki^3 1996) decides whether the partial
+transpose is positive semidefinite without computing its spectrum: an LDL^dag
+sweep without pivoting on T_A(rho) + PPT_TOL * I keeps every pivot positive
+exactly when that matrix is positive definite (Sylvester's criterion). It
+agrees with the spectral test lambda_min(T_A(rho)) >= -PPT_TOL except for
+states whose lambda_min lies within rounding of -PPT_TOL. Callers that need
+the spectrum itself (``negativity``, ``min_eigenvalue``) use ``eigvalsh``.
+"""
 
 from __future__ import annotations
 
@@ -164,6 +173,18 @@ def hs_distance(a, b) -> float:
     return float(np.sqrt(np.sum(np.abs(am - bm) ** 2)))
 
 
+def _pt_blocks(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """The partial transpose of a stack of N x N matrices as a (..., K, M, K, M)
+    view of ``m``, the first tensor factor's indices swapped."""
+    n = shape.n
+    if m.shape[-2:] != (n, n):
+        raise DimensionMismatchError(
+            f"matrix shape {m.shape[-2:]} is not {shape.k}*{shape.m} = {n} square"
+        )
+    r = m.reshape(m.shape[:-2] + (shape.k, shape.m, shape.k, shape.m))
+    return np.swapaxes(r, -4, -2)
+
+
 def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     """Transpose the first tensor factor of a K x M system.
 
@@ -172,15 +193,7 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     be a state (a Bell state's has eigenvalue -1/2).
     """
     m = a.mat if isinstance(a, HermitianMatrix) else np.asarray(a)
-    n = shape.n
-    if m.shape[-2:] != (n, n):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape[-2:]} is not {shape.k}*{shape.m} = {n} square"
-        )
-    lead = m.shape[:-2]
-    r = m.reshape(lead + (shape.k, shape.m, shape.k, shape.m))
-    r = np.swapaxes(r, -4, -2)
-    return np.ascontiguousarray(r.reshape(lead + (n, n)))
+    return np.ascontiguousarray(_pt_blocks(m, shape).reshape(m.shape))
 
 
 def min_eigenvalue(a) -> float:
@@ -197,15 +210,39 @@ def min_eigenvalue(a) -> float:
 
 def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     """Batched PPT test on stacks of exactly Hermitian states, as the samplers
-    return them (``eigvalsh`` reads one triangle): True where the partial
-    transpose has no eigenvalue below -PPT_TOL."""
-    w = np.linalg.eigvalsh(partial_transpose(states, shape))
-    return w[..., 0] >= -PPT_TOL
+    return them: True where T_A(rho) + PPT_TOL * I is positive definite.
+
+    The test is an LDL^dag sweep without pivoting: the k-th pivot is the first
+    diagonal entry of the Schur complement left by the first k steps, and every
+    pivot is > 0 exactly when the matrix is positive definite (Sylvester). As
+    the LAPACK Hermitian eigensolvers do, it reads one triangle, the lower: the
+    row of each Schur update is the conjugate of the pivot column. A state with
+    a failed pivot stays False. The result agrees with "no eigenvalue of T_A(rho) below -PPT_TOL"
+    except within rounding of -PPT_TOL.
+    """
+    m = np.asarray(states)
+    n = shape.n
+    blocks = _pt_blocks(m, shape).reshape((-1, shape.k, shape.m, shape.k, shape.m))
+    # A private copy with the stack on the last axis, so each step works on
+    # contiguous runs of the batch; the sweep writes only to this copy, never
+    # to the caller's states that _pt_blocks views.
+    a = np.moveaxis(blocks, 0, -1).copy().reshape(n, n, -1)
+    diag = np.arange(n)
+    a[diag, diag] += PPT_TOL
+    ok = np.ones(a.shape[-1], dtype=bool)
+    for k in range(n):
+        d = a[k, k].real
+        ok &= d > 0
+        # states with a failed pivot get a zero update and stay finite
+        row = np.conj(a[k + 1:, k]) / np.where(ok, d, np.inf)
+        for i in range(k + 1, n):
+            a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
+    return ok.reshape(m.shape[:-2])
 
 
 def is_ppt(rho, shape: BipartiteShape) -> bool:
-    """Whether the partial transpose of the Hermitian part of ``rho`` has no
-    eigenvalue below -PPT_TOL."""
+    """Whether T_A of the Hermitian part of ``rho``, plus PPT_TOL * I, is
+    positive definite: the LDL^dag pivot test of :func:`ppt_mask`."""
     return bool(ppt_mask(hermitian_part(_as_matrix(rho)), shape))
 
 

@@ -61,6 +61,7 @@ def test_criterion_1_interior_boundary_ppt_ratio():
         (BipartiteShape(2, 2, "complex"), 3101, 8 / 33),
         (BipartiteShape(2, 3, "complex"), 3102, None),
         (BipartiteShape(2, 2, "real"), 3103, 29 / 64),
+        (BipartiteShape(2, 3, "real"), 3104, None),
     ]
     bits, ok = [], True
     for shape, seed, p_sep in cases:

@@ -1,5 +1,7 @@
 """Matrix layer: wrappers, inner products, partial transpose, PPT checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from statebody import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianMatrix,
+    RngStream,
     TracelessDirection,
     hermitian_part,
     hs_distance,
@@ -20,7 +23,10 @@ from statebody import (
     min_eigenvalue,
     negativity,
     partial_transpose,
+    sample_boundary_state_hs,
+    sample_state_hs,
 )
+from statebody.hermitian import PPT_TOL, ppt_mask
 
 ATOL = 1e-12
 
@@ -233,6 +239,73 @@ def test_werner_ppt_threshold():
         got = min_eigenvalue(partial_transpose(rho, shape))
         assert got == pytest.approx((1 - 3 * p) / 4, abs=1e-12)
         assert is_ppt(rho, shape) == (p <= 1 / 3 + 1e-12)
+
+
+def test_werner_ppt_decision_at_the_tolerance():
+    """lambda_min(T_A) = (1 - 3p)/4 set 2 tol below and 0.5 tol below zero:
+    margins of ~1e-12 against ~1e-16 of rounding."""
+    shape = BipartiteShape(2, 2)
+    for lam, want in ((-2 * PPT_TOL, False), (-0.5 * PPT_TOL, True)):
+        rho = werner((1 - 4 * lam) / 3)
+        assert min_eigenvalue(partial_transpose(rho, shape)) == pytest.approx(lam, abs=1e-15)
+        assert ppt_mask(rho[None], shape).tolist() == [want]
+        assert is_ppt(rho, shape) is want
+
+
+# Complex shapes catch a wrongly conjugated Schur update, which real ones
+# cannot; 2x4 and 3x3 have the most pivots
+EQUIVALENCE_CASES = [
+    (BipartiteShape(2, 2, "complex"), 4101),
+    (BipartiteShape(2, 2, "real"), 4102),
+    (BipartiteShape(2, 3, "complex"), 4103),
+    (BipartiteShape(2, 3, "real"), 4104),
+    (BipartiteShape(2, 4, "complex"), 4105),
+    (BipartiteShape(3, 3, "complex"), 4106),
+]
+
+
+@pytest.mark.parametrize("shape,seed", EQUIVALENCE_CASES,
+                         ids=[str(shape) for shape, _ in EQUIVALENCE_CASES])
+def test_ppt_mask_matches_spectral_test(shape, seed):
+    """The pivot sweep decides as lambda_min(T_A) >= -PPT_TOL on 20,000
+    interior and 20,000 boundary states, with no disagreement."""
+    n = 20_000
+    rng = RngStream(seed)
+    for states in (sample_state_hs(shape, rng.child(0), n),
+                   sample_boundary_state_hs(shape, rng.child(1), n)[0]):
+        spectral = np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0] >= -PPT_TOL
+        assert np.array_equal(ppt_mask(states, shape), spectral)
+
+
+@pytest.mark.parametrize("shape", [
+    BipartiteShape(1, 3, "complex"),
+    BipartiteShape(2, 2, "complex"),
+    BipartiteShape(2, 3, "real"),
+], ids=str)
+def test_ppt_mask_leaves_its_input_intact(shape):
+    """The sweep runs on a private copy. For K = 1 the partial transpose is a
+    view of the states, so a sweep in place would overwrite them."""
+    states = sample_state_hs(shape, RngStream(4200), 500)
+    before = states.tobytes()
+    pt = partial_transpose(states, shape)
+    assert np.shares_memory(pt, states) == (shape.k == 1)
+    ppt_mask(states, shape)
+    assert states.tobytes() == before
+
+
+def test_ppt_mask_raises_no_warning_on_failed_pivots():
+    """States with a failed pivot (the Bell state's third, a first pivot of
+    exactly zero) share a stack with PPT states; the sweep must not divide by
+    a failed pivot."""
+    shape = BipartiteShape(2, 2)
+    zero_pivot = np.diag([-PPT_TOL, 1.0, 1.0, 1.0]).astype(complex)
+    special = np.stack([bell_state(), zero_pivot, np.zeros((4, 4), complex), werner(0.2)])
+    states = np.concatenate([special, sample_state_hs(shape, RngStream(4300), 200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = ppt_mask(states, shape)
+    assert mask[:4].tolist() == [False, False, True, True]
+    assert mask.any() and not mask.all()
 
 
 def test_min_eigenvalue_matches_eigvalsh():

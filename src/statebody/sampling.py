@@ -48,6 +48,9 @@ _ALGORITHM = "philox4x64"
 _MH_BURN = 4096
 _MH_THIN = 16
 _MH_CHAINS = 256
+# Steps per adaptation window; _MH_BURN is a multiple of it, so the step size
+# is constant within every window the chain runs.
+_MH_WINDOW = 128
 
 
 def _splitmix64(x: int) -> int:
@@ -111,22 +114,6 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndar
     return _normalized_gram(_ginibre(rng.generator(), (size, n, cols), shape.field))
 
 
-def _logdensity_boundary(lam: np.ndarray, beta: int) -> np.ndarray:
-    """log f over the nonzero eigenvalues, -inf off the open simplex."""
-    ok = np.all(lam > 0.0, axis=-1)
-    out = np.full(lam.shape[:-1], -np.inf)
-    if not np.any(ok):
-        return out
-    lx = lam[ok]
-    s = beta * np.sum(np.log(lx), axis=-1)
-    m = lx.shape[-1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = s + beta * np.log(np.abs(lx[..., i] - lx[..., j]))
-    out[ok] = s
-    return out
-
-
 def boundary_eigenvalues_metropolis(
     n: int, field: str, rng: RngStream, size: int
 ) -> np.ndarray:
@@ -138,45 +125,98 @@ def boundary_eigenvalues_metropolis(
     estimator draws from it. Returns a (size, N-1) array of eigenvalue rows
     summing to one, sorted ascending. Step size adapts during burn-in only,
     so the kept samples come from a fixed, detailed-balanced kernel.
+
+    The chain runs in windows of ``_MH_WINDOW`` steps, but every step still
+    draws its normals and then its uniforms from the one generator, one step
+    at a time. Bulk or split-stream draws would give an equally valid chain,
+    but a different one: this draw order is what keeps the oracle's spectra
+    bit-identical to those of a plain step-at-a-time loop. Only work that does
+    not depend on the chain state (centring and scaling the normals, log u)
+    runs once per window. That is exact because the step size changes only at
+    the end of a burn-in window. log f adds its terms in the plain loop's
+    order, so for N <= 8, where numpy's own sums of N-1 terms also run one by
+    one, the output equals that loop's bit for bit.
     """
     _check_field(field)
     m = n - 1
     if m < 1:
         raise ValueError(f"need n >= 2, got {n}")
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     if m == 1:
         return np.ones((size, 1))
+    if size == 0:
+        return np.empty((0, m))
     beta = 2 if field == "complex" else 1
     c = min(_MH_CHAINS, max(8, size))
-    gen = rng.generator()
-    lam = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1)
-    logf = _logdensity_boundary(lam, beta)
-    step = 0.5 / m
-    acc = 0
-    window = 0
     needed = int(np.ceil(size / c))
-    kept = []
     total = _MH_BURN + needed * _MH_THIN
-    for t in range(total):
-        z = gen.standard_normal((c, m))
-        z -= z.mean(axis=-1, keepdims=True)  # keeps the trace sum fixed
-        prop = lam + step * z
-        logf_p = _logdensity_boundary(prop, beta)
-        u = np.log(gen.random(c))
-        accept = u < (logf_p - logf)
-        lam = np.where(accept[:, None], prop, lam)
-        logf = np.where(accept, logf_p, logf)
-        if t < _MH_BURN:
-            acc += int(np.sum(accept))
-            window += c
-            if window >= 128 * c:
-                rate = acc / window
+    gen = rng.generator()
+    # The chain state holds log f / beta in row 0 and the eigenvalues in rows
+    # 1..m, one contiguous row of c chains each. cand holds a proposal in the
+    # same layout, followed by the gaps |l_i - l_j| for i < j in the order log
+    # f adds them, so log f / beta is the row-order sum of the logs of rows 1..
+    state = np.empty((1 + m, c))
+    cand = np.empty((1 + m + m * (m - 1) // 2, c))
+    prop, prop_logf, prop_lam = cand[:1 + m], cand[0], cand[1:1 + m]
+    terms, gaps = cand[1:], cand[1 + m:]
+    logf, lam = state[0], state[1:]
+    logs = np.empty_like(terms)
+    diffs = []
+    row = 1 + m
+    for i in range(1, m):
+        diffs.append((cand[i], cand[i + 1:1 + m], cand[row:row + m - i]))
+        row += m - i
+
+    def log_f():
+        # -inf or NaN off the open simplex, which the acceptance test rejects
+        for a, b, d in diffs:
+            np.subtract(a, b, out=d)
+        np.abs(gaps, out=gaps)
+        np.log(terms, out=logs)
+        np.add.reduce(logs, axis=0, out=prop_logf)
+
+    z = np.empty((_MH_WINDOW, c, m))
+    dz = np.empty((_MH_WINDOW, m, c))
+    u = np.empty((_MH_WINDOW, c))
+    accept = np.empty((_MH_WINDOW, c), dtype=bool)
+    gap = np.empty(c)
+    kept = np.empty((needed, c, m))
+    draws = list(zip(z, u))
+    steps = list(zip(dz, u, accept))
+    normal, uniform = gen.standard_normal, gen.random
+    step = 0.5 / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prop_lam[...] = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1).T
+        log_f()
+        state[...] = prop
+        for t0 in range(0, total, _MH_WINDOW):
+            k = min(_MH_WINDOW, total - t0)
+            for zt, ut in draws[:k]:
+                normal(out=zt)
+                uniform(out=ut)
+            dzw = dz[:k]
+            np.copyto(dzw, z[:k].transpose(0, 2, 1))
+            # centring keeps the trace sum fixed
+            dzw -= np.add.reduce(dzw, axis=1, keepdims=True) / m
+            dzw *= step
+            # log u < beta (log f' - log f) exactly when log u / beta is
+            # below log f' / beta - log f / beta: dividing by 1 or 2 is exact
+            np.log(u[:k], out=u[:k])
+            u[:k] /= beta
+            for t, (dzt, ut, at) in enumerate(steps[:k], start=t0 - _MH_BURN):
+                np.add(lam, dzt, out=prop_lam)
+                log_f()
+                np.subtract(prop_logf, logf, out=gap)
+                np.less(ut, gap, out=at)
+                np.copyto(state, prop, where=at)
+                if t >= 0 and t % _MH_THIN == _MH_THIN - 1:
+                    kept[t // _MH_THIN] = lam.T
+            if t0 < _MH_BURN:
+                rate = int(np.count_nonzero(accept)) / (_MH_WINDOW * c)
                 step *= float(np.exp(0.4 * (rate - 0.35)))
-                acc = 0
-                window = 0
-        elif (t - _MH_BURN) % _MH_THIN == _MH_THIN - 1:
-            kept.append(np.sort(lam, axis=-1))
-    out = np.concatenate(kept, axis=0)[:size]
-    return out
+    kept.sort(axis=-1)
+    return kept.reshape(-1, m)[:size]
 
 
 def boundary_eigenvalues_wishart(

@@ -16,6 +16,7 @@ from statebody import (
     sample_direction,
     sample_state_hs,
 )
+from statebody.sampling import _MH_BURN, _MH_CHAINS, _MH_THIN, _MH_WINDOW
 
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
@@ -130,6 +131,99 @@ def test_boundary_eigenvalue_rows(field, n):
 def test_boundary_eigenvalues_qubit_degenerate_case():
     lam = boundary_eigenvalues_metropolis(2, "complex", RngStream(1), 10)
     assert np.array_equal(lam, np.ones((10, 1)))
+
+
+def _logdensity_boundary(lam, beta):
+    """log f over the nonzero eigenvalues, -inf off the open simplex."""
+    ok = np.all(lam > 0.0, axis=-1)
+    out = np.full(lam.shape[:-1], -np.inf)
+    if not np.any(ok):
+        return out
+    lx = lam[ok]
+    s = beta * np.sum(np.log(lx), axis=-1)
+    m = lx.shape[-1]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = s + beta * np.log(np.abs(lx[..., i] - lx[..., j]))
+    out[ok] = s
+    return out
+
+
+def reference_chain(n, field, rng, size):
+    """The chain one step at a time, every array op once per step.
+
+    Test-only reference for ``boundary_eigenvalues_metropolis``, which must
+    return exactly these rows.
+    """
+    m = n - 1
+    beta = 2 if field == "complex" else 1
+    c = min(_MH_CHAINS, max(8, size))
+    gen = rng.generator()
+    lam = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1)
+    logf = _logdensity_boundary(lam, beta)
+    step = 0.5 / m
+    acc = 0
+    window = 0
+    needed = int(np.ceil(size / c))
+    kept = []
+    total = _MH_BURN + needed * _MH_THIN
+    for t in range(total):
+        z = gen.standard_normal((c, m))
+        z -= z.mean(axis=-1, keepdims=True)  # keeps the trace sum fixed
+        prop = lam + step * z
+        logf_p = _logdensity_boundary(prop, beta)
+        u = np.log(gen.random(c))
+        accept = u < (logf_p - logf)
+        lam = np.where(accept[:, None], prop, lam)
+        logf = np.where(accept, logf_p, logf)
+        if t < _MH_BURN:
+            acc += int(np.sum(accept))
+            window += c
+            if window >= 128 * c:
+                rate = acc / window
+                step *= float(np.exp(0.4 * (rate - 0.35)))
+                acc = 0
+                window = 0
+        elif (t - _MH_BURN) % _MH_THIN == _MH_THIN - 1:
+            kept.append(np.sort(lam, axis=-1))
+    out = np.concatenate(kept, axis=0)[:size]
+    return out
+
+
+@pytest.mark.parametrize("size", [5, 300])
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_metropolis_is_the_step_at_a_time_chain(n, field, size):
+    """Window-blocked work must not move a single bit of the oracle."""
+    want = reference_chain(n, field, RngStream(53, 2), size)
+    got = boundary_eigenvalues_metropolis(n, field, RngStream(53, 2), size)
+    assert got.shape == (size, n - 1)
+    assert np.array_equal(got, want)
+
+
+def test_metropolis_burn_in_is_whole_windows():
+    # the normals are scaled once per window, exact only if no window
+    # straddles the end of burn-in
+    assert _MH_BURN % _MH_WINDOW == 0
+
+
+class _NoDraws:
+    """A stream stand-in that fails the test if anything draws from it."""
+
+    def generator(self):
+        raise AssertionError("drew from the stream")
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_metropolis_empty_size_runs_no_chain(n):
+    lam = boundary_eigenvalues_metropolis(n, "complex", _NoDraws(), 0)
+    assert lam.shape == (0, n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_metropolis_negative_size_is_rejected_before_any_draw(n):
+    with pytest.raises(ValueError, match="size"):
+        boundary_eigenvalues_metropolis(n, "real", _NoDraws(), -1)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])

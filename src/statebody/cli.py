@@ -34,13 +34,11 @@ def _add_overrides(parser: argparse.ArgumentParser):
                         help="override the output directory")
 
 
-# config fields the options above override, by their argparse dest
-_OVERRIDES = ("seed", "shards", "n_samples", "field", "shape", "output_path")
-
-
 def _cmd_run(args, force_experiment: str | None = None) -> int:
-    overrides = {key: getattr(args, key) for key in _OVERRIDES
-                 if getattr(args, key) is not None}
+    # every option besides the subcommand and the config path overrides the
+    # config field named by its dest
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config") and value is not None}
     cfg = config_from_json(args.config, overrides)
     if force_experiment and cfg.experiment != force_experiment:
         raise ConfigError("experiment",

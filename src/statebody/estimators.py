@@ -6,13 +6,14 @@ Volume and area come from radial integrals over uniform directions omega:
     A = S_{D-1}   * E[r(omega)^{D-1} / <omega, n(omega)>]
 
 with D the body dimension and n(omega) the outward unit normal at the contact
-point. The same four estimators (volume, area, gamma, height certificate)
-serve the state bodies and the polytopes of :mod:`statebody.polytopes`; only
-the per-direction kernel that yields (log r, height, generic) differs. On a
-state body that kernel solves for eigenvalues only, and its heights equal the
-insphere radius by construction, so the state-body test of constant height
-that can fail is :func:`radius_law`: boundary radii against interior radial
-values in a two-sample KS test.
+point. The volume, area and gamma estimators serve the state bodies and the
+polytopes of :mod:`statebody.polytopes`; only the per-direction kernel that
+yields (log r, height, generic) differs. Each body kind has one test of
+constant height. On a state body the kernel solves for eigenvalues only, and
+its heights equal the insphere radius by construction, so the test there is
+:func:`radius_law`: boundary radii against interior radial values in a
+two-sample KS test. A polytope's heights are measured, and
+:func:`height_certificate` compares them with the unit sphere.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
@@ -48,6 +49,7 @@ from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sam
 BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
 NONGENERIC_WARN_FRACTION = 1e-3
+HEIGHT_TOL = 1e-9
 
 
 class InsufficientSamplesError(RuntimeError):
@@ -98,29 +100,18 @@ class AreaCrossCheck:
 
 @dataclass(frozen=True)
 class HeightCertificate:
-    """Sampled constant-height certificate for one body.
-
-    ``insphere_radius`` is the radius the support heights are compared with:
-    the insphere radius of a state body, the unit sphere of a polytope. On a
-    state body every sampled height is c r (tr omega / N - lambda_min) with
-    r = 1 / (N |lambda_min|), the insphere radius identically, so the
-    certificate reads only eigensolver rounding and cannot fail there;
-    :class:`RadiusLaw` is the state-body test that can. State bodies keep it
-    because the benchmark's gamma-radial workload runs the height-check
-    experiment.
-    """
+    """Sampled constant-height certificate for one polytope: the largest
+    deviation of its support heights from the unit sphere."""
 
     body: str
     n_samples: int
     n_nongeneric: int
     max_abs_deviation: float
-    insphere_radius: float
-    tol: float
     seed: str
 
     @property
     def passed(self) -> bool:
-        return (self.max_abs_deviation <= self.tol
+        return (self.max_abs_deviation <= HEIGHT_TOL
                 and not _degenerate(self.n_nongeneric, self.n_samples))
 
 
@@ -319,30 +310,32 @@ def mc_gamma(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}{tag}]")
 
 
-def height_certificate(body: BodySpec | polytopes.TangentBody, n: int,
-                       rng: RngStream, tol: float = 1e-9,
+def height_certificate(body: polytopes.TangentBody, n: int, rng: RngStream,
                        shards: int = 1) -> HeightCertificate:
-    """Max deviation of sampled support heights from the reference radius:
-    the insphere radius of a state body, the unit sphere of a polytope. No
-    generic direction at all raises :class:`InsufficientSamplesError`."""
+    """Max deviation of a polytope's sampled support heights from the unit
+    sphere, even when its insphere radius is unknown. No generic direction at
+    all raises :class:`InsufficientSamplesError`.
+
+    A state body is rejected: its sampled heights equal the insphere radius
+    by construction, so :func:`radius_law` is its test of constant height.
+    """
+    if not isinstance(body, polytopes.TangentBody):
+        raise ValueError(f"height_certificate takes a polytope, got {body}; "
+                         "test a state body with radius_law")
     _check_n(n)
     rad = _radial(body, n, rng, shards)
     if not np.any(rad.generic):
         raise InsufficientSamplesError(f"all {n} sampled directions were non-generic")
-    # a polytope's reference is the unit sphere, even when r_in is unknown
-    r_ref = rad.r_in if rad.r_in is not None else 1.0
     return HeightCertificate(
         body=str(body),
         n_samples=n,
         n_nongeneric=int(n - np.sum(rad.generic)),
-        max_abs_deviation=float(np.max(np.abs(rad.h[rad.generic] - r_ref))),
-        insphere_radius=r_ref,
-        tol=tol,
+        max_abs_deviation=float(np.max(np.abs(rad.h[rad.generic] - 1.0))),
         seed=rng.describe(),
     )
 
 
-def radius_law(body: BodySpec, n: int, rng: RngStream) -> RadiusLaw:
+def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> RadiusLaw:
     """KS test of the radius law on n boundary and n interior draws.
 
     Under the surface measure the direction of a boundary point has density
@@ -372,8 +365,8 @@ def radius_law(body: BodySpec, n: int, rng: RngStream) -> RadiusLaw:
         dev, nrm = kept(sample_state_hs(shape, stream, count))
         return (_radial_batch(body, dev / nrm[:, None, None])[0],)
 
-    (r_bdy,) = _sweep(n, rng.child(0), 1, boundary)
-    (r_int,) = _sweep(n, rng.child(1), 1, interior)
+    (r_bdy,) = _sweep(n, rng.child(0), shards, boundary)
+    (r_int,) = _sweep(n, rng.child(1), shards, interior)
     if len(r_bdy) == 0 or len(r_int) == 0:
         raise InsufficientSamplesError(
             f"no PPT {'boundary' if len(r_bdy) == 0 else 'interior'} state in "
@@ -423,8 +416,10 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
     For any bipartite system this ratio is exactly two: the PPT body shares
     its volume with the reflected body and a corner set of measure zero splits
     the boundary area evenly. Zero PPT hits on either route raise
-    :class:`InsufficientSamplesError`, the boundary checked first.
+    :class:`InsufficientSamplesError`, the boundary checked first. A shape
+    with no PPT section (K = 1) raises ValueError.
     """
+    BodySpec("ppt", shape)
     p_v = estimate_p_interior(shape, n, rng.child(0), shards)
     p_a = _with_hits(estimate_p_boundary(shape, n, rng.child(1), shards),
                      "boundary", shape)
@@ -440,8 +435,10 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     within each delta of zero.
 
     The corner set of the PPT body's boundary has codimension one inside the
-    boundary, so the fractions should scale linearly in delta.
+    boundary, so the fractions should scale linearly in delta. A shape with
+    no PPT section (K = 1) raises ValueError.
     """
+    BodySpec("ppt", shape)
     _check_n(n)
     deltas = [float(x) for x in deltas]
     if any(x <= 0 for x in deltas):

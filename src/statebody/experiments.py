@@ -21,6 +21,7 @@ from .estimators import (
     estimate_omega,
     height_certificate,
     mc_gamma,
+    radius_law,
 )
 from .geometry import BodySpec
 from .hermitian import BipartiteShape
@@ -69,20 +70,16 @@ def _run_gamma(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_height_check(config: ExperimentConfig, rng: RngStream):
-    shape = _shape(config)
-    body = BodySpec(config.body, shape)
-    cert = height_certificate(body, config.n_samples, rng,
-                              tol=config.tolerance("height_tol"),
-                              shards=config.shards)
+    body = BodySpec(config.body, _shape(config))
+    law = radius_law(body, config.n_samples, rng, config.shards)
     metrics = {
-        "body": cert.body,
-        "max_abs_deviation": cert.max_abs_deviation,
-        "insphere_radius": cert.insphere_radius,
-        "n_nongeneric": cert.n_nongeneric,
-        "nongeneric_fraction": cert.n_nongeneric / cert.n_samples,
-        "tol": cert.tol,
+        "body": law.body,
+        "n_boundary": law.n_boundary,
+        "n_interior": law.n_interior,
+        "p_value": law.p_value,
     }
-    return (metrics, cert.max_abs_deviation, None, 0.0, None, cert.passed)
+    return (metrics, law.p_value, None, None, None,
+            bool(law.p_value > config.tolerance("p_threshold")))
 
 
 def _run_corner_probe(config: ExperimentConfig, rng: RngStream):

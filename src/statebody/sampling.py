@@ -92,6 +92,11 @@ def _check_field(field: str):
         raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
+def _check_size(size: int):
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+
+
 def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     """Independent standard Gaussian entries; complex ones get i.i.d. parts."""
     if field == "complex":
@@ -109,6 +114,7 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
     """A (size, N, N) stack of states distributed by the flat Hilbert-Schmidt
     measure on the body."""
+    _check_size(size)
     n = shape.n
     cols = n if shape.field == "complex" else n + 1
     return _normalized_gram(_ginibre(rng.generator(), (size, n, cols), shape.field))
@@ -141,8 +147,7 @@ def boundary_eigenvalues_metropolis(
     m = n - 1
     if m < 1:
         raise ValueError(f"need n >= 2, got {n}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    _check_size(size)
     if m == 1:
         return np.ones((size, 1))
     if size == 0:
@@ -242,6 +247,7 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     P does not depend on the phase of psi. Returns the pair (states,
     zero_eigvecs) of (size, N, N) and (size, N) stacks.
     """
+    _check_size(size)
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
     g = _ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
@@ -260,6 +266,7 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     and normalized; equivalent to drawing Gaussian coefficients on a
     generalized Gell-Mann basis without materializing the basis.
     """
+    _check_size(size)
     n = shape.n
     g = _ginibre(rng.generator(), (size, n, n), shape.field)
     h = hermitian_part(g)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from statebody import ConfigError, config_from_dict, config_from_json
-from statebody.config import MIN_SAMPLES, TOLERANCE_DEFAULTS
+from statebody.config import MIN_SAMPLES
 
 
 def base(**over):
@@ -138,7 +138,11 @@ def test_polytope_config_validation():
 def test_tolerance_overrides():
     cfg = config_from_dict(base(tolerances={"sigma": 4.0}))
     assert cfg.tolerance("sigma") == 4.0
-    assert cfg.tolerance("height_tol") == TOLERANCE_DEFAULTS["height_tol"]
+    # the constant-height tolerance is fixed for polytopes, and state bodies
+    # test constant height by a p-value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(base(tolerances={"height_tol": 1e-9}))
+    assert err.value.field == "tolerances.height_tol"
     with pytest.raises(ConfigError) as err:
         config_from_dict(base(tolerances={"sgima": 4.0}))
     assert err.value.field == "tolerances.sgima"

@@ -1,35 +1,43 @@
 """Monte Carlo estimators: volumes, areas, gamma, omega, certificates."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from statebody import estimators, sampling
+from statebody import estimators, polytopes, sampling
 from statebody import (
     BipartiteShape,
     BodySpec,
     Estimate,
     InsufficientSamplesError,
     RngStream,
+    TangentBody,
+    config_from_dict,
     corner_probe,
     cross_validate_area,
+    cube_generators,
     estimate_omega,
     estimate_p_boundary,
     estimate_p_interior,
     height_certificate,
-    inscribed_radius,
     mc_area,
     mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
     radius_law,
+    random_unit_generators,
+    run_experiment,
+    simplex_generators,
     sphere_area,
     support_height,
 )
+from statebody.cli import main
 
 QUBIT = BodySpec("full", BipartiteShape(1, 2))
+CUBE = TangentBody(cube_generators(3))
 SIGMA_LOOSE = 5.0
 
 
@@ -111,14 +119,30 @@ def test_estimator_rejects_bad_n():
         mc_gamma(QUBIT, -5, RngStream(1))
 
 
+def _flag_ties(monkeypatch, share):
+    """Flag the first ``share`` of every polytope sweep chunk as a face tie."""
+    sweep = polytopes._radial_sweep
+
+    def flagged(body, n, rng):
+        logr, heights, ok = sweep(body, n, rng)
+        ok[: int(len(ok) * share)] = False
+        return logr, heights, ok
+
+    monkeypatch.setattr(polytopes, "_radial_sweep", flagged)
+
+
 def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     monkeypatch.setattr("statebody.geometry.GAP_TOL", 10.0)
-    for estimator in (mc_area, mc_gamma, height_certificate):
+    for estimator in (mc_area, mc_gamma):
         with pytest.raises(InsufficientSamplesError):
             estimator(QUBIT, 500, RngStream(2))
     # the radial-ratio boundary PPT fraction discards them by the same rule
     with pytest.raises(InsufficientSamplesError, match="fraction"):
         mc_boundary_ppt_fraction(QUBIT.shape, 500, RngStream(2))
+    # a polytope whose every direction meets a tie has no height to certify
+    _flag_ties(monkeypatch, 1.0)
+    with pytest.raises(InsufficientSamplesError, match="non-generic"):
+        height_certificate(CUBE, 500, RngStream(2))
 
 
 def test_nongeneric_fraction_rule_is_shared(monkeypatch):
@@ -136,27 +160,35 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
     for estimator in (mc_area, mc_gamma):
         with pytest.raises(InsufficientSamplesError, match="fraction"):
             estimator(body, 1000, RngStream(3))
-    cert = height_certificate(body, 1000, RngStream(3))
-    assert cert.max_abs_deviation <= cert.tol and not cert.passed
+    _flag_ties(monkeypatch, 0.01)
+    cert = height_certificate(CUBE, 1000, RngStream(3))
+    assert cert.n_nongeneric == 10
+    assert cert.max_abs_deviation <= estimators.HEIGHT_TOL and not cert.passed
 
 
 # ---------------------------------------------------------------------------
-# height certificates
+# height certificates: polytopes only
 
 
 @pytest.mark.parametrize("body", [
-    BodySpec("full", BipartiteShape(1, 3)),
-    BodySpec("full", BipartiteShape(1, 3, "real")),
-    BodySpec("ppt", BipartiteShape(2, 2)),
+    CUBE,
+    TangentBody(simplex_generators(4)),
+    TangentBody(random_unit_generators(4, 500, RngStream(110))),
 ])
 def test_height_certificate_passes(body):
     cert = height_certificate(body, 5000, RngStream(111))
     assert cert.passed
-    assert cert.max_abs_deviation <= cert.tol
-    assert cert.insphere_radius == pytest.approx(inscribed_radius(body.shape.n))
+    assert cert.max_abs_deviation <= estimators.HEIGHT_TOL
     assert cert.n_nongeneric < 5
     again = height_certificate(body, 5000, RngStream(111))
     assert again.max_abs_deviation == cert.max_abs_deviation
+
+
+def test_height_certificate_rejects_a_state_body():
+    # every sampled height of a state body is the insphere radius by
+    # construction, so a certificate there could not fail
+    with pytest.raises(ValueError, match="radius_law"):
+        height_certificate(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
 
 def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
@@ -170,7 +202,7 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
     with pytest.raises(AssertionError, match="eigh called"):
         support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
     for body in (full, ppt):
-        for estimator in (mc_volume, mc_area, mc_gamma, height_certificate):
+        for estimator in (mc_volume, mc_area, mc_gamma):
             estimator(body, 2000, RngStream(4))
         radius_law(body, 2000, RngStream(4))
     mc_boundary_ppt_fraction(ppt.shape, 2000, RngStream(4))
@@ -199,6 +231,17 @@ def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
     assert law.seed == RngStream(8).describe()
     monkeypatch.setattr(estimators, "sample_boundary_state_hs", _short_boundary_sampler)
     assert radius_law(body, 20_000, RngStream(8)).p_value < 1e-6
+
+
+def test_height_check_fails_with_a_wrong_boundary_sampler(monkeypatch, tmp_path):
+    d = {"experiment": "height-check", "shape": "1x3", "body": "full",
+         "n_samples": 20_000, "seed": 8, "output_path": str(tmp_path)}
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _short_boundary_sampler)
+    record = run_experiment(config_from_dict(d), write=False)
+    assert record.metrics["p_value"] < 1e-6 and not record.passed
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["run", str(cfg)]) == 1
 
 
 def test_radius_law_keeps_ppt_rows_only():
@@ -235,6 +278,13 @@ def test_omega_report():
     assert abs(rep.omega - 2.0) < SIGMA_LOOSE * rep.stderr
     again = estimate_omega(shape, 20000, RngStream(42))
     assert again.omega == rep.omega and again.stderr == rep.stderr
+
+
+def test_omega_needs_a_ppt_section():
+    # on K = 1 the partial transpose is a full transpose, so every state is
+    # PPT and omega would read 1
+    with pytest.raises(ValueError, match="ppt body"):
+        estimate_omega(BipartiteShape(1, 3), 2000, RngStream(1))
 
 
 def test_zero_ppt_boundary_hits_raise(monkeypatch):
@@ -302,3 +352,9 @@ def test_corner_probe_validates_deltas():
         corner_probe(shape, 1000, (1e-1, -1e-2), RngStream(1))  # negative
     with pytest.raises(ValueError):
         corner_probe(shape, 1000, (1e-1, 0.0), RngStream(1))  # passes vacuously
+
+
+def test_corner_probe_needs_a_ppt_section():
+    # with no PPT section every fraction would read 1
+    with pytest.raises(ValueError, match="ppt body"):
+        corner_probe(BipartiteShape(1, 3), 2000, [0.1, 0.01], RngStream(1))

@@ -226,6 +226,18 @@ def test_metropolis_negative_size_is_rejected_before_any_draw(n):
         boundary_eigenvalues_metropolis(n, "real", _NoDraws(), -1)
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda rng, size: sample_state_hs(BipartiteShape(1, 3), rng, size),
+    lambda rng, size: sample_boundary_state_hs(BipartiteShape(1, 3), rng, size),
+    lambda rng, size: sample_direction(BipartiteShape(1, 3), rng, size),
+    lambda rng, size: boundary_eigenvalues_wishart(3, "real", rng, size),
+    lambda rng, size: boundary_eigenvalues_metropolis(3, "real", rng, size),
+], ids=["state", "boundary", "direction", "wishart", "metropolis"])
+def test_negative_size_is_rejected_by_name(sampler):
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        sampler(_NoDraws(), -1)
+
+
 @pytest.mark.parametrize("field", ["complex", "real"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_wishart_matches_metropolis(field, n):

@@ -46,7 +46,6 @@ POLYTOPE_PRESETS = ("cube", "cross", "simplex", "random-unit")
 
 TOLERANCE_DEFAULTS = {
     "sigma": 3.0,
-    "corner_ratio_max": 0.2,
     "p_threshold": 0.01,
 }
 

@@ -13,7 +13,7 @@ constant height. On a state body the kernel solves for eigenvalues only, and
 its heights equal the insphere radius by construction, so the test there is
 :func:`radius_law`: boundary radii against interior radial values in a
 two-sample KS test. A polytope's heights are measured, and
-:func:`height_certificate` compares them with the unit sphere.
+:func:`height_certificate` compares them with its exact insphere radius.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
@@ -40,7 +40,6 @@ from .geometry import (
     _contact_batch,
     _radial_batch,
     analytic_area_volume_ratio,
-    inscribed_radius,
 )
 from .hermitian import BipartiteShape, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
@@ -101,7 +100,7 @@ class AreaCrossCheck:
 @dataclass(frozen=True)
 class HeightCertificate:
     """Sampled constant-height certificate for one polytope: the largest
-    deviation of its support heights from the unit sphere."""
+    deviation of its support heights from its insphere radius."""
 
     body: str
     n_samples: int
@@ -155,8 +154,8 @@ def sphere_area(d: int) -> float:
 
 
 def _check_n(n: int):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n_samples must be a positive integer, got {n!r}")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"n_samples must be an integer >= 2 for a stderr, got {n!r}")
 
 
 def _shard_sizes(n: int, shards: int):
@@ -217,55 +216,39 @@ def _binomial_estimate(hits: int, n: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-@dataclass(frozen=True)
-class _Radial:
-    """Per-direction radial samples of one body.
-
-    ``logr`` holds log r(omega), ``h`` the support height of the face met and
-    ``generic`` whether that face is unique. ``r_in`` is the insphere radius
-    when it is known exactly, else None.
-    """
-
-    dim: int
-    r_in: float | None
-    logr: np.ndarray
-    h: np.ndarray
-    generic: np.ndarray
-
-
 def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
-            shards: int) -> _Radial:
-    """Sweep n uniform directions of a state body or a polytope.
+            shards: int):
+    """``(logr, h, generic)`` of n uniform directions: log r(omega), the
+    support height of the face met and whether that face is unique.
 
     State bodies draw traceless directions in chunks of BATCH and run the
-    eigenvalue-only contact kernel for every estimator. Polytopes draw in
-    chunks of polytopes._SWEEP_BATCH and measure heights against the unit
-    sphere, which is their insphere when every generator has unit norm.
+    eigenvalue-only contact kernel; polytopes sweep in chunks of
+    polytopes._SWEEP_BATCH.
     """
     if isinstance(body, polytopes.TangentBody):
-        logr, h, gen = _sweep(
+        return _sweep(
             n, rng, shards,
             lambda stream, count: polytopes._radial_sweep(body, count, stream),
             batch=polytopes._SWEEP_BATCH)
-        return _Radial(body.dim, 1.0 if body.all_unit else None, logr, h, gen)
 
     def kernel(stream, count):
         omegas = sample_direction(body.shape, stream, count)
         r, h, _, _, nong = _contact_batch(body, omegas)
         return np.log(r), h, ~nong
 
-    logr, h, gen = _sweep(n, rng, shards, kernel)
-    return _Radial(body.shape.dim_body, inscribed_radius(body.shape.n), logr, h, gen)
+    return _sweep(n, rng, shards, kernel)
 
 
-def _generic_terms(rad: _Radial, n: int):
-    """Volume and area integrands r^D and r^D / h on the generic directions.
+def _generic_terms(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+                   shards: int):
+    """Volume and area integrands r^D and r^D / h of n sampled directions.
 
     Non-generic directions (no unique supporting face) are discarded.
     """
-    _require_generic(int(np.sum(rad.generic)), n)
-    v = np.exp(rad.dim * rad.logr[rad.generic])
-    return v, v / rad.h[rad.generic]
+    logr, h, generic = _radial(body, n, rng, shards)
+    _require_generic(int(np.sum(generic)), n)
+    v = np.exp(body.dim * logr[generic])
+    return v, v / h[generic]
 
 
 def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
@@ -273,9 +256,9 @@ def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     """Volume of a state body or polytope by the radial integral over
     uniform directions."""
     _check_n(n)
-    rad = _radial(body, n, rng, shards)
-    d = rad.dim
-    value, stderr = _mean_estimate(np.exp(d * rad.logr), sphere_area(d) / d)
+    logr, _, _ = _radial(body, n, rng, shards)
+    d = body.dim
+    value, stderr = _mean_estimate(np.exp(d * logr), sphere_area(d) / d)
     return Estimate(value, stderr, n, rng.describe(), f"mc_volume[{body}]")
 
 
@@ -284,9 +267,8 @@ def mc_area(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     """Boundary area of a state body or polytope by the radial surface
     integral over generic directions."""
     _check_n(n)
-    rad = _radial(body, n, rng, shards)
-    _, a = _generic_terms(rad, n)
-    value, stderr = _mean_estimate(a, sphere_area(rad.dim))
+    _, a = _generic_terms(body, n, rng, shards)
+    value, stderr = _mean_estimate(a, sphere_area(body.dim))
     return Estimate(value, stderr, len(a), rng.describe(), f"mc_area[{body}]")
 
 
@@ -296,24 +278,18 @@ def mc_gamma(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     A and V share the same radial samples, so gamma is a correlated ratio; the
     stderr comes from the paired delta method. For a constant-height body the
-    estimate equals the body dimension up to rounding. A polytope with a
-    generator inside the unit ball takes r_in as the smallest support height
-    seen (an empirical value, noted in the estimator id).
+    estimate equals the body dimension up to rounding.
     """
     _check_n(n)
-    rad = _radial(body, n, rng, shards)
-    v, a = _generic_terms(rad, n)
-    r_in, tag = rad.r_in, ""
-    if r_in is None:
-        r_in, tag = float(np.min(rad.h[rad.generic])), ",insphere=empirical"
-    value, stderr = _ratio_estimate(a, v, r_in * rad.dim)
-    return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}{tag}]")
+    v, a = _generic_terms(body, n, rng, shards)
+    value, stderr = _ratio_estimate(a, v, body.r_in * body.dim)
+    return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
 
 def height_certificate(body: polytopes.TangentBody, n: int, rng: RngStream,
                        shards: int = 1) -> HeightCertificate:
-    """Max deviation of a polytope's sampled support heights from the unit
-    sphere, even when its insphere radius is unknown. No generic direction at
+    """Max deviation of a polytope's sampled support heights from its
+    insphere radius, zero on a constant-height body. No generic direction at
     all raises :class:`InsufficientSamplesError`.
 
     A state body is rejected: its sampled heights equal the insphere radius
@@ -323,14 +299,14 @@ def height_certificate(body: polytopes.TangentBody, n: int, rng: RngStream,
         raise ValueError(f"height_certificate takes a polytope, got {body}; "
                          "test a state body with radius_law")
     _check_n(n)
-    rad = _radial(body, n, rng, shards)
-    if not np.any(rad.generic):
+    _, h, generic = _radial(body, n, rng, shards)
+    if not np.any(generic):
         raise InsufficientSamplesError(f"all {n} sampled directions were non-generic")
     return HeightCertificate(
         body=str(body),
         n_samples=n,
-        n_nongeneric=int(n - np.sum(rad.generic)),
-        max_abs_deviation=float(np.max(np.abs(rad.h[rad.generic] - 1.0))),
+        n_nongeneric=int(n - np.sum(generic)),
+        max_abs_deviation=float(np.max(np.abs(h[generic] - body.r_in))),
         seed=rng.describe(),
     )
 
@@ -387,14 +363,17 @@ def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
 
 def estimate_p_interior(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
-    """PPT probability of Hilbert-Schmidt interior samples."""
+    """PPT probability of Hilbert-Schmidt interior samples: exactly 1 on
+    K = 1, where the partial transpose is a full transpose and keeps the
+    spectrum. Only the ratios built on PPT fractions need K >= 2."""
     return _ppt_fraction("p_interior", shape, n, rng, shards, lambda stream, count:
                          sample_state_hs(shape, stream, count))
 
 
 def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
-    """PPT probability of boundary samples under the surface measure."""
+    """PPT probability of boundary samples under the surface measure;
+    exactly 1 on K = 1, as for :func:`estimate_p_interior`."""
     return _ppt_fraction("p_boundary", shape, n, rng, shards, lambda stream, count:
                          sample_boundary_state_hs(shape, stream, count)[0])
 
@@ -467,17 +446,17 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> E
     point for PPT; agrees with estimate_p_boundary without ever drawing a
     boundary sample, which makes it an independent check on the boundary
     sampler's eigenvalue density. Too many non-generic directions raise
-    :class:`InsufficientSamplesError`, as in the area estimators.
+    :class:`InsufficientSamplesError`, as in the area estimators. On K = 1
+    the fraction is exactly 1, as for :func:`estimate_p_interior`.
     """
     _check_n(n)
     body = BodySpec("full", shape)
-    d = shape.dim_body
 
     def kernel(stream, count):
         omegas = sample_direction(shape, stream, count)
         r, h, _, _, nong = _contact_batch(body, omegas)
         gen = ~nong
-        w = np.exp(d * np.log(r[gen])) / h[gen]
+        w = np.exp(body.dim * np.log(r[gen])) / h[gen]
         return w, _ppt_mask(body.center + r[gen, None, None] * omegas[gen], shape)
 
     w, hits = _sweep(n, rng, 1, kernel)

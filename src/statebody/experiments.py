@@ -37,6 +37,9 @@ from .records import ResultRecord, write_record
 from .sampling import RngStream
 from .validation import sampler_validation
 
+# largest ratio of the last two corner fractions a corner probe passes with
+CORNER_RATIO_MAX = 0.2
+
 
 def _shape(config: ExperimentConfig) -> BipartiteShape:
     k, m = config.shape
@@ -62,11 +65,10 @@ def _run_omega(config: ExperimentConfig, rng: RngStream):
 
 
 def _run_gamma(config: ExperimentConfig, rng: RngStream):
-    shape = _shape(config)
-    body = BodySpec(config.body, shape)
+    body = BodySpec(config.body, _shape(config))
     est = mc_gamma(body, config.n_samples, rng, config.shards)
-    metrics = {"gamma": asdict(est), "body": str(body), "dim_body": shape.dim_body}
-    return metrics, *_band(config, est.value, est.stderr, float(shape.dim_body))
+    metrics = {"gamma": asdict(est), "body": str(body), "dim_body": body.dim}
+    return metrics, *_band(config, est.value, est.stderr, float(body.dim))
 
 
 def _run_height_check(config: ExperimentConfig, rng: RngStream):
@@ -92,13 +94,13 @@ def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
             "the last ratio is undefined at this sample size")
     monotone = all(a >= b for a, b in zip(fracs, fracs[1:]))
     last_ratio = fracs[-1] / fracs[-2]
-    ratio_ok = last_ratio <= config.tolerance("corner_ratio_max")
     metrics = {
         "rows": [{"delta": d, "fraction": f, "stderr": s} for d, f, s in res.rows],
         "monotone": monotone,
         "last_ratio": last_ratio,
     }
-    return (metrics, last_ratio, None, None, None, bool(monotone and ratio_ok))
+    return (metrics, last_ratio, None, None, None,
+            bool(monotone and last_ratio <= CORNER_RATIO_MAX))
 
 
 def _run_area_crosscheck(config: ExperimentConfig, rng: RngStream):

@@ -62,6 +62,16 @@ class BodySpec:
         """The insphere center rho* = I/N, fixed by partial transposition."""
         return maximally_mixed(self.shape.n, self.shape.field)
 
+    @property
+    def dim(self) -> int:
+        """Dimension D of the body: that of the trace-one matrices."""
+        return self.shape.dim_body
+
+    @property
+    def r_in(self) -> float:
+        """Insphere radius around I/N, shared by both kinds of body."""
+        return inscribed_radius(self.shape.n)
+
     def __str__(self):
         return f"{self.kind}:{self.shape}"
 

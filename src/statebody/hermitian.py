@@ -91,6 +91,10 @@ class HermitianMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # validated again; a DensityMatrix copy is renormalized (last bits move)
+        return type(self), (self.mat,)
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]

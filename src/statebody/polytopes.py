@@ -1,11 +1,11 @@
 """Finite-dimensional laboratory for tangent-face geometry.
 
 A :class:`TangentBody` is the polar of a finite generator set Y inside the
-unit ball: X = {x : <x, y> <= 1 for all y in Y}. When every generator has unit
-norm each exposed face is tangent to the unit sphere and the body has constant
-height, so gamma = r * A / V equals the ambient dimension, mirroring the state
-body without any quantum machinery. Shorter generators push their face outward
-and break the equality exactly when that face is exposed. The volume, area,
+unit ball: X = {x : <x, y> <= 1 for all y in Y}. When all generators share one
+norm each exposed face is tangent to the insphere, the body has constant height
+and gamma = r_in * A / V equals the ambient dimension, mirroring the state body
+without any quantum machinery. A shorter generator pushes its face outward and
+breaks the equality exactly when that face is exposed. The volume, area,
 gamma and height estimators of :mod:`statebody.estimators` accept a
 TangentBody wherever they accept a state body. One kernel, :func:`_binding`,
 finds the binding generator of a stack of directions; the estimators' sweep
@@ -35,40 +35,45 @@ class FaceTieError(RuntimeError):
 
 
 class TangentBody:
-    """Polar body of a finite set of generators with norms at most one."""
+    """Polar body of a finite set of generators with norms at most one.
 
-    __slots__ = ("generators", "dim", "_norms", "_all_unit")
+    Exact duplicate rows are dropped, first occurrences kept in order. The
+    insphere radius ``r_in`` is 1.0 when every generator is unit (``all_unit``),
+    else 1 / max |y|: the longest generator's face is always exposed.
+    """
+
+    __slots__ = ("generators", "dim", "r_in", "all_unit", "_norms")
 
     def __init__(self, generators):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError(f"generators must be a (m, dim) array, got {g.shape}")
+        g = g[np.sort(np.unique(g, axis=0, return_index=True)[1])]
         norms = np.linalg.norm(g, axis=1)
         worst = float(np.max(norms))
-        if worst > 1.0 + NORM_SLACK:
+        if not worst <= 1.0 + NORM_SLACK:  # a NaN norm fails too
             raise ValueError(
                 f"generator norm {worst:.12f} exceeds one; generators must "
                 "lie in the unit ball"
             )
         _check_origin_interior(g)
-        g = g.copy()
         g.setflags(write=False)
+        all_unit = bool(np.max(np.abs(norms - 1.0)) <= NORM_SLACK)
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "dim", g.shape[1])
+        object.__setattr__(self, "r_in", 1.0 if all_unit else 1.0 / worst)
+        object.__setattr__(self, "all_unit", all_unit)
         object.__setattr__(self, "_norms", norms)
-        object.__setattr__(self, "_all_unit", bool(np.max(np.abs(norms - 1.0)) <= NORM_SLACK))
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentBody is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.generators,)  # a copy is validated again
+
     @property
     def n_generators(self) -> int:
         return self.generators.shape[0]
-
-    @property
-    def all_unit(self) -> bool:
-        """True when every generator touches the unit sphere."""
-        return self._all_unit
 
     def __repr__(self):
         return f"TangentBody(dim={self.dim}, n_generators={self.n_generators})"
@@ -80,25 +85,25 @@ class TangentBody:
 def _check_origin_interior(g: np.ndarray):
     """Reject generator sets whose polar body is unbounded.
 
-    The polar is bounded iff the recession cone {d : Y d <= 0} is trivial;
-    each coordinate direction is probed with a small LP and any nonzero
-    solution is reported as the offending unbounded direction.
+    The polar is unbounded iff some d != 0 has Y d <= 0. Either some product
+    (Y d)_i is negative, which one LP finds by minimising sum_i (Y d)_i over
+    Y d <= 0 inside the box [-1, 1]^dim, or every product vanishes, which
+    needs rank Y < dim; d then comes from the null space of Y.
     """
     m, dim = g.shape
-    bounds = [(-1.0, 1.0)] * dim
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            c = np.zeros(dim)
-            c[i] = -sign  # maximize sign * d_i
-            res = linprog(c, A_ub=g, b_ub=np.zeros(m), bounds=bounds, method="highs")
-            if res.status != 0:
-                raise UnboundedBodyError(f"interiority LP failed: {res.message}")
-            if -res.fun > 1e-9:
-                d = res.x / np.linalg.norm(res.x)
-                raise UnboundedBodyError(
-                    "origin is not interior to the generator hull; the body is "
-                    f"unbounded along direction {np.round(d, 6).tolist()}"
-                )
+    res = linprog(g.sum(axis=0), A_ub=g, b_ub=np.zeros(m),
+                  bounds=[(-1.0, 1.0)] * dim, method="highs")
+    if res.status != 0:
+        raise UnboundedBodyError(f"interiority LP failed: {res.message}")
+    # dim zero rows leave the singular values and make vt span R^dim
+    _, s, vt = np.linalg.svd(np.vstack([g, np.zeros((dim, dim))]), full_matrices=False)
+    negative = -res.fun > 1e-9
+    if negative or s[-1] <= s[0] * (m + dim) * np.finfo(float).eps:
+        d = res.x if negative else vt[-1]
+        raise UnboundedBodyError(
+            "origin is not interior to the generator hull; the body is unbounded "
+            f"along direction {np.round(d / np.linalg.norm(d), 6).tolist()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:
     Generators are deduplicated and canonically ordered, so the operation is
     commutative and associative at the generator-set level and the radial
     function of the result is exactly the minimum of the two inputs. The
-    union is validated like any generator set (at most 2 * dim small LPs).
+    union is validated like any generator set (one small LP).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")

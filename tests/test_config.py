@@ -143,6 +143,10 @@ def test_tolerance_overrides():
     with pytest.raises(ConfigError) as err:
         config_from_dict(base(tolerances={"height_tol": 1e-9}))
     assert err.value.field == "tolerances.height_tol"
+    # the corner-probe ratio bound is fixed too
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(base(tolerances={"corner_ratio_max": 0.2}))
+    assert err.value.field == "tolerances.corner_ratio_max"
     with pytest.raises(ConfigError) as err:
         config_from_dict(base(tolerances={"sgima": 4.0}))
     assert err.value.field == "tolerances.sgima"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from statebody import estimators, polytopes, sampling
 from statebody import (
     BipartiteShape,
     BodySpec,
+    DensityMatrix,
     Estimate,
     InsufficientSamplesError,
     RngStream,
     TangentBody,
+    TracelessDirection,
     config_from_dict,
     corner_probe,
     cross_validate_area,
@@ -54,6 +57,29 @@ def test_estimate_is_frozen():
     est = Estimate(1.0, 0.1, 10, "philox4x64:1:0", "x")
     with pytest.raises(dataclasses.FrozenInstanceError):
         est.value = 2.0
+
+
+@pytest.mark.parametrize("obj", [
+    BodySpec("ppt", BipartiteShape(2, 3, "real")),
+    CUBE,
+    RngStream(5, 17),
+    BipartiteShape(2, 3),
+    DensityMatrix(np.diag([0.5, 0.25, 0.25])),
+    TracelessDirection(np.diag([1.0, -1.0]) / math.sqrt(2.0)),
+], ids=lambda obj: type(obj).__name__)
+def test_pickle_round_trip(obj):
+    copy = pickle.loads(pickle.dumps(obj))
+    assert type(copy) is type(obj)
+    if isinstance(obj, TangentBody):
+        assert np.array_equal(copy.generators, obj.generators)
+        assert not copy.generators.flags.writeable
+        a, b = (mc_gamma(body, 5000, RngStream(3)) for body in (obj, copy))
+        assert (a.value, a.stderr) == (b.value, b.stderr)
+    elif hasattr(obj, "mat"):
+        assert np.array_equal(copy.mat, obj.mat)
+        assert not copy.mat.flags.writeable
+    else:
+        assert copy == obj
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +141,9 @@ def test_volume_area_determinism_and_shards():
 def test_estimator_rejects_bad_n():
     with pytest.raises(ValueError):
         mc_volume(QUBIT, 0, RngStream(1))
+    # one sample has no sample stderr
+    with pytest.raises(ValueError, match=">= 2"):
+        mc_volume(BodySpec("full", BipartiteShape(1, 3)), 1, RngStream(1))
     with pytest.raises(ValueError):
         mc_gamma(QUBIT, -5, RngStream(1))
 
@@ -257,10 +286,14 @@ def test_radius_law_keeps_ppt_rows_only():
 
 
 def test_p_interior_trivial_for_unipartite():
-    # partial transpose over a trivial first factor preserves the spectrum
-    est = estimate_p_interior(BipartiteShape(1, 3), 2000, RngStream(7))
+    # partial transpose over a trivial first factor preserves the spectrum,
+    # so every PPT fraction of a K = 1 system is exactly one
+    shape = BipartiteShape(1, 3)
+    est = estimate_p_interior(shape, 2000, RngStream(7))
     assert est.value == 1.0
     assert est.stderr == pytest.approx(1 / 2000)
+    assert estimate_p_boundary(shape, 2000, RngStream(8)).value == 1.0
+    assert mc_boundary_ppt_fraction(shape, 2000, RngStream(9)).value == 1.0
 
 
 def test_p_interior_pinned_reference():

@@ -108,6 +108,16 @@ def test_body_spec_validation():
     assert np.allclose(body.center, np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("kind, km, field", [("full", (1, 3), "complex"),
+                                             ("full", (1, 4), "real"),
+                                             ("ppt", (2, 3), "complex")])
+def test_body_spec_dim_and_insphere(kind, km, field):
+    shape = BipartiteShape(*km, field)
+    body = BodySpec(kind, shape)
+    assert body.dim == shape.dim_body
+    assert body.r_in == inscribed_radius(shape.n)
+
+
 # ---------------------------------------------------------------------------
 # radial function
 

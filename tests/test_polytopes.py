@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from statebody import polytopes
 from statebody import (
     FaceTieError,
     RngStream,
@@ -80,9 +81,32 @@ def test_tangent_body_basics():
     assert body.dim == 3
     assert body.n_generators == 6
     assert body.all_unit
-    assert not TangentBody(RECT).all_unit
+    assert body.r_in == 1.0
+    rect = TangentBody(RECT)
+    assert not rect.all_unit
+    # the far face moves out, the insphere stays the unit ball
+    assert rect.r_in == 1.0
     with pytest.raises(AttributeError):
         body.dim = 4
+    with pytest.raises(AttributeError):
+        body.r_in = 2.0
+
+
+def test_duplicate_generators_are_dropped():
+    cube = TangentBody(cube_generators(3))
+    doubled = TangentBody(np.vstack([cube_generators(3), [[1.0, 0.0, 0.0]]]))
+    assert np.array_equal(doubled.generators, cube.generators)
+    a = mc_gamma(cube, 5000, RngStream(11))
+    b = mc_gamma(doubled, 5000, RngStream(11))
+    assert (a.value, a.stderr, a.n_samples) == (b.value, b.stderr, b.n_samples)
+
+
+def test_construction_runs_one_lp(monkeypatch):
+    calls, linprog = [], polytopes.linprog
+    monkeypatch.setattr(polytopes, "linprog",
+                        lambda *args, **kw: calls.append(1) or linprog(*args, **kw))
+    TangentBody(random_unit_generators(6, 500, RngStream(12)))
+    assert len(calls) == 1
 
 
 def test_tangent_body_rejects_bad_input():
@@ -90,13 +114,19 @@ def test_tangent_body_rejects_bad_input():
         TangentBody(np.ones(3))  # not 2-D
     with pytest.raises(ValueError):
         TangentBody(np.zeros((3, 2)))  # zero rows
+    with pytest.raises(ValueError, match="unit ball"):
+        TangentBody(np.vstack([cube_generators(2), [[np.nan, 0.0]]]))
 
 
 def test_unbounded_body_is_rejected():
-    half = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(UnboundedBodyError) as err:
-        TangentBody(half)
-    assert "direction" in str(err.value)
+    for generators in (
+        [[1.0, 0.0], [0.0, 1.0]],  # a quadrant: some product is negative
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],  # a half-strip: a ray escapes
+        # a slab in 3-D: rank 2, every product along e3 vanishes
+        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+    ):
+        with pytest.raises(UnboundedBodyError, match=r"unbounded along direction \["):
+            TangentBody(np.array(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +233,7 @@ def test_rectangle_gamma_volume_area():
     """
     body = TangentBody(RECT)
     gamma = mc_gamma(body, 100_000, RngStream(203))
-    assert "insphere=empirical" in gamma.estimator_id
+    assert body.r_in == 1.0
     assert abs(gamma.value - 1.8) < 4 * gamma.stderr
     vol = mc_volume(body, 100_000, RngStream(204))
     assert abs(vol.value - 5.0) < 4 * vol.stderr
@@ -249,11 +279,25 @@ def test_shrunk_generator_breaks_constant_height():
     gens = np.vstack([cube_generators(2), 0.8 * np.array([[1.0, 1.0]]) / math.sqrt(2.0)])
     body = TangentBody(gens)
     assert not body.all_unit
+    assert body.r_in == 1.0
     rep = height_certificate(body, 20000, RngStream(303))
     assert not rep.passed
     assert rep.max_abs_deviation == pytest.approx(0.25, abs=1e-12)
     est = mc_gamma(body, 50000, RngStream(304))
     assert est.value < 2.0 - 4 * est.stderr
+
+
+def test_scaled_cube_has_constant_height():
+    # the cube [-2, 2]^3: every face is at the insphere radius 2, not 1
+    body = TangentBody(0.5 * cube_generators(3))
+    assert not body.all_unit
+    assert body.r_in == 2.0
+    rep = height_certificate(body, 20000, RngStream(308))
+    assert rep.passed
+    assert rep.max_abs_deviation == 0.0
+    est = mc_gamma(body, 30000, RngStream(309))
+    assert est.value == pytest.approx(3.0, abs=1e-9)
+    assert est.estimator_id == "mc_gamma[polytope:dim=3]"
 
 
 def test_random_unit_body_has_constant_height():

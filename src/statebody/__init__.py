@@ -75,7 +75,7 @@ from .polytopes import (
 from .records import ResultRecord, load_records, render_report, write_record
 from .sampling import (
     RngStream,
-    boundary_eigenvalues_metropolis,
+    boundary_eigenvalues_laguerre,
     boundary_eigenvalues_wishart,
     sample_boundary_state_hs,
     sample_direction,

@@ -92,7 +92,8 @@ class HermitianMatrix:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # validated again; a DensityMatrix copy is renormalized (last bits move)
+        # validated again; the constructor leaves a stored matrix unchanged,
+        # so the copy is equal bit for bit
         return type(self), (self.mat,)
 
     @property
@@ -113,9 +114,12 @@ class DensityMatrix(HermitianMatrix):
         tr = float(np.trace(self.mat).real)
         if abs(tr) < 1e-14:
             raise ValueError(f"trace {tr:.3e} too small to renormalize")
-        m = self.mat / tr
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        # dividing by a trace already within rounding of one would only move
+        # last bits, so normalizing stays idempotent
+        if abs(tr - 1.0) > 4 * self.dim * np.finfo(float).eps:
+            m = self.mat / tr
+            m.setflags(write=False)
+            object.__setattr__(self, "mat", m)
         lo = float(np.linalg.eigvalsh(self.mat)[0])
         if lo < -PSD_TOL:
             raise ValueError(

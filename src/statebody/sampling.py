@@ -28,9 +28,9 @@ density:
     f(lambda) ~ prod_{i<j} |l_i - l_j|^beta * prod_i l_i^beta
 
 with beta = 2 (complex) or 1 (real), and its eigenvectors form a Haar frame.
-A Metropolis chain targeting f directly is kept only as an independent
-oracle: the sampler battery and the test suite compare its spectra with
-those of production boundary states.
+The beta-Laguerre bidiagonal model draws f directly, i.i.d. and exactly; it
+is kept only as an independent oracle: the sampler battery and the test
+suite compare its spectra with those of production boundary states.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ from .hermitian import BipartiteShape, hermitian_part
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
-
-# Metropolis oracle settings: enough burn-in for the small simplices used here.
-_MH_BURN = 4096
-_MH_THIN = 16
-_MH_CHAINS = 256
-# Steps per adaptation window; _MH_BURN is a multiple of it, so the step size
-# is constant within every window the chain runs.
-_MH_WINDOW = 128
 
 
 def _splitmix64(x: int) -> int:
@@ -120,28 +112,22 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndar
     return _normalized_gram(_ginibre(rng.generator(), (size, n, cols), shape.field))
 
 
-def boundary_eigenvalues_metropolis(
+def boundary_eigenvalues_laguerre(
     n: int, field: str, rng: RngStream, size: int
 ) -> np.ndarray:
-    """Nonzero boundary eigenvalues via a random-walk Metropolis chain.
+    """Nonzero boundary eigenvalues drawn exactly from f by a bidiagonal model.
 
-    Targets f(lambda) on the (N-2)-simplex directly. It is the independent
-    oracle for the spectra of production boundary states, used only by the
-    sampler battery and the tests; its kept samples are correlated, so no
-    estimator draws from it. Returns a (size, N-1) array of eigenvalue rows
-    summing to one, sorted ascending. Step size adapts during burn-in only,
-    so the kept samples come from a fixed, detailed-balanced kernel.
-
-    The chain runs in windows of ``_MH_WINDOW`` steps, but every step still
-    draws its normals and then its uniforms from the one generator, one step
-    at a time. Bulk or split-stream draws would give an equally valid chain,
-    but a different one: this draw order is what keeps the oracle's spectra
-    bit-identical to those of a plain step-at-a-time loop. Only work that does
-    not depend on the chain state (centring and scaling the normals, log u)
-    runs once per window. That is exact because the step size changes only at
-    the end of a burn-in window. log f adds its terms in the plain loop's
-    order, so for N <= 8, where numpy's own sums of N-1 terms also run one by
-    one, the output equals that loop's bit for bit.
+    The beta-Laguerre matrix model of Dumitriu and Edelman (J. Math. Phys. 43,
+    5830 (2002)), with m = N-1 and a = beta + 1 + beta (m-1)/2: B is m x m
+    lower bidiagonal with independent entries, chi_{2a - beta i} on the
+    diagonal (i = 0..m-1) and chi_{beta (m-1)}, ..., chi_beta below it. The
+    eigenvalues of B B^T have density prod |l_i - l_j|^beta prod l_i^beta
+    exp(-sum l_i / 2); f is homogeneous, so dividing a spectrum by its sum
+    gives exactly the law f on the simplex. Rows are i.i.d. and share no
+    Ginibre draw, projection or Gram matrix with production; they share only
+    ``eigvalsh``. It is the independent oracle for the spectra of production
+    boundary states, used only by the sampler battery and the tests. Returns
+    a (size, N-1) array of eigenvalue rows summing to one, sorted ascending.
     """
     _check_field(field)
     m = n - 1
@@ -153,75 +139,16 @@ def boundary_eigenvalues_metropolis(
     if size == 0:
         return np.empty((0, m))
     beta = 2 if field == "complex" else 1
-    c = min(_MH_CHAINS, max(8, size))
-    needed = int(np.ceil(size / c))
-    total = _MH_BURN + needed * _MH_THIN
-    gen = rng.generator()
-    # The chain state holds log f / beta in row 0 and the eigenvalues in rows
-    # 1..m, one contiguous row of c chains each. cand holds a proposal in the
-    # same layout, followed by the gaps |l_i - l_j| for i < j in the order log
-    # f adds them, so log f / beta is the row-order sum of the logs of rows 1..
-    state = np.empty((1 + m, c))
-    cand = np.empty((1 + m + m * (m - 1) // 2, c))
-    prop, prop_logf, prop_lam = cand[:1 + m], cand[0], cand[1:1 + m]
-    terms, gaps = cand[1:], cand[1 + m:]
-    logf, lam = state[0], state[1:]
-    logs = np.empty_like(terms)
-    diffs = []
-    row = 1 + m
-    for i in range(1, m):
-        diffs.append((cand[i], cand[i + 1:1 + m], cand[row:row + m - i]))
-        row += m - i
-
-    def log_f():
-        # -inf or NaN off the open simplex, which the acceptance test rejects
-        for a, b, d in diffs:
-            np.subtract(a, b, out=d)
-        np.abs(gaps, out=gaps)
-        np.log(terms, out=logs)
-        np.add.reduce(logs, axis=0, out=prop_logf)
-
-    z = np.empty((_MH_WINDOW, c, m))
-    dz = np.empty((_MH_WINDOW, m, c))
-    u = np.empty((_MH_WINDOW, c))
-    accept = np.empty((_MH_WINDOW, c), dtype=bool)
-    gap = np.empty(c)
-    kept = np.empty((needed, c, m))
-    draws = list(zip(z, u))
-    steps = list(zip(dz, u, accept))
-    normal, uniform = gen.standard_normal, gen.random
-    step = 0.5 / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prop_lam[...] = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1).T
-        log_f()
-        state[...] = prop
-        for t0 in range(0, total, _MH_WINDOW):
-            k = min(_MH_WINDOW, total - t0)
-            for zt, ut in draws[:k]:
-                normal(out=zt)
-                uniform(out=ut)
-            dzw = dz[:k]
-            np.copyto(dzw, z[:k].transpose(0, 2, 1))
-            # centring keeps the trace sum fixed
-            dzw -= np.add.reduce(dzw, axis=1, keepdims=True) / m
-            dzw *= step
-            # log u < beta (log f' - log f) exactly when log u / beta is
-            # below log f' / beta - log f / beta: dividing by 1 or 2 is exact
-            np.log(u[:k], out=u[:k])
-            u[:k] /= beta
-            for t, (dzt, ut, at) in enumerate(steps[:k], start=t0 - _MH_BURN):
-                np.add(lam, dzt, out=prop_lam)
-                log_f()
-                np.subtract(prop_logf, logf, out=gap)
-                np.less(ut, gap, out=at)
-                np.copyto(state, prop, where=at)
-                if t >= 0 and t % _MH_THIN == _MH_THIN - 1:
-                    kept[t // _MH_THIN] = lam.T
-            if t0 < _MH_BURN:
-                rate = int(np.count_nonzero(accept)) / (_MH_WINDOW * c)
-                step *= float(np.exp(0.4 * (rate - 0.35)))
-    kept.sort(axis=-1)
-    return kept.reshape(-1, m)[:size]
+    two_a = 2 * beta + 2 + beta * (m - 1)  # 2(N+1) complex, N+2 real
+    i = np.arange(m)
+    dof = np.concatenate([two_a - beta * i, beta * i[:0:-1]])
+    # the 2m-1 variates of a row are consecutive draws of the one generator
+    chi = np.sqrt(rng.generator().chisquare(dof, size=(size, 2 * m - 1)))
+    b = np.zeros((size, m, m))
+    b[:, i, i] = chi[:, :m]
+    b[:, i[1:], i[:-1]] = chi[:, m:]
+    lam = np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))
+    return lam / lam.sum(axis=1, keepdims=True)
 
 
 def boundary_eigenvalues_wishart(

@@ -1,10 +1,12 @@
 """Distribution checks for the samplers, used by the validate-samplers command.
 
 Two-sample tests pit the production route against an independent one (in
-both fields, the spectra of production boundary states against the
-Metropolis chain, which serves only as this oracle); scalar checks compare
-sampled tail probabilities against closed-form values. Each check reports a
-p-value or a sigma deviation plus a verdict.
+both fields, the spectra of production boundary states against the exact
+beta-Laguerre bidiagonal model, which serves only as this oracle); a
+one-sample test compares the largest N = 3 boundary eigenvalue with its
+closed-form law, and scalar checks compare sampled tail probabilities
+against closed-form values. Each check reports a p-value or a sigma
+deviation plus a verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy import stats
 from .hermitian import BipartiteShape
 from .sampling import (
     RngStream,
-    boundary_eigenvalues_metropolis,
+    boundary_eigenvalues_laguerre,
     boundary_eigenvalues_wishart,
     sample_boundary_state_hs,
     sample_state_hs,
@@ -53,6 +55,18 @@ def two_sample_chi2(x: np.ndarray, y: np.ndarray, bins: int) -> float:
     return float(stats.chi2_contingency(table).pvalue)
 
 
+def boundary_lmax_cdf_n3(u: np.ndarray, field: str) -> np.ndarray:
+    """CDF of u = 2 lambda_max - 1 for the nonzero boundary spectrum at N = 3.
+
+    Under f the pair (lambda_min, lambda_max) = ((1-u)/2, (1+u)/2) has density
+    proportional to u^beta (1 - u^2)^beta on [0, 1].
+    """
+    u = np.clip(u, 0.0, 1.0)
+    if field == "complex":
+        return 105.0 / 8.0 * (u**3 / 3 - 2 * u**5 / 5 + u**7 / 7)
+    return 2 * u**2 - u**4
+
+
 def _purity(states: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(states) ** 2, axis=(-2, -1))
 
@@ -75,18 +89,24 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     checks = {}
 
     # boundary eigenvalue law: spectra of production boundary states vs the
-    # independent Metropolis chain, for either field
+    # independent beta-Laguerre model, for either field
     lam3_w = boundary_eigenvalues_wishart(3, field, rng.child(10), n)
-    lam3_m = boundary_eigenvalues_metropolis(3, field, rng.child(11), n)
+    lam3_m = boundary_eigenvalues_laguerre(3, field, rng.child(11), n)
     ks = stats.ks_2samp(lam3_w[:, -1], lam3_m[:, -1])
     checks["boundary_lmax_ks_n3"] = {
         "p_value": float(ks.pvalue), "passed": bool(ks.pvalue > p_threshold)}
+    # and vs the closed form, which no sampler shares: this also covers the
+    # eigvalsh that production and the model both run
+    p_exact = float(stats.kstest(
+        2.0 * lam3_w[:, -1] - 1.0, lambda u: boundary_lmax_cdf_n3(u, field)).pvalue)
+    checks["boundary_lmax_exact_ks_n3"] = {
+        "p_value": p_exact, "passed": bool(p_exact > p_threshold)}
     p3 = two_sample_chi2(lam3_w[:, -1:], lam3_m[:, -1:], CHI2_BINS)
     checks["boundary_joint_chi2_n3"] = {
         "p_value": p3, "passed": bool(p3 > p_threshold)}
 
     lam4_w = boundary_eigenvalues_wishart(4, field, rng.child(12), n)
-    lam4_m = boundary_eigenvalues_metropolis(4, field, rng.child(13), n)
+    lam4_m = boundary_eigenvalues_laguerre(4, field, rng.child(13), n)
     p4 = two_sample_chi2(lam4_w[:, 1:], lam4_m[:, 1:], CHI2_BINS_2D)
     checks["boundary_joint_chi2_n4"] = {
         "p_value": p4, "passed": bool(p4 > p_threshold)}

@@ -1,5 +1,6 @@
 """Matrix layer: wrappers, inner products, partial transpose, PPT checks."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -119,6 +120,15 @@ def test_hermitian_matrix_canonicalizes_and_freezes():
 def test_density_matrix_normalizes_trace():
     rho = DensityMatrix(2.0 * np.eye(3) / 3)
     assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_density_matrix_pickle_round_trip_is_exact(scale):
+    """Rebuilding a state from its own matrix, as unpickling does, moves no bit."""
+    states = sample_state_hs(BipartiteShape(2, 3), RngStream(59), 200)
+    for s in states:
+        rho = DensityMatrix(scale * s)
+        assert np.array_equal(pickle.loads(pickle.dumps(rho)).mat, rho.mat)
 
 
 def test_density_matrix_rejects_negative_eigenvalue():

@@ -9,14 +9,15 @@ from scipy import integrate, stats
 from statebody import (
     BipartiteShape,
     RngStream,
-    boundary_eigenvalues_metropolis,
+    boundary_eigenvalues_laguerre,
     boundary_eigenvalues_wishart,
     hs_inner,
     sample_boundary_state_hs,
     sample_direction,
     sample_state_hs,
 )
-from statebody.sampling import _MH_BURN, _MH_CHAINS, _MH_THIN, _MH_WINDOW
+from statebody import sampling, validation
+from statebody.validation import boundary_lmax_cdf_n3
 
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
@@ -129,82 +130,8 @@ def test_boundary_eigenvalue_rows(field, n):
 
 
 def test_boundary_eigenvalues_qubit_degenerate_case():
-    lam = boundary_eigenvalues_metropolis(2, "complex", RngStream(1), 10)
+    lam = boundary_eigenvalues_laguerre(2, "complex", RngStream(1), 10)
     assert np.array_equal(lam, np.ones((10, 1)))
-
-
-def _logdensity_boundary(lam, beta):
-    """log f over the nonzero eigenvalues, -inf off the open simplex."""
-    ok = np.all(lam > 0.0, axis=-1)
-    out = np.full(lam.shape[:-1], -np.inf)
-    if not np.any(ok):
-        return out
-    lx = lam[ok]
-    s = beta * np.sum(np.log(lx), axis=-1)
-    m = lx.shape[-1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = s + beta * np.log(np.abs(lx[..., i] - lx[..., j]))
-    out[ok] = s
-    return out
-
-
-def reference_chain(n, field, rng, size):
-    """The chain one step at a time, every array op once per step.
-
-    Test-only reference for ``boundary_eigenvalues_metropolis``, which must
-    return exactly these rows.
-    """
-    m = n - 1
-    beta = 2 if field == "complex" else 1
-    c = min(_MH_CHAINS, max(8, size))
-    gen = rng.generator()
-    lam = np.sort(gen.dirichlet(np.ones(m), size=c), axis=-1)
-    logf = _logdensity_boundary(lam, beta)
-    step = 0.5 / m
-    acc = 0
-    window = 0
-    needed = int(np.ceil(size / c))
-    kept = []
-    total = _MH_BURN + needed * _MH_THIN
-    for t in range(total):
-        z = gen.standard_normal((c, m))
-        z -= z.mean(axis=-1, keepdims=True)  # keeps the trace sum fixed
-        prop = lam + step * z
-        logf_p = _logdensity_boundary(prop, beta)
-        u = np.log(gen.random(c))
-        accept = u < (logf_p - logf)
-        lam = np.where(accept[:, None], prop, lam)
-        logf = np.where(accept, logf_p, logf)
-        if t < _MH_BURN:
-            acc += int(np.sum(accept))
-            window += c
-            if window >= 128 * c:
-                rate = acc / window
-                step *= float(np.exp(0.4 * (rate - 0.35)))
-                acc = 0
-                window = 0
-        elif (t - _MH_BURN) % _MH_THIN == _MH_THIN - 1:
-            kept.append(np.sort(lam, axis=-1))
-    out = np.concatenate(kept, axis=0)[:size]
-    return out
-
-
-@pytest.mark.parametrize("size", [5, 300])
-@pytest.mark.parametrize("field", ["complex", "real"])
-@pytest.mark.parametrize("n", [3, 4])
-def test_metropolis_is_the_step_at_a_time_chain(n, field, size):
-    """Window-blocked work must not move a single bit of the oracle."""
-    want = reference_chain(n, field, RngStream(53, 2), size)
-    got = boundary_eigenvalues_metropolis(n, field, RngStream(53, 2), size)
-    assert got.shape == (size, n - 1)
-    assert np.array_equal(got, want)
-
-
-def test_metropolis_burn_in_is_whole_windows():
-    # the normals are scaled once per window, exact only if no window
-    # straddles the end of burn-in
-    assert _MH_BURN % _MH_WINDOW == 0
 
 
 class _NoDraws:
@@ -214,16 +141,21 @@ class _NoDraws:
         raise AssertionError("drew from the stream")
 
 
+# The ids below that say "metropolis" are kept from the Metropolis chain that
+# boundary_eigenvalues_laguerre replaced, so the tests keep their names; each
+# now checks the Laguerre oracle, which also runs no chain.
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_metropolis_empty_size_runs_no_chain(n):
-    lam = boundary_eigenvalues_metropolis(n, "complex", _NoDraws(), 0)
+    lam = boundary_eigenvalues_laguerre(n, "complex", _NoDraws(), 0)
     assert lam.shape == (0, n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_metropolis_negative_size_is_rejected_before_any_draw(n):
     with pytest.raises(ValueError, match="size"):
-        boundary_eigenvalues_metropolis(n, "real", _NoDraws(), -1)
+        boundary_eigenvalues_laguerre(n, "real", _NoDraws(), -1)
 
 
 @pytest.mark.parametrize("sampler", [
@@ -231,7 +163,7 @@ def test_metropolis_negative_size_is_rejected_before_any_draw(n):
     lambda rng, size: sample_boundary_state_hs(BipartiteShape(1, 3), rng, size),
     lambda rng, size: sample_direction(BipartiteShape(1, 3), rng, size),
     lambda rng, size: boundary_eigenvalues_wishart(3, "real", rng, size),
-    lambda rng, size: boundary_eigenvalues_metropolis(3, "real", rng, size),
+    lambda rng, size: boundary_eigenvalues_laguerre(3, "real", rng, size),
 ], ids=["state", "boundary", "direction", "wishart", "metropolis"])
 def test_negative_size_is_rejected_by_name(sampler):
     with pytest.raises(ValueError, match="size must be >= 0"):
@@ -244,15 +176,65 @@ def test_wishart_matches_metropolis(field, n):
     """Two independent routes to the boundary eigenvalue law must agree."""
     size = 4000
     lam_w = boundary_eigenvalues_wishart(n, field, RngStream(51), size)
-    lam_m = boundary_eigenvalues_metropolis(n, field, RngStream(52), size)
+    lam_m = boundary_eigenvalues_laguerre(n, field, RngStream(52), size)
     for col in range(n - 1):
         ks = stats.ks_2samp(lam_w[:, col], lam_m[:, col])
         assert ks.pvalue > KS_P_MIN, f"{field} n={n} col={col}: p={ks.pvalue:.3g}"
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_laguerre_reruns_are_byte_identical(field, n):
+    a = boundary_eigenvalues_laguerre(n, field, RngStream(55), 300)
+    b = boundary_eigenvalues_laguerre(n, field, RngStream(55), 300)
+    assert a.shape == (300, n - 1)
+    assert np.array_equal(a, b)
+    assert np.all(np.diff(a, axis=1) >= 0)
+    assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
+    assert a.min() > 0
+    assert not np.array_equal(a, boundary_eigenvalues_laguerre(n, field, RngStream(56), 300))
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_laguerre_lmax_matches_exact_law_n3(field):
+    """At N = 3 the largest eigenvalue has a closed-form law."""
+    lam = boundary_eigenvalues_laguerre(3, field, RngStream(57), 4000)
+    ks = stats.kstest(2.0 * lam[:, -1] - 1.0, lambda u: boundary_lmax_cdf_n3(u, field))
+    assert ks.pvalue > KS_P_MIN, f"{field}: p={ks.pvalue:.3g}"
+
+
+def _short_gram_eigenvalues(n, field, rng, size):
+    """Nonzero boundary spectra from a Gram matrix with one column too few."""
+    cols = n if field == "complex" else n + 1
+    g = sampling._ginibre(rng.generator(), (size, n - 1, cols), field)
+    return np.linalg.eigvalsh(sampling._normalized_gram(g))
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_short_gram_fails_against_laguerre(field, n):
+    """The oracle comparison has power: a wrong column count is caught."""
+    size = 4000
+    lam_s = _short_gram_eigenvalues(n, field, RngStream(54), size)
+    lam_m = boundary_eigenvalues_laguerre(n, field, RngStream(52), size)
+    p = min(stats.ks_2samp(lam_s[:, col], lam_m[:, col]).pvalue for col in range(n - 1))
+    assert p < 1e-12, f"{field} n={n}: p={p:.3g}"
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_battery_fails_a_short_gram(field, monkeypatch):
+    """Both N = 3 tests of the battery reject a wrong boundary sampler."""
+    monkeypatch.setattr(validation, "boundary_eigenvalues_wishart", _short_gram_eigenvalues)
+    checks = validation.sampler_validation(field, 4000, RngStream(58))
+    assert not checks["boundary_lmax_ks_n3"]["passed"]
+    assert not checks["boundary_lmax_exact_ks_n3"]["passed"]
+    assert not checks["boundary_joint_chi2_n4"]["passed"]
+    assert not checks["all_passed"]
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
 def test_battery_spectrum_is_the_production_spectrum(field):
-    """The chain oracle is compared with the spectra production draws."""
+    """The oracle is compared with the spectra production draws."""
     lam = boundary_eigenvalues_wishart(4, field, RngStream(43), 50)
     states, _ = sample_boundary_state_hs(BipartiteShape(1, 4, field), RngStream(43), 50)
     assert np.array_equal(lam, np.linalg.eigvalsh(states)[:, 1:])

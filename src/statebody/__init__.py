@@ -15,6 +15,7 @@ from .estimators import (
     CornerProbeResult,
     Estimate,
     HeightCertificate,
+    InnerLaw,
     InsufficientSamplesError,
     OmegaReport,
     RadiusLaw,
@@ -24,6 +25,7 @@ from .estimators import (
     estimate_p_boundary,
     estimate_p_interior,
     height_certificate,
+    inner_law,
     mc_area,
     mc_boundary_ppt_fraction,
     mc_gamma,

@@ -6,14 +6,19 @@ Volume and area come from radial integrals over uniform directions omega:
     A = S_{D-1}   * E[r(omega)^{D-1} / <omega, n(omega)>]
 
 with D the body dimension and n(omega) the outward unit normal at the contact
-point. The volume, area and gamma estimators serve the state bodies and the
+point. The volume and area estimators serve the state bodies and the
 polytopes of :mod:`statebody.polytopes`; only the per-direction kernel that
-yields (log r, height, generic) differs. Each body kind has one test of
-constant height. On a state body the kernel solves for eigenvalues only, and
-its heights equal the insphere radius by construction, so the test there is
-:func:`radius_law`: boundary radii against interior radial values in a
-two-sample KS test. A polytope's heights are measured, and
-:func:`height_certificate` compares them with its exact insphere radius.
+yields (log r, height, generic) differs. Each body kind has one gamma
+estimator and one test of constant height. On a state body the kernel solves
+for eigenvalues only, and its heights equal the insphere radius by
+construction, so the radial ratio r_in * A / V would read D up to rounding.
+There gamma is measured by :func:`inner_law`: the inner parallel body of a
+tangential body is a scaled copy, so N * lambda_min of a uniform state is
+Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
+boundary radii against interior radial values in a two-sample KS test. A
+polytope's heights are measured: :func:`mc_gamma` takes the radial ratio and
+:func:`height_certificate` compares the heights with its exact insphere
+radius.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
@@ -49,6 +54,8 @@ BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
 NONGENERIC_WARN_FRACTION = 1e-3
 HEIGHT_TOL = 1e-9
+LAW_BINS = 32
+LAW_MIN_KEPT = 10
 
 
 class InsufficientSamplesError(RuntimeError):
@@ -89,7 +96,12 @@ class CornerProbeResult:
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
-    """PPT boundary area measured along two independent routes."""
+    """PPT boundary area by the radial integral and by doubling p_boundary.
+
+    Every sampled state-body height is r_in, so ``radial`` is D / r_in times
+    the radial volume of the PPT body and the two routes agree exactly when
+    V_ppt / V_full = 2 p_boundary; they are not two independent areas.
+    """
 
     shape: BipartiteShape
     radial: Estimate
@@ -126,6 +138,24 @@ class RadiusLaw:
     body: str
     n_boundary: int
     n_interior: int
+    p_value: float
+    seed: str
+
+
+@dataclass(frozen=True)
+class InnerLaw:
+    """The inner-parallel law s = N * lambda_min ~ Beta(1, D) on one state body.
+
+    ``gamma`` is the estimate of D from the ``n_kept`` rows of ``n_samples``
+    interior draws that lie in the body; ``p_value`` is a chi-square test of
+    the law at the body's own D. A small value refutes constant height or
+    the interior sampler.
+    """
+
+    body: str
+    n_samples: int
+    n_kept: int
+    gamma: Estimate
     p_value: float
     seed: str
 
@@ -272,14 +302,22 @@ def mc_area(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(a), rng.describe(), f"mc_area[{body}]")
 
 
-def mc_gamma(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
              shards: int = 1) -> Estimate:
-    """The dimensionless ratio gamma = r_in * A / V on shared direction samples.
+    """The dimensionless ratio gamma = r_in * A / V of a polytope on shared
+    direction samples.
 
     A and V share the same radial samples, so gamma is a correlated ratio; the
     stderr comes from the paired delta method. For a constant-height body the
     estimate equals the body dimension up to rounding.
+
+    A state body is rejected: its sampled heights equal the insphere radius
+    by construction, so the ratio would read D at any n; :func:`inner_law`
+    measures its gamma.
     """
+    if not isinstance(body, polytopes.TangentBody):
+        raise ValueError(f"mc_gamma takes a polytope, got {body}; "
+                         "measure a state body's gamma with inner_law")
     _check_n(n)
     v, a = _generic_terms(body, n, rng, shards)
     value, stderr = _ratio_estimate(a, v, body.r_in * body.dim)
@@ -349,6 +387,69 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
             f"{n} draws for {body}; the radius law needs both sides")
     p_value = float(stats.ks_2samp(r_bdy, r_int).pvalue)
     return RadiusLaw(str(body), len(r_bdy), len(r_int), p_value, rng.describe())
+
+
+def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerLaw:
+    """Gamma of a state body from the law of its interior depth, on n draws.
+
+    Every face of the body lies at distance r_in from I/N, so its inner
+    parallel body at depth e is the scaled copy (1 - e/r_in) K (Schneider,
+    Convex Bodies, 2nd ed., 2014), and for rho uniform in K the depth
+    s = dist(rho, boundary) / r_in has P(s > x) = (1 - x)^D: s ~ Beta(1, D),
+    whose density at 0 is gamma = r_in * A / V = D. On the full body
+    s = N * lambda_min(rho); the PPT body keeps its PPT rows and takes the
+    smaller of lambda_min(rho) and lambda_min(T_A(rho)), the partial
+    transpose being an isometry fixing I/N. Only kept rows are eigensolved.
+
+    t = -log(1 - s) is Exp(D) distributed, so the sum T of k kept values is
+    Gamma(k, rate D): the estimate (k - 1) / T is unbiased, with stderr
+    D / sqrt(k - 2). Each chunk keeps only its count, its sum of t and its
+    LAW_BINS equiprobable-bin counts of u = 1 - exp(-D t), uniform under the
+    law, so memory stays O(batch) at any n. The p-value is a chi-square test
+    on the largest power-of-two merge of those bins with at least five
+    expected rows each. Fewer than LAW_MIN_KEPT kept rows raise
+    :class:`InsufficientSamplesError`.
+    """
+    if not isinstance(body, BodySpec):
+        raise ValueError(f"inner_law takes a state body, got {body}; "
+                         "measure a polytope's gamma with mc_gamma")
+    _check_n(n)
+    shape, d = body.shape, body.dim
+
+    def kernel(stream, count):
+        states = sample_state_hs(shape, stream, count)
+        if body.kind == "ppt":
+            states = states[_ppt_mask(states, shape)]
+            # a kept row may have lambda_min(T_A rho) down to -PPT_TOL
+            lam = np.minimum(np.linalg.eigvalsh(states)[:, 0],
+                             np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0])
+        else:
+            lam = np.linalg.eigvalsh(states)[:, 0]
+        t = -np.log1p(-np.clip(shape.n * lam, 0.0, 1.0))
+        u = -np.expm1(-d * t)
+        bins = np.minimum((u * LAW_BINS).astype(np.intp), LAW_BINS - 1)
+        return (np.array([len(t)]), np.array([np.sum(t)]),
+                np.bincount(bins, minlength=LAW_BINS)[None])
+
+    kept, sums, counts = _sweep(n, rng, shards, kernel)
+    k = int(np.sum(kept))
+    if k < LAW_MIN_KEPT:
+        raise InsufficientSamplesError(
+            f"{k} of {n} draws lie in {body}; the inner law needs at least "
+            f"{LAW_MIN_KEPT}")
+    total = float(np.sum(sums))
+    if total == 0.0:
+        raise InsufficientSamplesError(
+            f"all {k} kept draws lie on the boundary of {body}; D is undefined")
+    value = (k - 1) / total
+    bins = LAW_BINS
+    while k < 5 * bins:
+        bins //= 2
+    merged = counts.sum(axis=0).reshape(bins, -1).sum(axis=1)
+    p_value = float(stats.chisquare(merged).pvalue)
+    gamma = Estimate(value, _floor_stderr(value, value / math.sqrt(k - 2)), k,
+                     rng.describe(), f"inner_law[{body}]")
+    return InnerLaw(str(body), n, k, gamma, p_value, rng.describe())
 
 
 def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
@@ -470,11 +571,18 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> AreaCrossCheck:
     """PPT boundary area two ways: radial integral vs doubled hit count.
 
-    Route one integrates the radial surface element over the PPT body. Route
-    two doubles p_boundary times the total area (the boundary splits evenly
-    between the body's own faces and reflected ones, the corner set being
-    area-free). The total area is the sampled volume of the full body times
-    the closed-form constant-height ratio A/V = D / r_in, in either field.
+    Route one integrates the radial surface element r^D / h over the PPT
+    body. Route two doubles p_boundary times the total area (the boundary
+    splits evenly between the body's own faces and reflected ones, the corner
+    set being area-free). The total area is the sampled volume of the full
+    body times the closed-form constant-height ratio A/V = D / r_in, in
+    either field.
+
+    Every sampled height h of a state body equals r_in by construction, so
+    route one is D / r_in times the radial volume V_ppt, and the check
+    compares V_ppt / V_full, the interior PPT fraction measured by radial
+    volumes, with 2 p_boundary: the boundary-doubling identity, not an
+    agreement of two independent area measurements.
     """
     _check_n(n)
     a_ppt = mc_area(BodySpec("ppt", shape), n, rng.child(0), shards)

@@ -20,6 +20,7 @@ from .estimators import (
     cross_validate_area,
     estimate_omega,
     height_certificate,
+    inner_law,
     mc_gamma,
     radius_law,
 )
@@ -66,9 +67,18 @@ def _run_omega(config: ExperimentConfig, rng: RngStream):
 
 def _run_gamma(config: ExperimentConfig, rng: RngStream):
     body = BodySpec(config.body, _shape(config))
-    est = mc_gamma(body, config.n_samples, rng, config.shards)
-    metrics = {"gamma": asdict(est), "body": str(body), "dim_body": body.dim}
-    return metrics, *_band(config, est.value, est.stderr, float(body.dim))
+    law = inner_law(body, config.n_samples, rng, config.shards)
+    metrics = {
+        "gamma": asdict(law.gamma),
+        "n_kept": law.n_kept,
+        "p_value": law.p_value,
+        "body": law.body,
+        "dim_body": body.dim,
+    }
+    value, stderr, target, dev, in_band = _band(config, law.gamma.value,
+                                                law.gamma.stderr, float(body.dim))
+    return (metrics, value, stderr, target, dev,
+            in_band and law.p_value > config.tolerance("p_threshold"))
 
 
 def _run_height_check(config: ExperimentConfig, rng: RngStream):

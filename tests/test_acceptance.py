@@ -24,6 +24,7 @@ from statebody import (
     cube_generators,
     estimate_omega,
     height_certificate,
+    inner_law,
     intersect_bodies,
     mc_area,
     mc_gamma,
@@ -99,19 +100,21 @@ def test_criterion_2_gamma_equals_dimension():
     """r * A / V of the full body equals its dimension, plus absolute volumes:
     the N=2 ball exactly, N=3 and 4 in both fields against Zyczkowski-Sommers.
 
-    Every state-body support height is the insphere radius by construction,
-    so the gamma runs read rounding at any sample count: they stand as the
-    paper's identity at N_GAMMA, and the volumes carry the statistics."""
+    Gamma is measured by the inner-parallel law: N lambda_min of N_GAMMA
+    interior states is Beta(1, D), and its estimate of D must lie within
+    SIGMA stderr of the dimension with the law's chi-square p > 0.01."""
     bits, ok = [], True
     for field in ("complex", "real"):
         for m in (2, 3, 4):
             shape = BipartiteShape(1, m, field)
             body = BodySpec("full", shape)
-            est = mc_gamma(body, N_GAMMA, RngStream(3200 + m))
+            law = inner_law(body, N_GAMMA, RngStream(3200 + m))
+            est = law.gamma
             dev = (est.value - shape.dim_body) / est.stderr
-            good = abs(dev) <= SIGMA
+            good = abs(dev) <= SIGMA and law.p_value > 0.01
             ok &= good
-            bits.append(f"{shape}: {est.value:.6g} vs {shape.dim_body} ({dev:+.2f}s)")
+            bits.append(f"{shape}: {est.value:.4f}+-{est.stderr:.4f} vs "
+                        f"{shape.dim_body} ({dev:+.2f}s, p={law.p_value:.3f})")
     ball = BodySpec("full", BipartiteShape(1, 2))
     vol = mc_volume(ball, N_VOLUME, RngStream(3207))
     area = mc_area(ball, N_VOLUME, RngStream(3208))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from statebody import (
     estimate_p_boundary,
     estimate_p_interior,
     height_certificate,
+    inner_law,
     mc_area,
     mc_boundary_ppt_fraction,
     mc_gamma,
@@ -100,26 +102,125 @@ def test_qubit_area_is_exact():
     assert est.stderr > 0
 
 
-def test_qubit_gamma_is_exact():
-    est = mc_gamma(QUBIT, 20000, RngStream(79))
-    assert est.value == pytest.approx(3.0, abs=1e-11)
+# ---------------------------------------------------------------------------
+# gamma of a state body: the inner-parallel law N lambda_min ~ Beta(1, D)
+
+
+def _assert_law_holds(law, target):
+    est = law.gamma
+    assert est.stderr > 0
+    assert abs(est.value - target) < SIGMA_LOOSE * est.stderr
+    assert law.p_value > 0.01
+
+
+def test_qubit_inner_law():
+    law = inner_law(QUBIT, 20000, RngStream(79))
+    _assert_law_holds(law, 3)
+    assert law.n_samples == law.n_kept == law.gamma.n_samples == 20000
+    assert law.gamma.estimator_id == "inner_law[full:1x2 complex]"
+    assert law.seed == law.gamma.seed == RngStream(79).describe()
 
 
 @pytest.mark.parametrize("field,target", [("complex", 8), ("real", 5)])
-def test_qutrit_gamma(field, target):
+def test_qutrit_inner_law(field, target):
     body = BodySpec("full", BipartiteShape(1, 3, field))
-    est = mc_gamma(body, 200_000, RngStream(101))
-    assert est.stderr > 0
-    assert abs(est.value - target) < SIGMA_LOOSE * est.stderr
-    # the ratio estimator on a constant-height body is far tighter than the
-    # naive quotient of two independent runs
-    assert est.stderr < 1e-6
+    law = inner_law(body, 200_000, RngStream(101))
+    _assert_law_holds(law, target)
+    # an honest error bar: D / sqrt(k - 2), not eigensolver rounding
+    assert law.gamma.stderr == pytest.approx(target / math.sqrt(200_000), rel=0.01)
 
 
-def test_gamma_of_ppt_body():
+def test_inner_law_of_ppt_body():
+    law = inner_law(BodySpec("ppt", BipartiteShape(2, 2)), 100_000, RngStream(103))
+    _assert_law_holds(law, 15)
+    # about 24% of interior states are PPT
+    assert 20_000 < law.n_kept == law.gamma.n_samples < 30_000
+
+
+def _gram_sampler(extra):
+    """The production interior sampler with ``extra`` Ginibre columns more."""
+    def sample(shape, rng, size):
+        n = shape.n
+        cols = (n if shape.field == "complex" else n + 1) + extra
+        g = sampling._ginibre(rng.generator(), (size, n, cols), shape.field)
+        return sampling._normalized_gram(g)
+    return sample
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
+@pytest.mark.parametrize("body", [BodySpec("full", BipartiteShape(1, 3)),
+                                  BodySpec("ppt", BipartiteShape(2, 2))],
+                         ids=["full-1x3", "ppt-2x2"])
+def test_inner_law_fails_with_a_wrong_gram(monkeypatch, body, extra):
+    monkeypatch.setattr(estimators, "sample_state_hs", _gram_sampler(extra))
+    law = inner_law(body, 20_000, RngStream(104))
+    est = law.gamma
+    assert abs(est.value - body.dim) > SIGMA_LOOSE * est.stderr
+    assert law.p_value < 1e-6
+
+
+def test_gamma_experiment_fails_with_a_wrong_gram(monkeypatch):
+    monkeypatch.setattr(estimators, "sample_state_hs", _gram_sampler(1))
+    for shape, body in (("1x3", "full"), ("2x3", "ppt")):
+        d = {"experiment": "gamma", "shape": shape, "body": body,
+             "n_samples": 32768, "seed": 105}
+        record = run_experiment(config_from_dict(d), write=False)
+        assert not record.passed and record.metrics["p_value"] < 1e-6, body
+
+
+def test_inner_law_reruns_and_shards():
     body = BodySpec("ppt", BipartiteShape(2, 2))
-    est = mc_gamma(body, 100_000, RngStream(103))
-    assert abs(est.value - 15) < SIGMA_LOOSE * max(est.stderr, 1e-9)
+    a = inner_law(body, 9999, RngStream(5))
+    assert inner_law(body, 9999, RngStream(5)) == a
+    c = inner_law(body, 9999, RngStream(5), shards=3)
+    assert inner_law(body, 9999, RngStream(5), shards=3) == c
+    assert abs(c.gamma.value - a.gamma.value) > 1e-6 * a.gamma.value
+    # shard k draws what a one-shard run on rng.child(k) draws, so the
+    # sharded law is the fold of the three shards' kept counts and sums
+    parts = [inner_law(body, 3333, RngStream(5).child(k)) for k in range(3)]
+    assert c.n_samples == 9999
+    assert c.n_kept == sum(p.n_kept for p in parts)
+    total = sum((p.n_kept - 1) / p.gamma.value for p in parts)
+    assert c.gamma.value == pytest.approx((c.n_kept - 1) / total, rel=1e-12)
+
+
+def test_inner_law_needs_kept_rows(monkeypatch):
+    # 3x3 interior states are rarely PPT: none among these 500 draws
+    with pytest.raises(InsufficientSamplesError, match="0 of 500"):
+        inner_law(BodySpec("ppt", BipartiteShape(3, 3)), 500, RngStream(1))
+    # 7 of 20 two-qubit draws are PPT, fewer than LAW_MIN_KEPT
+    with pytest.raises(InsufficientSamplesError, match="7 of 20"):
+        inner_law(BodySpec("ppt", BipartiteShape(2, 2)), 20, RngStream(1))
+    with pytest.raises(ValueError, match="mc_gamma"):
+        inner_law(CUBE, 1000, RngStream(1))
+    # a sampler that only returns the pure state |0><0| puts every draw on
+    # the boundary, where the estimate of D would divide by zero
+    pure = np.zeros((3, 3))
+    pure[0, 0] = 1.0
+    monkeypatch.setattr(estimators, "sample_state_hs", lambda shape, rng, size:
+                        np.repeat(pure[None], size, axis=0))
+    with pytest.raises(InsufficientSamplesError, match="on the boundary"):
+        inner_law(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
+
+
+def test_inner_law_memory_is_flat():
+    body = BodySpec("full", BipartiteShape(1, 3))
+    peaks = []
+    for n in (1 << 17, 1 << 19):
+        tracemalloc.start()
+        try:
+            inner_law(body, n, RngStream(6))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_mc_gamma_rejects_a_state_body():
+    # every sampled height of a state body is the insphere radius by
+    # construction, so the radial ratio would read D at any n
+    with pytest.raises(ValueError, match="inner_law"):
+        mc_gamma(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
 
 def test_volume_area_determinism_and_shards():
@@ -145,7 +246,7 @@ def test_estimator_rejects_bad_n():
     with pytest.raises(ValueError, match=">= 2"):
         mc_volume(BodySpec("full", BipartiteShape(1, 3)), 1, RngStream(1))
     with pytest.raises(ValueError):
-        mc_gamma(QUBIT, -5, RngStream(1))
+        mc_gamma(CUBE, -5, RngStream(1))
 
 
 def _flag_ties(monkeypatch, share):
@@ -162,9 +263,8 @@ def _flag_ties(monkeypatch, share):
 
 def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     monkeypatch.setattr("statebody.geometry.GAP_TOL", 10.0)
-    for estimator in (mc_area, mc_gamma):
-        with pytest.raises(InsufficientSamplesError):
-            estimator(QUBIT, 500, RngStream(2))
+    with pytest.raises(InsufficientSamplesError):
+        mc_area(QUBIT, 500, RngStream(2))
     # the radial-ratio boundary PPT fraction discards them by the same rule
     with pytest.raises(InsufficientSamplesError, match="fraction"):
         mc_boundary_ppt_fraction(QUBIT.shape, 500, RngStream(2))
@@ -172,6 +272,8 @@ def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     _flag_ties(monkeypatch, 1.0)
     with pytest.raises(InsufficientSamplesError, match="non-generic"):
         height_certificate(CUBE, 500, RngStream(2))
+    with pytest.raises(InsufficientSamplesError):
+        mc_gamma(CUBE, 500, RngStream(2))
 
 
 def test_nongeneric_fraction_rule_is_shared(monkeypatch):
@@ -186,10 +288,11 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
 
     monkeypatch.setattr(estimators, "_contact_batch", flagged)
     body = BodySpec("full", BipartiteShape(1, 3))
-    for estimator in (mc_area, mc_gamma):
-        with pytest.raises(InsufficientSamplesError, match="fraction"):
-            estimator(body, 1000, RngStream(3))
+    with pytest.raises(InsufficientSamplesError, match="fraction"):
+        mc_area(body, 1000, RngStream(3))
     _flag_ties(monkeypatch, 0.01)
+    with pytest.raises(InsufficientSamplesError, match="fraction"):
+        mc_gamma(CUBE, 1000, RngStream(3))
     cert = height_certificate(CUBE, 1000, RngStream(3))
     assert cert.n_nongeneric == 10
     assert cert.max_abs_deviation <= estimators.HEIGHT_TOL and not cert.passed
@@ -231,7 +334,7 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
     with pytest.raises(AssertionError, match="eigh called"):
         support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
     for body in (full, ppt):
-        for estimator in (mc_volume, mc_area, mc_gamma):
+        for estimator in (mc_volume, mc_area, inner_law):
             estimator(body, 2000, RngStream(4))
         radius_law(body, 2000, RngStream(4))
     mc_boundary_ppt_fraction(ppt.shape, 2000, RngStream(4))

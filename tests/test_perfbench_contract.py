@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from statebody import BipartiteShape, BodySpec, RngStream, TangentBody, cube_generators
-from statebody import estimators, mc_gamma, polytopes
+from statebody import estimators, mc_gamma, mc_volume, polytopes
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -90,7 +90,7 @@ def test_installed_tracer_sees_the_production_calls(spans):
     tracer = spans.Tracer()
     with spans.installed(tracer) as missing:
         estimators.estimate_omega(SHAPE, 256, RngStream(3))
-        mc_gamma(BodySpec("ppt", SHAPE), 128, RngStream(4))
+        mc_volume(BodySpec("ppt", SHAPE), 128, RngStream(4))
         mc_gamma(TangentBody(cube_generators(3)), 64, RngStream(5))
     assert set(missing) == RETIRED
     assert tracer.counts["hermitian.ppt_tests"] == 512  # both PPT routes

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import polytopes
 from .geometry import (
@@ -362,6 +361,8 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
     reaches carry the same radius law. No kept row on either side raises
     :class:`InsufficientSamplesError`.
     """
+    from scipy import stats  # lazy, so `import statebody` loads numpy only
+
     _check_n(n)
     shape = body.shape
 
@@ -413,6 +414,8 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     if not isinstance(body, BodySpec):
         raise ValueError(f"inner_law takes a state body, got {body}; "
                          "measure a polytope's gamma with mc_gamma")
+    from scipy import stats  # lazy, so `import statebody` loads numpy only
+
     _check_n(n)
     shape, d = body.shape, body.dim
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .sampling import RngStream
 
@@ -90,6 +89,8 @@ def _check_origin_interior(g: np.ndarray):
     Y d <= 0 inside the box [-1, 1]^dim, or every product vanishes, which
     needs rank Y < dim; d then comes from the null space of Y.
     """
+    from scipy.optimize import linprog  # lazy, so `import statebody` loads numpy only
+
     m, dim = g.shape
     res = linprog(g.sum(axis=0), A_ub=g, b_ub=np.zeros(m),
                   bounds=[(-1.0, 1.0)] * dim, method="highs")

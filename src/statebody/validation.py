@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .hermitian import BipartiteShape
 from .sampling import (
@@ -44,6 +43,8 @@ def two_sample_chi2(x: np.ndarray, y: np.ndarray, bins: int) -> float:
     The cells are the grid of ``bins`` pooled marginal quantile bins per axis;
     cells holding fewer than 10 pooled counts (near-empty corners) are dropped.
     """
+    from scipy import stats  # lazy, so `import statebody` loads numpy only
+
     pooled = np.concatenate([x, y])
     edges = [_quantile_edges(pooled[:, j], bins) for j in range(pooled.shape[1])]
     cx = np.histogramdd(x, bins=edges)[0].ravel()
@@ -86,6 +87,8 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     (distribution tests at the ``p_threshold`` level) or ``sigma`` (closed
     form comparisons, 4 sigma bands).
     """
+    from scipy import stats  # lazy, so `import statebody` loads numpy only
+
     checks = {}
 
     # boundary eigenvalue law: spectra of production boundary states vs the

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from statebody import polytopes
 from statebody import (
     FaceTieError,
     RngStream,
@@ -102,8 +102,9 @@ def test_duplicate_generators_are_dropped():
 
 
 def test_construction_runs_one_lp(monkeypatch):
-    calls, linprog = [], polytopes.linprog
-    monkeypatch.setattr(polytopes, "linprog",
+    # polytopes imports linprog at call time, so it reads this patch
+    calls, linprog = [], scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *args, **kw: calls.append(1) or linprog(*args, **kw))
     TangentBody(random_unit_generators(6, 500, RngStream(12)))
     assert len(calls) == 1

@@ -45,7 +45,7 @@ from .geometry import (
     _radial_batch,
     analytic_area_volume_ratio,
 )
-from .hermitian import BipartiteShape, partial_transpose
+from .hermitian import BipartiteShape, eigen_counts, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -518,22 +518,27 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     within each delta of zero.
 
     The corner set of the PPT body's boundary has codimension one inside the
-    boundary, so the fractions should scale linearly in delta. A shape with
-    no PPT section (K = 1) raises ValueError.
+    boundary, so the fractions should scale linearly in delta. No spectrum is
+    computed: :func:`~statebody.hermitian.eigen_counts` counts the
+    eigenvalues of T_A(rho) below +delta and below -delta, and a state is
+    near the corner when the first count is the larger. Deltas must be finite,
+    positive and strictly decreasing. A shape with no PPT section (K = 1)
+    raises ValueError.
     """
     BodySpec("ppt", shape)
     _check_n(n)
     deltas = [float(x) for x in deltas]
-    if any(x <= 0 for x in deltas):
-        raise ValueError(f"deltas must be positive, got {deltas}")
+    if not all(math.isfinite(x) and x > 0 for x in deltas):
+        raise ValueError(f"deltas must be finite and positive, got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be strictly decreasing, got {deltas}")
+    xs = np.array(deltas + [-d for d in deltas])
 
     def kernel(stream, count):
         states, _ = sample_boundary_state_hs(shape, stream, count)
-        pt = partial_transpose(states, shape)
-        closest = np.min(np.abs(np.linalg.eigvalsh(pt)), axis=-1)
-        return (np.array([[np.sum(closest < d) for d in deltas]]),)
+        below = eigen_counts(partial_transpose(states, shape), xs)
+        near = below[:len(deltas)] > below[len(deltas):]
+        return (near.sum(axis=1)[None],)
 
     (counts,) = _sweep(n, rng, shards, kernel)
     rows = []

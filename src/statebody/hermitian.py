@@ -6,8 +6,13 @@ transpose is positive semidefinite without computing its spectrum: an LDL^dag
 sweep without pivoting on T_A(rho) + PPT_TOL * I keeps every pivot positive
 exactly when that matrix is positive definite (Sylvester's criterion). It
 agrees with the spectral test lambda_min(T_A(rho)) >= -PPT_TOL except for
-states whose lambda_min lies within rounding of -PPT_TOL. Callers that need
-the spectrum itself (``negativity``, ``min_eigenvalue``) use ``eigvalsh``.
+states whose lambda_min lies within rounding of -PPT_TOL.
+
+A caller that needs only how many eigenvalues lie below some thresholds (the
+corner probe) uses :func:`eigen_counts`, Sturm counts on a Householder
+tridiagonal. Callers that need the eigenvalues themselves (``negativity``,
+``min_eigenvalue``, the radial kernels, ``inner_law`` and the sampler
+battery) use ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import numpy as np
 PSD_TOL = 1e-10
 PPT_TOL = 1e-12
 HERM_ATOL = 1e-12
+# rows per eigen_counts chunk: on a 2-core VM, 32,768 2x3 complex matrices
+# took 0.07 s in chunks of 2,048 and 0.14 s in one piece
+COUNT_CHUNK = 2048
 
 
 class DimensionMismatchError(ValueError):
@@ -246,6 +254,77 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
         for i in range(k + 1, n):
             a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
     return ok.reshape(m.shape[:-2])
+
+
+def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
+    """Number of eigenvalues below each threshold, for a stack of Hermitian
+    matrices: a (len(xs), B) integer array for a (B, n, n) stack.
+
+    No spectrum is computed. Batched Householder steps reduce each matrix to a
+    real symmetric tridiagonal with the same eigenvalues; only its diagonal and
+    squared subdiagonal are kept, a column already zero takes no reflector.
+    Sylvester's law of inertia then counts the eigenvalues below x as the
+    negative pivots of the Sturm recurrence
+    d_k = (a_k - x) - e_{k-1}^2 / d_{k-1}, as LAPACK's bisection does
+    (Barth, Martin & Wilkinson 1967): a pivot smaller in magnitude than
+    pivmin is taken as -pivmin, as in ``dstebz``. Both triangles are read.
+    A non-finite entry raises ``np.linalg.LinAlgError``.
+    """
+    m = np.asarray(mats)
+    n = m.shape[-1]
+    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
+    m = m.reshape(-1, n, n)
+    counts = np.zeros((len(xs), len(m)), dtype=np.int64)
+    for lo in range(0, len(m), COUNT_CHUNK):
+        # a private batch-last copy, so each step works on contiguous runs
+        a = np.array(np.moveaxis(m[lo:lo + COUNT_CHUNK], 0, -1),
+                     dtype=np.result_type(m.dtype, np.float64))
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError(
+                f"non-finite entry in a stack of {n}x{n} matrices")
+        diag, e2 = _tridiagonal(a)
+        pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
+        c = counts[:, lo:lo + COUNT_CHUNK]
+        for k in range(n):
+            d = diag[k] - xs if k == 0 else diag[k] - xs - e2[k - 1] / d
+            d = np.where(np.abs(d) < pivmin, -pivmin, d)
+            c += d < 0
+    return counts
+
+
+def _tridiagonal(a: np.ndarray):
+    """Diagonal (n, b) and squared subdiagonal (n - 1, b) of the Householder
+    tridiagonal of a batch-last (n, n, b) Hermitian stack, which it overwrites.
+
+    Step k maps column k below the diagonal to a multiple of e_1 of norm
+    alpha with the reflector H = I - tau v v^dag, v = x + e^{i arg x_0} alpha e_1,
+    tau = 1 / (alpha (alpha + |x_0|)), and updates the trailing block to
+    H A H = A - v w^dag - w v^dag with p = tau A v,
+    w = p - (tau / 2) (v^dag p) v.
+    """
+    n = a.shape[0]
+    e2 = np.empty((max(n - 1, 0), a.shape[-1]))
+    for k in range(n - 1):
+        x = a[k + 1:, k]
+        e2[k] = (x * np.conj(x)).real.sum(axis=0)
+        alpha = np.sqrt(e2[k])
+        live = alpha > 0
+        # the last column needs no reflector, nor does one already zero
+        if k == n - 2 or not live.any():
+            continue
+        r0 = np.abs(x[0])
+        # phase of x_0, taken as 1 where x_0 = 0; tau = 0 leaves H = I
+        phase = np.where(r0 > 0, x[0] / np.where(r0 > 0, r0, 1.0), 1.0)
+        tau = np.where(live, 1.0 / np.where(live, alpha * (alpha + r0), 1.0), 0.0)
+        v = x.copy()
+        v[0] += phase * alpha
+        t = a[k + 1:, k + 1:]
+        p = tau * (t * v).sum(axis=1)
+        w = p - (0.5 * tau * (np.conj(v) * p).sum(axis=0)) * v
+        t -= v[:, None] * np.conj(w)[None] + w[:, None] * np.conj(v)[None]
+    # step k leaves row and column k alone from then on
+    i = np.arange(n)
+    return a[i, i].real, e2
 
 
 def is_ppt(rho, shape: BipartiteShape) -> bool:

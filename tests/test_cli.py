@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from statebody import config_from_dict, run_experiment
+from statebody import config_from_dict, estimators, run_experiment, sample_boundary_state_hs
 from statebody.cli import main
 
 
@@ -75,6 +75,22 @@ def test_numerical_error_exit_three(tmp_path, capsys):
                     deltas=[1e-7, 1e-8])
     assert main(["run", str(cfg)]) == 3
     assert "delta 1e-07" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_partial_transpose_exit_three(tmp_path, monkeypatch, capsys):
+    """A NaN that reaches the corner probe's eigenvalue counts is a failed
+    eigensolve, not a count."""
+
+    def nan_states(shape, stream, count):
+        states, radii = sample_boundary_state_hs(shape, stream, count)
+        states[0, 0, 0] = float("nan")
+        return states, radii
+
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", nan_states)
+    cfg = write_cfg(tmp_path, experiment="corner-probe", shape="2x2", seed=1)
+    assert main(["run", str(cfg)]) == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -32,6 +32,7 @@ from statebody import (
     mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
+    partial_transpose,
     radius_law,
     random_unit_generators,
     run_experiment,
@@ -488,6 +489,27 @@ def test_corner_probe_validates_deltas():
         corner_probe(shape, 1000, (1e-1, -1e-2), RngStream(1))  # negative
     with pytest.raises(ValueError):
         corner_probe(shape, 1000, (1e-1, 0.0), RngStream(1))  # passes vacuously
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            corner_probe(shape, 1000, (0.1, bad), RngStream(1))
+        with pytest.raises(ValueError, match="finite"):
+            corner_probe(shape, 1000, (bad, 0.1), RngStream(1))
+
+
+@pytest.mark.parametrize("shape", [BipartiteShape(k, m, f) for k, m in ((2, 2), (2, 3))
+                                   for f in ("complex", "real")], ids=str)
+def test_corner_probe_rows_equal_a_full_spectrum(shape):
+    """The Sturm counts give the rows that min |lambda(T_A rho)| < delta from
+    eigvalsh gives on the same boundary states, exactly: a kernel that
+    miscounted a few states would still pass the acceptance ratio check."""
+    n, deltas = 6000, (1e-1, 1e-2, 1e-3)
+    res = corner_probe(shape, n, deltas, RngStream(4500))
+    # one shard, one chunk: the states come from child 0 of the stream
+    states, _ = sampling.sample_boundary_state_hs(shape, RngStream(4500).child(0), n)
+    closest = np.min(np.abs(np.linalg.eigvalsh(partial_transpose(states, shape))), axis=-1)
+    want = tuple((d, *estimators._binomial_estimate(int(np.sum(closest < d)), n))
+                 for d in deltas)
+    assert res.rows == want
 
 
 def test_corner_probe_needs_a_ppt_section():

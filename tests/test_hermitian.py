@@ -27,7 +27,7 @@ from statebody import (
     sample_boundary_state_hs,
     sample_state_hs,
 )
-from statebody.hermitian import PPT_TOL, ppt_mask
+from statebody.hermitian import COUNT_CHUNK, PPT_TOL, eigen_counts, ppt_mask
 
 ATOL = 1e-12
 
@@ -316,6 +316,79 @@ def test_ppt_mask_raises_no_warning_on_failed_pivots():
         mask = ppt_mask(states, shape)
     assert mask[:4].tolist() == [False, False, True, True]
     assert mask.any() and not mask.all()
+
+
+def _counts_below(w: np.ndarray, xs) -> np.ndarray:
+    """(len(xs), B) counts of the eigenvalues w (B, n) below each threshold."""
+    return (w[None] < np.asarray(xs, float)[:, None, None]).sum(-1)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eigen_counts_match_eigvalsh(n, field):
+    """Sturm counts on the Householder tridiagonal equal eigvalsh counts on a
+    stack longer than one chunk. Every threshold is kept 1e-9 clear of every
+    eigenvalue, a million times the rounding of either method, so no count
+    rests on a floating-point coincidence."""
+    gen = np.random.default_rng(4400 + n)
+    b = COUNT_CHUNK + 300
+    a = gen.standard_normal((b, n, n))
+    if field == "complex":
+        a = a + 1j * gen.standard_normal((b, n, n))
+    h = hermitian_part(a)
+    w = np.linalg.eigvalsh(h)
+    xs = np.linspace(-2.05, 2.05, 9)
+    assert np.min(np.abs(w[..., None] - xs)) > 1e-9
+    got = eigen_counts(h, xs)
+    assert got.shape == (len(xs), b)
+    assert np.array_equal(got, _counts_below(w, xs))
+
+
+def test_eigen_counts_on_exact_inputs():
+    """Diagonal matrices (every column already zero) alone and in a stack
+    with full ones, multiples of I and the Bell state's partial transpose,
+    eigenvalues -1/2 and 1/2 (three times)."""
+    diag = np.stack([np.diag(v) for v in ([3.0, -1.0, 0.5, 2.0], [0.0, 0.0, 1.0, -2.0])])
+    xs = [-2.5, -0.5, 0.25, 0.75, 2.5, 3.5]
+    assert np.array_equal(eigen_counts(diag, xs),
+                          _counts_below(np.sort(np.diagonal(diag, axis1=1, axis2=2)), xs))
+    mixed = np.concatenate([diag, np.stack([random_hermitian(4, s) for s in (1, 2)])])
+    w = np.linalg.eigvalsh(mixed)
+    assert np.min(np.abs(w[..., None] - xs)) > 1e-9
+    assert np.array_equal(eigen_counts(mixed, xs), _counts_below(w, xs))
+    for n in (1, 2, 5, 8):
+        scalar = np.stack([c * np.eye(n) for c in (-1.0, 0.0, 0.7)])
+        assert eigen_counts(scalar, [-0.5, 0.5]).tolist() == [[n, 0, 0], [n, n, 0]]
+    bell_pt = partial_transpose(bell_state(), BipartiteShape(2, 2))
+    assert eigen_counts(bell_pt[None], [-0.75, -0.25, 0.25, 0.75]).tolist() == \
+        [[0], [1], [1], [4]]
+
+
+def test_eigen_counts_guard_a_zero_pivot():
+    """At x = 0 the first Sturm pivot of [[0, 1], [1, 0]] (and of its 3x3
+    analogue) is exactly zero; it is taken as -pivmin, so the recurrence
+    divides by no zero and the count is right."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    chain = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (swap, chain):
+            want = _counts_below(np.linalg.eigvalsh(h)[None], [0.0])
+            assert np.array_equal(eigen_counts(h[None], [0.0]), want)
+
+
+def test_eigen_counts_of_an_empty_stack():
+    assert eigen_counts(np.zeros((0, 4, 4), complex), [0.1, -0.1]).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_counts_reject_non_finite_entries(bad):
+    """A non-finite entry raises rather than returning counts: the CLI maps
+    LinAlgError to exit code 3."""
+    h = np.stack([random_hermitian(6, s) for s in range(5)])
+    h[3, 4, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        eigen_counts(h, [0.0])
 
 
 def test_min_eigenvalue_matches_eigvalsh():

@@ -24,8 +24,11 @@ import numpy as np
 PSD_TOL = 1e-10
 PPT_TOL = 1e-12
 HERM_ATOL = 1e-12
-# rows per eigen_counts chunk: on a 2-core VM, 32,768 2x3 complex matrices
-# took 0.07 s in chunks of 2,048 and 0.14 s in one piece
+# rows per block of the three blocked stack kernels: eigen_counts, ppt_mask
+# and the samplers' steps after their Gaussian draw. Each block's working set
+# stays small while the output stack is written once. On a 2-core VM, 32,768
+# 2x3 complex eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one
+# piece
 COUNT_CHUNK = 2048
 
 
@@ -40,6 +43,12 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected one square matrix, got shape {m.shape}")
     return m
+
+
+def row_blocks(size: int) -> list:
+    """Slices of at most COUNT_CHUNK consecutive rows that cover range(size),
+    in order."""
+    return [slice(lo, lo + COUNT_CHUNK) for lo in range(0, size, COUNT_CHUNK)]
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -234,25 +243,28 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     the LAPACK Hermitian eigensolvers do, it reads one triangle, the lower: the
     row of each Schur update is the conjugate of the pivot column. A state with
     a failed pivot stays False. The result agrees with "no eigenvalue of T_A(rho) below -PPT_TOL"
-    except within rounding of -PPT_TOL.
+    except within rounding of -PPT_TOL. The sweep runs on blocks of
+    COUNT_CHUNK states, each on its own copy, so it never copies the stack.
     """
     m = np.asarray(states)
     n = shape.n
     blocks = _pt_blocks(m, shape).reshape((-1, shape.k, shape.m, shape.k, shape.m))
-    # A private copy with the stack on the last axis, so each step works on
-    # contiguous runs of the batch; the sweep writes only to this copy, never
-    # to the caller's states that _pt_blocks views.
-    a = np.moveaxis(blocks, 0, -1).copy().reshape(n, n, -1)
+    ok = np.ones(len(blocks), dtype=bool)
     diag = np.arange(n)
-    a[diag, diag] += PPT_TOL
-    ok = np.ones(a.shape[-1], dtype=bool)
-    for k in range(n):
-        d = a[k, k].real
-        ok &= d > 0
-        # states with a failed pivot get a zero update and stay finite
-        row = np.conj(a[k + 1:, k]) / np.where(ok, d, np.inf)
-        for i in range(k + 1, n):
-            a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
+    for rows in row_blocks(len(blocks)):
+        # a private copy of the block with the stack on the last axis, so each
+        # step works on contiguous runs; the sweep writes only to this copy,
+        # never to the caller's states that _pt_blocks views
+        a = np.moveaxis(blocks[rows], 0, -1).copy().reshape(n, n, -1)
+        a[diag, diag] += PPT_TOL
+        good = ok[rows]  # a view: the sweep fills ok in place
+        for k in range(n):
+            d = a[k, k].real
+            good &= d > 0
+            # states with a failed pivot get a zero update and stay finite
+            row = np.conj(a[k + 1:, k]) / np.where(good, d, np.inf)
+            for i in range(k + 1, n):
+                a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
     return ok.reshape(m.shape[:-2])
 
 
@@ -275,16 +287,16 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     m = m.reshape(-1, n, n)
     counts = np.zeros((len(xs), len(m)), dtype=np.int64)
-    for lo in range(0, len(m), COUNT_CHUNK):
+    for rows in row_blocks(len(m)):
         # a private batch-last copy, so each step works on contiguous runs
-        a = np.array(np.moveaxis(m[lo:lo + COUNT_CHUNK], 0, -1),
+        a = np.array(np.moveaxis(m[rows], 0, -1),
                      dtype=np.result_type(m.dtype, np.float64))
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError(
                 f"non-finite entry in a stack of {n}x{n} matrices")
         diag, e2 = _tridiagonal(a)
         pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
-        c = counts[:, lo:lo + COUNT_CHUNK]
+        c = counts[:, rows]
         for k in range(n):
             d = diag[k] - xs if k == 0 else diag[k] - xs - e2[k - 1] / d
             d = np.where(np.abs(d) < pivmin, -pivmin, d)

@@ -6,6 +6,14 @@ draws therefore need distinct streams, usually obtained via
 :meth:`RngStream.child`. Samplers always return (size, N, N) stacks; a single
 draw is ``sample_*(shape, rng, 1)[0]``, on the same stream.
 
+Draws stream through row blocks. A stack sampler draws the real and then the
+imaginary Gaussian parts of its whole stack from the generator, in the order
+an unblocked draw would, and allocates its output once. Everything after the
+draw (joining the parts, the projection, the Gram product, the Hermitian part
+and the normalization) runs on blocks of ``hermitian.COUNT_CHUNK`` rows and
+writes into that output, so no full-stack temporary is formed and the output
+equals the full-stack formulas bit for bit.
+
 ========================  =====================================================
 sampler                   distribution
 ========================  =====================================================
@@ -39,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermitian import BipartiteShape, hermitian_part
+from .hermitian import BipartiteShape, hermitian_part, row_blocks
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -96,11 +104,28 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
-def _normalized_gram(g: np.ndarray) -> np.ndarray:
-    """Trace-one Hermitian part of G G^dag for a (size, rows, cols) stack G."""
+def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
+    """Pairs (rows, block) whose blocks are the row blocks of
+    ``_ginibre(gen, shape, field)``, bit for bit: both parts are drawn whole,
+    in _ginibre's order, and joined one block at a time."""
+    re = gen.standard_normal(shape)
+    im = gen.standard_normal(shape) if field == "complex" else None
+    for rows in row_blocks(shape[0]):
+        yield rows, re[rows] if im is None else re[rows] + 1j * im[rows]
+
+
+def _stack(shape: BipartiteShape, size: int) -> np.ndarray:
+    """An uninitialised (size, N, N) output stack of the shape's field."""
+    dtype = np.complex128 if shape.field == "complex" else np.float64
+    return np.empty((size, shape.n, shape.n), dtype=dtype)
+
+
+def _normalized_gram(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Trace-one Hermitian part of G G^dag for a (size, rows, cols) stack G,
+    written to ``out`` when given."""
     w = hermitian_part(g @ np.conj(np.swapaxes(g, -1, -2)))
     tr = np.trace(w, axis1=-2, axis2=-1).real
-    return w / tr[:, None, None]
+    return np.divide(w, tr[:, None, None], out=out)
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -109,7 +134,10 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndar
     _check_size(size)
     n = shape.n
     cols = n if shape.field == "complex" else n + 1
-    return _normalized_gram(_ginibre(rng.generator(), (size, n, cols), shape.field))
+    out = _stack(shape, size)
+    for rows, g in _ginibre_blocks(rng.generator(), (size, n, cols), shape.field):
+        _normalized_gram(g, out[rows])
+    return out
 
 
 def boundary_eigenvalues_laguerre(
@@ -177,11 +205,14 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     _check_size(size)
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
-    g = _ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
     psi = _ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
-    return _normalized_gram(g), psi
+    out = _stack(shape, size)
+    for rows, g in _ginibre_blocks(rng.child(0).generator(), (size, n, cols), shape.field):
+        p = psi[rows]
+        g -= p[:, :, None] * (np.conj(p)[:, None, :] @ g)
+        _normalized_gram(g, out[rows])
+    return out, psi
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -195,9 +226,12 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     """
     _check_size(size)
     n = shape.n
-    g = _ginibre(rng.generator(), (size, n, n), shape.field)
-    h = hermitian_part(g)
-    tr = np.trace(h, axis1=-2, axis2=-1).real
-    h = h - (tr / n)[:, None, None] * np.eye(n, dtype=h.dtype)
-    nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
-    return h / nrm[:, None, None]
+    out = _stack(shape, size)
+    eye = np.eye(n, dtype=out.dtype)
+    for rows, g in _ginibre_blocks(rng.generator(), (size, n, n), shape.field):
+        h = hermitian_part(g)
+        tr = np.trace(h, axis1=-2, axis2=-1).real
+        h -= (tr / n)[:, None, None] * eye
+        nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
+        np.divide(h, nrm[:, None, None], out=out[rows])
+    return out

@@ -1,6 +1,7 @@
 """Matrix layer: wrappers, inner products, partial transpose, PPT checks."""
 
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -316,6 +317,55 @@ def test_ppt_mask_raises_no_warning_on_failed_pivots():
         mask = ppt_mask(states, shape)
     assert mask[:4].tolist() == [False, False, True, True]
     assert mask.any() and not mask.all()
+
+
+def _spectral_ppt(states, shape):
+    return np.linalg.eigvalsh(partial_transpose(states, shape))[..., 0] >= -PPT_TOL
+
+
+def test_ppt_mask_of_an_empty_stack():
+    mask = ppt_mask(np.zeros((0, 6, 6), complex), BipartiteShape(2, 3))
+    assert mask.shape == (0,) and mask.dtype == bool
+
+
+@pytest.mark.parametrize("rho,want", [(bell_state(), False), (werner(0.2), True)],
+                         ids=["bell", "werner"])
+def test_ppt_mask_of_a_single_matrix(rho, want):
+    """One (N, N) matrix gives a 0-d mask, as the spectral test does."""
+    shape = BipartiteShape(2, 2)
+    mask = ppt_mask(rho, shape)
+    assert mask.shape == () and mask.dtype == bool
+    assert bool(mask) is want
+    assert bool(_spectral_ppt(rho, shape)) is want
+
+
+def test_ppt_mask_fails_a_pivot_in_the_last_block_only():
+    """A stack one row longer than a block, PPT everywhere except its last
+    row: the block holding only that row must keep its own failed pivot."""
+    shape = BipartiteShape(2, 2)
+    ps = np.linspace(0.0, 0.3, COUNT_CHUNK)
+    states = np.stack([werner(float(p)) for p in ps] + [bell_state()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = ppt_mask(states, shape)
+    assert np.array_equal(mask, _spectral_ppt(states, shape))
+    assert mask[:-1].all() and not mask[-1]
+
+
+def test_ppt_mask_copies_one_block_at_a_time():
+    """The batch-last copy is made per block of COUNT_CHUNK rows, so the
+    tracemalloc peak stays far below the stack's size (a full-stack copy
+    read 1.38x the states' bytes at 16,384 2x3 complex states; blocks, 0.27x)."""
+    shape = BipartiteShape(2, 3)
+    states = sample_state_hs(shape, RngStream(4400), 16_384)
+    ppt_mask(states[:8], shape)
+    tracemalloc.start()
+    try:
+        ppt_mask(states, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * states.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _counts_below(w: np.ndarray, xs) -> np.ndarray:

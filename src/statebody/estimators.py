@@ -91,6 +91,7 @@ class CornerProbeResult:
     n_samples: int
     seed: str
     rows: tuple  # of (delta, fraction, stderr)
+    exponents: tuple  # of (exponent, stderr) per pair of neighbouring deltas
 
 
 @dataclass(frozen=True)
@@ -515,10 +516,16 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
 def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
                  shards: int = 1) -> CornerProbeResult:
     """Fractions of boundary samples with a partial-transpose eigenvalue
-    within each delta of zero.
+    within each delta of zero, and the scaling exponent between neighbours.
 
     The corner set of the PPT body's boundary has codimension one inside the
-    boundary, so the fractions should scale linearly in delta. No spectrum is
+    boundary, so the fractions fall to zero with delta. The exponent a of
+    F ~ delta^a between deltas d_j > d_{j+1} with counts c_j >= c_{j+1} is
+    log(c_j / c_{j+1}) / log(d_j / d_{j+1}), its stderr that of the
+    conditional binomial c_{j+1} | c_j, sqrt((1 - c_{j+1}/c_j) / c_{j+1}) /
+    log(d_j / d_{j+1}); both are None when a count is 0. a is measured near
+    1 on 2x2 and 2x3 complex, not a law: on 2x2 real it read 0.57 to 0.91
+    over the decades from 1e-1 to 1e-6. No spectrum is
     computed: :func:`~statebody.hermitian.eigen_counts` counts the
     eigenvalues of T_A(rho) below +delta and below -delta, and a state is
     near the corner when the first count is the larger. Deltas must be finite,
@@ -541,11 +548,17 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
         return (near.sum(axis=1)[None],)
 
     (counts,) = _sweep(n, rng, shards, kernel)
-    rows = []
-    for d, c in zip(deltas, counts.sum(axis=0)):
-        p, se = _binomial_estimate(int(c), n)
-        rows.append((d, p, se))
-    return CornerProbeResult(shape, n, rng.describe(), tuple(rows))
+    counts = [int(c) for c in counts.sum(axis=0)]
+    rows = tuple((d, *_binomial_estimate(c, n)) for d, c in zip(deltas, counts))
+    exponents = []
+    for d_hi, d_lo, c_hi, c_lo in zip(deltas, deltas[1:], counts, counts[1:]):
+        if c_lo == 0:  # the near sets are nested, so c_lo = 0 whenever c_hi = 0
+            exponents.append((None, None))
+            continue
+        span = math.log(d_hi / d_lo)
+        exponents.append((math.log(c_hi / c_lo) / span,
+                          math.sqrt((1.0 - c_lo / c_hi) / c_lo) / span))
+    return CornerProbeResult(shape, n, rng.describe(), rows, tuple(exponents))
 
 
 def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> Estimate:

@@ -108,6 +108,9 @@ def _run_corner_probe(config: ExperimentConfig, rng: RngStream):
         "rows": [{"delta": d, "fraction": f, "stderr": s} for d, f, s in res.rows],
         "monotone": monotone,
         "last_ratio": last_ratio,
+        "exponents": [{"delta_hi": hi, "delta_lo": lo, "exponent": a, "stderr": se}
+                      for hi, lo, (a, se) in zip(config.deltas, config.deltas[1:],
+                                                 res.exponents)],
     }
     return (metrics, last_ratio, None, None, None,
             bool(monotone and last_ratio <= CORNER_RATIO_MAX))

@@ -23,6 +23,13 @@ from .sampling import RngStream
 
 NORM_SLACK = 1e-12
 TIE_TOL = 1e-12
+# cells of one `_binding` block's product matrix: 2**17 float64 is 1 MiB
+_BINDING_CELLS = 1 << 17
+# a `_binding` block's row count is a multiple of this. BLAS kernels tile a
+# product's rows in fixed groups (24 in OpenBLAS 0.3.31 on AVX-512), and a
+# block that starts inside a group rounds some products differently from one
+# product over the whole stack; 48 covers groups of 8, 16 and 24
+_BINDING_ROWS = 48
 
 
 class UnboundedBodyError(ValueError):
@@ -122,19 +129,36 @@ def _binding(body: TangentBody, dirs: np.ndarray):
     support product <d, y>, the index of the generator attaining it, and a
     mask that is True where a second generator comes within TIE_TOL (the
     direction hits an edge, not a face). The radial function is 1 / smax.
+
+    The rows run in blocks of ``_BINDING_CELLS // n_generators`` rows, rounded
+    down to a multiple of ``_BINDING_ROWS`` (at least one multiple), so each
+    block's (rows, generators) product matrix stays near 1 MiB and in cache
+    through its argmax, runner-up and tie passes whatever the generator
+    count. With one BLAS thread every row's result is bit for bit the one a
+    single product over the whole stack gives.
     """
-    s = dirs @ body.generators.T
-    rows = np.arange(len(s))
-    idx = np.argmax(s, axis=1)
-    smax = s[rows, idx]
+    n = len(dirs)
+    smax = np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
+    ties = np.empty(n, dtype=bool)
+    step = max(1, _BINDING_CELLS // (body.n_generators * _BINDING_ROWS)) * _BINDING_ROWS
+    # a lone last row joins the block before it: numpy multiplies a single
+    # row as a matrix-vector product, which rounds differently
+    starts = range(0, max(n - 1, 1), step)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        s = dirs[lo:hi] @ body.generators.T
+        rows = np.arange(hi - lo)
+        top = np.argmax(s, axis=1)
+        best = s[rows, top]
+        # the runner-up product, in place: no copy of the block's products
+        s[rows, top] = -np.inf
+        ties[lo:hi] = (best - s.max(axis=1)) <= TIE_TOL * np.maximum(best, 1.0)
+        smax[lo:hi], idx[lo:hi] = best, top
     if np.any(smax <= 0.0):
         bad = dirs[int(np.argmin(smax))]
         raise UnboundedBodyError(
             f"body is unbounded along direction {np.round(bad, 6).tolist()}"
         )
-    # the runner-up product, in place: no copy of the (rows, generators) matrix
-    s[rows, idx] = -np.inf
-    ties = (smax - s.max(axis=1)) <= TIE_TOL * np.maximum(smax, 1.0)
     return smax, idx, ties
 
 
@@ -190,8 +214,9 @@ def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:
     return TangentBody(np.unique(np.vstack([a.generators, b.generators]), axis=0))
 
 
-# chunk size for polytope sweeps: keeps the (batch, n_generators) product
-# matrix small (65,536 x 500 float64 would be 262 MB)
+# chunk size for polytope sweeps. It bounds no memory (`_binding` blocks its
+# rows by cells); it fixes the stream layout, since chunk j draws its
+# directions from child(j), so changing it changes every polytope record
 _SWEEP_BATCH = 1 << 13
 
 

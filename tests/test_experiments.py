@@ -1,6 +1,9 @@
 """Experiment dispatch: every sampling experiment honours its shard count,
 draws from disjoint streams and writes a record that loads strictly."""
 
+import json
+import math
+
 import pytest
 
 from statebody import config_from_dict, load_records, run_experiment
@@ -67,3 +70,24 @@ def test_every_kind_writes_a_strict_record(tmp_path):
     records, errors = load_records(tmp_path)
     assert errors == []
     assert sorted(r.experiment for r in records) == sorted(MIN_SAMPLES)
+
+
+def test_corner_probe_record_carries_exponents(tmp_path):
+    """Each pair of neighbouring deltas gets an exponent and its stderr; a
+    zero count writes null, so the record stays strict JSON."""
+    run_experiment(config_from_dict({
+        "experiment": "corner-probe", "shape": "2x2", "n_samples": 2000, "seed": 1,
+        "deltas": [1e-1, 1e-2, 1e-9], "output_path": str(tmp_path)}))
+    (record,), errors = load_records(tmp_path)
+    assert errors == []
+    exps = record.metrics["exponents"]
+    assert [(e["delta_hi"], e["delta_lo"]) for e in exps] == [(1e-1, 1e-2), (1e-2, 1e-9)]
+    c0, c1, c2 = (round(row["fraction"] * 2000) for row in record.metrics["rows"])
+    assert c1 > 0 and c2 == 0
+    span = math.log(10.0)
+    assert exps[0]["exponent"] == pytest.approx(math.log(c0 / c1) / span)
+    assert exps[0]["stderr"] == pytest.approx(math.sqrt((1 - c1 / c0) / c1) / span)
+    # no sample within 1e-9: the exponent is undefined, not infinite
+    assert exps[1]["exponent"] is None and exps[1]["stderr"] is None
+    (path,) = tmp_path.glob("corner-probe-*.json")
+    assert json.loads(path.read_text())["metrics"]["exponents"][1]["exponent"] is None

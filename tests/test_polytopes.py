@@ -1,11 +1,20 @@
 """Polar polytope lab: tangent bodies, radial sweeps, constant height."""
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from statebody import polytopes
 from statebody import (
     FaceTieError,
     RngStream,
@@ -25,6 +34,7 @@ from statebody import (
 )
 
 RECT = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 2.0 / 3.0]])
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rotated_square(angle: float) -> np.ndarray:
@@ -177,6 +187,120 @@ def test_direction_validation():
     # one vector per call: a matrix is not read as its flattened entries
     with pytest.raises(ValueError, match="one vector"):
         polar_radial(TangentBody(cube_generators(4)), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# binding kernel
+
+# The binding kernel as one (rows, generators) product over the whole stack,
+# run against the row-blocked `polytopes._binding` in a fresh interpreter with
+# one BLAS thread: a threaded product splits its rows at other places, so its
+# last bits depend on the thread count with or without blocks.
+BINDING_SCRIPT = r"""
+import json
+import numpy as np
+from statebody import RngStream, TangentBody, cube_generators, random_unit_generators
+from statebody import polytopes
+
+def one_product(body, dirs):
+    s = dirs @ body.generators.T
+    rows = np.arange(len(s))
+    idx = np.argmax(s, axis=1)
+    smax = s[rows, idx]
+    s[rows, idx] = -np.inf
+    ties = (smax - s.max(axis=1)) <= polytopes.TIE_TOL * np.maximum(smax, 1.0)
+    return smax, idx, ties
+
+def unit_rows(dim, n, seed):
+    d = RngStream(seed).generator().standard_normal((n, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+def rows_per_block(body):
+    per = polytopes._BINDING_ROWS
+    return max(1, polytopes._BINDING_CELLS // (body.n_generators * per)) * per
+
+cases = []
+body = TangentBody(random_unit_generators(6, 500, RngStream(4700)))
+block = rows_per_block(body)
+# k blocks and a lone last row, which joins the block before it: a one-row
+# product rounds differently in about half the rows
+counts = [1, block - 1, block] + [k * block + 1 for k in range(1, 9)] + [8192] * 4
+for seed, n in enumerate(counts, 4701):
+    cases.append((f"random-unit n={n} seed={seed}", body, unit_rows(6, n, seed)))
+cube = TangentBody(cube_generators(4))
+dirs = unit_rows(4, 3 * rows_per_block(cube) + 1, 4710)
+# every fifth row meets an edge: two coordinates of equal size, the rest 0
+gen = RngStream(4711).generator()
+for i in range(0, len(dirs), 5):
+    axes = gen.choice(4, size=2, replace=False)
+    dirs[i] = 0.0
+    dirs[i, axes] = gen.choice([-1.0, 1.0], size=2) / np.sqrt(2.0)
+cases.append(("cube", cube, dirs))
+out = {"block": block, "equal": {}}
+for name, b, d in cases:
+    got = polytopes._binding(b, d)
+    want = one_product(b, d.copy())
+    out["equal"][name] = [g.tobytes() == w.tobytes() for g, w in zip(got, want)]
+ties = polytopes._binding(cube, dirs)[2]
+out["edge_ties"] = bool(ties[::5].all())
+out["tie_frac"] = float(ties.mean())
+print(json.dumps(out))
+"""
+
+
+def test_binding_blocks_match_one_product():
+    """Row blocks change no bit of (smax, idx, ties): a 500-generator body on
+    a single row, one row below a block, one block, k blocks plus a lone row
+    (k = 1..8) and 8,192 rows, and a cube whose exact edge ties stay
+    flagged."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", BINDING_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    res = json.loads(out.splitlines()[-1])
+    assert res["block"] < 8192  # the 8,192-row stacks run in several blocks
+    assert len(res["equal"]) == 16
+    for name, equal in res["equal"].items():
+        assert equal == [True, True, True], name
+    assert res["edge_ties"] and res["tie_frac"] < 0.21
+
+
+def test_binding_peak_memory_is_one_block():
+    """The (rows, generators) product exists one block at a time: 8,192
+    directions x 500 generators peaked at 31.6 MiB as one product and at
+    2.0 MiB in blocks of about 1 MiB."""
+    body = TangentBody(random_unit_generators(6, 500, RngStream(4720)))
+    dirs = RngStream(4721).generator().standard_normal((8192, 6))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    polytopes._binding(body, dirs[:8])
+    tracemalloc.start()
+    try:
+        polytopes._binding(body, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_binding_names_the_smallest_product_across_blocks():
+    """Non-positive products in two blocks: the error names the direction
+    with the smallest product, which sits in the later block."""
+    # every generator is (1, u/2) normalized with u in [-1, 1]^5, so each
+    # direction (-cos t, sin t, 0, ...) with tan t < 2 meets no face. The
+    # set is unbounded, so it goes in as the two attributes `_binding` reads.
+    gen = RngStream(4730).generator()
+    g = np.hstack([np.ones((500, 1)), 0.5 * gen.uniform(-1.0, 1.0, (500, 5))])
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    body = types.SimpleNamespace(generators=g, n_generators=len(g))
+    dirs = np.hstack([np.ones((8192, 1)), 0.3 * gen.standard_normal((8192, 5))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    assert (dirs @ g.T).max(axis=1).min() > 0
+    away = [np.array([-math.cos(t), math.sin(t), 0, 0, 0, 0]) for t in (0.0, 0.3)]
+    worst, other = sorted(away, key=lambda d: (g @ d).max())
+    assert (g @ worst).max() < (g @ other).max() <= 0
+    dirs[3], dirs[-3] = other, worst
+    with pytest.raises(UnboundedBodyError, match=re.escape(str(np.round(worst, 6).tolist()))):
+        polytopes._binding(body, dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .geometry import (
     _radial_batch,
     analytic_area_volume_ratio,
 )
-from .hermitian import BipartiteShape, eigen_counts, partial_transpose
+from .hermitian import BipartiteShape, eigen_counts, min_eigenvalues, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -149,7 +149,9 @@ class InnerLaw:
     ``gamma`` is the estimate of D from the ``n_kept`` rows of ``n_samples``
     interior draws that lie in the body; ``p_value`` is a chi-square test of
     the law at the body's own D. A small value refutes constant height or
-    the interior sampler.
+    the interior sampler. ``n_fallback`` counts the eigenvalues that
+    :func:`~statebody.hermitian.min_eigenvalues` could not certify and took
+    from ``eigvalsh``; it is not part of any record.
     """
 
     body: str
@@ -158,6 +160,7 @@ class InnerLaw:
     gamma: Estimate
     p_value: float
     seed: str
+    n_fallback: int
 
 
 def _degenerate(n_nongeneric: int, n: int) -> bool:
@@ -401,7 +404,10 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     whose density at 0 is gamma = r_in * A / V = D. On the full body
     s = N * lambda_min(rho); the PPT body keeps its PPT rows and takes the
     smaller of lambda_min(rho) and lambda_min(T_A(rho)), the partial
-    transpose being an isometry fixing I/N. Only kept rows are eigensolved.
+    transpose being an isometry fixing I/N. Only kept rows are eigensolved,
+    by :func:`~statebody.hermitian.min_eigenvalues`, which computes no
+    spectrum; the rows it takes from ``eigvalsh`` are counted in
+    ``n_fallback``.
 
     t = -log(1 - s) is Exp(D) distributed, so the sum T of k kept values is
     Gamma(k, rate D): the estimate (k - 1) / T is unbiased, with stderr
@@ -424,18 +430,18 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
         states = sample_state_hs(shape, stream, count)
         if body.kind == "ppt":
             states = states[_ppt_mask(states, shape)]
+        lam, fallbacks = min_eigenvalues(states)
+        if body.kind == "ppt":
             # a kept row may have lambda_min(T_A rho) down to -PPT_TOL
-            lam = np.minimum(np.linalg.eigvalsh(states)[:, 0],
-                             np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0])
-        else:
-            lam = np.linalg.eigvalsh(states)[:, 0]
+            lam_pt, more = min_eigenvalues(partial_transpose(states, shape))
+            lam, fallbacks = np.minimum(lam, lam_pt), fallbacks + more
         t = -np.log1p(-np.clip(shape.n * lam, 0.0, 1.0))
         u = -np.expm1(-d * t)
         bins = np.minimum((u * LAW_BINS).astype(np.intp), LAW_BINS - 1)
         return (np.array([len(t)]), np.array([np.sum(t)]),
-                np.bincount(bins, minlength=LAW_BINS)[None])
+                np.bincount(bins, minlength=LAW_BINS)[None], np.array([fallbacks]))
 
-    kept, sums, counts = _sweep(n, rng, shards, kernel)
+    kept, sums, counts, fallbacks = _sweep(n, rng, shards, kernel)
     k = int(np.sum(kept))
     if k < LAW_MIN_KEPT:
         raise InsufficientSamplesError(
@@ -453,7 +459,7 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     p_value = float(stats.chisquare(merged).pvalue)
     gamma = Estimate(value, _floor_stderr(value, value / math.sqrt(k - 2)), k,
                      rng.describe(), f"inner_law[{body}]")
-    return InnerLaw(str(body), n, k, gamma, p_value, rng.describe())
+    return InnerLaw(str(body), n, k, gamma, p_value, rng.describe(), int(np.sum(fallbacks)))
 
 
 def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,

@@ -8,11 +8,15 @@ exactly when that matrix is positive definite (Sylvester's criterion). It
 agrees with the spectral test lambda_min(T_A(rho)) >= -PPT_TOL except for
 states whose lambda_min lies within rounding of -PPT_TOL.
 
-A caller that needs only how many eigenvalues lie below some thresholds (the
-corner probe) uses :func:`eigen_counts`, Sturm counts on a Householder
-tridiagonal. Callers that need the eigenvalues themselves (``negativity``,
-``min_eigenvalue``, the radial kernels, ``inner_law`` and the sampler
-battery) use ``eigvalsh``.
+Three eigen paths serve the callers. The corner probe needs only how many
+eigenvalues lie below some thresholds and uses :func:`eigen_counts`, Sturm
+counts on a batched Householder tridiagonal. ``inner_law`` needs only the
+smallest eigenvalue of each state and uses :func:`min_eigenvalues`, a
+Newton iteration on the same tridiagonal that the same Sturm counts
+certify. Callers that need whole spectra, or single matrices
+(``negativity``, ``min_eigenvalue``, the wrappers' checks, the radial
+kernels, whose 6x6 real rows the Newton kernel did not speed up, and the
+sampler battery), use ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def row_blocks(size: int) -> list:
-    """Slices of at most COUNT_CHUNK consecutive rows that cover range(size),
+def row_blocks(size: int, block: int = COUNT_CHUNK) -> list:
+    """Slices of at most ``block`` consecutive rows that cover range(size),
     in order."""
-    return [slice(lo, lo + COUNT_CHUNK) for lo in range(0, size, COUNT_CHUNK)]
+    return [slice(lo, lo + block) for lo in range(0, size, block)]
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -282,26 +286,218 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
     pivmin is taken as -pivmin, as in ``dstebz``. Both triangles are read.
     A non-finite entry raises ``np.linalg.LinAlgError``.
     """
+    m = _stack(mats)
+    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
+    counts = np.zeros((len(xs), len(m)), dtype=np.int64)
+    for rows, diag, e2 in _tridiagonal_blocks(m):
+        counts[:, rows] = _sturm_counts(diag, e2, xs)
+    return counts
+
+
+def min_eigenvalues(mats: np.ndarray):
+    """Smallest eigenvalue of each matrix in a stack of Hermitian matrices,
+    without computing the spectrum: an array of the stack's leading shape,
+    and the number of its entries taken from ``eigvalsh``.
+
+    On the tridiagonal of :func:`eigen_counts` (scaled by a power of two to
+    norm <= 1, which is exact), Newton's method on det(T - x) starts from the
+    Gershgorin lower bound, NEWTON_ROWS rows at a time. Its step is
+    1 / tr((T - x)^{-1}), the diagonal of the inverse read off the forward
+    and backward pivots of T - x (a twisted factorization), so left of
+    lambda_min every quantity stays bounded and the step never passes
+    lambda_min: the iterates rise monotonically. A row
+    stops once a step is at most MIN_EIG_STEP or a forward pivot is no
+    longer positive. Two Sturm counts under ``eigen_counts``' pivmin rule
+    certify each stopped row, none below x - MIN_EIG_TOL and at least one
+    below x + MIN_EIG_TOL (in units of the scale); a row that fails, or that
+    has not stopped after NEWTON_SWEEPS sweeps, is sent to ``eigvalsh``.
+    Both triangles are read; a non-finite entry raises
+    ``np.linalg.LinAlgError``.
+    """
+    lead = np.shape(mats)[:-2]
+    m = _stack(mats)
+    n = m.shape[-1]
+    out, ok = np.empty(len(m)), np.empty(len(m), dtype=bool)
+    # one workspace serves every group: the tridiagonal, its compacted copy
+    # and three scratch rows, which every step writes into
+    work = np.empty((7, n, min(len(m), NEWTON_ROWS)))
+    for group in row_blocks(len(m), NEWTON_ROWS):
+        sub = m[group]
+        w = work[:, :, :len(sub)]
+        for rows, diag, e2 in _tridiagonal_blocks(sub):
+            w[0, :, rows], w[1, :-1, rows] = diag, e2
+        out[group], ok[group] = _newton_min(w)
+    fallback = np.flatnonzero(~ok)
+    if len(fallback):
+        out[fallback] = np.linalg.eigvalsh(m[fallback])[:, 0]
+    return out.reshape(lead), len(fallback)
+
+
+def _stack(mats) -> np.ndarray:
+    """A stack of square matrices as a (B, n, n) array."""
     m = np.asarray(mats)
     n = m.shape[-1]
-    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
-    m = m.reshape(-1, n, n)
-    counts = np.zeros((len(xs), len(m)), dtype=np.int64)
+    return m.reshape(-1, n, n)
+
+
+# a matrix with its largest entry within 2^(+-SCALE_EXP) is reduced
+# unscaled: its squared column norms stay far from under- and overflow
+SCALE_EXP = 100
+
+
+def _tridiagonal_blocks(m: np.ndarray):
+    """For each block of COUNT_CHUNK rows of a (B, n, n) Hermitian stack: its
+    row slice and its tridiagonal's diagonal and squared subdiagonal."""
+    n = m.shape[-1]
     for rows in row_blocks(len(m)):
         # a private batch-last copy, so each step works on contiguous runs
         a = np.array(np.moveaxis(m[rows], 0, -1),
-                     dtype=np.result_type(m.dtype, np.float64))
+                     dtype=np.result_type(m.dtype, np.float64), order="C")
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError(
                 f"non-finite entry in a stack of {n}x{n} matrices")
+        # a matrix whose largest entry lies outside 2^(+-SCALE_EXP) is
+        # scaled by a power of two near it, which is exact, so no reflector
+        # of a tiny or a huge matrix under- or overflows. The float view holds
+        # a complex entry's two parts side by side on the batch axis
+        parts = np.abs(a.view(np.float64)).max(axis=(0, 1))
+        _, exp = np.frexp(parts.reshape(a.shape[-1], -1).max(axis=1))
+        exp[np.abs(exp) <= SCALE_EXP] = 0
+        if exp.any():
+            a *= np.ldexp(1.0, -exp)
         diag, e2 = _tridiagonal(a)
-        pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
-        c = counts[:, rows]
-        for k in range(n):
-            d = diag[k] - xs if k == 0 else diag[k] - xs - e2[k - 1] / d
-            d = np.where(np.abs(d) < pivmin, -pivmin, d)
-            c += d < 0
-    return counts
+        if exp.any():
+            diag, e2 = np.ldexp(diag, exp), np.ldexp(e2, 2 * exp)
+        yield rows, diag, e2
+
+
+def _sturm_counts(diag: np.ndarray, e2: np.ndarray, xs) -> np.ndarray:
+    """Number of negative Sturm pivots of T - x for each x of ``xs``, an
+    array broadcast against the b rows of the (n, b) tridiagonals: a pivot
+    smaller in magnitude than pivmin is taken as -pivmin, as in ``dstebz``."""
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
+    shape = np.broadcast_shapes(np.shape(xs), diag.shape[1:])
+    d, t = np.empty(shape), np.empty(shape)
+    small = np.empty(shape, dtype=bool)
+    c = np.zeros(shape, dtype=np.int64)
+    for k in range(len(diag)):
+        # d_k = (a_k - x) - e_{k-1}^2 / d_{k-1}
+        if k:
+            np.divide(e2[k - 1], d, out=t)
+        np.subtract(diag[k], xs, out=d)
+        if k:
+            d -= t
+        np.less(np.abs(d, out=t), pivmin, out=small)
+        np.copyto(d, -pivmin, where=small)
+        c += d < 0
+    return c
+
+
+# rows per Newton iteration: its steps are short loops over (n, rows)
+# arrays, and per 65,536 1x3 complex rows (2-core VM, one BLAS thread,
+# median of 9) groups of 16,384 took 50 ms against 77 ms in groups of
+# COUNT_CHUNK, and eigvalsh about 100 ms
+NEWTON_ROWS = 8 * COUNT_CHUNK
+# Newton sweeps before an unconverged row goes to eigvalsh; rows of random
+# states take 5 to 12, an exactly double minimum about 55
+NEWTON_SWEEPS = 64
+# in units of the power-of-two scale, at least ||T||_inf: a row stops once a
+# step is at most MIN_EIG_STEP (at 8 eps an exactly double minimum stopped up
+# to 8 eps short, which read 19 eps ||A||_F off eigvalsh; at eps, 4.6), and
+# the certificate brackets lambda_min within MIN_EIG_TOL
+MIN_EIG_STEP = np.finfo(float).eps
+MIN_EIG_TOL = 8 * np.finfo(float).eps
+# pivots and inverse-diagonal terms are clamped to at least this (in units of
+# the scale), so no reciprocal, and no sum of n of them, overflows
+_PIVOT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _newton_min(w: np.ndarray):
+    """lambda_min of each tridiagonal by the Newton iteration of
+    :func:`min_eigenvalues`, and whether the row stopped and was certified.
+    ``w`` is a (7, n, b) workspace holding the diagonal in ``w[0]`` and the
+    squared subdiagonal in ``w[1, :-1]``, which are overwritten."""
+    n, b = w.shape[1:]
+    d, e2, dw, e2w = w[0], w[1, :-1], w[2], w[3, :-1]
+    radius, tmp = w[4], w[5]
+    vec = np.empty((4, b))
+    x, xw, step, low = vec
+    flags = np.empty((3, b), dtype=bool)
+    live, moving, big = flags
+    radius[:] = 0.0
+    e = np.sqrt(e2, out=tmp[:-1])
+    radius[:-1] += e
+    radius[1:] += e
+    # a power of two at least the infinity norm, 1 for a zero matrix
+    np.add(np.abs(d, out=tmp), radius, out=tmp)
+    _, exp = np.frexp(np.max(tmp, axis=0, initial=0.0, out=x))
+    np.ldexp(d, -exp, out=d)
+    np.ldexp(e2, -2 * exp, out=e2)
+    np.ldexp(radius, -exp, out=radius)
+    # the Gershgorin lower bound
+    np.min(np.subtract(d, radius, out=tmp), axis=0, initial=np.inf, out=x)
+    # the working set: rows[i] is iterated at xw[i] while live[i]; whenever
+    # at most half of it is live it is cut down to its live rows, gathered
+    # from d and e2 into the front of dw and e2w
+    rows, dr, e2r = np.arange(b), d, e2
+    xw[:] = x
+    live[:] = True
+    for _ in range(NEWTON_SWEEPS):
+        r = len(rows)
+        _newton_step(dr, e2r, xw[:r], w[4:, :, :r], step[:r], low[:r], moving[:r])
+        np.logical_and(live[:r], moving[:r], out=moving[:r])
+        np.add(xw[:r], step[:r], out=xw[:r], where=moving[:r])
+        np.logical_and(moving[:r], np.greater(step[:r], MIN_EIG_STEP, out=big[:r]),
+                       out=live[:r])
+        k = np.count_nonzero(live[:r])
+        if 2 * k <= r:
+            x[rows] = xw[:r]
+            rows = rows[live[:r]]
+            if not k:
+                break
+            # indices are in range; mode "clip" writes out unbuffered
+            dr, e2r = np.take(d, rows, axis=1, out=dw[:, :k], mode="clip"), e2w[:, :k]
+            np.take(e2, rows, axis=1, out=e2r, mode="clip")
+            np.take(x, rows, out=xw[:k], mode="clip")
+            live[:k] = True
+    else:
+        x[rows] = xw[:len(rows)]
+    stopped = np.ones(b, dtype=bool)
+    stopped[rows[live[:len(rows)]]] = False
+    below = _sturm_counts(d, e2, np.stack([x - MIN_EIG_TOL, x + MIN_EIG_TOL]))
+    ok = stopped & (below[0] == 0) & (below[1] >= 1)
+    return np.ldexp(x, exp), ok
+
+
+def _newton_step(d, e2, x, work, step, low, valid):
+    """Into ``step``, the Newton step 1 / tr((T - x)^{-1}) of each (n, b)
+    tridiagonal of norm <= 1, and into ``valid``, whether every forward
+    pivot of T - x is above the floor. ``work`` is a (3, n, b) scratch array
+    and ``low`` a (b,) one."""
+    n = len(d)
+    dx, fwd, bwd = work
+    np.subtract(d, x, out=dx)
+    np.maximum(dx[0], _PIVOT_FLOOR, out=fwd[0])
+    np.maximum(dx[-1], _PIVOT_FLOOR, out=bwd[-1])
+    for k in range(1, n):
+        # fwd_k = dx_k - e_{k-1}^2 / fwd_{k-1}, bwd_j = dx_j - e_j^2 / bwd_{j+1}
+        np.divide(e2[k - 1], fwd[k - 1], out=fwd[k])
+        np.subtract(dx[k], fwd[k], out=fwd[k])
+        np.maximum(fwd[k], _PIVOT_FLOOR, out=fwd[k])
+        j = n - 1 - k
+        np.divide(e2[j], bwd[j + 1], out=bwd[j])
+        np.subtract(dx[j], bwd[j], out=bwd[j])
+        np.maximum(bwd[j], _PIVOT_FLOOR, out=bwd[j])
+    np.min(fwd, axis=0, out=low)
+    np.greater(low, _PIVOT_FLOOR, out=valid)
+    # 1 / ((T - x)^{-1})_kk = bwd_k - e_{k-1}^2 / fwd_{k-1}
+    inv = bwd
+    np.divide(e2, fwd[:-1], out=dx[1:])
+    np.subtract(inv[1:], dx[1:], out=inv[1:])
+    np.maximum(inv, _PIVOT_FLOOR, out=inv)
+    np.reciprocal(inv, out=inv)
+    np.sum(inv, axis=0, out=step)
+    np.reciprocal(step, out=step)
 
 
 def _tridiagonal(a: np.ndarray):
@@ -320,14 +516,16 @@ def _tridiagonal(a: np.ndarray):
         x = a[k + 1:, k]
         e2[k] = (x * np.conj(x)).real.sum(axis=0)
         alpha = np.sqrt(e2[k])
-        live = alpha > 0
         # the last column needs no reflector, nor does one already zero
-        if k == n - 2 or not live.any():
+        if k == n - 2 or not alpha.any():
             continue
         r0 = np.abs(x[0])
+        den = alpha * (alpha + r0)
+        # nor does one so small that 1 / den would overflow
+        live = den > np.finfo(float).tiny
         # phase of x_0, taken as 1 where x_0 = 0; tau = 0 leaves H = I
         phase = np.where(r0 > 0, x[0] / np.where(r0 > 0, r0, 1.0), 1.0)
-        tau = np.where(live, 1.0 / np.where(live, alpha * (alpha + r0), 1.0), 0.0)
+        tau = np.where(live, 1.0 / np.where(live, den, 1.0), 0.0)
         v = x.copy()
         v[0] += phase * alpha
         t = a[k + 1:, k + 1:]

@@ -265,11 +265,11 @@ def config_from_json(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a JSON config; ``overrides`` replace its fields before the one
     validation pass, so they are checked exactly like the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read config file {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}")
     if overrides and isinstance(data, dict):
         data = {**data, **overrides}

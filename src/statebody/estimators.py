@@ -9,11 +9,11 @@ with D the body dimension and n(omega) the outward unit normal at the contact
 point. The volume and area estimators serve the state bodies and the
 polytopes of :mod:`statebody.polytopes`; only the per-direction kernel that
 yields (log r, height, generic) differs. Each body kind has one gamma
-estimator and one test of constant height. On a state body the kernel solves
-for eigenvalues only, and its heights equal the insphere radius by
-construction, so the radial ratio r_in * A / V would read D up to rounding.
-There gamma is measured by :func:`inner_law`: the inner parallel body of a
-tangential body is a scaled copy, so N * lambda_min of a uniform state is
+estimator and one test of constant height. A state body's kernel solves for
+eigenvalues only and computes no height: every generic face touches the
+insphere, so its height column is r_in and its area is D / r_in times its
+volume. There gamma is measured by :func:`inner_law`: the inner parallel body
+of a tangential body is a scaled copy, so N * lambda_min of a uniform state is
 Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
 boundary radii against interior radial values in a two-sample KS test. A
 polytope's heights are measured: :func:`mc_gamma` takes the radial ratio and
@@ -39,12 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polytopes
-from .geometry import (
-    BodySpec,
-    _contact_batch,
-    _radial_batch,
-    analytic_area_volume_ratio,
-)
+from .geometry import BodySpec, _radial_batch, analytic_area_volume_ratio
 from .hermitian import BipartiteShape, eigen_counts, min_eigenvalues, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
@@ -98,7 +93,7 @@ class CornerProbeResult:
 class AreaCrossCheck:
     """PPT boundary area by the radial integral and by doubling p_boundary.
 
-    Every sampled state-body height is r_in, so ``radial`` is D / r_in times
+    A state body's heights are taken as r_in, so ``radial`` is D / r_in times
     the radial volume of the PPT body and the two routes agree exactly when
     V_ppt / V_full = 2 p_boundary; they are not two independent areas.
     """
@@ -255,8 +250,8 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     support height of the face met and whether that face is unique.
 
     State bodies draw traceless directions in chunks of BATCH and run the
-    eigenvalue-only contact kernel; polytopes sweep in chunks of
-    polytopes._SWEEP_BATCH.
+    eigenvalue-only radial kernel, with height r_in, that of every generic
+    face; polytopes sweep in chunks of polytopes._SWEEP_BATCH.
     """
     if isinstance(body, polytopes.TangentBody):
         return _sweep(
@@ -266,8 +261,8 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     def kernel(stream, count):
         omegas = sample_direction(body.shape, stream, count)
-        r, h, _, _, nong = _contact_batch(body, omegas)
-        return np.log(r), h, ~nong
+        r, _, nong = _radial_batch(body, omegas)
+        return np.log(r), np.full(count, body.r_in), ~nong
 
     return _sweep(n, rng, shards, kernel)
 
@@ -314,8 +309,8 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     stderr comes from the paired delta method. For a constant-height body the
     estimate equals the body dimension up to rounding.
 
-    A state body is rejected: its sampled heights equal the insphere radius
-    by construction, so the ratio would read D at any n; :func:`inner_law`
+    A state body is rejected: its heights are not sampled but taken as the
+    insphere radius, so the ratio would read D at any n; :func:`inner_law`
     measures its gamma.
     """
     if not isinstance(body, polytopes.TangentBody):
@@ -333,8 +328,8 @@ def height_certificate(body: polytopes.TangentBody, n: int, rng: RngStream,
     insphere radius, zero on a constant-height body. No generic direction at
     all raises :class:`InsufficientSamplesError`.
 
-    A state body is rejected: its sampled heights equal the insphere radius
-    by construction, so :func:`radius_law` is its test of constant height.
+    A state body is rejected: its heights are not sampled but taken as the
+    insphere radius, so :func:`radius_law` is its test of constant height.
     """
     if not isinstance(body, polytopes.TangentBody):
         raise ValueError(f"height_certificate takes a polytope, got {body}; "
@@ -570,10 +565,11 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
 def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> Estimate:
     """PPT fraction of the full body's boundary via the radial area integral.
 
-    Weighs each sampled direction by its surface element and tests the contact
-    point for PPT; agrees with estimate_p_boundary without ever drawing a
-    boundary sample, which makes it an independent check on the boundary
-    sampler's eigenvalue density. Too many non-generic directions raise
+    Weighs each sampled direction by r^D, its surface element r^D / r_in up
+    to the constant height r_in that cancels in the ratio, and tests the
+    contact point for PPT; agrees with estimate_p_boundary without ever
+    drawing a boundary sample, which makes it an independent check on the
+    boundary sampler's eigenvalue density. Too many non-generic directions raise
     :class:`InsufficientSamplesError`, as in the area estimators. On K = 1
     the fraction is exactly 1, as for :func:`estimate_p_interior`.
     """
@@ -582,9 +578,9 @@ def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> E
 
     def kernel(stream, count):
         omegas = sample_direction(shape, stream, count)
-        r, h, _, _, nong = _contact_batch(body, omegas)
+        r, _, nong = _radial_batch(body, omegas)
         gen = ~nong
-        w = np.exp(body.dim * np.log(r[gen])) / h[gen]
+        w = np.exp(body.dim * np.log(r[gen]))
         return w, _ppt_mask(body.center + r[gen, None, None] * omegas[gen], shape)
 
     w, hits = _sweep(n, rng, 1, kernel)
@@ -605,8 +601,8 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     body times the closed-form constant-height ratio A/V = D / r_in, in
     either field.
 
-    Every sampled height h of a state body equals r_in by construction, so
-    route one is D / r_in times the radial volume V_ppt, and the check
+    A state body's heights h are taken as r_in, so route one is D / r_in
+    times the radial volume V_ppt, and the check
     compares V_ppt / V_full, the interior PPT fraction measured by radial
     volumes, with 2 p_boundary: the boundary-doubling identity, not an
     agreement of two independent area measurements.

@@ -10,13 +10,12 @@ smallest eigenvalue l_min < 0 the positivity constraint gives the closed form
 and the PPT body is the minimum of that constraint and the same constraint
 applied to the partially transposed direction. Both bodies have constant
 height: every generic boundary point lies on a face tangent to the insphere of
-radius 1/sqrt((N-1)N), which the support-height computation certifies
-numerically. Every batch kernel solves for eigenvalues only: the support
-height follows from the smallest eigenvalue of the binding matrix (omega or
-its partial transpose), so no eigenvector, contact point, projector or normal
-is formed. Only the single-direction queries, which run the same kernel on a
-stack of one, solve for the one zero eigenvector that gives the point and
-normal they return.
+radius 1/sqrt((N-1)N). The batch kernel solves for eigenvalues only: it
+yields radii, which constraint binds and whether the face met is unique, and
+no height, since every generic height is the insphere radius. Only the
+single-direction queries solve for the zero eigenvector of the binding matrix
+and form the contact point x, its normal n(x) and the height <x - rho*, n(x)>,
+a geometric measurement that tests hold against the insphere radius.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .hermitian import (
     BipartiteShape,
     DensityMatrix,
     TracelessDirection,
+    hs_inner,
     maximally_mixed,
     partial_transpose,
 )
@@ -118,11 +118,11 @@ def _direction_stack(body: BodySpec, omega) -> np.ndarray:
 
 
 def _radial_batch(body: BodySpec, omegas: np.ndarray):
-    """Radial data ``(r, binding_pt, nongeneric, w_min)`` for a stack of
-    directions, from eigenvalues alone: radii, where the partial-transpose
-    constraint binds, where the touching face is not unique (degenerate
-    smallest eigenvalue of the binding matrix, or both constraints within
-    GAP_TOL: a corner), and the smallest eigenvalue of the binding matrix.
+    """Radial data ``(r, binding_pt, nongeneric)`` for a stack of directions,
+    from eigenvalues alone: radii, where the partial-transpose constraint
+    binds, and where the touching face is not unique (degenerate smallest
+    eigenvalue of the binding matrix, or both constraints within GAP_TOL: a
+    corner). Non-generic directions are returned flagged, not raised.
     """
     n = body.shape.n
     mats = [omegas]
@@ -137,8 +137,7 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray):
     nongeneric = np.where(binding_pt, gap[-1], gap[0]) <= GAP_TOL
     if body.kind == "ppt":
         nongeneric |= np.abs(radii[0] - radii[1]) <= GAP_TOL
-    w_min = np.where(binding_pt, w[-1, :, 0], w[0, :, 0])
-    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric, w_min
+    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric
 
 
 def radial_function(body: BodySpec, omega) -> float:
@@ -147,32 +146,16 @@ def radial_function(body: BodySpec, omega) -> float:
     return float(r[0])
 
 
-def _contact_batch(body: BodySpec, omegas: np.ndarray):
-    """``(r, heights, binding_pt, w_min, nongeneric)`` for a stack of directions.
-
-    The outward unit normal at a generic contact is c (I/N - P), c =
-    sqrt(N/(N-1)), P the projector onto the zero eigenvector phi of the
-    binding matrix M (omega or T_A(omega)), partially transposed when M is.
-    As <omega, T_A(P)> = <T_A(omega), P> and <phi|M|phi> = w_min, the smallest
-    eigenvalue of M, the support height <r omega, normal> is
-    c r (tr omega / N - w_min): no eigenvector, point, projector or normal is
-    formed. Non-generic directions are returned flagged, not raised.
-    """
-    n = body.shape.n
-    r, binding_pt, nongeneric, w_min = _radial_batch(body, omegas)
-    trace = np.trace(omegas, axis1=-2, axis2=-1).real
-    heights = np.sqrt(n / (n - 1.0)) * r * (trace / n - w_min)
-    return r, heights, binding_pt, w_min, nongeneric
-
-
 def _generic_contact(body: BodySpec, omega):
     """Point, normal, height, partial-transpose binding and zero eigenvector
     along one direction. Raises :class:`NonGenericDirectionError` when the
     touching face is not unique (degenerate smallest eigenvalue, or a corner
-    of the PPT body where both constraints bind).
+    of the PPT body where both constraints bind). The normal is c (I/N - P),
+    c = sqrt(N/(N-1)), P the projector onto phi, partially transposed when
+    T_A(omega) binds; the height is <r omega, normal>.
     """
     omegas = _direction_stack(body, omega)
-    r, heights, binding_pt, _, nongeneric = _contact_batch(body, omegas)
+    r, binding_pt, nongeneric = _radial_batch(body, omegas)
     if bool(nongeneric[0]):
         raise NonGenericDirectionError(
             "direction is non-generic (degenerate smallest eigenvalue or "
@@ -185,8 +168,8 @@ def _generic_contact(body: BodySpec, omega):
     if binding_pt[0]:
         proj = partial_transpose(proj, body.shape)
     normal = np.sqrt(n / (n - 1.0)) * (np.eye(n) / n - proj)
-    point = body.center + r[0] * omegas[0]
-    return point, normal, float(heights[0]), bool(binding_pt[0]), phi
+    ray = r[0] * omegas[0]
+    return body.center + ray, normal, hs_inner(ray, normal), bool(binding_pt[0]), phi
 
 
 def boundary_contact(body: BodySpec, omega) -> BoundaryContact:

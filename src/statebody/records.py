@@ -13,7 +13,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,6 +24,10 @@ CSV_COLUMNS = (
 )
 
 CSV_NAME = "results.csv"
+
+# JSON types a loaded record's fields may hold, by annotation: a bool is no number
+_JSON_TYPES = {"str": (str,), "dict": (dict,), "bool": (bool,), "float": (int, float),
+               "float | None": (int, float, type(None))}
 
 
 @dataclass
@@ -121,7 +125,12 @@ def load_records(results_dir):
         try:
             with open(path) as fh:
                 data = json.load(fh, parse_constant=_reject_constant)
-            records.append(ResultRecord(**data))
+            record = ResultRecord(**data)
+            wrong = [f.name for f in fields(record)
+                     if type(getattr(record, f.name)) not in _JSON_TYPES[f.type]]
+            if wrong:
+                raise TypeError(f"wrongly typed fields: {', '.join(wrong)}")
+            records.append(record)
         except (ValueError, TypeError, OSError) as exc:
             errors.append((path.name, f"{type(exc).__name__}: {exc}"))
     return records, errors

@@ -45,6 +45,11 @@ def test_config_error_exit_two(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     assert "n_samples" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "nope.json")]) == 2
+    # a path that exists but cannot be read as UTF-8 JSON text
+    (tmp_path / "latin1.json").write_bytes(b'{"experiment": "\xe9"}')
+    for path in (tmp_path, tmp_path / "latin1.json"):
+        assert main(["run", str(path)]) == 2
+        assert "config error: <file>:" in capsys.readouterr().err
     # generator sets the polytope rules reject name the field that made them
     polytope = dict(experiment="polytope-gamma", shape=None)
     for over, name in ((dict(preset="cross", dim=20), "dim"),

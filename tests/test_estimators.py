@@ -274,6 +274,10 @@ def test_volume_area_determinism_and_shards():
         # different shard layout draws a different stream: the values differ
         # by far more than rounding
         assert abs(c.value - a.value) > 1e-6 * abs(a.value), estimator.__name__
+    # the area integrand takes every state-body height as r_in, so on one
+    # stream the area is D / r_in times the volume
+    volume, area = (f(body, 9999, RngStream(5)) for f in (mc_volume, mc_area))
+    assert area.value == pytest.approx(body.dim / body.r_in * volume.value, rel=1e-12)
 
 
 def test_estimator_rejects_bad_n():
@@ -316,14 +320,14 @@ def test_area_raises_when_everything_is_nongeneric(monkeypatch):
 def test_nongeneric_fraction_rule_is_shared(monkeypatch):
     # flag 1% of directions non-generic: far above NONGENERIC_WARN_FRACTION
     # but not all of them
-    contact = estimators._contact_batch
+    radial = estimators._radial_batch
 
     def flagged(body, omegas):
-        r, heights, binding_pt, w_min, nongeneric = contact(body, omegas)
+        r, binding_pt, nongeneric = radial(body, omegas)
         nongeneric[: len(nongeneric) // 100] = True
-        return r, heights, binding_pt, w_min, nongeneric
+        return r, binding_pt, nongeneric
 
-    monkeypatch.setattr(estimators, "_contact_batch", flagged)
+    monkeypatch.setattr(estimators, "_radial_batch", flagged)
     body = BodySpec("full", BipartiteShape(1, 3))
     with pytest.raises(InsufficientSamplesError, match="fraction"):
         mc_area(body, 1000, RngStream(3))

@@ -31,7 +31,7 @@ from statebody import (
     support_height,
     tangency_state,
 )
-from statebody.geometry import _contact_batch, _radial_batch
+from statebody.geometry import _radial_batch
 
 HEIGHT_TOL = 1e-9
 MEMBERSHIP_SLACK = 1e-13
@@ -148,10 +148,12 @@ def test_radial_stack_matches_singles():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs = _radial_batch(body, omegas)[0]
+    rs, binding_pt, _ = _radial_batch(body, omegas)
     assert rs.shape == (20,)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])
+    # both constraints bind somewhere in the sample
+    assert 0 < np.sum(binding_pt) < len(omegas)
 
 
 def test_radial_rejects_bad_directions():
@@ -262,29 +264,6 @@ def test_support_height_is_inscribed_radius(field, kind, km):
         assert abs(h - r_in) <= HEIGHT_TOL
         checked += 1
     assert checked >= 38  # non-generic directions have measure zero
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-@pytest.mark.parametrize("kind,km", [("full", (1, 3)), ("full", (2, 2)),
-                                     ("ppt", (2, 2)), ("ppt", (2, 3))])
-def test_batch_heights_match_explicit_contacts(field, kind, km):
-    """The batch kernel's support heights, read off the binding eigenpair,
-    equal <x - I/N, n(x)> from the explicit point and normal."""
-    shape = BipartiteShape(km[0], km[1], field)
-    body = BodySpec(kind, shape)
-    omegas = sample_direction(shape, RngStream(53), size=30)
-    _, heights, binding_pt, _, nongeneric = _contact_batch(body, omegas)
-    center = np.eye(shape.n) / shape.n
-    checked = 0
-    for om, h, ng in zip(omegas, heights, nongeneric):
-        if ng:
-            continue
-        c = boundary_contact(body, om)
-        assert abs(h - hs_inner(c.point.mat - center, c.normal.mat).real) <= 1e-12
-        checked += 1
-    assert checked >= 28
-    if kind == "ppt":  # both constraints bind somewhere in the sample
-        assert 0 < np.sum(binding_pt) < len(omegas)
 
 
 def test_contact_normal_properties():

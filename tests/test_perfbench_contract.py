@@ -22,7 +22,8 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # boundaries whose functions left the package; their time counts to callers
 RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check",
            "sampling.sample_haar_unitary", "sampling.boundary_eigenvalues_metropolis",
-           "validation.boundary_eigenvalues_metropolis"}
+           "validation.boundary_eigenvalues_metropolis",
+           "estimators._contact_batch"}
 
 SHAPE = BipartiteShape(2, 2)
 ROWS = 6
@@ -48,9 +49,6 @@ def _small_result(attr: str):
         return sampling.boundary_eigenvalues_wishart(3, "complex", rng, ROWS)
     if attr == "_ppt_mask":
         return estimators._ppt_mask(estimators.sample_state_hs(SHAPE, rng, ROWS), SHAPE)
-    if attr == "_contact_batch":
-        omegas = estimators.sample_direction(SHAPE, rng, ROWS)
-        return estimators._contact_batch(BodySpec("ppt", SHAPE), omegas)
     if attr == "_radial_sweep":
         return polytopes._radial_sweep(TangentBody(cube_generators(3)), ROWS, rng)
     raise AssertionError(f"no small result for counted boundary {attr}")
@@ -76,7 +74,7 @@ def test_each_counter_reads_a_real_result(spans):
         # subset of them (hits, generic directions or ties)
         totals = {k: v for k, v in counts.items()
                   if k in ("sampling.draws", "hermitian.ppt_tests",
-                           "geometry.directions", "polytopes.directions")}
+                           "polytopes.directions")}
         assert list(totals.values()) == [ROWS], (attr, counts)
         assert all(0 <= v <= ROWS for v in counts.values()), (attr, counts)
 
@@ -94,7 +92,9 @@ def test_installed_tracer_sees_the_production_calls(spans):
         mc_gamma(TangentBody(cube_generators(3)), 64, RngStream(5))
     assert set(missing) == RETIRED
     assert tracer.counts["hermitian.ppt_tests"] == 512  # both PPT routes
-    assert tracer.counts["geometry.directions"] == 128
+    # the state-body volume sweep runs through no counted boundary since the
+    # contact kernel was retired
+    assert "geometry.directions" not in tracer.counts
     assert tracer.counts["polytopes.directions"] == 64
     # interior states, boundary states and the directions
     assert tracer.counts["sampling.draws"] == 256 + 256 + 128

@@ -76,13 +76,19 @@ def test_load_records_reports_corrupt_files(tmp_path):
     (tmp_path / "zz-nan.json").write_text(json.dumps({**data, "value": float("nan")}))
     (tmp_path / "zz-infinity.json").write_text(
         json.dumps({**data, "metrics": {"omega": float("inf")}}))
+    # well-formed JSON whose fields have the wrong types
+    (tmp_path / "zz-value-string.json").write_text(json.dumps({**data, "value": "oops"}))
+    (tmp_path / "zz-config-list.json").write_text(json.dumps({**data, "config": [1, 2]}))
     del data["stderr"]
     (tmp_path / "zz-missing-key.json").write_text(json.dumps(data))
     records, errors = load_records(tmp_path)
     assert len(records) == 1
     assert [name for name, _ in errors] == [
-        "zz-broken.json", "zz-extra-key.json", "zz-infinity.json",
-        "zz-missing-key.json", "zz-nan.json"]
+        "zz-broken.json", "zz-config-list.json", "zz-extra-key.json",
+        "zz-infinity.json", "zz-missing-key.json", "zz-nan.json",
+        "zz-value-string.json"]
+    md, _ = render_report(records, errors)
+    assert "zz-value-string.json" in md
 
 
 def test_render_report(tmp_path):

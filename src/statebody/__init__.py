@@ -14,7 +14,6 @@ from .estimators import (
     AreaCrossCheck,
     CornerProbeResult,
     Estimate,
-    HeightCertificate,
     InnerLaw,
     InsufficientSamplesError,
     OmegaReport,
@@ -24,7 +23,6 @@ from .estimators import (
     estimate_omega,
     estimate_p_boundary,
     estimate_p_interior,
-    height_certificate,
     inner_law,
     mc_area,
     mc_boundary_ppt_fraction,

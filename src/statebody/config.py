@@ -176,13 +176,15 @@ def _parse_deltas(value) -> tuple:
 
 
 def _parse_generators(value) -> tuple:
-    try:
-        gens = tuple(tuple(float(x) for x in row) for row in value)
-    except (TypeError, ValueError):
-        raise ConfigError("generators", "expected a list of numeric rows")
-    if len({len(row) for row in gens}) != 1:
+    if not (isinstance(value, (list, tuple)) and value
+            and all(isinstance(row, (list, tuple)) and row for row in value)):
+        raise ConfigError("generators", "expected a nonempty list of nonempty rows")
+    bad = [x for row in value for x in row if not _is_number(x)]
+    if bad:
+        raise ConfigError("generators", f"expected finite numbers, got {bad[0]!r}")
+    if len({len(row) for row in value}) != 1:
         raise ConfigError("generators", "rows have inconsistent lengths")
-    return gens
+    return tuple(tuple(float(x) for x in row) for row in value)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

@@ -16,9 +16,8 @@ volume. There gamma is measured by :func:`inner_law`: the inner parallel body
 of a tangential body is a scaled copy, so N * lambda_min of a uniform state is
 Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
 boundary radii against interior radial values in a two-sample KS test. A
-polytope's heights are measured: :func:`mc_gamma` takes the radial ratio and
-:func:`height_certificate` compares the heights with its exact insphere
-radius.
+polytope's heights are measured, and :func:`mc_gamma`, their radial ratio, is
+both its gamma and its one test of constant height.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
@@ -47,7 +46,6 @@ from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sam
 BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
 NONGENERIC_WARN_FRACTION = 1e-3
-HEIGHT_TOL = 1e-9
 LAW_BINS = 32
 LAW_MIN_KEPT = 10
 
@@ -105,23 +103,6 @@ class AreaCrossCheck:
 
 
 @dataclass(frozen=True)
-class HeightCertificate:
-    """Sampled constant-height certificate for one polytope: the largest
-    deviation of its support heights from its insphere radius."""
-
-    body: str
-    n_samples: int
-    n_nongeneric: int
-    max_abs_deviation: float
-    seed: str
-
-    @property
-    def passed(self) -> bool:
-        return (self.max_abs_deviation <= HEIGHT_TOL
-                and not _degenerate(self.n_nongeneric, self.n_samples))
-
-
-@dataclass(frozen=True)
 class RadiusLaw:
     """Two-sample KS test of the constant-height radius law on one state body.
 
@@ -158,16 +139,11 @@ class InnerLaw:
     n_fallback: int
 
 
-def _degenerate(n_nongeneric: int, n: int) -> bool:
-    """Whether non-generic directions, a measure-zero set on a sound body,
-    make up at least NONGENERIC_WARN_FRACTION of n samples."""
-    return n_nongeneric / max(n, 1) >= NONGENERIC_WARN_FRACTION
-
-
 def _require_generic(n_gen: int, n: int):
-    """Raise :class:`InsufficientSamplesError` when n_gen generic directions
-    out of n leave a :func:`_degenerate` non-generic share."""
-    if _degenerate(n - n_gen, n):
+    """Raise :class:`InsufficientSamplesError` when the n - n_gen non-generic
+    directions, a measure-zero set on a sound body, make up at least
+    NONGENERIC_WARN_FRACTION of n."""
+    if (n - n_gen) / max(n, 1) >= NONGENERIC_WARN_FRACTION:
         raise InsufficientSamplesError(
             f"non-generic fraction {(n - n_gen) / n:.2e} too large; "
             "the body looks degenerate"
@@ -303,11 +279,15 @@ def mc_area(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
              shards: int = 1) -> Estimate:
     """The dimensionless ratio gamma = r_in * A / V of a polytope on shared
-    direction samples.
+    direction samples, and its test of constant height.
 
     A and V share the same radial samples, so gamma is a correlated ratio; the
-    stderr comes from the paired delta method. For a constant-height body the
-    estimate equals the body dimension up to rounding.
+    stderr comes from the paired delta method. A polytope's volume is
+    (1/D) * sum_i h_i * A_i over its exposed facets (Schneider, Convex Bodies,
+    2nd ed., 2014), and r_in = min_i h_i, so gamma = D exactly when every
+    exposed facet lies at height r_in: the body has constant height when the
+    estimate equals D within a few stderr, and a face exposed off the
+    insphere pulls it below D.
 
     A state body is rejected: its heights are not sampled but taken as the
     insphere radius, so the ratio would read D at any n; :func:`inner_law`
@@ -322,31 +302,6 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
 
-def height_certificate(body: polytopes.TangentBody, n: int, rng: RngStream,
-                       shards: int = 1) -> HeightCertificate:
-    """Max deviation of a polytope's sampled support heights from its
-    insphere radius, zero on a constant-height body. No generic direction at
-    all raises :class:`InsufficientSamplesError`.
-
-    A state body is rejected: its heights are not sampled but taken as the
-    insphere radius, so :func:`radius_law` is its test of constant height.
-    """
-    if not isinstance(body, polytopes.TangentBody):
-        raise ValueError(f"height_certificate takes a polytope, got {body}; "
-                         "test a state body with radius_law")
-    _check_n(n)
-    _, h, generic = _radial(body, n, rng, shards)
-    if not np.any(generic):
-        raise InsufficientSamplesError(f"all {n} sampled directions were non-generic")
-    return HeightCertificate(
-        body=str(body),
-        n_samples=n,
-        n_nongeneric=int(n - np.sum(generic)),
-        max_abs_deviation=float(np.max(np.abs(h[generic] - body.r_in))),
-        seed=rng.describe(),
-    )
-
-
 def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> RadiusLaw:
     """KS test of the radius law on n boundary and n interior draws.
 
@@ -358,8 +313,12 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
     PPT body keeps the PPT rows of both sides: the partial transpose is an
     isometry fixing I/N, so the reflected faces the boundary sampler never
     reaches carry the same radius law. No kept row on either side raises
-    :class:`InsufficientSamplesError`.
+    :class:`InsufficientSamplesError`. A polytope is rejected: its heights
+    are sampled, so :func:`mc_gamma` tests its constant height.
     """
+    if not isinstance(body, BodySpec):
+        raise ValueError(f"radius_law takes a state body, got {body}; "
+                         "test a polytope's constant height with mc_gamma")
     from scipy import stats  # lazy, so `import statebody` loads numpy only
 
     _check_n(n)

@@ -19,7 +19,6 @@ from .estimators import (
     corner_probe,
     cross_validate_area,
     estimate_omega,
-    height_certificate,
     inner_law,
     mc_gamma,
     radius_law,
@@ -153,15 +152,12 @@ def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
     # sibling streams, so no sweep chunk can redraw the generators
     body = _build_polytope(config, rng.child(0))
     est = mc_gamma(body, config.n_samples, rng.child(1), config.shards)
-    height = height_certificate(body, min(config.n_samples, 20000), rng.child(2),
-                                shards=config.shards)
     target = config.target if config.target is not None else float(body.dim)
     metrics = {
         "gamma": asdict(est),
         "dim": body.dim,
         "n_generators": body.n_generators,
         "all_unit": body.all_unit,
-        "height_max_deviation": height.max_abs_deviation,
     }
     return metrics, *_band(config, est.value, est.stderr, target)
 

@@ -5,12 +5,13 @@ unit ball: X = {x : <x, y> <= 1 for all y in Y}. When all generators share one
 norm each exposed face is tangent to the insphere, the body has constant height
 and gamma = r_in * A / V equals the ambient dimension, mirroring the state body
 without any quantum machinery. A shorter generator pushes its face outward and
-breaks the equality exactly when that face is exposed. The volume, area,
-gamma and height estimators of :mod:`statebody.estimators` accept a
-TangentBody wherever they accept a state body. One kernel, :func:`_binding`,
-finds the binding generator of a stack of directions; the estimators' sweep
-and the single-direction queries both run it, so they share one tie rule and
-one unboundedness check.
+breaks the equality exactly when that face is exposed. The volume and area
+estimators of :mod:`statebody.estimators` accept a TangentBody as they accept
+a state body; :func:`~statebody.estimators.mc_gamma` takes polytopes only and
+is their test of constant height, while ``inner_law`` and ``radius_law`` take
+state bodies only. One kernel, :func:`_binding`, finds the binding generator
+of a stack of directions; the estimators' sweep and the single-direction
+queries both run it, so they share one tie rule and one unboundedness check.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class TangentBody:
 
     def __init__(self, generators):
         g = np.atleast_2d(np.asarray(generators, dtype=float))
-        if g.ndim != 2 or g.shape[0] < 1:
+        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
             raise ValueError(f"generators must be a (m, dim) array, got {g.shape}")
         g = g[np.sort(np.unique(g, axis=0, return_index=True)[1])]
         norms = np.linalg.norm(g, axis=1)

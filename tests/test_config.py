@@ -135,6 +135,25 @@ def test_polytope_config_validation():
     assert err.value.field == "generators"
 
 
+def test_generator_entries_are_finite_numbers():
+    square = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    cases = [
+        ([["1", 0], *square[1:]], "finite numbers, got '1'"),
+        ([[True, 0], *square[1:]], "finite numbers, got True"),
+        ([], "nonempty list of nonempty rows"),
+        ([[]], "nonempty list of nonempty rows"),
+        ([[1, 0], []], "nonempty list of nonempty rows"),
+    ]
+    for gens, message in cases:
+        with pytest.raises(ConfigError, match=message) as err:
+            config_from_dict({"experiment": "polytope-gamma", "n_samples": 1000,
+                              "seed": 0, "generators": gens})
+        assert err.value.field == "generators"
+    cfg = config_from_dict({"experiment": "polytope-gamma", "n_samples": 1000,
+                            "seed": 0, "generators": square})
+    assert cfg.generators == ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+
+
 def test_tolerance_overrides():
     cfg = config_from_dict(base(tolerances={"sigma": 4.0}))
     assert cfg.tolerance("sigma") == 4.0
@@ -187,6 +206,8 @@ def test_non_finite_numbers_are_rejected(tmp_path):
         (probe, '"deltas": [Infinity, 0.1]', "deltas"),
         (cube, '"target": NaN', "target"),
         (cube, '"target": -Infinity', "target"),
+        ('"experiment": "polytope-gamma"', '"generators": [[NaN, 0], [-1, 0], [0, 1]]',
+         "generators"),
     ]
     path = tmp_path / "cfg.json"
     for head, text, name in cases:

@@ -1,4 +1,4 @@
-"""Monte Carlo estimators: volumes, areas, gamma, omega, certificates."""
+"""Monte Carlo estimators: volumes, areas, gamma, omega and the laws of constant height."""
 
 import dataclasses
 import json
@@ -26,7 +26,6 @@ from statebody import (
     estimate_omega,
     estimate_p_boundary,
     estimate_p_interior,
-    height_certificate,
     inner_law,
     mc_area,
     mc_boundary_ppt_fraction,
@@ -34,9 +33,7 @@ from statebody import (
     mc_volume,
     partial_transpose,
     radius_law,
-    random_unit_generators,
     run_experiment,
-    simplex_generators,
     sphere_area,
     support_height,
 )
@@ -260,6 +257,12 @@ def test_mc_gamma_rejects_a_state_body():
         mc_gamma(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
 
+def test_radius_law_rejects_a_polytope():
+    # a polytope's heights are sampled, so mc_gamma tests its constant height
+    with pytest.raises(ValueError, match="mc_gamma"):
+        radius_law(CUBE, 1000, RngStream(1))
+
+
 def test_volume_area_determinism_and_shards():
     # not QUBIT: the ball's estimates do not depend on the stream, so a layout
     # check there would rest on a floating-point coincidence
@@ -309,11 +312,9 @@ def test_area_raises_when_everything_is_nongeneric(monkeypatch):
     # the radial-ratio boundary PPT fraction discards them by the same rule
     with pytest.raises(InsufficientSamplesError, match="fraction"):
         mc_boundary_ppt_fraction(QUBIT.shape, 500, RngStream(2))
-    # a polytope whose every direction meets a tie has no height to certify
+    # a polytope whose every direction meets a tie has no gamma
     _flag_ties(monkeypatch, 1.0)
     with pytest.raises(InsufficientSamplesError, match="non-generic"):
-        height_certificate(CUBE, 500, RngStream(2))
-    with pytest.raises(InsufficientSamplesError):
         mc_gamma(CUBE, 500, RngStream(2))
 
 
@@ -334,34 +335,6 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
     _flag_ties(monkeypatch, 0.01)
     with pytest.raises(InsufficientSamplesError, match="fraction"):
         mc_gamma(CUBE, 1000, RngStream(3))
-    cert = height_certificate(CUBE, 1000, RngStream(3))
-    assert cert.n_nongeneric == 10
-    assert cert.max_abs_deviation <= estimators.HEIGHT_TOL and not cert.passed
-
-
-# ---------------------------------------------------------------------------
-# height certificates: polytopes only
-
-
-@pytest.mark.parametrize("body", [
-    CUBE,
-    TangentBody(simplex_generators(4)),
-    TangentBody(random_unit_generators(4, 500, RngStream(110))),
-])
-def test_height_certificate_passes(body):
-    cert = height_certificate(body, 5000, RngStream(111))
-    assert cert.passed
-    assert cert.max_abs_deviation <= estimators.HEIGHT_TOL
-    assert cert.n_nongeneric < 5
-    again = height_certificate(body, 5000, RngStream(111))
-    assert again.max_abs_deviation == cert.max_abs_deviation
-
-
-def test_height_certificate_rejects_a_state_body():
-    # every sampled height of a state body is the insphere radius by
-    # construction, so a certificate there could not fail
-    with pytest.raises(ValueError, match="radius_law"):
-        height_certificate(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
 
 def test_no_batch_path_solves_for_eigenvectors(monkeypatch):

@@ -40,7 +40,8 @@ def test_shards_reach_the_sweep(config, monkeypatch):
 
 
 def test_polytope_directions_never_redraw_the_generators(monkeypatch):
-    # one direction per chunk, so the sweeps run through 1,000 child streams
+    # one direction per chunk, so the gamma sweep runs through 1,000 child
+    # streams
     monkeypatch.setattr(polytopes, "_SWEEP_BATCH", 1)
     swept, drawn = set(), set()
     sweep, draw = polytopes._radial_sweep, experiments.random_unit_generators
@@ -58,7 +59,7 @@ def test_polytope_directions_never_redraw_the_generators(monkeypatch):
     run_experiment(config_from_dict({"experiment": "polytope-gamma",
                                      "preset": "random-unit", "dim": 6,
                                      "n_samples": 1000, "seed": 5}), write=False)
-    assert len(swept) == 2000 and len(drawn) == 1  # gamma and height sweeps
+    assert len(swept) == 1000 and len(drawn) == 1  # the gamma sweep only
     assert swept.isdisjoint(drawn)
 
 

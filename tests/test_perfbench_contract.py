@@ -23,7 +23,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check",
            "sampling.sample_haar_unitary", "sampling.boundary_eigenvalues_metropolis",
            "validation.boundary_eigenvalues_metropolis",
-           "estimators._contact_batch"}
+           "estimators._contact_batch", "experiments.height_certificate"}
 
 SHAPE = BipartiteShape(2, 2)
 ROWS = 6

@@ -22,7 +22,6 @@ from statebody import (
     UnboundedBodyError,
     cross_generators,
     cube_generators,
-    height_certificate,
     intersect_bodies,
     mc_area,
     mc_gamma,
@@ -125,6 +124,8 @@ def test_tangent_body_rejects_bad_input():
         TangentBody(np.ones(3))  # not 2-D
     with pytest.raises(ValueError):
         TangentBody(np.zeros((3, 2)))  # zero rows
+    with pytest.raises(ValueError, match=r"\(m, dim\) array"):
+        TangentBody(np.zeros((3, 0)))  # no columns
     with pytest.raises(ValueError, match="unit ball"):
         TangentBody(np.vstack([cube_generators(2), [[np.nan, 0.0]]]))
 
@@ -386,16 +387,16 @@ def test_octagon_gamma():
 
 
 def test_cube_constant_height_passes():
-    rep = height_certificate(TangentBody(cube_generators(3)), 20000, RngStream(301))
-    assert rep.passed
-    assert rep.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
-    assert rep.n_nongeneric == 0
+    est = mc_gamma(TangentBody(cube_generators(3)), 20000, RngStream(301))
+    assert abs(est.value - 3.0) <= 3 * est.stderr
+    assert est.n_samples == 20000  # no direction met an edge
 
 
 def test_rectangle_constant_height_fails():
-    rep = height_certificate(TangentBody(RECT), 20000, RngStream(302))
-    assert not rep.passed
-    assert rep.max_abs_deviation == pytest.approx(0.5, abs=1e-12)
+    # the face at height 1.5 is exposed, so gamma = 1.8 < D
+    est = mc_gamma(TangentBody(RECT), 20000, RngStream(302))
+    assert est.value < 2.0 - 3 * est.stderr
+    assert abs(est.value - 1.8) <= 4 * est.stderr
 
 
 def test_shrunk_generator_breaks_constant_height():
@@ -405,9 +406,6 @@ def test_shrunk_generator_breaks_constant_height():
     body = TangentBody(gens)
     assert not body.all_unit
     assert body.r_in == 1.0
-    rep = height_certificate(body, 20000, RngStream(303))
-    assert not rep.passed
-    assert rep.max_abs_deviation == pytest.approx(0.25, abs=1e-12)
     est = mc_gamma(body, 50000, RngStream(304))
     assert est.value < 2.0 - 4 * est.stderr
 
@@ -417,9 +415,6 @@ def test_scaled_cube_has_constant_height():
     body = TangentBody(0.5 * cube_generators(3))
     assert not body.all_unit
     assert body.r_in == 2.0
-    rep = height_certificate(body, 20000, RngStream(308))
-    assert rep.passed
-    assert rep.max_abs_deviation == 0.0
     est = mc_gamma(body, 30000, RngStream(309))
     assert est.value == pytest.approx(3.0, abs=1e-9)
     assert est.estimator_id == "mc_gamma[polytope:dim=3]"
@@ -428,7 +423,5 @@ def test_scaled_cube_has_constant_height():
 def test_random_unit_body_has_constant_height():
     gens = random_unit_generators(4, 500, RngStream(305))
     body = TangentBody(gens)
-    rep = height_certificate(body, 20000, RngStream(306))
-    assert rep.passed
     est = mc_gamma(body, 30000, RngStream(307))
     assert est.value == pytest.approx(4.0, abs=1e-9)

@@ -44,6 +44,9 @@ _PPT_REQUIRED = ("omega", "corner-probe", "area-crosscheck")
 
 POLYTOPE_PRESETS = ("cube", "cross", "simplex", "random-unit")
 
+# a seed is one 64-bit word of RngStream's Philox key
+_SEED_MAX = 2**64 - 1
+
 TOLERANCE_DEFAULTS = {
     "sigma": 3.0,
     "p_threshold": 0.01,
@@ -209,7 +212,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     c = {k: given.get(k, _DEFAULTS[k]) for k in keep}
 
     _require_int("n_samples", c["n_samples"], MIN_SAMPLES[exp])
-    _require_int("seed", c["seed"], 0)
+    if _require_int("seed", c["seed"], 0) > _SEED_MAX:
+        # a larger seed would draw the numbers of its residue mod 2^64 under
+        # another config hash
+        raise ConfigError("seed", f"must be <= 2**64 - 1, got {c['seed']}")
     _require_int("shards", c["shards"], 1)
     if c["shards"] > c["n_samples"]:
         # every shard beyond n_samples draws nothing and only costs time
@@ -256,6 +262,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if not _is_number(v) or v <= 0:
             raise ConfigError(f"tolerances.{k}",
                               f"expected a positive finite number, got {v!r}")
+        if k == "p_threshold" and v >= 1:
+            # no p-value exceeds 1, so every run would fail its band
+            raise ConfigError(f"tolerances.{k}", f"must be below 1, got {v!r}")
     c["tolerances"] = dict(c["tolerances"])
     if not isinstance(c["output_path"], str) or not c["output_path"]:
         raise ConfigError("output_path",

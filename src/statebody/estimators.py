@@ -302,19 +302,34 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
 
+def _interior_depths(body: BodySpec, stream: RngStream, count: int):
+    """The states of ``count`` uniform draws that lie in ``body``, their depth
+    s = N * lambda_min over the body's constraints (rho, and T_A(rho) on a PPT
+    body) and how many minima ``min_eigenvalues`` took from ``eigvalsh``."""
+    states = sample_state_hs(body.shape, stream, count)
+    if body.kind == "ppt":
+        states = states[_ppt_mask(states, body.shape)]
+    lam, fallbacks = min_eigenvalues(states)
+    if body.kind == "ppt":
+        # a kept row may have lambda_min(T_A rho) down to -PPT_TOL
+        lam_pt, more = min_eigenvalues(partial_transpose(states, body.shape))
+        lam, fallbacks = np.minimum(lam, lam_pt), fallbacks + more
+    return states, body.shape.n * lam, fallbacks
+
+
 def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> RadiusLaw:
     """KS test of the radius law on n boundary and n interior draws.
 
     Under the surface measure the direction of a boundary point has density
     r^{D-1} / cos(theta) = r^D / h, which for constant height h is the volume
     measure's r^D. So the radius |x - I/N| of a sample_boundary_state_hs
-    state (stream child 0) has the law of r(omega) at the unit direction of a
-    sample_state_hs state (child 1); the boundary side needs no eigensolve. A
-    PPT body keeps the PPT rows of both sides: the partial transpose is an
-    isometry fixing I/N, so the reflected faces the boundary sampler never
-    reaches carry the same radius law. No kept row on either side raises
-    :class:`InsufficientSamplesError`. A polytope is rejected: its heights
-    are sampled, so :func:`mc_gamma` tests its constant height.
+    state (stream child 0) has the law of r(omega) along an interior state
+    rho = I/N + t omega (child 1): its depth s from :func:`_interior_depths`
+    is 1 - t / r(omega), so r(omega) = t / (1 - s). A PPT body keeps the PPT
+    rows of both sides: the partial transpose is an isometry fixing I/N, so
+    the reflected faces the boundary sampler never reaches carry the same
+    radius law. No kept row on either side raises :class:`InsufficientSamplesError`.
+    A polytope is rejected: :func:`mc_gamma` tests its sampled heights.
     """
     if not isinstance(body, BodySpec):
         raise ValueError(f"radius_law takes a state body, got {body}; "
@@ -322,21 +337,18 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
     from scipy import stats  # lazy, so `import statebody` loads numpy only
 
     _check_n(n)
-    shape = body.shape
 
-    def kept(states):
-        """Deviations from I/N of the kept rows and their norms."""
-        if body.kind == "ppt":
-            states = states[_ppt_mask(states, shape)]
-        dev = states - body.center
-        return dev, np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
+    def radius(states):
+        return np.sqrt(np.sum(np.abs(states - body.center) ** 2, axis=(-2, -1)))
 
     def boundary(stream, count):
-        return (kept(sample_boundary_state_hs(shape, stream, count)[0])[1],)
+        states = sample_boundary_state_hs(body.shape, stream, count)[0]
+        keep = _ppt_mask(states, body.shape) if body.kind == "ppt" else slice(None)
+        return (radius(states[keep]),)
 
     def interior(stream, count):
-        dev, nrm = kept(sample_state_hs(shape, stream, count))
-        return (_radial_batch(body, dev / nrm[:, None, None])[0],)
+        states, s, _ = _interior_depths(body, stream, count)
+        return (radius(states) / (1.0 - s),)
 
     (r_bdy,) = _sweep(n, rng.child(0), shards, boundary)
     (r_int,) = _sweep(n, rng.child(1), shards, interior)
@@ -355,13 +367,9 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     parallel body at depth e is the scaled copy (1 - e/r_in) K (Schneider,
     Convex Bodies, 2nd ed., 2014), and for rho uniform in K the depth
     s = dist(rho, boundary) / r_in has P(s > x) = (1 - x)^D: s ~ Beta(1, D),
-    whose density at 0 is gamma = r_in * A / V = D. On the full body
-    s = N * lambda_min(rho); the PPT body keeps its PPT rows and takes the
-    smaller of lambda_min(rho) and lambda_min(T_A(rho)), the partial
-    transpose being an isometry fixing I/N. Only kept rows are eigensolved,
-    by :func:`~statebody.hermitian.min_eigenvalues`, which computes no
-    spectrum; the rows it takes from ``eigvalsh`` are counted in
-    ``n_fallback``.
+    whose density at 0 is gamma = r_in * A / V = D. :func:`_interior_depths`
+    gives s = N * lambda_min; the minima it takes from ``eigvalsh`` are
+    counted in ``n_fallback``.
 
     t = -log(1 - s) is Exp(D) distributed, so the sum T of k kept values is
     Gamma(k, rate D): the estimate (k - 1) / T is unbiased, with stderr
@@ -378,19 +386,11 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     from scipy import stats  # lazy, so `import statebody` loads numpy only
 
     _check_n(n)
-    shape, d = body.shape, body.dim
 
     def kernel(stream, count):
-        states = sample_state_hs(shape, stream, count)
-        if body.kind == "ppt":
-            states = states[_ppt_mask(states, shape)]
-        lam, fallbacks = min_eigenvalues(states)
-        if body.kind == "ppt":
-            # a kept row may have lambda_min(T_A rho) down to -PPT_TOL
-            lam_pt, more = min_eigenvalues(partial_transpose(states, shape))
-            lam, fallbacks = np.minimum(lam, lam_pt), fallbacks + more
-        t = -np.log1p(-np.clip(shape.n * lam, 0.0, 1.0))
-        u = -np.expm1(-d * t)
+        _, s, fallbacks = _interior_depths(body, stream, count)
+        t = -np.log1p(-np.clip(s, 0.0, 1.0))
+        u = -np.expm1(-body.dim * t)
         bins = np.minimum((u * LAW_BINS).astype(np.intp), LAW_BINS - 1)
         return (np.array([len(t)]), np.array([np.sum(t)]),
                 np.bincount(bins, minlength=LAW_BINS)[None], np.array([fallbacks]))

@@ -10,13 +10,15 @@ states whose lambda_min lies within rounding of -PPT_TOL.
 
 Three eigen paths serve the callers. The corner probe needs only how many
 eigenvalues lie below some thresholds and uses :func:`eigen_counts`, Sturm
-counts on a batched Householder tridiagonal. ``inner_law`` needs only the
-smallest eigenvalue of each state and uses :func:`min_eigenvalues`, a
+counts on a batched Householder tridiagonal. Both interior laws,
+``inner_law`` and the interior side of ``radius_law``, need only the
+smallest eigenvalue of each state and use :func:`min_eigenvalues`, a
 Newton iteration on the same tridiagonal that the same Sturm counts
 certify. Callers that need whole spectra, or single matrices
-(``negativity``, ``min_eigenvalue``, the wrappers' checks, the radial
-kernels, whose 6x6 real rows the Newton kernel did not speed up, and the
-sampler battery), use ``eigvalsh``.
+(``negativity``, ``min_eigenvalue``, the wrappers' checks, the direction
+sweeps of the radial kernel, whose 6x6 real rows the Newton kernel did not
+speed up, the single-direction queries and the sampler battery), use
+``eigvalsh``.
 """
 
 from __future__ import annotations

@@ -67,15 +67,21 @@ class RngStream:
     """A named pseudorandom stream: (seed, stream id, fixed algorithm).
 
     The pair (seed, stream) keys a counter-based Philox generator, so streams
-    never overlap and results do not depend on evaluation order.
+    never overlap and results do not depend on evaluation order. The seed is
+    one 64-bit word of the key: a seed outside [0, 2^64) raises ValueError
+    rather than draw the numbers of its residue mod 2^64.
     """
 
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        key = ((self.stream & _MASK64) << 64) | (self.seed & _MASK64)
+        key = ((self.stream & _MASK64) << 64) | int(self.seed)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":

@@ -58,6 +58,12 @@ def test_config_error_exit_two(tmp_path, capsys):
         cfg = write_cfg(tmp_path, **polytope, **over)
         assert main(["run", str(cfg)]) == 2
         assert f"config error: {name}:" in capsys.readouterr().err
+    # a seed that would alias its residue mod 2^64, and a p_threshold that no
+    # p-value can exceed
+    for over, name in ((dict(seed=5 + 2**64), "seed"),
+                       (dict(tolerances={"p_threshold": 1.0}), "tolerances.p_threshold")):
+        assert main(["run", str(write_cfg(tmp_path, **over))]) == 2
+        assert f"config error: {name}:" in capsys.readouterr().err
 
 
 def test_non_finite_tolerance_exit_two(tmp_path, capsys):

@@ -60,6 +60,16 @@ def test_bool_is_not_an_int():
         config_from_dict(base(seed=False))
 
 
+def test_seed_range_is_64_bits():
+    # RngStream keys Philox with one 64-bit word of the seed; a larger seed
+    # would draw the numbers of its residue mod 2^64 under another hash
+    assert config_from_dict(base(seed=2**64 - 1)).seed == 2**64 - 1
+    for bad in (2**64, 5 + 2**64, -1):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base(seed=bad))
+        assert err.value.field == "seed"
+
+
 def test_bad_shape_strings():
     for bad in ("abc", "2x", "2x3x4", "0x3", "3x1"):
         with pytest.raises(ConfigError) as err:
@@ -171,6 +181,13 @@ def test_tolerance_overrides():
     assert err.value.field == "tolerances.sgima"
     with pytest.raises(ConfigError):
         config_from_dict(base(tolerances={"sigma": -1.0}))
+    # no p-value exceeds a threshold of 1, so every band would fail
+    assert config_from_dict(base(tolerances={"p_threshold": 0.5})).tolerance(
+        "p_threshold") == 0.5
+    for bad in (1, 1.0, 2.5):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base(tolerances={"p_threshold": bad}))
+        assert err.value.field == "tolerances.p_threshold"
 
 
 def test_removed_nongeneric_max_is_unknown():

@@ -390,6 +390,29 @@ def test_height_check_fails_with_a_wrong_boundary_sampler(monkeypatch, tmp_path)
     assert main(["run", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("body", [BodySpec("full", BipartiteShape(1, 3)),
+                                  BodySpec("full", BipartiteShape(1, 4, "real")),
+                                  BodySpec("ppt", BipartiteShape(2, 2)),
+                                  BodySpec("ppt", BipartiteShape(2, 3, "real"))], ids=str)
+def test_radius_law_interior_radii_are_the_radial_function(monkeypatch, body):
+    """The interior radii |rho - I/N| / (1 - s) that reach the KS test equal
+    the radial function along each kept state's direction, and the depth
+    kernel takes no minimum from eigvalsh."""
+    from scipy import stats
+
+    ks_2samp, seen = stats.ks_2samp, []
+    monkeypatch.setattr(stats, "ks_2samp", lambda a, b: seen.append(b) or ks_2samp(a, b))
+    radius_law(body, 4000, RngStream(4700))
+    # one shard and one chunk: the interior side draws from child(1).child(0)
+    states, _, fallbacks = estimators._interior_depths(
+        body, RngStream(4700).child(1).child(0), 4000)
+    dev = states - body.center
+    nrm = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
+    ref = estimators._radial_batch(body, dev / nrm[:, None, None])[0]
+    assert fallbacks == 0 and len(ref) > 500
+    np.testing.assert_allclose(seen[0], ref, rtol=1e-13, atol=0)
+
+
 def test_radius_law_keeps_ppt_rows_only():
     law = radius_law(BodySpec("ppt", BipartiteShape(2, 2)), 4000, RngStream(9))
     # about 12% of boundary and 24% of interior states are PPT

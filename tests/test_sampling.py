@@ -64,6 +64,19 @@ def test_stream_is_frozen():
         RngStream(1).seed = 2
 
 
+def test_seed_outside_64_bits_is_rejected():
+    # the seed is one 64-bit word of the Philox key: -1 and 5 + 2^64 would
+    # alias 2^64 - 1 and 5
+    for bad in (-1, 2**64, 5 + 2**64, np.int64(-1)):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(bad)
+    assert RngStream(2**64 - 1).generator().standard_normal(8).shape == (8,)
+    # numpy integers pass the range check and draw their Python value's bits
+    for seed in (np.int64(5), np.uint64(5)):
+        assert np.array_equal(RngStream(seed).child(3).generator().standard_normal(8),
+                              RngStream(5).child(3).generator().standard_normal(8))
+
+
 # ---------------------------------------------------------------------------
 # interior states
 

@@ -25,7 +25,6 @@ from .estimators import (
     estimate_p_interior,
     inner_law,
     mc_area,
-    mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
     radius_law,
@@ -36,7 +35,6 @@ from .geometry import (
     BodySpec,
     BoundaryContact,
     NonGenericDirectionError,
-    analytic_area_volume_ratio,
     boundary_contact,
     inscribed_radius,
     radial_function,

@@ -1,33 +1,38 @@
 """Monte Carlo estimators over the state body and its PPT section.
 
-Volume and area come from radial integrals over uniform directions omega:
+Volume comes from the radial integral over uniform directions omega,
 
-    V = S_{D-1}/D * E[r(omega)^D]
-    A = S_{D-1}   * E[r(omega)^{D-1} / <omega, n(omega)>]
+    V = S_{D-1}/D * E[r(omega)^D],
 
-with D the body dimension and n(omega) the outward unit normal at the contact
-point. The volume and area estimators serve the state bodies and the
+with D the body dimension. :func:`mc_volume` serves the state bodies and the
 polytopes of :mod:`statebody.polytopes`; only the per-direction kernel that
-yields (log r, height, generic) differs. Each body kind has one gamma
-estimator and one test of constant height. A state body's kernel solves for
-eigenvalues only and computes no height: every generic face touches the
-insphere, so its height column is r_in and its area is D / r_in times its
-volume. There gamma is measured by :func:`inner_law`: the inner parallel body
-of a tangential body is a scaled copy, so N * lambda_min of a uniform state is
+yields log r differs. A polytope's kernel also measures the support height h
+of the face met, so its area
+
+    A = S_{D-1} * E[r(omega)^D / h(omega)]
+
+and :func:`mc_gamma`, the radial ratio r_in * A / V, are measurements: that
+ratio is both a polytope's gamma and its one test of constant height. A
+state body's kernel solves for eigenvalues only and samples no height, since
+every generic face touches the insphere; its area would be D / r_in times
+its volume by construction, so :func:`mc_area` and :func:`mc_gamma` reject
+it. There gamma is measured by :func:`inner_law`: the inner parallel body of
+a tangential body is a scaled copy, so N * lambda_min of a uniform state is
 Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
-boundary radii against interior radial values in a two-sample KS test. A
-polytope's heights are measured, and :func:`mc_gamma`, their radial ratio, is
-both its gamma and its one test of constant height.
+boundary radii against interior radial values in a two-sample KS test. The
+boundary-doubling identity V_ppt / V_full = 2 p_boundary is checked by
+:func:`cross_validate_area`, one paired radial sweep against the boundary
+sampler's PPT fraction.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
 fixed index order. Powers r^D are formed in the log domain and reductions use
 pairwise summation, so estimates are deterministic functions of (config, seed,
 shard count). Every stderr carries a relative floating-point resolution floor:
-degenerate cases (the N = 2 body is a round ball, and paired area/volume
-samples of a constant-height body differ only by eigensolver jitter) would
-otherwise report a noise-level stderr and turn acceptance bands into rounding
-lotteries.
+degenerate cases (the N = 2 body is a round ball, and the paired area and
+volume samples of a polytope whose every height is r_in are proportional)
+would otherwise report a noise-level stderr and turn acceptance bands into
+rounding lotteries.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polytopes
-from .geometry import BodySpec, _radial_batch, analytic_area_volume_ratio
+from .geometry import BodySpec, _radial_batch
 from .hermitian import BipartiteShape, eigen_counts, min_eigenvalues, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
@@ -89,11 +94,11 @@ class CornerProbeResult:
 
 @dataclass(frozen=True)
 class AreaCrossCheck:
-    """PPT boundary area by the radial integral and by doubling p_boundary.
+    """The boundary-doubling identity V_ppt / V_full = 2 p_boundary.
 
-    A state body's heights are taken as r_in, so ``radial`` is D / r_in times
-    the radial volume of the PPT body and the two routes agree exactly when
-    V_ppt / V_full = 2 p_boundary; they are not two independent areas.
+    ``radial`` is the PPT volume fraction from one radial sweep, ``doubled``
+    twice the PPT fraction of boundary samples, and ``discrepancy_sigma``
+    their signed difference (radial - doubled) over the pooled stderr.
     """
 
     shape: BipartiteShape
@@ -222,33 +227,34 @@ def _binomial_estimate(hits: int, n: int) -> tuple[float, float]:
 
 def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
             shards: int):
-    """``(logr, h, generic)`` of n uniform directions: log r(omega), the
-    support height of the face met and whether that face is unique.
+    """log r(omega) of n uniform directions, first of a tuple.
 
-    State bodies draw traceless directions in chunks of BATCH and run the
-    eigenvalue-only radial kernel, with height r_in, that of every generic
-    face; polytopes sweep in chunks of polytopes._SWEEP_BATCH.
+    A polytope sweeps in chunks of polytopes._SWEEP_BATCH and adds the
+    support height of the face met and whether that face is unique; a state
+    body draws traceless directions in chunks of BATCH and runs the
+    eigenvalue-only radial kernel, which yields log r alone.
     """
     if isinstance(body, polytopes.TangentBody):
         return _sweep(
             n, rng, shards,
             lambda stream, count: polytopes._radial_sweep(body, count, stream),
             batch=polytopes._SWEEP_BATCH)
-
-    def kernel(stream, count):
-        omegas = sample_direction(body.shape, stream, count)
-        r, _, nong = _radial_batch(body, omegas)
-        return np.log(r), np.full(count, body.r_in), ~nong
-
-    return _sweep(n, rng, shards, kernel)
+    return _sweep(n, rng, shards, lambda stream, count: (
+        np.log(_radial_batch(body, sample_direction(body.shape, stream, count))[0]),))
 
 
-def _generic_terms(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
-                   shards: int):
-    """Volume and area integrands r^D and r^D / h of n sampled directions.
+def _generic_terms(body: polytopes.TangentBody, n: int, rng: RngStream,
+                   shards: int, name: str, instead: str):
+    """Volume and area integrands r^D and r^D / h of n sampled directions of
+    a polytope; directions that meet a tie of faces are discarded.
 
-    Non-generic directions (no unique supporting face) are discarded.
+    A state body raises ValueError naming the caller ``name`` and what to
+    use ``instead``: its heights are not sampled but are r_in by
+    construction, so its area is D / r_in times its volume.
     """
+    if not isinstance(body, polytopes.TangentBody):
+        raise ValueError(f"{name} takes a polytope, got {body}; {instead}")
+    _check_n(n)
     logr, h, generic = _radial(body, n, rng, shards)
     _require_generic(int(np.sum(generic)), n)
     v = np.exp(body.dim * logr[generic])
@@ -260,18 +266,19 @@ def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
     """Volume of a state body or polytope by the radial integral over
     uniform directions."""
     _check_n(n)
-    logr, _, _ = _radial(body, n, rng, shards)
+    logr = _radial(body, n, rng, shards)[0]
     d = body.dim
     value, stderr = _mean_estimate(np.exp(d * logr), sphere_area(d) / d)
     return Estimate(value, stderr, n, rng.describe(), f"mc_volume[{body}]")
 
 
-def mc_area(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
+def mc_area(body: polytopes.TangentBody, n: int, rng: RngStream,
             shards: int = 1) -> Estimate:
-    """Boundary area of a state body or polytope by the radial surface
-    integral over generic directions."""
-    _check_n(n)
-    _, a = _generic_terms(body, n, rng, shards)
+    """Boundary area of a polytope by the radial surface integral over
+    generic directions. A state body is rejected: its area is D / r_in
+    times its :func:`mc_volume`."""
+    _, a = _generic_terms(body, n, rng, shards, "mc_area",
+                          "a state body's area is D / r_in times its mc_volume")
     value, stderr = _mean_estimate(a, sphere_area(body.dim))
     return Estimate(value, stderr, len(a), rng.describe(), f"mc_area[{body}]")
 
@@ -293,11 +300,8 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     insphere radius, so the ratio would read D at any n; :func:`inner_law`
     measures its gamma.
     """
-    if not isinstance(body, polytopes.TangentBody):
-        raise ValueError(f"mc_gamma takes a polytope, got {body}; "
-                         "measure a state body's gamma with inner_law")
-    _check_n(n)
-    v, a = _generic_terms(body, n, rng, shards)
+    v, a = _generic_terms(body, n, rng, shards, "mc_gamma",
+                          "measure a state body's gamma with inner_law")
     value, stderr = _ratio_estimate(a, v, body.r_in * body.dim)
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
@@ -521,61 +525,37 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     return CornerProbeResult(shape, n, rng.describe(), rows, tuple(exponents))
 
 
-def mc_boundary_ppt_fraction(shape: BipartiteShape, n: int, rng: RngStream) -> Estimate:
-    """PPT fraction of the full body's boundary via the radial area integral.
-
-    Weighs each sampled direction by r^D, its surface element r^D / r_in up
-    to the constant height r_in that cancels in the ratio, and tests the
-    contact point for PPT; agrees with estimate_p_boundary without ever
-    drawing a boundary sample, which makes it an independent check on the
-    boundary sampler's eigenvalue density. Too many non-generic directions raise
-    :class:`InsufficientSamplesError`, as in the area estimators. On K = 1
-    the fraction is exactly 1, as for :func:`estimate_p_interior`.
-    """
-    _check_n(n)
-    body = BodySpec("full", shape)
-
-    def kernel(stream, count):
-        omegas = sample_direction(shape, stream, count)
-        r, _, nong = _radial_batch(body, omegas)
-        gen = ~nong
-        w = np.exp(body.dim * np.log(r[gen]))
-        return w, _ppt_mask(body.center + r[gen, None, None] * omegas[gen], shape)
-
-    w, hits = _sweep(n, rng, 1, kernel)
-    _require_generic(len(w), n)
-    value, stderr = _ratio_estimate(w * hits.astype(float), w, 1.0)
-    return Estimate(value, stderr, len(w), rng.describe(),
-                    f"boundary_ppt_fraction[{shape}]")
-
-
 def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> AreaCrossCheck:
-    """PPT boundary area two ways: radial integral vs doubled hit count.
+    """The boundary-doubling identity V_ppt / V_full = 2 p_boundary.
 
-    Route one integrates the radial surface element r^D / h over the PPT
-    body. Route two doubles p_boundary times the total area (the boundary
-    splits evenly between the body's own faces and reflected ones, the corner
-    set being area-free). The total area is the sampled volume of the full
-    body times the closed-form constant-height ratio A/V = D / r_in, in
-    either field.
-
-    A state body's heights h are taken as r_in, so route one is D / r_in
-    times the radial volume V_ppt, and the check
-    compares V_ppt / V_full, the interior PPT fraction measured by radial
-    volumes, with 2 p_boundary: the boundary-doubling identity, not an
-    agreement of two independent area measurements.
+    The boundary of the PPT body splits evenly between its own faces and the
+    reflected ones, the corner set being area-free, so under constant height
+    the interior PPT fraction is twice the boundary one. Route one is the
+    paired radial ratio E[r_ppt^D] / E[r^D] of n directions (stream child 0):
+    one eigensolve per constraint gives both the PPT radius and the full
+    body's, r_direct. Route two doubles the PPT fraction of n boundary
+    samples (child 1). ``discrepancy_sigma`` is (radial - doubled) over the
+    pooled stderr. Zero PPT boundary hits raise
+    :class:`InsufficientSamplesError`; a shape with no PPT section (K = 1)
+    raises ValueError.
     """
+    body = BodySpec("ppt", shape)
     _check_n(n)
-    a_ppt = mc_area(BodySpec("ppt", shape), n, rng.child(0), shards)
+
+    def kernel(stream, count):
+        r, r_direct, _ = _radial_batch(body, sample_direction(shape, stream, count))
+        return np.log(r), np.log(r_direct)
+
+    directions = rng.child(0)
+    logr, logr_direct = _sweep(n, directions, shards, kernel)
+    value, stderr = _ratio_estimate(np.exp(body.dim * logr),
+                                    np.exp(body.dim * logr_direct), 1.0)
+    radial = Estimate(value, stderr, n, directions.describe(),
+                      f"ppt_volume_fraction[{shape}]")
     p_a = _with_hits(estimate_p_boundary(shape, n, rng.child(1), shards),
                      "boundary", shape)
-    v_tot = mc_volume(BodySpec("full", shape), n, rng.child(2), shards)
-    doubled_value = 2.0 * p_a.value * (v_tot.value * analytic_area_volume_ratio(shape))
-    rel = math.sqrt((p_a.stderr / p_a.value) ** 2 + (v_tot.stderr / v_tot.value) ** 2)
-    doubled = Estimate(doubled_value, _floor_stderr(doubled_value, doubled_value * rel),
-                       n, rng.describe(), f"doubled_area[{shape}]")
-    disc = abs(a_ppt.value - doubled.value) / math.sqrt(
-        a_ppt.stderr ** 2 + doubled.stderr ** 2
-    )
-    return AreaCrossCheck(shape, a_ppt, doubled, disc)
+    doubled = Estimate(2.0 * p_a.value, 2.0 * p_a.stderr, n, p_a.seed,
+                       f"doubled_p_boundary[{shape}]")
+    disc = (radial.value - doubled.value) / math.hypot(radial.stderr, doubled.stderr)
+    return AreaCrossCheck(shape, radial, doubled, disc)

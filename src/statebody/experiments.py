@@ -119,12 +119,12 @@ def _run_area_crosscheck(config: ExperimentConfig, rng: RngStream):
     acc = cross_validate_area(_shape(config), config.n_samples, rng, config.shards)
     sigma = config.tolerance("sigma")
     metrics = {
-        "area_ppt_radial": asdict(acc.radial),
-        "area_ppt_doubled": asdict(acc.doubled),
+        "ppt_fraction_radial": asdict(acc.radial),
+        "ppt_fraction_doubled": asdict(acc.doubled),
         "discrepancy_sigma": acc.discrepancy_sigma,
     }
     return (metrics, acc.discrepancy_sigma, None, 0.0, acc.discrepancy_sigma,
-            bool(acc.discrepancy_sigma <= sigma))
+            bool(abs(acc.discrepancy_sigma) <= sigma))
 
 
 def _build_polytope(config: ExperimentConfig, rng: RngStream) -> TangentBody:

@@ -83,18 +83,6 @@ def inscribed_radius(n: int) -> float:
     return 1.0 / np.sqrt((n - 1.0) * n)
 
 
-def analytic_area_volume_ratio(shape: BipartiteShape) -> float:
-    """Closed-form boundary-area to volume ratio D sqrt(N(N-1)) of the state
-    body, D its dimension.
-
-    Every constant-height body has A/V = D / r_in, and the state body has
-    constant height in either field; with the insphere radius this gives
-    r * A/V = D (N^2 - 1 for complex matrices).
-    """
-    n = shape.n
-    return float(shape.dim_body * np.sqrt(n * (n - 1.0)))
-
-
 @dataclass(frozen=True)
 class BoundaryContact:
     """Boundary data along a direction: the point, the outward unit normal of
@@ -118,11 +106,13 @@ def _direction_stack(body: BodySpec, omega) -> np.ndarray:
 
 
 def _radial_batch(body: BodySpec, omegas: np.ndarray):
-    """Radial data ``(r, binding_pt, nongeneric)`` for a stack of directions,
-    from eigenvalues alone: radii, where the partial-transpose constraint
-    binds, and where the touching face is not unique (degenerate smallest
-    eigenvalue of the binding matrix, or both constraints within GAP_TOL: a
-    corner). Non-generic directions are returned flagged, not raised.
+    """Radial data ``(r, r_direct, nongeneric)`` for a stack of directions,
+    from eigenvalues alone: radii, the radii of the direct constraint alone
+    (those of the full body; the partial-transpose constraint binds where
+    r < r_direct), and where the touching face is not unique (degenerate
+    smallest eigenvalue of the binding matrix, or both constraints within
+    GAP_TOL: a corner). Non-generic directions are returned flagged, not
+    raised.
     """
     n = body.shape.n
     mats = [omegas]
@@ -137,7 +127,7 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray):
     nongeneric = np.where(binding_pt, gap[-1], gap[0]) <= GAP_TOL
     if body.kind == "ppt":
         nongeneric |= np.abs(radii[0] - radii[1]) <= GAP_TOL
-    return np.where(binding_pt, radii[-1], radii[0]), binding_pt, nongeneric
+    return np.where(binding_pt, radii[-1], radii[0]), radii[0], nongeneric
 
 
 def radial_function(body: BodySpec, omega) -> float:
@@ -155,7 +145,8 @@ def _generic_contact(body: BodySpec, omega):
     T_A(omega) binds; the height is <r omega, normal>.
     """
     omegas = _direction_stack(body, omega)
-    r, binding_pt, nongeneric = _radial_batch(body, omegas)
+    r, r_direct, nongeneric = _radial_batch(body, omegas)
+    binding_pt = r < r_direct
     if bool(nongeneric[0]):
         raise NonGenericDirectionError(
             "direction is non-generic (degenerate smallest eigenvalue or "

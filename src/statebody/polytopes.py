@@ -5,11 +5,11 @@ unit ball: X = {x : <x, y> <= 1 for all y in Y}. When all generators share one
 norm each exposed face is tangent to the insphere, the body has constant height
 and gamma = r_in * A / V equals the ambient dimension, mirroring the state body
 without any quantum machinery. A shorter generator pushes its face outward and
-breaks the equality exactly when that face is exposed. The volume and area
-estimators of :mod:`statebody.estimators` accept a TangentBody as they accept
-a state body; :func:`~statebody.estimators.mc_gamma` takes polytopes only and
-is their test of constant height, while ``inner_law`` and ``radius_law`` take
-state bodies only. One kernel, :func:`_binding`, finds the binding generator
+breaks the equality exactly when that face is exposed. The volume estimator
+of :mod:`statebody.estimators` accepts a TangentBody as it accepts a state
+body; ``mc_area`` and :func:`~statebody.estimators.mc_gamma` take polytopes
+only, and gamma is their test of constant height, while ``inner_law`` and
+``radius_law`` take state bodies only. One kernel, :func:`_binding`, finds the binding generator
 of a stack of directions; the estimators' sweep and the single-direction
 queries both run it, so they share one tie rule and one unboundedness check.
 """

@@ -67,26 +67,28 @@ class RngStream:
     """A named pseudorandom stream: (seed, stream id, fixed algorithm).
 
     The pair (seed, stream) keys a counter-based Philox generator, so streams
-    never overlap and results do not depend on evaluation order. The seed is
-    one 64-bit word of the key: a seed outside [0, 2^64) raises ValueError
-    rather than draw the numbers of its residue mod 2^64.
+    never overlap and results do not depend on evaluation order. The seed and
+    the stream id are one 64-bit word of the key each: either outside
+    [0, 2^64) raises ValueError rather than draw the numbers of its residue
+    mod 2^64.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not 0 <= value <= _MASK64:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        key = ((self.stream & _MASK64) << 64) | int(self.seed)
+        key = (int(self.stream) << 64) | int(self.seed)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derived stream for sub-task ``index``; deterministic and disjoint."""
-        mixed = _splitmix64((self.stream ^ _splitmix64(index & _MASK64)) & _MASK64)
+        mixed = _splitmix64(int(self.stream) ^ _splitmix64(index & _MASK64))
         return replace(self, stream=mixed)
 
     def describe(self) -> str:

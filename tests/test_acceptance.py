@@ -25,7 +25,6 @@ from statebody import (
     estimate_omega,
     inner_law,
     intersect_bodies,
-    mc_area,
     mc_gamma,
     mc_volume,
     radius_law,
@@ -37,6 +36,7 @@ from statebody import (
 
 N_OMEGA = 1_000_000
 N_GAMMA = 100_000
+N_GAMMA_PPT = 200_000
 N_VOLUME = 1_000_000
 N_CORNER = 1_000_000
 N_VALIDATE = 100_000
@@ -96,31 +96,32 @@ def _hs_volume(n: int, field: str) -> float:
 
 
 def test_criterion_2_gamma_equals_dimension():
-    """r * A / V of the full body equals its dimension, plus absolute volumes:
-    the N=2 ball exactly, N=3 and 4 in both fields against Zyczkowski-Sommers.
+    """r * A / V equals the dimension on the full body and on the PPT body
+    (the paper's claim), plus absolute volumes: the N=2 ball exactly, N=3
+    and 4 in both fields against Zyczkowski-Sommers.
 
-    Gamma is measured by the inner-parallel law: N lambda_min of N_GAMMA
-    interior states is Beta(1, D), and its estimate of D must lie within
-    SIGMA stderr of the dimension with the law's chi-square p > 0.01."""
+    Gamma is measured by the inner-parallel law: N lambda_min of uniform
+    states in the body is Beta(1, D), and its estimate of D must lie within
+    SIGMA stderr of the dimension with the law's chi-square p > 0.01. Full
+    bodies take N_GAMMA draws, PPT bodies N_GAMMA_PPT, of which the PPT
+    rows are kept."""
+    bodies = [(BodySpec("full", BipartiteShape(1, m, field)), N_GAMMA, 3200 + m)
+              for field in ("complex", "real") for m in (2, 3, 4)]
+    bodies += [(BodySpec("ppt", BipartiteShape(2, m, field)), N_GAMMA_PPT, seed)
+               for (field, m), seed in zip((("complex", 2), ("complex", 3),
+                                            ("real", 2), ("real", 3)), range(3213, 3217))]
     bits, ok = [], True
-    for field in ("complex", "real"):
-        for m in (2, 3, 4):
-            shape = BipartiteShape(1, m, field)
-            body = BodySpec("full", shape)
-            law = inner_law(body, N_GAMMA, RngStream(3200 + m))
-            est = law.gamma
-            dev = (est.value - shape.dim_body) / est.stderr
-            good = abs(dev) <= SIGMA and law.p_value > 0.01
-            ok &= good
-            bits.append(f"{shape}: {est.value:.4f}+-{est.stderr:.4f} vs "
-                        f"{shape.dim_body} ({dev:+.2f}s, p={law.p_value:.3f})")
+    for body, n, seed in bodies:
+        law = inner_law(body, n, RngStream(seed))
+        est = law.gamma
+        dev = (est.value - body.dim) / est.stderr
+        ok &= abs(dev) <= SIGMA and law.p_value > 0.01
+        bits.append(f"{body}: {est.value:.4f}+-{est.stderr:.4f} vs "
+                    f"{body.dim} ({dev:+.2f}s, p={law.p_value:.3f})")
     ball = BodySpec("full", BipartiteShape(1, 2))
     vol = mc_volume(ball, N_VOLUME, RngStream(3207))
-    area = mc_area(ball, N_VOLUME, RngStream(3208))
-    v_ok = abs(vol.value - math.pi * math.sqrt(2.0) / 3) <= SIGMA * vol.stderr
-    a_ok = abs(area.value - 2 * math.pi) <= SIGMA * area.stderr
-    ok &= v_ok and a_ok
-    bits.append(f"V2={vol.value:.8f} A2={area.value:.8f}")
+    ok &= abs(vol.value - math.pi * math.sqrt(2.0) / 3) <= SIGMA * vol.stderr
+    bits.append(f"V2={vol.value:.8f}")
     assert _hs_volume(2, "complex") == pytest.approx(math.pi * math.sqrt(2.0) / 3,
                                                      rel=1e-14)
     assert _hs_volume(2, "real") == pytest.approx(math.pi / 2, rel=1e-14)
@@ -156,17 +157,23 @@ def test_criterion_3_constant_height_certificates():
 
 
 def test_criterion_4_corner_probe_and_area_doubling():
-    """Corners are measure zero, so the full boundary area doubles the
-    one-constraint area."""
+    """Corners are measure zero, so the boundary of the PPT body splits
+    evenly between its own faces and the reflected ones: the radial PPT
+    volume fraction equals twice the boundary PPT fraction, and on 2x2
+    complex the exact separable volume fraction 8/33 (Slater; Lovas & Andai
+    2017)."""
     shape = BipartiteShape(2, 2)
     res = corner_probe(shape, N_CORNER, (1e-1, 1e-2, 1e-3, 1e-4), RngStream(3401))
     fracs = [row[1] for row in res.rows]
     mono = all(a > b for a, b in zip(fracs, fracs[1:]))
     last_ratio = fracs[-1] / fracs[-2]
     check = cross_validate_area(shape, N_POLY, RngStream(3402))
-    ok = mono and last_ratio <= 0.2 and abs(check.discrepancy_sigma) <= SIGMA
+    dev_exact = (check.radial.value - 8 / 33) / check.radial.stderr
+    ok = (mono and last_ratio <= 0.2 and abs(check.discrepancy_sigma) <= SIGMA
+          and abs(dev_exact) <= SIGMA)
     detail = (f"fractions={['%.2e' % f for f in fracs]} last-ratio={last_ratio:.3f}"
-              f" area-delta={check.discrepancy_sigma:+.2f}s")
+              f" radial={check.radial.value:.4f}+-{check.radial.stderr:.4f}"
+              f" vs doubled {check.discrepancy_sigma:+.2f}s, vs 8/33 {dev_exact:+.2f}s")
     line = _report(4, "corner probe + area doubling", ok, detail)
     assert ok, line
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from statebody import estimators, polytopes, sampling
+from statebody import estimators, geometry, polytopes, sampling
 from statebody import (
     BipartiteShape,
     BodySpec,
@@ -28,7 +28,6 @@ from statebody import (
     estimate_p_interior,
     inner_law,
     mc_area,
-    mc_boundary_ppt_fraction,
     mc_gamma,
     mc_volume,
     partial_transpose,
@@ -92,12 +91,6 @@ def test_qubit_volume_is_exact():
     assert 0 < est.stderr < 1e-10
     assert est.estimator_id == "mc_volume[full:1x2 complex]"
     assert est.n_samples == 20000
-
-
-def test_qubit_area_is_exact():
-    est = mc_area(QUBIT, 20000, RngStream(78))
-    assert est.value == pytest.approx(2 * math.pi, abs=1e-11)
-    assert est.stderr > 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +250,15 @@ def test_mc_gamma_rejects_a_state_body():
         mc_gamma(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
 
+def test_mc_area_rejects_a_state_body():
+    # a state body's heights are r_in by construction, so its area would be
+    # D / r_in times its volume
+    with pytest.raises(ValueError, match="mc_volume"):
+        mc_area(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
+    with pytest.raises(ValueError, match="mc_volume"):
+        mc_area(BodySpec("ppt", BipartiteShape(2, 2)), 1000, RngStream(1))
+
+
 def test_radius_law_rejects_a_polytope():
     # a polytope's heights are sampled, so mc_gamma tests its constant height
     with pytest.raises(ValueError, match="mc_gamma"):
@@ -267,20 +269,15 @@ def test_volume_area_determinism_and_shards():
     # not QUBIT: the ball's estimates do not depend on the stream, so a layout
     # check there would rest on a floating-point coincidence
     body = BodySpec("full", BipartiteShape(1, 3))
-    for estimator in (mc_volume, mc_area):
-        a = estimator(body, 9999, RngStream(5))
-        b = estimator(body, 9999, RngStream(5))
-        assert a.value == b.value and a.stderr == b.stderr
-        c = estimator(body, 9999, RngStream(5), shards=3)
-        d = estimator(body, 9999, RngStream(5), shards=3)
-        assert c.value == d.value and c.stderr == d.stderr
-        # different shard layout draws a different stream: the values differ
-        # by far more than rounding
-        assert abs(c.value - a.value) > 1e-6 * abs(a.value), estimator.__name__
-    # the area integrand takes every state-body height as r_in, so on one
-    # stream the area is D / r_in times the volume
-    volume, area = (f(body, 9999, RngStream(5)) for f in (mc_volume, mc_area))
-    assert area.value == pytest.approx(body.dim / body.r_in * volume.value, rel=1e-12)
+    a = mc_volume(body, 9999, RngStream(5))
+    b = mc_volume(body, 9999, RngStream(5))
+    assert a.value == b.value and a.stderr == b.stderr
+    c = mc_volume(body, 9999, RngStream(5), shards=3)
+    d = mc_volume(body, 9999, RngStream(5), shards=3)
+    assert c.value == d.value and c.stderr == d.stderr
+    # different shard layout draws a different stream: the values differ by
+    # far more than rounding
+    assert abs(c.value - a.value) > 1e-6 * abs(a.value)
 
 
 def test_estimator_rejects_bad_n():
@@ -306,35 +303,20 @@ def _flag_ties(monkeypatch, share):
 
 
 def test_area_raises_when_everything_is_nongeneric(monkeypatch):
-    monkeypatch.setattr("statebody.geometry.GAP_TOL", 10.0)
-    with pytest.raises(InsufficientSamplesError):
-        mc_area(QUBIT, 500, RngStream(2))
-    # the radial-ratio boundary PPT fraction discards them by the same rule
-    with pytest.raises(InsufficientSamplesError, match="fraction"):
-        mc_boundary_ppt_fraction(QUBIT.shape, 500, RngStream(2))
-    # a polytope whose every direction meets a tie has no gamma
+    # a polytope whose every direction meets a tie has no area and no gamma
     _flag_ties(monkeypatch, 1.0)
-    with pytest.raises(InsufficientSamplesError, match="non-generic"):
-        mc_gamma(CUBE, 500, RngStream(2))
+    for estimator in (mc_area, mc_gamma):
+        with pytest.raises(InsufficientSamplesError, match="non-generic"):
+            estimator(CUBE, 500, RngStream(2))
 
 
 def test_nongeneric_fraction_rule_is_shared(monkeypatch):
-    # flag 1% of directions non-generic: far above NONGENERIC_WARN_FRACTION
+    # flag 1% of directions as face ties: far above NONGENERIC_WARN_FRACTION
     # but not all of them
-    radial = estimators._radial_batch
-
-    def flagged(body, omegas):
-        r, binding_pt, nongeneric = radial(body, omegas)
-        nongeneric[: len(nongeneric) // 100] = True
-        return r, binding_pt, nongeneric
-
-    monkeypatch.setattr(estimators, "_radial_batch", flagged)
-    body = BodySpec("full", BipartiteShape(1, 3))
-    with pytest.raises(InsufficientSamplesError, match="fraction"):
-        mc_area(body, 1000, RngStream(3))
     _flag_ties(monkeypatch, 0.01)
-    with pytest.raises(InsufficientSamplesError, match="fraction"):
-        mc_gamma(CUBE, 1000, RngStream(3))
+    for estimator in (mc_area, mc_gamma):
+        with pytest.raises(InsufficientSamplesError, match="fraction"):
+            estimator(CUBE, 1000, RngStream(3))
 
 
 def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
@@ -348,10 +330,9 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
     with pytest.raises(AssertionError, match="eigh called"):
         support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
     for body in (full, ppt):
-        for estimator in (mc_volume, mc_area, inner_law):
+        for estimator in (mc_volume, inner_law, radius_law):
             estimator(body, 2000, RngStream(4))
-        radius_law(body, 2000, RngStream(4))
-    mc_boundary_ppt_fraction(ppt.shape, 2000, RngStream(4))
+    cross_validate_area(ppt.shape, 2000, RngStream(4))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +414,9 @@ def test_p_interior_trivial_for_unipartite():
     assert est.value == 1.0
     assert est.stderr == pytest.approx(1 / 2000)
     assert estimate_p_boundary(shape, 2000, RngStream(8)).value == 1.0
-    assert mc_boundary_ppt_fraction(shape, 2000, RngStream(9)).value == 1.0
+    # with no PPT section the doubling check would compare V / V = 1 with 2 * 1
+    with pytest.raises(ValueError, match="ppt body"):
+        cross_validate_area(shape, 2000, RngStream(9))
 
 
 def test_p_interior_pinned_reference():
@@ -451,6 +434,13 @@ def test_omega_report():
     assert abs(rep.omega - 2.0) < SIGMA_LOOSE * rep.stderr
     again = estimate_omega(shape, 20000, RngStream(42))
     assert again.omega == rep.omega and again.stderr == rep.stderr
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
+def test_omega_fails_with_a_wrong_gram(monkeypatch, extra):
+    monkeypatch.setattr(estimators, "sample_state_hs", _gram_sampler(extra))
+    rep = estimate_omega(BipartiteShape(2, 2), 20_000, RngStream(106))
+    assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
 
 
 def test_omega_needs_a_ppt_section():
@@ -482,25 +472,34 @@ def test_zero_ppt_boundary_hits_raise(monkeypatch):
         estimate_omega(BipartiteShape(2, 2), 1000, RngStream(13))
 
 
-def test_boundary_fraction_two_routes_agree():
-    """Hit counting on boundary samples vs the radial-ratio route.
-
-    The radial route never draws a boundary state, so in each field it is an
-    independent check of the production boundary sampler.
-    """
-    for field in ("complex", "real"):
-        shape = BipartiteShape(2, 2, field)
-        hits = estimate_p_boundary(shape, 30000, RngStream(55))
-        radial = mc_boundary_ppt_fraction(shape, 30000, RngStream(56))
-        pooled = math.hypot(hits.stderr, radial.stderr)
-        assert abs(hits.value - radial.value) < SIGMA_LOOSE * pooled, field
-
-
 def test_cross_validate_area():
+    """The radial PPT volume fraction never draws a boundary state, so in
+    each field it is an independent check of the production boundary
+    sampler's PPT fraction, doubled."""
     for field, seed in (("complex", 66), ("real", 67)):
         check = cross_validate_area(BipartiteShape(2, 2, field), 30000, RngStream(seed))
         assert abs(check.discrepancy_sigma) < SIGMA_LOOSE, field
-        assert check.radial.value > 0 and check.doubled.value > 0
+        assert 0 < check.radial.value < 1 and 0 < check.doubled.value < 1
+        pooled = math.hypot(check.radial.stderr, check.doubled.stderr)
+        assert check.discrepancy_sigma == (check.radial.value - check.doubled.value) / pooled
+
+
+def test_cross_validate_area_is_one_paired_sweep(monkeypatch):
+    """Each chunk of directions is eigensolved once per constraint, and the
+    fraction pairs the PPT radius with the full body's along the same
+    directions."""
+    shape, n = BipartiteShape(2, 2), 3000
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    check = cross_validate_area(shape, n, RngStream(68))
+    assert calls == [n, n]
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    # one shard, one chunk: the directions come from child(0).child(0)
+    omegas = sampling.sample_direction(shape, RngStream(68).child(0).child(0), n)
+    ppt, full = (geometry._radial_batch(BodySpec(kind, shape), omegas)[0]
+                 for kind in ("ppt", "full"))
+    want = np.mean(ppt ** shape.dim_body) / np.mean(full ** shape.dim_body)
+    assert check.radial.value == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

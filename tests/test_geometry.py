@@ -15,7 +15,6 @@ from statebody import (
     NonGenericDirectionError,
     RngStream,
     TracelessDirection,
-    analytic_area_volume_ratio,
     boundary_contact,
     hs_distance,
     hs_inner,
@@ -82,20 +81,6 @@ def test_inscribed_radius_values():
         inscribed_radius(1)
 
 
-def test_area_volume_ratio_values():
-    # D sqrt(N(N-1)); with the insphere radius this gives gamma = D
-    ratio = analytic_area_volume_ratio
-    assert ratio(BipartiteShape(1, 2)) == pytest.approx(3 * math.sqrt(2.0))
-    assert ratio(BipartiteShape(1, 3)) == pytest.approx(8 * math.sqrt(6.0))
-    assert ratio(BipartiteShape(2, 2)) == pytest.approx(15 * math.sqrt(12.0))
-    assert ratio(BipartiteShape(2, 2, "real")) == pytest.approx(9 * math.sqrt(12.0))
-    for k, m in ((1, 2), (1, 3), (2, 2), (2, 3)):
-        for field in ("complex", "real"):
-            shape = BipartiteShape(k, m, field)
-            gamma = ratio(shape) * inscribed_radius(shape.n)
-            assert gamma == pytest.approx(shape.dim_body, abs=1e-12)
-
-
 def test_body_spec_validation():
     BodySpec("full", BipartiteShape(1, 3))
     BodySpec("ppt", BipartiteShape(2, 3))
@@ -148,12 +133,15 @@ def test_radial_stack_matches_singles():
     shape = BipartiteShape(2, 2)
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs, binding_pt, _ = _radial_batch(body, omegas)
-    assert rs.shape == (20,)
+    rs, r_direct, _ = _radial_batch(body, omegas)
+    assert rs.shape == r_direct.shape == (20,)
+    full = BodySpec("full", shape)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])
+        # the direct constraint alone bounds the full body
+        assert r_direct[i] == radial_function(full, omegas[i])
     # both constraints bind somewhere in the sample
-    assert 0 < np.sum(binding_pt) < len(omegas)
+    assert 0 < np.sum(rs < r_direct) < len(omegas)
 
 
 def test_radial_rejects_bad_directions():

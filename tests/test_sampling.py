@@ -71,6 +71,12 @@ def test_seed_outside_64_bits_is_rejected():
         with pytest.raises(ValueError, match="seed"):
             RngStream(bad)
     assert RngStream(2**64 - 1).generator().standard_normal(8).shape == (8,)
+    # so is the stream id: -1 and 3 + 2^64 would alias 2^64 - 1 and 3 under
+    # another describe() string
+    for bad in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match="stream"):
+            RngStream(5, stream=bad)
+    assert RngStream(5, stream=2**64 - 1).generator().standard_normal(8).shape == (8,)
     # numpy integers pass the range check and draw their Python value's bits
     for seed in (np.int64(5), np.uint64(5)):
         assert np.array_equal(RngStream(seed).child(3).generator().standard_normal(8),

@@ -13,12 +13,13 @@ of the face met, so its area
 
 and :func:`mc_gamma`, the radial ratio r_in * A / V, are measurements: that
 ratio is both a polytope's gamma and its one test of constant height. A
-state body's kernel solves for eigenvalues only and samples no height, since
-every generic face touches the insphere; its area would be D / r_in times
-its volume by construction, so :func:`mc_area` and :func:`mc_gamma` reject
-it. There gamma is measured by :func:`inner_law`: the inner parallel body of
-a tangential body is a scaled copy, so N * lambda_min of a uniform state is
-Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
+state body's sweeps read lambda_min over its constraints off the kernel of
+:mod:`statebody.geometry`: a direction's radius is 1 / (N |lambda_min|), a
+state's depth N * lambda_min. No height is sampled, every generic face
+touching the insphere, so :func:`mc_area` and :func:`mc_gamma` reject a
+state body. Its gamma is measured by :func:`inner_law`: the inner parallel
+body of a tangential body is a scaled copy, so the depth of a uniform state
+is Beta(1, D) distributed. Constant height is tested by :func:`radius_law`,
 boundary radii against interior radial values in a two-sample KS test. The
 boundary-doubling identity V_ppt / V_full = 2 p_boundary is checked by
 :func:`cross_validate_area`, one paired radial sweep against the boundary
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polytopes
-from .geometry import BodySpec, _radial_batch
-from .hermitian import BipartiteShape, eigen_counts, min_eigenvalues, partial_transpose
+from .geometry import BodySpec, _constraint_minima, _radial_batch
+from .hermitian import BipartiteShape, eigen_counts, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -231,16 +232,20 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     A polytope sweeps in chunks of polytopes._SWEEP_BATCH and adds the
     support height of the face met and whether that face is unique; a state
-    body draws traceless directions in chunks of BATCH and runs the
-    eigenvalue-only radial kernel, which yields log r alone.
+    body draws traceless directions in chunks of BATCH and adds log r of
+    the full body along the same directions.
     """
     if isinstance(body, polytopes.TangentBody):
         return _sweep(
             n, rng, shards,
             lambda stream, count: polytopes._radial_sweep(body, count, stream),
             batch=polytopes._SWEEP_BATCH)
-    return _sweep(n, rng, shards, lambda stream, count: (
-        np.log(_radial_batch(body, sample_direction(body.shape, stream, count))[0]),))
+
+    def kernel(stream, count):
+        radii = _radial_batch(body, sample_direction(body.shape, stream, count))
+        return np.log(radii.min(axis=0)), np.log(radii[0])
+
+    return _sweep(n, rng, shards, kernel)
 
 
 def _generic_terms(body: polytopes.TangentBody, n: int, rng: RngStream,
@@ -308,17 +313,13 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
 
 def _interior_depths(body: BodySpec, stream: RngStream, count: int):
     """The states of ``count`` uniform draws that lie in ``body``, their depth
-    s = N * lambda_min over the body's constraints (rho, and T_A(rho) on a PPT
+    s = N * lambda_min over its constraints (down to -N * PPT_TOL on a PPT
     body) and how many minima ``min_eigenvalues`` took from ``eigvalsh``."""
     states = sample_state_hs(body.shape, stream, count)
     if body.kind == "ppt":
         states = states[_ppt_mask(states, body.shape)]
-    lam, fallbacks = min_eigenvalues(states)
-    if body.kind == "ppt":
-        # a kept row may have lambda_min(T_A rho) down to -PPT_TOL
-        lam_pt, more = min_eigenvalues(partial_transpose(states, body.shape))
-        lam, fallbacks = np.minimum(lam, lam_pt), fallbacks + more
-    return states, body.shape.n * lam, fallbacks
+    lam, fallbacks = _constraint_minima(body, states)
+    return states, body.shape.n * lam.min(axis=0), fallbacks
 
 
 def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> RadiusLaw:
@@ -532,23 +533,18 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     The boundary of the PPT body splits evenly between its own faces and the
     reflected ones, the corner set being area-free, so under constant height
     the interior PPT fraction is twice the boundary one. Route one is the
-    paired radial ratio E[r_ppt^D] / E[r^D] of n directions (stream child 0):
-    one eigensolve per constraint gives both the PPT radius and the full
-    body's, r_direct. Route two doubles the PPT fraction of n boundary
-    samples (child 1). ``discrepancy_sigma`` is (radial - doubled) over the
-    pooled stderr. Zero PPT boundary hits raise
-    :class:`InsufficientSamplesError`; a shape with no PPT section (K = 1)
-    raises ValueError.
+    paired radial ratio E[r_ppt^D] / E[r^D] of n directions (stream child 0),
+    the :func:`mc_volume` sweep of the PPT body: one lambda_min per
+    constraint gives both the PPT radius and the full body's. Route two
+    doubles the PPT fraction of n boundary samples (child 1).
+    ``discrepancy_sigma`` is (radial - doubled) over the pooled stderr. Zero
+    PPT boundary hits raise :class:`InsufficientSamplesError`; a shape with
+    no PPT section (K = 1) raises ValueError.
     """
     body = BodySpec("ppt", shape)
     _check_n(n)
-
-    def kernel(stream, count):
-        r, r_direct, _ = _radial_batch(body, sample_direction(shape, stream, count))
-        return np.log(r), np.log(r_direct)
-
     directions = rng.child(0)
-    logr, logr_direct = _sweep(n, directions, shards, kernel)
+    logr, logr_direct = _radial(body, n, directions, shards)
     value, stderr = _ratio_estimate(np.exp(body.dim * logr),
                                     np.exp(body.dim * logr_direct), 1.0)
     radial = Estimate(value, stderr, n, directions.describe(),

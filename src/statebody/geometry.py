@@ -2,20 +2,16 @@
 
 The body of trace-one positive matrices is star-shaped around the maximally
 mixed state rho* = I/N, so everything here is phrased in terms of the radial
-function r(omega) along unit traceless directions. For a direction with
-smallest eigenvalue l_min < 0 the positivity constraint gives the closed form
-
-    r(omega) = 1 / (N |l_min(omega)|),
-
-and the PPT body is the minimum of that constraint and the same constraint
-applied to the partially transposed direction. Both bodies have constant
-height: every generic boundary point lies on a face tangent to the insphere of
-radius 1/sqrt((N-1)N). The batch kernel solves for eigenvalues only: it
-yields radii, which constraint binds and whether the face met is unique, and
-no height, since every generic height is the insphere radius. Only the
-single-direction queries solve for the zero eigenvector of the binding matrix
-and form the contact point x, its normal n(x) and the height <x - rho*, n(x)>,
-a geometric measurement that tests hold against the insphere radius.
+function r(omega) along unit traceless directions. Both bodies are sets of
+PSD constraints, rho >= 0 and, on the PPT body, T_A(rho) >= 0, and
+:func:`_constraint_minima` gives lambda_min of each. A constraint bounds the
+ray by 1 / (N |lambda_min(omega)|), and r is the smallest of these radii.
+Both bodies have constant height: every generic boundary point lies on a
+face tangent to the insphere of radius 1/sqrt((N-1)N), so the batch kernel
+yields radii and no height. Only the single-direction queries solve for the
+zero eigenvector of the binding matrix, decide whether the face met is
+unique, and form the contact point x, its normal n(x) and the height
+<x - rho*, n(x)>, which tests hold against the insphere radius.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ from .hermitian import (
     TracelessDirection,
     hs_inner,
     maximally_mixed,
+    min_eigenvalues,
     partial_transpose,
 )
 
@@ -105,62 +102,60 @@ def _direction_stack(body: BodySpec, omega) -> np.ndarray:
     return omega.mat[None]
 
 
-def _radial_batch(body: BodySpec, omegas: np.ndarray):
-    """Radial data ``(r, r_direct, nongeneric)`` for a stack of directions,
-    from eigenvalues alone: radii, the radii of the direct constraint alone
-    (those of the full body; the partial-transpose constraint binds where
-    r < r_direct), and where the touching face is not unique (degenerate
-    smallest eigenvalue of the binding matrix, or both constraints within
-    GAP_TOL: a corner). Non-generic directions are returned flagged, not
-    raised.
-    """
-    n = body.shape.n
-    mats = [omegas]
-    if body.kind == "ppt":
-        mats.append(partial_transpose(omegas, body.shape))
-    w = np.stack([np.linalg.eigvalsh(m) for m in mats])  # (constraints, B, N)
-    if np.any(w[0, :, 0] >= 0):
+def _constraint_minima(body: BodySpec, mats: np.ndarray):
+    """lambda_min of each of the body's constraints on a (B, N, N) stack, as a
+    (constraints, B) array: row 0 of the matrices themselves and, on a PPT
+    body, row 1 of their partial transposes; and how many minima
+    ``min_eigenvalues`` took from ``eigvalsh``."""
+    lam, fallbacks = min_eigenvalues(mats)
+    if body.kind == "full":
+        return lam[None], fallbacks
+    lam_pt, more = min_eigenvalues(partial_transpose(mats, body.shape))
+    return np.stack([lam, lam_pt]), fallbacks + more
+
+
+def _radial_batch(body: BodySpec, omegas: np.ndarray) -> np.ndarray:
+    """Radii 1 / (N * -lambda_min) of each constraint along a stack of
+    directions, a (constraints, B) array: its column minimum is r(omega), and
+    row 0 alone bounds the full body."""
+    lam, _ = _constraint_minima(body, omegas)
+    if np.any(lam[0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
-    radii = 1.0 / (n * -w[..., 0])
-    binding_pt = radii[-1] < radii[0]  # never true for the full body
-    gap = w[..., 1] - w[..., 0]
-    nongeneric = np.where(binding_pt, gap[-1], gap[0]) <= GAP_TOL
-    if body.kind == "ppt":
-        nongeneric |= np.abs(radii[0] - radii[1]) <= GAP_TOL
-    return np.where(binding_pt, radii[-1], radii[0]), radii[0], nongeneric
+    return 1.0 / (body.shape.n * -lam)
 
 
 def radial_function(body: BodySpec, omega) -> float:
     """Distance from I/N to the boundary of ``body`` along ``omega``."""
-    r = _radial_batch(body, _direction_stack(body, omega))[0]
-    return float(r[0])
+    return float(_radial_batch(body, _direction_stack(body, omega)).min())
 
 
 def _generic_contact(body: BodySpec, omega):
     """Point, normal, height, partial-transpose binding and zero eigenvector
     along one direction. Raises :class:`NonGenericDirectionError` when the
-    touching face is not unique (degenerate smallest eigenvalue, or a corner
-    of the PPT body where both constraints bind). The normal is c (I/N - P),
-    c = sqrt(N/(N-1)), P the projector onto phi, partially transposed when
+    touching face is not unique: the binding matrix's two smallest
+    eigenvalues, or the radii of the two constraints of a PPT body (a
+    corner), lie within GAP_TOL. The normal is c (I/N - P), c =
+    sqrt(N/(N-1)), P the projector onto phi, partially transposed when
     T_A(omega) binds; the height is <r omega, normal>.
     """
-    omegas = _direction_stack(body, omega)
-    r, r_direct, nongeneric = _radial_batch(body, omegas)
-    binding_pt = r < r_direct
-    if bool(nongeneric[0]):
+    omega = _direction_stack(body, omega)[0]
+    radii = _radial_batch(body, omega[None])[:, 0]
+    binding_pt = bool(radii[-1] < radii[0])  # never true for the full body
+    binding = partial_transpose(omega, body.shape) if binding_pt else omega
+    w, vecs = np.linalg.eigh(binding)
+    corner = body.kind == "ppt" and abs(radii[0] - radii[1]) <= GAP_TOL
+    if corner or w[1] - w[0] <= GAP_TOL:
         raise NonGenericDirectionError(
             "direction is non-generic (degenerate smallest eigenvalue or "
-            "constraint tie); supporting hyperplane not unique"
-        )
+            "constraint tie); supporting hyperplane not unique")
     n = body.shape.n
-    binding = partial_transpose(omegas[0], body.shape) if binding_pt[0] else omegas[0]
-    phi = np.linalg.eigh(binding)[1][:, 0]
+    phi = vecs[:, 0]
     proj = np.outer(phi, np.conj(phi))
-    if binding_pt[0]:
+    if binding_pt:
         proj = partial_transpose(proj, body.shape)
     normal = np.sqrt(n / (n - 1.0)) * (np.eye(n) / n - proj)
-    ray = r[0] * omegas[0]
-    return body.center + ray, normal, hs_inner(ray, normal), bool(binding_pt[0]), phi
+    ray = radii.min() * omega
+    return body.center + ray, normal, hs_inner(ray, normal), binding_pt, phi
 
 
 def boundary_contact(body: BodySpec, omega) -> BoundaryContact:

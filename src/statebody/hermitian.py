@@ -8,21 +8,22 @@ exactly when that matrix is positive definite (Sylvester's criterion). It
 agrees with the spectral test lambda_min(T_A(rho)) >= -PPT_TOL except for
 states whose lambda_min lies within rounding of -PPT_TOL.
 
-Three eigen paths serve the callers. The corner probe needs only how many
-eigenvalues lie below some thresholds and uses :func:`eigen_counts`, Sturm
-counts on a batched Householder tridiagonal. Both interior laws,
-``inner_law`` and the interior side of ``radius_law``, need only the
-smallest eigenvalue of each state and use :func:`min_eigenvalues`, a
-Newton iteration on the same tridiagonal that the same Sturm counts
-certify. Callers that need whole spectra, or single matrices
-(``negativity``, ``min_eigenvalue``, the wrappers' checks, the direction
-sweeps of the radial kernel, whose 6x6 real rows the Newton kernel did not
-speed up, the single-direction queries and the sampler battery), use
-``eigvalsh``.
+Two batch eigen paths serve the stacks. The corner probe needs only how
+many eigenvalues lie below some thresholds and uses :func:`eigen_counts`,
+Sturm counts on a batched Householder tridiagonal. Every other batch
+caller needs only the smallest eigenvalue per constraint of a state body,
+and reads it from :func:`min_eigenvalues`, a Newton iteration on the same
+tridiagonal that the same Sturm counts certify: the interior draws of both
+interior laws and the direction sweeps of the radial kernel. A row of
+either path gets the same bits alone as in any stack. ``eigvalsh`` is left
+for whole spectra (``negativity``, the sampler battery), single matrices
+(``min_eigenvalue``, the wrappers' checks) and the rows ``min_eigenvalues``
+cannot certify.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,8 +499,15 @@ def _newton_step(d, e2, x, work, step, low, valid):
     np.subtract(inv[1:], dx[1:], out=inv[1:])
     np.maximum(inv, _PIVOT_FLOOR, out=inv)
     np.reciprocal(inv, out=inv)
-    np.sum(inv, axis=0, out=step)
+    step[:] = _sum_in_order(inv)
     np.reciprocal(step, out=step)
+
+
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """The sum of ``x`` over its first axis, added in index order, as numpy
+    adds a reduction over b >= 2 batch columns. Over one column it would add
+    pairwise, and a row alone would round unlike its row in a stack."""
+    return functools.reduce(np.add, x)
 
 
 def _tridiagonal(a: np.ndarray):
@@ -516,7 +524,7 @@ def _tridiagonal(a: np.ndarray):
     e2 = np.empty((max(n - 1, 0), a.shape[-1]))
     for k in range(n - 1):
         x = a[k + 1:, k]
-        e2[k] = (x * np.conj(x)).real.sum(axis=0)
+        e2[k] = _sum_in_order((x * np.conj(x)).real)
         alpha = np.sqrt(e2[k])
         # the last column needs no reflector, nor does one already zero
         if k == n - 2 or not alpha.any():
@@ -531,8 +539,8 @@ def _tridiagonal(a: np.ndarray):
         v = x.copy()
         v[0] += phase * alpha
         t = a[k + 1:, k + 1:]
-        p = tau * (t * v).sum(axis=1)
-        w = p - (0.5 * tau * (np.conj(v) * p).sum(axis=0)) * v
+        p = tau * _sum_in_order(np.swapaxes(t * v, 0, 1))
+        w = p - (0.5 * tau * _sum_in_order(np.conj(v) * p)) * v
         t -= v[:, None] * np.conj(w)[None] + w[:, None] * np.conj(v)[None]
     # step k leaves row and column k alone from then on
     i = np.arange(n)

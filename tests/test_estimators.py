@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from statebody import estimators, geometry, polytopes, sampling
+from statebody import estimators, geometry, hermitian, polytopes, sampling
 from statebody import (
     BipartiteShape,
     BodySpec,
@@ -175,25 +175,41 @@ def test_inner_law_reruns_and_shards():
     assert c.gamma.value == pytest.approx((c.n_kept - 1) / total, rel=1e-12)
 
 
-def _eigvalsh_minimum(mats):
-    """The eigensolver route the inner law took before the Newton kernel."""
-    return np.linalg.eigvalsh(mats)[:, 0], 0
-
-
 @pytest.mark.parametrize("body", [BodySpec("full", BipartiteShape(1, 3)),
                                   BodySpec("full", BipartiteShape(1, 3, "real")),
                                   BodySpec("ppt", BipartiteShape(2, 3))], ids=str)
 def test_inner_law_matches_the_eigvalsh_route(monkeypatch, body):
-    """The certified Newton minimum moves gamma only in its last bits: the
-    same rows are kept, every depth lands in the same chi-square bin and no
-    row falls back to eigvalsh."""
-    law = inner_law(body, 40_000, RngStream(4600))
-    monkeypatch.setattr(estimators, "min_eigenvalues", _eigvalsh_minimum)
-    ref = inner_law(body, 40_000, RngStream(4600))
+    """The certified Newton minimum moves the state-body estimators only in
+    their last bits. The inner law keeps the same rows, every depth lands in
+    the same chi-square bin and no row falls back to eigvalsh; the radial
+    sweeps of mc_volume and cross_validate_area agree to 1e-12."""
+    def run():
+        law = inner_law(body, 40_000, RngStream(4600))
+        vol = mc_volume(body, 20_000, RngStream(4601))
+        check = (cross_validate_area(body.shape, 20_000, RngStream(4602))
+                 if body.kind == "ppt" else None)
+        return law, vol, check
+
+    law, vol, check = run()
+    rows = []
+
+    def eigvalsh_minimum(mats):
+        """The eigensolver route the state bodies took before the Newton kernel."""
+        rows.append(len(mats))
+        return np.linalg.eigvalsh(mats)[:, 0], 0
+
+    monkeypatch.setattr(geometry, "min_eigenvalues", eigvalsh_minimum)
+    ref, ref_vol, ref_check = run()
+    assert rows  # the patch reached the kernel
     assert law.n_fallback == 0
     assert (law.n_kept, law.p_value) == (ref.n_kept, ref.p_value)
-    assert law.gamma.value == pytest.approx(ref.gamma.value, rel=1e-12, abs=0)
-    assert law.gamma.stderr == pytest.approx(ref.gamma.stderr, rel=1e-12, abs=0)
+    pairs = [(law.gamma, ref.gamma), (vol, ref_vol)]
+    if check is not None:
+        assert check.doubled == ref_check.doubled
+        pairs.append((check.radial, ref_check.radial))
+    for got, want in pairs:
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=0)
 
 
 def test_inner_law_peak_memory():
@@ -320,34 +336,56 @@ def test_nongeneric_fraction_rule_is_shared(monkeypatch):
 
 
 def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
+    """No state-body sweep calls eigh, and every row it passes to eigvalsh
+    is a fallback row that min_eigenvalues reported: none with the Newton
+    kernel, every row with no Newton sweep."""
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called")
 
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    minima, reported = geometry.min_eigenvalues, []
+
+    def counted_minima(mats):
+        lam, fallbacks = minima(mats)
+        reported.append(fallbacks)
+        return lam, fallbacks
+
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(geometry, "min_eigenvalues", counted_minima)
     full = BodySpec("full", BipartiteShape(1, 3))
     ppt = BodySpec("ppt", BipartiteShape(2, 2))
     # the single-direction queries solve for their one zero eigenvector
     with pytest.raises(AssertionError, match="eigh called"):
         support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
-    for body in (full, ppt):
-        for estimator in (mc_volume, inner_law, radius_law):
-            estimator(body, 2000, RngStream(4))
-    cross_validate_area(ppt.shape, 2000, RngStream(4))
+    for sweeps in (hermitian.NEWTON_SWEEPS, 0):
+        monkeypatch.setattr(hermitian, "NEWTON_SWEEPS", sweeps)
+        solved.clear()
+        reported.clear()
+        for body in (full, ppt):
+            for estimator in (mc_volume, inner_law, radius_law):
+                estimator(body, 2000, RngStream(4))
+        cross_validate_area(ppt.shape, 2000, RngStream(4))
+        assert sum(solved) == sum(reported)
+        assert (sum(reported) > 0) == (sweeps == 0)
 
 
 # ---------------------------------------------------------------------------
 # the radius law: boundary radii against interior radial values
 
 
-def _short_boundary_sampler(shape, rng, size):
-    """The production boundary sampler with one Ginibre column too few."""
-    n = shape.n
-    cols = n if shape.field == "complex" else n + 1
-    g = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
-    psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
-    return sampling._normalized_gram(g), psi
+def _boundary_gram_sampler(extra):
+    """The production boundary sampler with ``extra`` Ginibre columns more."""
+    def sample(shape, rng, size):
+        n = shape.n
+        cols = (n + 1 if shape.field == "complex" else n + 2) + extra
+        g = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
+        psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
+        return sampling._normalized_gram(g), psi
+    return sample
+
 
 
 def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
@@ -356,14 +394,14 @@ def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
     assert law.p_value > 0.01
     assert (law.n_boundary, law.n_interior) == (20_000, 20_000)
     assert law.seed == RngStream(8).describe()
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _short_boundary_sampler)
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(-1))
     assert radius_law(body, 20_000, RngStream(8)).p_value < 1e-6
 
 
 def test_height_check_fails_with_a_wrong_boundary_sampler(monkeypatch, tmp_path):
     d = {"experiment": "height-check", "shape": "1x3", "body": "full",
          "n_samples": 20_000, "seed": 8, "output_path": str(tmp_path)}
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _short_boundary_sampler)
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(-1))
     record = run_experiment(config_from_dict(d), write=False)
     assert record.metrics["p_value"] < 1e-6 and not record.passed
     cfg = tmp_path / "h.json"
@@ -389,7 +427,7 @@ def test_radius_law_interior_radii_are_the_radial_function(monkeypatch, body):
         body, RngStream(4700).child(1).child(0), 4000)
     dev = states - body.center
     nrm = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
-    ref = estimators._radial_batch(body, dev / nrm[:, None, None])[0]
+    ref = estimators._radial_batch(body, dev / nrm[:, None, None]).min(axis=0)
     assert fallbacks == 0 and len(ref) > 500
     np.testing.assert_allclose(seen[0], ref, rtol=1e-13, atol=0)
 
@@ -443,6 +481,43 @@ def test_omega_fails_with_a_wrong_gram(monkeypatch, extra):
     assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
+def test_omega_fails_with_a_wrong_boundary_sampler(monkeypatch, extra):
+    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(extra))
+    rep = estimate_omega(BipartiteShape(2, 2), 20_000, RngStream(107))
+    assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
+
+
+def _split_z(body, sample, n, rng):
+    """z of how many of the PPT rows among n draws of ``sample`` have
+    lambda_min(T_A rho) > lambda_min(rho), against Binomial(kept, 1/2)."""
+    above = kept = 0
+    for j, start in enumerate(range(0, n, estimators.BATCH)):
+        states = sample(body.shape, rng.child(j), min(estimators.BATCH, n - start))
+        states = states[estimators._ppt_mask(states, body.shape)]
+        lam, _ = geometry._constraint_minima(body, states)
+        above += int(np.sum(lam[1] > lam[0]))
+        kept += len(states)
+    return (above - kept / 2) / math.sqrt(kept / 4)
+
+
+@pytest.mark.parametrize("body, seed", [(BodySpec("ppt", BipartiteShape(2, 2)), 4800),
+                                        (BodySpec("ppt", BipartiteShape(2, 3, "real")), 4801)],
+                         ids=["ppt-2x2-complex", "ppt-2x3-real"])
+def test_partial_transpose_splits_the_ppt_minima_evenly(body, seed):
+    """T_A maps the PPT body onto itself, keeps the flat measure and swaps
+    the kernel's two rows, so lambda_min(T_A rho) > lambda_min(rho) on half
+    the PPT draws whatever the body's height: a check of the sampler alone."""
+    assert abs(_split_z(body, sampling.sample_state_hs, 100_000, RngStream(seed))) <= 3
+
+
+def test_partial_transpose_split_fails_with_a_wrong_gram():
+    """An induced measure with one Gram column more is not T_A-invariant:
+    on 2x2 complex its PPT rows split about 0.37 to 0.63."""
+    body = BodySpec("ppt", BipartiteShape(2, 2))
+    assert _split_z(body, _gram_sampler(1), 100_000, RngStream(4802)) < -SIGMA_LOOSE
+
+
 def test_omega_needs_a_ppt_section():
     # on K = 1 the partial transpose is a full transpose, so every state is
     # PPT and omega would read 1
@@ -485,18 +560,21 @@ def test_cross_validate_area():
 
 
 def test_cross_validate_area_is_one_paired_sweep(monkeypatch):
-    """Each chunk of directions is eigensolved once per constraint, and the
-    fraction pairs the PPT radius with the full body's along the same
-    directions."""
+    """Each chunk of directions takes one min_eigenvalues call per
+    constraint, and the fraction pairs the PPT radius with the full body's
+    along the same directions."""
     shape, n = BipartiteShape(2, 2), 3000
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    minima, calls = geometry.min_eigenvalues, []
+    monkeypatch.setattr(geometry, "min_eigenvalues", lambda a: calls.append(len(a)) or minima(a))
+    cross_validate_area(shape, n, RngStream(68), shards=2)
+    assert calls == [n // 2] * 4
+    calls.clear()
     check = cross_validate_area(shape, n, RngStream(68))
     assert calls == [n, n]
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(geometry, "min_eigenvalues", minima)
     # one shard, one chunk: the directions come from child(0).child(0)
     omegas = sampling.sample_direction(shape, RngStream(68).child(0).child(0), n)
-    ppt, full = (geometry._radial_batch(BodySpec(kind, shape), omegas)[0]
+    ppt, full = (geometry._radial_batch(BodySpec(kind, shape), omegas).min(axis=0)
                  for kind in ("ppt", "full"))
     want = np.mean(ppt ** shape.dim_body) / np.mean(full ** shape.dim_body)
     assert check.radial.value == pytest.approx(want, rel=1e-12)

@@ -129,12 +129,14 @@ def test_radial_matches_bisection(field, kind, km):
         assert r == pytest.approx(radial_by_bisection(body, om), abs=1e-9)
 
 
-def test_radial_stack_matches_singles():
-    shape = BipartiteShape(2, 2)
+@pytest.mark.parametrize("shape", [BipartiteShape(2, 2), BipartiteShape(2, 3)], ids=str)
+def test_radial_stack_matches_singles(shape):
+    """A direction alone gets the radii of its row in the stack, bit for bit."""
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    rs, r_direct, _ = _radial_batch(body, omegas)
-    assert rs.shape == r_direct.shape == (20,)
+    radii = _radial_batch(body, omegas)
+    assert radii.shape == (2, 20)
+    rs, r_direct = radii.min(axis=0), radii[0]
     full = BodySpec("full", shape)
     for i in range(20):
         assert rs[i] == radial_function(body, omegas[i])

@@ -531,6 +531,21 @@ def test_min_eigenvalues_across_newton_groups():
     assert np.max(np.abs(got - np.linalg.eigvalsh(a)[:, 0])) < 1e-14
 
 
+@pytest.mark.parametrize("shape", [BipartiteShape(2, 3), BipartiteShape(2, 4, "real")],
+                         ids=str)
+def test_a_row_alone_matches_its_row_in_the_stack(shape):
+    """A one-row block rounds as every other row does, bit for bit. numpy
+    adds a reduction over a one-row batch pairwise, which on these shapes
+    moves most rows' minima by a few ulps unless the kernels sum in order."""
+    states = sample_state_hs(shape, RngStream(4503), 64)
+    xs = [0.0, 0.01, 0.05]
+    lam, _ = min_eigenvalues(states)
+    counts = eigen_counts(states, xs)
+    for i in range(len(states)):
+        assert min_eigenvalues(states[i:i + 1])[0].tobytes() == lam[i:i + 1].tobytes()
+        assert np.array_equal(eigen_counts(states[i:i + 1], xs), counts[:, i:i + 1])
+
+
 def test_min_eigenvalues_fall_back_to_eigvalsh(monkeypatch):
     """With no Newton sweep no row stops, so every row goes to eigvalsh and
     the result is its minimum bit for bit."""

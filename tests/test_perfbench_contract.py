@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from statebody import BipartiteShape, BodySpec, RngStream, TangentBody, cube_generators
-from statebody import estimators, mc_gamma, mc_volume, polytopes
+from statebody import estimators, inner_law, mc_gamma, mc_volume, polytopes
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -90,12 +90,21 @@ def test_installed_tracer_sees_the_production_calls(spans):
         estimators.estimate_omega(SHAPE, 256, RngStream(3))
         mc_volume(BodySpec("ppt", SHAPE), 128, RngStream(4))
         mc_gamma(TangentBody(cube_generators(3)), 64, RngStream(5))
+        inner_law(BodySpec("ppt", SHAPE), 256, RngStream(6))
     assert set(missing) == RETIRED
-    assert tracer.counts["hermitian.ppt_tests"] == 512  # both PPT routes
+    # both PPT routes of omega, then the inner law's row filter
+    assert tracer.counts["hermitian.ppt_tests"] == 512 + 256
+    # the one chunk each of mc_volume and inner_law on the PPT body
+    # transposes through the constraint kernel in geometry, inside the
+    # radial span for mc_volume
+    transposes = [s for s in tracer.spans if s.metric == "hermitian.partial_transpose_s"]
+    assert [s.name for s in transposes] == ["geometry.partial_transpose"] * 2
+    assert tracer.spans[transposes[0].parent].name == "estimators._radial_batch"
     # the state-body volume sweep runs through no counted boundary since the
     # contact kernel was retired
     assert "geometry.directions" not in tracer.counts
     assert tracer.counts["polytopes.directions"] == 64
-    # interior states, boundary states and the directions
-    assert tracer.counts["sampling.draws"] == 256 + 256 + 128
+    # interior states, boundary states, the directions and the inner law's
+    # interior states
+    assert tracer.counts["sampling.draws"] == 256 + 256 + 128 + 256
     assert all(a is b for a, b in zip(current(), originals))  # patches undone

@@ -9,10 +9,17 @@ draw is ``sample_*(shape, rng, 1)[0]``, on the same stream.
 Draws stream through row blocks. A stack sampler draws the real and then the
 imaginary Gaussian parts of its whole stack from the generator, in the order
 an unblocked draw would, and allocates its output once. Everything after the
-draw (joining the parts, the projection, the Gram product, the Hermitian part
-and the normalization) runs on blocks of ``hermitian.COUNT_CHUNK`` rows and
-writes into that output, so no full-stack temporary is formed and the output
-equals the full-stack formulas bit for bit.
+draw runs on blocks of ``hermitian.COUNT_CHUNK`` rows, a lone last row joined
+to the block before it, each copied once into a batch-last real buffer. The
+state samplers project the block off psi and form the lower triangle of its
+Gram matrices with one contraction per row, batched along the last axis, so
+no matrix takes a BLAS call of its own. The mirror image fills the upper
+triangle, so every state is exactly Hermitian, and the trace is the diagonal
+summed in index order. They write into an (N, N, size) output and return its
+(size, N, N) view. The direction sampler forms (G + G^dag)/2 from the same
+buffers. No full-stack temporary is formed, and no row's bits depend on its
+block: the output equals the same steps run on the whole stack at once, bit
+for bit.
 
 ========================  =====================================================
 sampler                   distribution
@@ -47,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermitian import BipartiteShape, hermitian_part, row_blocks
+from .hermitian import COUNT_CHUNK, BipartiteShape, _sum_in_order, row_blocks
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -112,14 +119,31 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
+def _blocks(size: int) -> list:
+    """The row blocks of ``hermitian.row_blocks``, except that a lone last
+    row joins the block before it: einsum contracts a one-column batch in
+    another loop, which rounds differently, so that row's bits would depend
+    on its block."""
+    blocks = row_blocks(size)
+    if len(blocks) > 1 and size % COUNT_CHUNK == 1:
+        blocks[-2:] = [slice(blocks[-2].start, size)]
+    return blocks
+
+
 def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
-    """Pairs (rows, block) whose blocks are the row blocks of
-    ``_ginibre(gen, shape, field)``, bit for bit: both parts are drawn whole,
-    in _ginibre's order, and joined one block at a time."""
-    re = gen.standard_normal(shape)
-    im = gen.standard_normal(shape) if field == "complex" else None
-    for rows in row_blocks(shape[0]):
-        yield rows, re[rows] if im is None else re[rows] + 1j * im[rows]
+    """Pairs (rows, x) over the row blocks of a (size, n, cols) Ginibre draw:
+    x is the block copied batch-last into a real (n, cols, b) buffer, or
+    (n, 2 cols, b) with the imaginary parts after the real ones. Both parts
+    are drawn whole, in _ginibre's order."""
+    size, n, cols = shape
+    parts = [gen.standard_normal(shape)]
+    if field == "complex":
+        parts.append(gen.standard_normal(shape))
+    for rows in _blocks(size):
+        x = np.empty((n, len(parts) * cols, len(parts[0][rows])))
+        for i, part in enumerate(parts):
+            x[:, i * cols:(i + 1) * cols] = np.moveaxis(part[rows], 0, -1)
+        yield rows, x
 
 
 def _stack(shape: BipartiteShape, size: int) -> np.ndarray:
@@ -128,12 +152,70 @@ def _stack(shape: BipartiteShape, size: int) -> np.ndarray:
     return np.empty((size, shape.n, shape.n), dtype=dtype)
 
 
-def _normalized_gram(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Trace-one Hermitian part of G G^dag for a (size, rows, cols) stack G,
-    written to ``out`` when given."""
-    w = hermitian_part(g @ np.conj(np.swapaxes(g, -1, -2)))
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    return np.divide(w, tr[:, None, None], out=out)
+def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
+                cols: int, psi: np.ndarray | None = None) -> np.ndarray:
+    """The (size, n, n) stack G G^dag / Tr G G^dag of n x cols Ginibre
+    matrices G, each projected off its unit vector in ``psi`` when given:
+    a view of the (n, n, size) array that the blocks are written into."""
+    dtype = np.complex128 if field == "complex" else np.float64
+    out = np.empty((n, n, size), dtype=dtype)
+    for rows, x in _ginibre_blocks(gen, (size, n, cols), field):
+        if psi is not None:
+            _project(x, psi[rows])
+        _gram(x, out[..., rows])
+    return np.moveaxis(out, -1, 0)
+
+
+def _project(x: np.ndarray, psi: np.ndarray):
+    """G -= psi (psi^dag G) on a batch-last block x of G, in place, for the
+    (b, n) unit vectors psi of the block."""
+    if np.iscomplexobj(psi):
+        cols = x.shape[1] // 2
+        pr, pi = np.ascontiguousarray(psi.real.T), np.ascontiguousarray(psi.imag.T)
+        # c = psi^dag G: with G = A + iB, Re c = pr A + pi B, Im c = pr B - pi A
+        s_r = np.einsum("ib,ikb->kb", pr, x)
+        s_i = np.einsum("ib,ikb->kb", pi, x)
+        c = np.concatenate([s_r[:cols] + s_i[cols:], s_r[cols:] - s_i[:cols]])
+        # psi c: Re = pr Re c - pi Im c, Im = pr Im c + pi Re c
+        terms = [(pr, c), (pi, np.concatenate([-c[cols:], c[:cols]]))]
+    else:
+        p = np.ascontiguousarray(psi.T)
+        terms = [(p, np.einsum("ib,ikb->kb", p, x))]
+    t = np.empty(x.shape[1:])
+    for i in range(len(x)):
+        for coef, v in terms:
+            x[i] -= np.multiply(v, coef[i], out=t)
+
+
+def _gram(x: np.ndarray, out: np.ndarray):
+    """Write G G^dag / Tr G G^dag for a batch-last block x of G into the
+    (n, n, b) block ``out``.
+
+    Each row i of the lower triangle is one contraction of row i with rows
+    0..i: the real part sums a_i a_j + b_i b_j, the imaginary part
+    b_i a_j - a_i b_j over the columns. Its mirror image fills the upper
+    triangle, so every matrix is exactly Hermitian, and the trace is the
+    diagonal summed in index order.
+    """
+    n = len(x)
+    re = np.empty(out.shape)
+    for i in range(n):
+        np.einsum("kb,jkb->jb", x[i], x[:i + 1], out=re[i, :i + 1])
+    d = np.arange(n)
+    tr = _sum_in_order(re[d, d])
+    if np.iscomplexobj(out):
+        cols = x.shape[1] // 2
+        a, b = x[:, :cols], x[:, cols:]
+        im = np.empty(out.shape)
+        im[d, d] = 0.0
+        for i in range(1, n):
+            np.einsum("kb,jkb->jb", b[i], a[:i], out=im[i, :i])
+            im[i, :i] -= np.einsum("kb,jkb->jb", a[i], b[:i])
+            im[:i, i] = -im[i, :i]
+        np.divide(im, tr, out=out.imag)
+    for i in range(n):
+        re[:i, i] = re[i, :i]
+    np.divide(re, tr, out=out.real)
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -142,10 +224,7 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndar
     _check_size(size)
     n = shape.n
     cols = n if shape.field == "complex" else n + 1
-    out = _stack(shape, size)
-    for rows, g in _ginibre_blocks(rng.generator(), (size, n, cols), shape.field):
-        _normalized_gram(g, out[rows])
-    return out
+    return _gram_stack(rng.generator(), shape.field, size, n, cols)
 
 
 def boundary_eigenvalues_laguerre(
@@ -215,12 +294,7 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     cols = n + 1 if shape.field == "complex" else n + 2
     psi = _ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    out = _stack(shape, size)
-    for rows, g in _ginibre_blocks(rng.child(0).generator(), (size, n, cols), shape.field):
-        p = psi[rows]
-        g -= p[:, :, None] * (np.conj(p)[:, None, :] @ g)
-        _normalized_gram(g, out[rows])
-    return out, psi
+    return _gram_stack(rng.child(0).generator(), shape.field, size, n, cols, psi), psi
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -236,10 +310,16 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     n = shape.n
     out = _stack(shape, size)
     eye = np.eye(n, dtype=out.dtype)
-    for rows, g in _ginibre_blocks(rng.generator(), (size, n, n), shape.field):
-        h = hermitian_part(g)
+    for rows, x in _ginibre_blocks(rng.generator(), (size, n, n), shape.field):
+        h = out[rows]
+        # the Hermitian part (G + G^dag) / 2, written batch-last
+        hb, a = np.moveaxis(h, 0, -1), x[:, :n]
+        hb.real[...] = 0.5 * (a + np.swapaxes(a, 0, 1))
+        if shape.field == "complex":
+            b = x[:, n:]
+            hb.imag[...] = 0.5 * (b - np.swapaxes(b, 0, 1))
         tr = np.trace(h, axis1=-2, axis2=-1).real
         h -= (tr / n)[:, None, None] * eye
         nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
-        np.divide(h, nrm[:, None, None], out=out[rows])
+        h /= nrm[:, None, None]
     return out

@@ -133,8 +133,7 @@ def _gram_sampler(extra):
     def sample(shape, rng, size):
         n = shape.n
         cols = (n if shape.field == "complex" else n + 1) + extra
-        g = sampling._ginibre(rng.generator(), (size, n, cols), shape.field)
-        return sampling._normalized_gram(g)
+        return sampling._gram_stack(rng.generator(), shape.field, size, n, cols)
     return sample
 
 
@@ -379,11 +378,10 @@ def _boundary_gram_sampler(extra):
     def sample(shape, rng, size):
         n = shape.n
         cols = (n + 1 if shape.field == "complex" else n + 2) + extra
-        g = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
         psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
         psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-        g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
-        return sampling._normalized_gram(g), psi
+        return sampling._gram_stack(rng.child(0).generator(), shape.field, size, n,
+                                    cols, psi), psi
     return sample
 
 

@@ -298,7 +298,9 @@ def test_ppt_mask_matches_spectral_test(shape, seed):
 def test_ppt_mask_leaves_its_input_intact(shape):
     """The sweep runs on a private copy. For K = 1 the partial transpose is a
     view of the states, so a sweep in place would overwrite them."""
-    states = sample_state_hs(shape, RngStream(4200), 500)
+    # contiguous, as the sampler's batch-last view is not: for K = 1 the
+    # partial transpose must view the states for the sweep to be at risk
+    states = np.ascontiguousarray(sample_state_hs(shape, RngStream(4200), 500))
     before = states.tobytes()
     pt = partial_transpose(states, shape)
     assert np.shares_memory(pt, states) == (shape.k == 1)

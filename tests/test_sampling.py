@@ -226,10 +226,10 @@ def test_laguerre_lmax_matches_exact_law_n3(field):
 
 
 def _short_gram_eigenvalues(n, field, rng, size):
-    """Nonzero boundary spectra from a Gram matrix with one column too few."""
+    """Nonzero boundary spectra from the production Gram kernel with one
+    column too few."""
     cols = n if field == "complex" else n + 1
-    g = sampling._ginibre(rng.generator(), (size, n - 1, cols), field)
-    return np.linalg.eigvalsh(sampling._normalized_gram(g))
+    return np.linalg.eigvalsh(sampling._gram_stack(rng.generator(), field, size, n - 1, cols))
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -331,25 +331,38 @@ def test_direction_pinned_sample():
 # blocked draws
 #
 # Each sampler draws its Gaussian parts whole and runs every later step in
-# row blocks of COUNT_CHUNK. The full-stack formulas below are the samplers
-# as they were before blocking; the blocked ones must match them bit for bit.
+# row blocks of COUNT_CHUNK. The full-stack formulas below run the same
+# kernels on the whole stack as one batch-last block (the direction one is
+# the batch-first formula as it was before blocking); the blocked samplers
+# must match them bit for bit.
+
+
+def _one_block(gen, field, size, n, cols, psi=None):
+    """The Gram kernel on a whole (size, n, cols) Ginibre draw as one block,
+    projected off ``psi`` when given."""
+    parts = [gen.standard_normal((size, n, cols)) for _ in range(1 + (field == "complex"))]
+    # in C order, as the samplers' block buffers are: the sums of a
+    # contraction follow the layout of its operands
+    x = np.ascontiguousarray(np.concatenate([np.moveaxis(part, 0, -1) for part in parts], axis=1))
+    if psi is not None:
+        sampling._project(x, psi)
+    out = np.empty((n, n, size), dtype=complex if field == "complex" else float)
+    sampling._gram(x, out)
+    return np.moveaxis(out, -1, 0)
 
 
 def _full_stack_state(shape, rng, size):
     n = shape.n
     cols = n if shape.field == "complex" else n + 1
-    return sampling._normalized_gram(
-        sampling._ginibre(rng.generator(), (size, n, cols), shape.field))
+    return _one_block(rng.generator(), shape.field, size, n, cols)
 
 
 def _full_stack_boundary(shape, rng, size):
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
-    g = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
     psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    g = g - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g)
-    return sampling._normalized_gram(g), psi
+    return _one_block(rng.child(0).generator(), shape.field, size, n, cols, psi), psi
 
 
 def _full_stack_direction(shape, rng, size):
@@ -386,10 +399,48 @@ def test_blocked_samplers_match_full_stack_formulas(shape):
                            _full_stack_direction(shape, rng, size))
 
 
+def _matmul_states(shape, rng, size):
+    """Interior and boundary states by the batch-first matmul formulas, on
+    the samplers' draws."""
+    n = shape.n
+    cols = n if shape.field == "complex" else n + 1
+    g = sampling._ginibre(rng.generator(), (size, n, cols), shape.field)
+    g_b = sampling._ginibre(rng.child(0).generator(), (size, n, cols + 1), shape.field)
+    psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    g_b = g_b - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g_b)
+    for h in (g, g_b):
+        w = h @ np.conj(np.swapaxes(h, -1, -2))
+        yield w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("k,m", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+def test_gram_states_are_hermitian_by_construction(k, m, field):
+    """What the samplers guarantee without a Hermitian-part pass, also for a
+    lone last row: every state equals its conjugate transpose bit for bit,
+    its trace is one within 4 N eps, and a boundary state annihilates its
+    psi. Their sums run in another order than a matmul's, so they agree with
+    the matmul formulas to a few eps, not bit for bit."""
+    shape = BipartiteShape(k, m, field)
+    eps = np.finfo(float).eps
+    for size in (1, 2, COUNT_CHUNK + 1):
+        rng = RngStream(4700 + size, shape.n)
+        boundary, psi = sample_boundary_state_hs(shape, rng, size)
+        interior = sample_state_hs(shape, rng, size)
+        for states, want in zip((interior, boundary), _matmul_states(shape, rng, size)):
+            assert np.array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
+            tr = np.trace(states, axis1=-2, axis2=-1)
+            assert np.max(np.abs(tr - 1.0)) <= 4 * shape.n * eps
+            assert np.max(np.abs(states - want)) <= 8 * eps
+        assert np.max(np.abs(np.einsum("sij,sj->si", boundary, psi))) <= 1e-14
+
+
 # tracemalloc peak of one call over the bytes it returns, 2x3 complex. The
 # Gaussian parts (as many bytes as the complex output) and the output are
-# whole; everything else is per block. Measured: interior 2.40 (full-stack
-# samplers: 3.04), boundary 2.36 (3.14), direction 2.10 (4.03).
+# whole; everything else is per block. Measured: interior 2.27 (batch-first
+# blocks: 2.40, full-stack samplers: 3.04), boundary 2.25 (2.36, 3.14),
+# direction 2.07 (2.10, 4.03).
 PEAK_CASES = [
     ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.7),
     ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.75),

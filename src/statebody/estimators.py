@@ -45,7 +45,7 @@ import numpy as np
 
 from . import polytopes
 from .geometry import BodySpec, _constraint_minima, _radial_batch
-from .hermitian import BipartiteShape, eigen_counts, partial_transpose
+from .hermitian import BipartiteShape, _hs_norms, eigen_counts, partial_transpose
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -311,13 +311,17 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
 
+def _in_body(body: BodySpec, states: np.ndarray) -> np.ndarray:
+    """The rows of a (B, N, N) state stack that lie in ``body``: all of them
+    for the full body, those that pass the PPT test for a PPT body."""
+    return states[_ppt_mask(states, body.shape)] if body.kind == "ppt" else states
+
+
 def _interior_depths(body: BodySpec, stream: RngStream, count: int):
     """The states of ``count`` uniform draws that lie in ``body``, their depth
     s = N * lambda_min over its constraints (down to -N * PPT_TOL on a PPT
     body) and how many minima ``min_eigenvalues`` took from ``eigvalsh``."""
-    states = sample_state_hs(body.shape, stream, count)
-    if body.kind == "ppt":
-        states = states[_ppt_mask(states, body.shape)]
+    states = _in_body(body, sample_state_hs(body.shape, stream, count))
     lam, fallbacks = _constraint_minima(body, states)
     return states, body.shape.n * lam.min(axis=0), fallbacks
 
@@ -343,17 +347,13 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
 
     _check_n(n)
 
-    def radius(states):
-        return np.sqrt(np.sum(np.abs(states - body.center) ** 2, axis=(-2, -1)))
-
     def boundary(stream, count):
-        states = sample_boundary_state_hs(body.shape, stream, count)[0]
-        keep = _ppt_mask(states, body.shape) if body.kind == "ppt" else slice(None)
-        return (radius(states[keep]),)
+        states = _in_body(body, sample_boundary_state_hs(body.shape, stream, count)[0])
+        return (_hs_norms(states - body.center),)
 
     def interior(stream, count):
         states, s, _ = _interior_depths(body, stream, count)
-        return (radius(states) / (1.0 - s),)
+        return (_hs_norms(states - body.center) / (1.0 - s),)
 
     (r_bdy,) = _sweep(n, rng.child(0), shards, boundary)
     (r_int,) = _sweep(n, rng.child(1), shards, interior)

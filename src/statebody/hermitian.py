@@ -31,10 +31,10 @@ import numpy as np
 PSD_TOL = 1e-10
 PPT_TOL = 1e-12
 HERM_ATOL = 1e-12
-# rows per block of the blocked stack kernels: eigen_counts, min_eigenvalues,
-# ppt_mask and the samplers' steps after their Gaussian draw, each on a
-# batch-last copy of its block. Each block's working set stays small while the
-# output stack is written once. On a 2-core VM, 32,768 2x3 complex
+# rows per row_blocks block of the blocked stack kernels: eigen_counts,
+# min_eigenvalues, ppt_mask and the samplers' steps after their Gaussian draw,
+# each on a batch-last copy of its block. Each block's working set stays small
+# while the output stack is written once. On a 2-core VM, 32,768 2x3 complex
 # eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
 COUNT_CHUNK = 2048
 
@@ -53,9 +53,32 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def row_blocks(size: int, block: int = COUNT_CHUNK) -> list:
-    """Slices of at most ``block`` consecutive rows that cover range(size),
-    in order."""
-    return [slice(lo, lo + block) for lo in range(0, size, block)]
+    """Slices of ``block`` consecutive rows that cover range(size) in order,
+    the last one shorter, except that a lone last row joins the block before
+    it: BLAS and einsum take a one-row batch through another loop, which
+    rounds differently, so that row's bits would depend on its block."""
+    starts = list(range(0, size, block))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [size])]
+
+
+def _batch_last(block: np.ndarray) -> np.ndarray:
+    """A private C-order copy of a block of a stack with the stack on the
+    last axis, in at least float64, so each step of a batched kernel works
+    on contiguous runs and writes only to this copy."""
+    return np.array(np.moveaxis(block, 0, -1),
+                    dtype=np.result_type(block.dtype, np.float64), order="C")
+
+
+def _hs_norms(a: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norm of each matrix of a stack (0-d for one matrix)."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+
+
+def _dtype(field: str):
+    """complex128 for the "complex" field, float64 for "real"."""
+    return np.complex128 if field == "complex" else np.float64
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -166,7 +189,7 @@ class TracelessDirection(HermitianMatrix):
         tr = complex(np.trace(self.mat))
         if abs(tr) > HERM_ATOL:
             raise ValueError(f"direction is not traceless: trace = {tr:.3e}")
-        nrm = float(np.sqrt(np.sum(np.abs(self.mat) ** 2)))
+        nrm = float(_hs_norms(self.mat))
         if abs(nrm - 1.0) > HERM_ATOL:
             raise ValueError(f"direction is not unit norm: |omega| = {nrm:.16f}")
 
@@ -176,7 +199,7 @@ class TracelessDirection(HermitianMatrix):
         m = hermitian_part(_as_matrix(target))
         n = m.shape[0]
         m = m - (np.trace(m).real / n) * np.eye(n, dtype=m.dtype)
-        nrm = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+        nrm = float(_hs_norms(m))
         if nrm < 1e-14:
             raise ValueError("target is proportional to the identity")
         return cls(m / nrm)
@@ -193,8 +216,7 @@ def hs_inner(a, b) -> float:
 
 def hs_norm(a) -> float:
     """Hilbert-Schmidt norm sqrt(Tr A^2)."""
-    am = _as_matrix(a)
-    return float(np.sqrt(np.sum(np.abs(am) ** 2)))
+    return float(_hs_norms(_as_matrix(a)))
 
 
 def hs_distance(a, b) -> float:
@@ -202,7 +224,7 @@ def hs_distance(a, b) -> float:
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return float(np.sqrt(np.sum(np.abs(am - bm) ** 2)))
+    return float(_hs_norms(am - bm))
 
 
 def _pt_blocks(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:
@@ -259,10 +281,9 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     ok = np.ones(len(blocks), dtype=bool)
     diag = np.arange(n)
     for rows in row_blocks(len(blocks)):
-        # a private copy of the block with the stack on the last axis, so each
-        # step works on contiguous runs; the sweep writes only to this copy,
-        # never to the caller's states that _pt_blocks views
-        a = np.moveaxis(blocks[rows], 0, -1).copy().reshape(n, n, -1)
+        # the sweep writes only to this copy, never to the caller's states
+        # that _pt_blocks views
+        a = _batch_last(blocks[rows]).reshape(n, n, -1)
         a[diag, diag] += PPT_TOL
         good = ok[rows]  # a view: the sweep fills ok in place
         for k in range(n):
@@ -286,11 +307,13 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
     negative pivots of the Sturm recurrence
     d_k = (a_k - x) - e_{k-1}^2 / d_{k-1}, as LAPACK's bisection does
     (Barth, Martin & Wilkinson 1967): a pivot smaller in magnitude than
-    pivmin is taken as -pivmin, as in ``dstebz``. Both triangles are read.
-    A non-finite entry raises ``np.linalg.LinAlgError``.
+    pivmin is taken as -pivmin, as in ``dstebz``. Both triangles are read. A
+    non-finite entry raises ``np.linalg.LinAlgError``, a NaN threshold ValueError.
     """
     m = _stack(mats)
     xs = np.asarray(xs, dtype=float).reshape(-1, 1)
+    if np.isnan(xs).any():
+        raise ValueError("a threshold is NaN; no eigenvalue count is defined")
     counts = np.zeros((len(xs), len(m)), dtype=np.int64)
     for rows, diag, e2 in _tridiagonal_blocks(m):
         counts[:, rows] = _sturm_counts(diag, e2, xs)
@@ -321,10 +344,11 @@ def min_eigenvalues(mats: np.ndarray):
     m = _stack(mats)
     n = m.shape[-1]
     out, ok = np.empty(len(m)), np.empty(len(m), dtype=bool)
-    # one workspace serves every group: the tridiagonal, its compacted copy
-    # and three scratch rows, which every step writes into
-    work = np.empty((7, n, min(len(m), NEWTON_ROWS)))
-    for group in row_blocks(len(m), NEWTON_ROWS):
+    groups = row_blocks(len(m), NEWTON_ROWS)
+    # one workspace, as wide as the largest group, serves every group: the
+    # tridiagonal, its compacted copy and the scratch rows every step writes
+    work = np.empty((7, n, max((g.stop - g.start for g in groups), default=0)))
+    for group in groups:
         sub = m[group]
         w = work[:, :, :len(sub)]
         for rows, diag, e2 in _tridiagonal_blocks(sub):
@@ -337,8 +361,10 @@ def min_eigenvalues(mats: np.ndarray):
 
 
 def _stack(mats) -> np.ndarray:
-    """A stack of square matrices as a (B, n, n) array."""
+    """A stack of square matrices as a (B, n, n) array, else ValueError."""
     m = np.asarray(mats)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
     n = m.shape[-1]
     return m.reshape(-1, n, n)
 
@@ -353,9 +379,7 @@ def _tridiagonal_blocks(m: np.ndarray):
     row slice and its tridiagonal's diagonal and squared subdiagonal."""
     n = m.shape[-1]
     for rows in row_blocks(len(m)):
-        # a private batch-last copy, so each step works on contiguous runs
-        a = np.array(np.moveaxis(m[rows], 0, -1),
-                     dtype=np.result_type(m.dtype, np.float64), order="C")
+        a = _batch_last(m[rows])
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError(
                 f"non-finite entry in a stack of {n}x{n} matrices")
@@ -566,5 +590,4 @@ def negativity(rho, shape: BipartiteShape) -> float:
 
 def maximally_mixed(n: int, field: str = "complex") -> np.ndarray:
     """The fixed point I/N of partial transposition."""
-    dtype = np.complex128 if field == "complex" else np.float64
-    return np.eye(n, dtype=dtype) / n
+    return np.eye(n, dtype=_dtype(field)) / n

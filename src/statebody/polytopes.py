@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermitian import row_blocks
 from .sampling import RngStream
 
 NORM_SLACK = 1e-12
@@ -131,10 +132,10 @@ def _binding(body: TangentBody, dirs: np.ndarray):
     mask that is True where a second generator comes within TIE_TOL (the
     direction hits an edge, not a face). The radial function is 1 / smax.
 
-    The rows run in blocks of ``_BINDING_CELLS // n_generators`` rows, rounded
-    down to a multiple of ``_BINDING_ROWS`` (at least one multiple), so each
-    block's (rows, generators) product matrix stays near 1 MiB and in cache
-    through its argmax, runner-up and tie passes whatever the generator
+    The rows run in the ``row_blocks`` of ``_BINDING_CELLS // n_generators``
+    rows, rounded down to a multiple of ``_BINDING_ROWS`` (at least one), so
+    each block's (rows, generators) product matrix stays near 1 MiB and in
+    cache through its argmax, runner-up and tie passes whatever the generator
     count. With one BLAS thread every row's result is bit for bit the one a
     single product over the whole stack gives.
     """
@@ -143,18 +144,15 @@ def _binding(body: TangentBody, dirs: np.ndarray):
     idx = np.empty(n, dtype=np.intp)
     ties = np.empty(n, dtype=bool)
     step = max(1, _BINDING_CELLS // (body.n_generators * _BINDING_ROWS)) * _BINDING_ROWS
-    # a lone last row joins the block before it: numpy multiplies a single
-    # row as a matrix-vector product, which rounds differently
-    starts = range(0, max(n - 1, 1), step)
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        s = dirs[lo:hi] @ body.generators.T
-        rows = np.arange(hi - lo)
+    for rows in row_blocks(n, step):
+        s = dirs[rows] @ body.generators.T
+        i = np.arange(len(s))
         top = np.argmax(s, axis=1)
-        best = s[rows, top]
+        best = s[i, top]
         # the runner-up product, in place: no copy of the block's products
-        s[rows, top] = -np.inf
-        ties[lo:hi] = (best - s.max(axis=1)) <= TIE_TOL * np.maximum(best, 1.0)
-        smax[lo:hi], idx[lo:hi] = best, top
+        s[i, top] = -np.inf
+        ties[rows] = (best - s.max(axis=1)) <= TIE_TOL * np.maximum(best, 1.0)
+        smax[rows], idx[rows] = best, top
     if np.any(smax <= 0.0):
         bad = dirs[int(np.argmin(smax))]
         raise UnboundedBodyError(
@@ -226,9 +224,7 @@ def _radial_sweep(body: TangentBody, n: int, rng: RngStream):
     log r, support distance of the binding face, and a mask that is False
     where two generators tie (the direction hits an edge, not a face).
     """
-    dirs = rng.generator().standard_normal((n, body.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    smax, idx, ties = _binding(body, dirs)
+    smax, idx, ties = _binding(body, random_unit_generators(body.dim, n, rng))
     return np.log(1.0 / smax), 1.0 / body._norms[idx], ~ties
 
 
@@ -264,6 +260,5 @@ def random_unit_generators(dim: int, count: int, rng: RngStream) -> np.ndarray:
     Retries degenerate draws are not needed: with count >= dim + 1 the origin
     is interior with overwhelming probability, and construction validates.
     """
-    gen = rng.generator()
-    g = gen.standard_normal((count, dim))
+    g = rng.generator().standard_normal((count, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)

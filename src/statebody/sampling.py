@@ -9,17 +9,16 @@ draw is ``sample_*(shape, rng, 1)[0]``, on the same stream.
 Draws stream through row blocks. A stack sampler draws the real and then the
 imaginary Gaussian parts of its whole stack from the generator, in the order
 an unblocked draw would, and allocates its output once. Everything after the
-draw runs on blocks of ``hermitian.COUNT_CHUNK`` rows, a lone last row joined
-to the block before it, each copied once into a batch-last real buffer. The
-state samplers project the block off psi and form the lower triangle of its
-Gram matrices with one contraction per row, batched along the last axis, so
-no matrix takes a BLAS call of its own. The mirror image fills the upper
-triangle, so every state is exactly Hermitian, and the trace is the diagonal
-summed in index order. They write into an (N, N, size) output and return its
-(size, N, N) view. The direction sampler forms (G + G^dag)/2 from the same
-buffers. No full-stack temporary is formed, and no row's bits depend on its
-block: the output equals the same steps run on the whole stack at once, bit
-for bit.
+draw runs on the row blocks of ``hermitian.row_blocks``, each copied once
+into a batch-last real buffer. The state samplers project the block off psi
+and form the lower triangle of its Gram matrices with one contraction per
+row, batched along the last axis, so no matrix takes a BLAS call of its own.
+The mirror image fills the upper triangle, so every state is exactly
+Hermitian, and the trace is the diagonal summed in index order. They write
+into an (N, N, size) output and return its (size, N, N) view. The direction
+sampler forms (G + G^dag)/2 from the same buffers. No full-stack temporary
+is formed, and no row's bits depend on its block: the output equals the
+same steps run on the whole stack at once, bit for bit.
 
 ========================  =====================================================
 sampler                   distribution
@@ -50,11 +49,12 @@ suite compare its spectra with those of production boundary states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermitian import COUNT_CHUNK, BipartiteShape, _sum_in_order, row_blocks
+from .hermitian import BipartiteShape, _dtype, _hs_norms, _sum_in_order, row_blocks
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -77,7 +77,7 @@ class RngStream:
     never overlap and results do not depend on evaluation order. The seed and
     the stream id are one 64-bit word of the key each: either outside
     [0, 2^64) raises ValueError rather than draw the numbers of its residue
-    mod 2^64.
+    mod 2^64, and so does a child index outside that range.
     """
 
     seed: int
@@ -95,16 +95,13 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derived stream for sub-task ``index``; deterministic and disjoint."""
-        mixed = _splitmix64(int(self.stream) ^ _splitmix64(index & _MASK64))
+        if not 0 <= index <= _MASK64:
+            raise ValueError(f"index must lie in [0, 2**64), got {index!r}")
+        mixed = _splitmix64(int(self.stream) ^ _splitmix64(operator.index(index)))
         return replace(self, stream=mixed)
 
     def describe(self) -> str:
         return f"{_ALGORITHM}:{self.seed}:{self.stream}"
-
-
-def _check_field(field: str):
-    if field not in ("complex", "real"):
-        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
 def _check_size(size: int):
@@ -119,17 +116,6 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
-def _blocks(size: int) -> list:
-    """The row blocks of ``hermitian.row_blocks``, except that a lone last
-    row joins the block before it: einsum contracts a one-column batch in
-    another loop, which rounds differently, so that row's bits would depend
-    on its block."""
-    blocks = row_blocks(size)
-    if len(blocks) > 1 and size % COUNT_CHUNK == 1:
-        blocks[-2:] = [slice(blocks[-2].start, size)]
-    return blocks
-
-
 def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
     """Pairs (rows, x) over the row blocks of a (size, n, cols) Ginibre draw:
     x is the block copied batch-last into a real (n, cols, b) buffer, or
@@ -139,17 +125,11 @@ def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
     parts = [gen.standard_normal(shape)]
     if field == "complex":
         parts.append(gen.standard_normal(shape))
-    for rows in _blocks(size):
+    for rows in row_blocks(size):
         x = np.empty((n, len(parts) * cols, len(parts[0][rows])))
         for i, part in enumerate(parts):
             x[:, i * cols:(i + 1) * cols] = np.moveaxis(part[rows], 0, -1)
         yield rows, x
-
-
-def _stack(shape: BipartiteShape, size: int) -> np.ndarray:
-    """An uninitialised (size, N, N) output stack of the shape's field."""
-    dtype = np.complex128 if shape.field == "complex" else np.float64
-    return np.empty((size, shape.n, shape.n), dtype=dtype)
 
 
 def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
@@ -157,8 +137,7 @@ def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
     """The (size, n, n) stack G G^dag / Tr G G^dag of n x cols Ginibre
     matrices G, each projected off its unit vector in ``psi`` when given:
     a view of the (n, n, size) array that the blocks are written into."""
-    dtype = np.complex128 if field == "complex" else np.float64
-    out = np.empty((n, n, size), dtype=dtype)
+    out = np.empty((n, n, size), dtype=_dtype(field))
     for rows, x in _ginibre_blocks(gen, (size, n, cols), field):
         if psi is not None:
             _project(x, psi[rows])
@@ -244,10 +223,10 @@ def boundary_eigenvalues_laguerre(
     boundary states, used only by the sampler battery and the tests. Returns
     a (size, N-1) array of eigenvalue rows summing to one, sorted ascending.
     """
-    _check_field(field)
     m = n - 1
     if m < 1:
         raise ValueError(f"need n >= 2, got {n}")
+    BipartiteShape(1, n, field)
     _check_size(size)
     if m == 1:
         return np.ones((size, 1))
@@ -308,7 +287,7 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     """
     _check_size(size)
     n = shape.n
-    out = _stack(shape, size)
+    out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)
     for rows, x in _ginibre_blocks(rng.generator(), (size, n, n), shape.field):
         h = out[rows]
@@ -320,6 +299,5 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
             hb.imag[...] = 0.5 * (b - np.swapaxes(b, 0, 1))
         tr = np.trace(h, axis1=-2, axis2=-1).real
         h -= (tr / n)[:, None, None] * eye
-        nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
-        h /= nrm[:, None, None]
+        h /= _hs_norms(h)[:, None, None]
     return out

@@ -29,8 +29,15 @@ from statebody import (
     sample_direction,
     sample_state_hs,
 )
-from statebody import hermitian
-from statebody.hermitian import COUNT_CHUNK, PPT_TOL, eigen_counts, min_eigenvalues, ppt_mask
+from statebody import hermitian, polytopes
+from statebody.hermitian import (
+    COUNT_CHUNK,
+    PPT_TOL,
+    eigen_counts,
+    min_eigenvalues,
+    ppt_mask,
+    row_blocks,
+)
 
 ATOL = 1e-12
 
@@ -459,6 +466,43 @@ def test_eigen_counts_reject_non_finite_entries(bad):
         eigen_counts(h, [0.0])
 
 
+def test_eigen_counts_reject_a_nan_threshold():
+    """No eigenvalue lies below NaN or not below it; infinite thresholds
+    count none and all."""
+    h = np.stack([random_hermitian(4, s) for s in range(3)])
+    with pytest.raises(ValueError, match="NaN"):
+        eigen_counts(h, [0.0, np.nan])
+    assert np.array_equal(eigen_counts(h, [-np.inf, np.inf]), [[0, 0, 0], [4, 4, 4]])
+
+
+@pytest.mark.parametrize("kernel", [lambda m: eigen_counts(m, [0.0]), min_eigenvalues],
+                         ids=["eigen_counts", "min_eigenvalues"])
+def test_stack_kernels_reject_non_square_matrices(kernel):
+    """Two 2x4 matrices are not one 4x4 matrix."""
+    for bad in (np.arange(16.0).reshape(2, 2, 4), np.arange(4.0)):
+        with pytest.raises(ValueError, match="square"):
+            kernel(bad)
+
+
+@pytest.mark.parametrize("block", [COUNT_CHUNK, 5 * polytopes._BINDING_ROWS],
+                         ids=["COUNT_CHUNK", "binding step"])
+def test_row_blocks_join_a_lone_last_row(block):
+    """Blocks of ``block`` rows, the last shorter, except that a lone last
+    row joins the block before it."""
+    b = block
+    want = {
+        0: [],
+        1: [(0, 1)],
+        b - 1: [(0, b - 1)],
+        b: [(0, b)],
+        b + 1: [(0, b + 1)],
+        2 * b: [(0, b), (b, 2 * b)],
+        2 * b + 1: [(0, b), (b, 2 * b + 1)],
+    }
+    for size, blocks in want.items():
+        assert [(s.start, s.stop) for s in row_blocks(size, block)] == blocks, size
+
+
 MIN_EIG_KINDS = ["state", "partial transpose", "traceless direction", "double minimum",
                  "diagonal", "zero"]
 
@@ -526,11 +570,13 @@ def test_min_eigenvalues_keep_the_stack_shape():
 
 def test_min_eigenvalues_across_newton_groups():
     """A stack five rows longer than a Newton group: the last group is one
-    short block, written into the start of the group buffers."""
-    a = _min_eig_stack("state", 4, "complex", hermitian.NEWTON_ROWS + 5, 4501)
-    got, fallbacks = min_eigenvalues(a)
-    assert fallbacks == 0
-    assert np.max(np.abs(got - np.linalg.eigvalsh(a)[:, 0])) < 1e-14
+    short block, written into the start of the group buffers. One row longer,
+    the lone last row joins the group before it, one row wider than the rest."""
+    for extra in (5, 1):
+        a = _min_eig_stack("state", 4, "complex", hermitian.NEWTON_ROWS + extra, 4501)
+        got, fallbacks = min_eigenvalues(a)
+        assert fallbacks == 0
+        assert np.max(np.abs(got - np.linalg.eigvalsh(a)[:, 0])) < 1e-14
 
 
 @pytest.mark.parametrize("shape", [BipartiteShape(2, 3), BipartiteShape(2, 4, "real")],

@@ -77,6 +77,13 @@ def test_seed_outside_64_bits_is_rejected():
         with pytest.raises(ValueError, match="stream"):
             RngStream(5, stream=bad)
     assert RngStream(5, stream=2**64 - 1).generator().standard_normal(8).shape == (8,)
+    # and so is a child index: -1 and 2^64 would alias the children 2^64 - 1
+    # and 0, two sub-tasks drawing one stream
+    for bad in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match="index"):
+            RngStream(1).child(bad)
+    assert RngStream(1).child(2**64 - 1) != RngStream(1).child(0)
+    assert RngStream(1).child(np.uint64(3)) == RngStream(1).child(3)
     # numpy integers pass the range check and draw their Python value's bits
     for seed in (np.int64(5), np.uint64(5)):
         assert np.array_equal(RngStream(seed).child(3).generator().standard_normal(8),

@@ -16,7 +16,6 @@ import numpy as np
 from .config import ConfigError, config_from_json
 from .estimators import InsufficientSamplesError
 from .experiments import run_experiment, summary_line
-from .geometry import NonGenericDirectionError
 from .polytopes import UnboundedBodyError
 from .records import load_records, render_report
 
@@ -96,8 +95,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InsufficientSamplesError, NonGenericDirectionError, UnboundedBodyError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (InsufficientSamplesError, UnboundedBodyError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

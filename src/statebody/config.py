@@ -36,7 +36,7 @@ READS = {
     "height-check": ("field", "shape", "body"),
     "corner-probe": ("field", "shape", "deltas"),
     "area-crosscheck": ("field", "shape"),
-    "polytope-gamma": ("preset", "dim", "n_generators", "generators", "target"),
+    "polytope-gamma": ("preset", "dim", "n_generators", "generators"),
     "sampler-validate": ("field",),
 }
 
@@ -92,7 +92,6 @@ class ExperimentConfig:
     dim: int | None = None
     n_generators: int = 500
     generators: tuple | None = None
-    target: float | None = None
     tolerances: dict = _dc_field(default_factory=dict)
     output_path: str = "results"
 
@@ -249,10 +248,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         _require_int("dim", c["dim"], 2)
     if "n_generators" in c:
         _require_int("n_generators", c["n_generators"], c["dim"] + 1)
-    if c.get("target") is not None:
-        if not _is_number(c["target"]):
-            raise ConfigError("target", f"expected a finite number, got {c['target']!r}")
-        c["target"] = float(c["target"])
 
     if not isinstance(c["tolerances"], dict):
         raise ConfigError("tolerances", f"expected an object, got {c['tolerances']!r}")

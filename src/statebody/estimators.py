@@ -45,7 +45,8 @@ import numpy as np
 
 from . import polytopes
 from .geometry import BodySpec, _constraint_minima, _radial_batch
-from .hermitian import BipartiteShape, _hs_norms, eigen_counts, partial_transpose
+from .hermitian import (BipartiteShape, _hs_norms, _integer, eigen_counts,
+                        partial_transpose)
 from .hermitian import ppt_mask as _ppt_mask
 from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
 
@@ -158,19 +159,12 @@ def _require_generic(n_gen: int, n: int):
 
 def sphere_area(d: int) -> float:
     """Surface area 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    d = _integer("d", d, 1)
     return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
 
 
-def _check_n(n: int):
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValueError(f"n_samples must be an integer >= 2 for a stderr, got {n!r}")
-
-
 def _shard_sizes(n: int, shards: int):
-    if not (isinstance(shards, (int, np.integer)) and shards >= 1):
-        raise ValueError(f"shards must be a positive integer, got {shards!r}")
+    shards = _integer("shards", shards, 1)
     base, extra = divmod(n, shards)
     return [base + (1 if k < extra else 0) for k in range(shards)]
 
@@ -259,7 +253,7 @@ def _generic_terms(body: polytopes.TangentBody, n: int, rng: RngStream,
     """
     if not isinstance(body, polytopes.TangentBody):
         raise ValueError(f"{name} takes a polytope, got {body}; {instead}")
-    _check_n(n)
+    n = _integer("n", n, 2)
     logr, h, generic = _radial(body, n, rng, shards)
     _require_generic(int(np.sum(generic)), n)
     v = np.exp(body.dim * logr[generic])
@@ -270,7 +264,7 @@ def mc_volume(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
               shards: int = 1) -> Estimate:
     """Volume of a state body or polytope by the radial integral over
     uniform directions."""
-    _check_n(n)
+    n = _integer("n", n, 2)
     logr = _radial(body, n, rng, shards)[0]
     d = body.dim
     value, stderr = _mean_estimate(np.exp(d * logr), sphere_area(d) / d)
@@ -345,7 +339,7 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
                          "test a polytope's constant height with mc_gamma")
     from scipy import stats  # lazy, so `import statebody` loads numpy only
 
-    _check_n(n)
+    n = _integer("n", n, 2)
 
     def boundary(stream, count):
         states = _in_body(body, sample_boundary_state_hs(body.shape, stream, count)[0])
@@ -390,7 +384,7 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
                          "measure a polytope's gamma with mc_gamma")
     from scipy import stats  # lazy, so `import statebody` loads numpy only
 
-    _check_n(n)
+    n = _integer("n", n, 2)
 
     def kernel(stream, count):
         _, s, fallbacks = _interior_depths(body, stream, count)
@@ -424,7 +418,7 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
 def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
                   shards: int, draw) -> Estimate:
     """PPT fraction of n states that ``draw(stream, count)`` returns in chunks."""
-    _check_n(n)
+    n = _integer("n", n, 2)
     (hits,) = _sweep(n, rng, shards, lambda stream, count: (
         _ppt_mask(draw(stream, count), shape).sum(keepdims=True),))
     p, se = _binomial_estimate(int(np.sum(hits)), n)
@@ -498,7 +492,7 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     raises ValueError.
     """
     BodySpec("ppt", shape)
-    _check_n(n)
+    n = _integer("n", n, 2)
     deltas = [float(x) for x in deltas]
     if not all(math.isfinite(x) and x > 0 for x in deltas):
         raise ValueError(f"deltas must be finite and positive, got {deltas}")
@@ -542,7 +536,7 @@ def cross_validate_area(shape: BipartiteShape, n: int, rng: RngStream,
     no PPT section (K = 1) raises ValueError.
     """
     body = BodySpec("ppt", shape)
-    _check_n(n)
+    n = _integer("n", n, 2)
     directions = rng.child(0)
     logr, logr_direct = _radial(body, n, directions, shards)
     value, stderr = _ratio_estimate(np.exp(body.dim * logr),

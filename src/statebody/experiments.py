@@ -152,14 +152,13 @@ def _run_polytope_gamma(config: ExperimentConfig, rng: RngStream):
     # sibling streams, so no sweep chunk can redraw the generators
     body = _build_polytope(config, rng.child(0))
     est = mc_gamma(body, config.n_samples, rng.child(1), config.shards)
-    target = config.target if config.target is not None else float(body.dim)
     metrics = {
         "gamma": asdict(est),
         "dim": body.dim,
         "n_generators": body.n_generators,
         "all_unit": body.all_unit,
     }
-    return metrics, *_band(config, est.value, est.stderr, target)
+    return metrics, *_band(config, est.value, est.stderr, float(body.dim))
 
 
 def _run_sampler_validate(config: ExperimentConfig, rng: RngStream):

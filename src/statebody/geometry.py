@@ -24,6 +24,7 @@ from .hermitian import (
     BipartiteShape,
     DensityMatrix,
     TracelessDirection,
+    _integer,
     hs_inner,
     maximally_mixed,
     min_eigenvalues,
@@ -49,10 +50,8 @@ class BodySpec:
     def __post_init__(self):
         if self.kind not in BODY_KINDS:
             raise ValueError(f"kind must be one of {BODY_KINDS}, got {self.kind!r}")
-        if self.kind == "ppt" and not (self.shape.k >= 2 and self.shape.m >= 2):
-            raise ValueError(
-                f"ppt body needs k >= 2 and m >= 2, got {self.shape.k}x{self.shape.m}"
-            )
+        if self.kind == "ppt" and not self.shape.is_bipartite:
+            raise ValueError(f"ppt body needs k >= 2, got {self.shape.k}x{self.shape.m}")
 
     @property
     def center(self) -> np.ndarray:
@@ -75,8 +74,7 @@ class BodySpec:
 
 def inscribed_radius(n: int) -> float:
     """Insphere radius 1/sqrt((N-1)N) of the state body around I/N."""
-    if not n >= 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer("n", n, 2)
     return 1.0 / np.sqrt((n - 1.0) * n)
 
 

@@ -76,8 +76,24 @@ def _hs_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
 
 
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int: a count, seed or index. A bool, a
+    non-integer, or a value below ``low`` or above ``high`` raises ValueError
+    naming the argument; a numpy integer is accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        upper = "" if high is None else f" and <= {high}"
+        raise ValueError(f"{name} must be >= {low}{upper}, got {value}")
+    return value
+
+
 def _dtype(field: str):
-    """complex128 for the "complex" field, float64 for "real"."""
+    """complex128 for the "complex" field, float64 for "real"; any other
+    field raises ValueError."""
+    if field not in ("complex", "real"):
+        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
     return np.complex128 if field == "complex" else np.float64
 
 
@@ -89,19 +105,19 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BipartiteShape:
-    """A K x M tensor factorization, K >= 1 and M >= 2, over a matrix field."""
+    """A K x M tensor factorization, K >= 1 and M >= 2, over the "complex"
+    or "real" field. K and M may be any integers but bools and are stored as
+    Python ints, so a shape built from numpy integers equals, hashes and
+    prints like one built from Python ints."""
 
     k: int
     m: int
     field: str = "complex"
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        if self.field not in ("complex", "real"):
-            raise ValueError(f"field must be 'complex' or 'real', got {self.field!r}")
+        object.__setattr__(self, "k", _integer("k", self.k, 1))
+        object.__setattr__(self, "m", _integer("m", self.m, 2))
+        _dtype(self.field)
 
     @property
     def n(self) -> int:

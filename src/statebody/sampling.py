@@ -49,12 +49,12 @@ suite compare its spectra with those of production boundary states.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hermitian import BipartiteShape, _dtype, _hs_norms, _sum_in_order, row_blocks
+from .hermitian import (BipartiteShape, _dtype, _hs_norms, _integer, _sum_in_order,
+                        row_blocks)
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -75,38 +75,31 @@ class RngStream:
 
     The pair (seed, stream) keys a counter-based Philox generator, so streams
     never overlap and results do not depend on evaluation order. The seed and
-    the stream id are one 64-bit word of the key each: either outside
-    [0, 2^64) raises ValueError rather than draw the numbers of its residue
-    mod 2^64, and so does a child index outside that range.
+    the stream id are one 64-bit word of the key each, stored as Python ints:
+    a bool, a non-integer or a value outside [0, 2^64) raises ValueError
+    rather than draw the numbers of another key, and so does such a child
+    index. Numpy integers are accepted and draw their value's numbers.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if not 0 <= value <= _MASK64:
-                raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MASK64))
+        object.__setattr__(self, "stream", _integer("stream", self.stream, 0, _MASK64))
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        key = (int(self.stream) << 64) | int(self.seed)
+        key = (self.stream << 64) | self.seed
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derived stream for sub-task ``index``; deterministic and disjoint."""
-        if not 0 <= index <= _MASK64:
-            raise ValueError(f"index must lie in [0, 2**64), got {index!r}")
-        mixed = _splitmix64(int(self.stream) ^ _splitmix64(operator.index(index)))
-        return replace(self, stream=mixed)
+        index = _integer("index", index, 0, _MASK64)
+        return replace(self, stream=_splitmix64(self.stream ^ _splitmix64(index)))
 
     def describe(self) -> str:
         return f"{_ALGORITHM}:{self.seed}:{self.stream}"
-
-
-def _check_size(size: int):
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
 
 
 def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
@@ -200,7 +193,7 @@ def _gram(x: np.ndarray, out: np.ndarray):
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
     """A (size, N, N) stack of states distributed by the flat Hilbert-Schmidt
     measure on the body."""
-    _check_size(size)
+    size = _integer("size", size, 0)
     n = shape.n
     cols = n if shape.field == "complex" else n + 1
     return _gram_stack(rng.generator(), shape.field, size, n, cols)
@@ -223,11 +216,9 @@ def boundary_eigenvalues_laguerre(
     boundary states, used only by the sampler battery and the tests. Returns
     a (size, N-1) array of eigenvalue rows summing to one, sorted ascending.
     """
-    m = n - 1
-    if m < 1:
-        raise ValueError(f"need n >= 2, got {n}")
-    BipartiteShape(1, n, field)
-    _check_size(size)
+    m = _integer("n", n, 2) - 1
+    _dtype(field)
+    size = _integer("size", size, 0)
     if m == 1:
         return np.ones((size, 1))
     if size == 0:
@@ -268,7 +259,7 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     P does not depend on the phase of psi. Returns the pair (states,
     zero_eigvecs) of (size, N, N) and (size, N) stacks.
     """
-    _check_size(size)
+    size = _integer("size", size, 0)
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
     psi = _ginibre(rng.child(1).generator(), (size, n), shape.field)
@@ -285,7 +276,7 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     and normalized; equivalent to drawing Gaussian coefficients on a
     generalized Gell-Mann basis without materializing the basis.
     """
-    _check_size(size)
+    size = _integer("size", size, 0)
     n = shape.n
     out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)

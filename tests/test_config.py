@@ -216,13 +216,10 @@ def test_non_finite_numbers_are_rejected(tmp_path):
     # fail here rather than after the run
     gamma = '"experiment": "gamma", "shape": "1x3"'
     probe = '"experiment": "corner-probe", "shape": "2x2"'
-    cube = '"experiment": "polytope-gamma", "preset": "cube", "dim": 3'
     cases = [
         (gamma, '"tolerances": {"sigma": Infinity}', "tolerances.sigma"),
         (gamma, '"tolerances": {"p_threshold": NaN}', "tolerances.p_threshold"),
         (probe, '"deltas": [Infinity, 0.1]', "deltas"),
-        (cube, '"target": NaN', "target"),
-        (cube, '"target": -Infinity', "target"),
         ('"experiment": "polytope-gamma"', '"generators": [[NaN, 0], [-1, 0], [0, 1]]',
          "generators"),
     ]
@@ -232,6 +229,14 @@ def test_non_finite_numbers_are_rejected(tmp_path):
         with pytest.raises(ConfigError) as err:
             config_from_json(path)
         assert err.value.field == name
+
+
+def test_removed_target_is_unknown():
+    # a polytope's band is centred on its dimension D, the constant-height value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"experiment": "polytope-gamma", "preset": "cube", "dim": 3,
+                          "n_samples": 1000, "seed": 0, "target": 3.0})
+    assert err.value.field == "target"
 
 
 def test_hash_is_stable_and_sensitive():

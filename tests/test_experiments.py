@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from statebody import config_from_dict, load_records, run_experiment
+from statebody import config_from_dict, load_records, run_experiment, summary_line
 from statebody import estimators, experiments, polytopes
 from statebody.config import MIN_SAMPLES
 
@@ -92,3 +92,16 @@ def test_corner_probe_record_carries_exponents(tmp_path):
     assert exps[1]["exponent"] is None and exps[1]["stderr"] is None
     (path,) = tmp_path.glob("corner-probe-*.json")
     assert json.loads(path.read_text())["metrics"]["exponents"][1]["exponent"] is None
+
+
+def test_area_crosscheck_summary_has_value_and_target():
+    """The cross-check's value is its discrepancy in sigma: the summary shows
+    it against the target 0 with no stderr."""
+    record = run_experiment(config_from_dict({
+        "experiment": "area-crosscheck", "shape": "2x2", "n_samples": 10000,
+        "seed": 1}), write=False)
+    assert record.stderr is None and record.target == 0.0
+    line = summary_line(record)
+    assert f"-> value={record.value:.6g} target=0 " in line
+    assert "+-" not in line and "sigma" not in line
+    assert line.endswith("PASS" if record.passed else "FAIL")

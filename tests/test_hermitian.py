@@ -16,6 +16,7 @@ from statebody import (
     HermitianMatrix,
     RngStream,
     TracelessDirection,
+    boundary_eigenvalues_laguerre,
     hermitian_part,
     hs_distance,
     hs_inner,
@@ -101,10 +102,27 @@ class TestBipartiteShape:
         with pytest.raises(ValueError):
             BipartiteShape(2, 2, "quaternion")
 
+    def test_numpy_factors_act_as_python_ints(self):
+        a = BipartiteShape(np.int64(2), np.uint8(3), "real")
+        b = BipartiteShape(2, 3, "real")
+        assert a == b and hash(a) == hash(b)
+        assert str(a) == str(b) == "2x3 real" and repr(a) == repr(b)
+        assert type(a.k) is int and type(a.m) is int
+
     def test_frozen(self):
         shape = BipartiteShape(2, 2)
         with pytest.raises(AttributeError):
             shape.k = 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda field: maximally_mixed(2, field),
+    lambda field: boundary_eigenvalues_laguerre(3, field, RngStream(1), 2),
+], ids=["maximally_mixed", "laguerre"])
+def test_unknown_field_is_rejected(call):
+    for field in ("quaternion", "Complex", None):
+        with pytest.raises(ValueError, match="field must be 'complex' or 'real'"):
+            call(field)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,26 @@ from scipy import integrate, stats
 
 from statebody import (
     BipartiteShape,
+    BodySpec,
     RngStream,
+    TangentBody,
     boundary_eigenvalues_laguerre,
     boundary_eigenvalues_wishart,
+    corner_probe,
+    cross_validate_area,
+    cube_generators,
+    estimate_omega,
     hermitian_part,
     hs_inner,
+    inner_law,
+    inscribed_radius,
+    mc_gamma,
+    mc_volume,
+    radius_law,
     sample_boundary_state_hs,
     sample_direction,
     sample_state_hs,
+    sphere_area,
 )
 from statebody import sampling, validation
 from statebody.hermitian import COUNT_CHUNK
@@ -187,16 +199,74 @@ def test_metropolis_negative_size_is_rejected_before_any_draw(n):
         boundary_eigenvalues_laguerre(n, "real", _NoDraws(), -1)
 
 
-@pytest.mark.parametrize("sampler", [
-    lambda rng, size: sample_state_hs(BipartiteShape(1, 3), rng, size),
-    lambda rng, size: sample_boundary_state_hs(BipartiteShape(1, 3), rng, size),
-    lambda rng, size: sample_direction(BipartiteShape(1, 3), rng, size),
-    lambda rng, size: boundary_eigenvalues_wishart(3, "real", rng, size),
-    lambda rng, size: boundary_eigenvalues_laguerre(3, "real", rng, size),
-], ids=["state", "boundary", "direction", "wishart", "metropolis"])
+_QUTRIT = BipartiteShape(1, 3)
+SIZE_SITES = {
+    "state": lambda rng, size: sample_state_hs(_QUTRIT, rng, size),
+    "boundary": lambda rng, size: sample_boundary_state_hs(_QUTRIT, rng, size),
+    "direction": lambda rng, size: sample_direction(_QUTRIT, rng, size),
+    "wishart": lambda rng, size: boundary_eigenvalues_wishart(3, "real", rng, size),
+    "metropolis": lambda rng, size: boundary_eigenvalues_laguerre(3, "real", rng, size),
+}
+
+
+@pytest.mark.parametrize("sampler", SIZE_SITES.values(), ids=SIZE_SITES.keys())
 def test_negative_size_is_rejected_by_name(sampler):
     with pytest.raises(ValueError, match="size must be >= 0"):
         sampler(_NoDraws(), -1)
+
+
+_MAX64 = 2**64 - 1
+_QUBITS = BipartiteShape(2, 2)
+_FULL = BodySpec("full", BipartiteShape(1, 2))
+_CUBE = TangentBody(cube_generators(3))
+
+# every count, seed and index: (argument name, call with the value, lowest
+# and highest valid value, a valid value the call runs with)
+INTEGER_SITES = {
+    "shape k": ("k", lambda v: BipartiteShape(v, 2), 1, None, 2),
+    "shape m": ("m", lambda v: BipartiteShape(1, v), 2, None, 3),
+    "seed": ("seed", RngStream, 0, _MAX64, 5),
+    "stream": ("stream", lambda v: RngStream(5, v), 0, _MAX64, 3),
+    "child": ("index", lambda v: RngStream(1).child(v), 0, _MAX64, 3),
+    **{f"size {name}": ("size", lambda v, f=f: f(RngStream(1), v), 0, None, 2)
+       for name, f in SIZE_SITES.items()},
+    "laguerre n": ("n", lambda v: boundary_eigenvalues_laguerre(v, "real", RngStream(1), 2),
+                   2, None, 3),
+    "inscribed_radius": ("n", inscribed_radius, 2, None, 3),
+    "sphere_area": ("d", sphere_area, 1, None, 3),
+    "mc_volume": ("n", lambda v: mc_volume(_FULL, v, RngStream(1)), 2, None, 4),
+    "mc_gamma": ("n", lambda v: mc_gamma(_CUBE, v, RngStream(1)), 2, None, 4),
+    "radius_law": ("n", lambda v: radius_law(_FULL, v, RngStream(1)), 2, None, 4),
+    "inner_law": ("n", lambda v: inner_law(_FULL, v, RngStream(1)), 2, None, 20),
+    "estimate_omega": ("n", lambda v: estimate_omega(_QUBITS, v, RngStream(1)),
+                       2, None, 50),
+    "corner_probe": ("n", lambda v: corner_probe(_QUBITS, v, [0.1, 0.01], RngStream(1)),
+                     2, None, 4),
+    "cross_validate_area": ("n", lambda v: cross_validate_area(_QUBITS, v, RngStream(1)),
+                            2, None, 50),
+    "shards": ("shards", lambda v: mc_volume(_FULL, 4, RngStream(1), shards=v),
+               1, None, 2),
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES.values(), ids=INTEGER_SITES.keys())
+def test_one_integer_rule(site):
+    """A bool, a non-integer and a value out of range raise ValueError naming
+    the argument; a numpy integer acts as its Python value."""
+    name, call, low, high, good = site
+    bad = [True, False, np.True_, 1.5, 2.0, "2", low - 1]
+    for value in bad + ([] if high is None else [high + 1]):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(value)
+    assert _same(call(np.int64(good)), call(good))
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])

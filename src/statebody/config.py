@@ -12,7 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as _dc_field, fields
+
+from .hermitian import BipartiteShape, _dtype, _integer
+from .sampling import RngStream
 
 # smallest n_samples that keeps each experiment statistically meaningful
 MIN_SAMPLES = {
@@ -43,9 +47,6 @@ READS = {
 _PPT_REQUIRED = ("omega", "corner-probe", "area-crosscheck")
 
 POLYTOPE_PRESETS = ("cube", "cross", "simplex", "random-unit")
-
-# a seed is one 64-bit word of RngStream's Philox key
-_SEED_MAX = 2**64 - 1
 
 TOLERANCE_DEFAULTS = {
     "sigma": 3.0,
@@ -120,10 +121,6 @@ class ExperimentConfig:
 _DEFAULTS = asdict(ExperimentConfig(experiment=None, n_samples=None, seed=None))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     """An int or a finite float: JSON's NaN and Infinity are rejected. The
     comparison is math.isfinite without its OverflowError on huge ints."""
@@ -131,14 +128,26 @@ def _is_number(v) -> bool:
             and -math.inf < v < math.inf)
 
 
-def _require_int(key: str, v, minimum: int) -> int:
+@contextmanager
+def _library_rule(key: str):
+    """Re-raise the ValueError of a library check as a ConfigError naming
+    ``key``: each rule on a value is written once, in the library."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+def _required(key: str, v):
     if v is None:
         raise ConfigError(key, "required field is missing")
-    if not _is_int(v):
-        raise ConfigError(key, f"expected an integer, got {v!r}")
-    if v < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {v}")
     return v
+
+
+def _require_int(key: str, v, minimum: int) -> int:
+    v = _required(key, v)
+    with _library_rule(key):
+        return _integer(key, v, minimum)
 
 
 def _parse_shape(value) -> tuple:
@@ -150,15 +159,11 @@ def _parse_shape(value) -> tuple:
             value = [int(p) for p in parts]
         except ValueError:
             raise ConfigError("shape", f"expected 'KxM' with integers, got {value!r}")
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_int(v) for v in value)):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError("shape", f"expected [K, M] integers, got {value!r}")
-    k, m = value
-    if k < 1:
-        raise ConfigError("shape", f"K must be >= 1, got {k}")
-    if m < 2:
-        raise ConfigError("shape", f"M must be >= 2, got {m}")
-    return (k, m)
+    with _library_rule("shape"):
+        shape = BipartiteShape(*value)
+    return (shape.k, shape.m)
 
 
 def _parse_deltas(value) -> tuple:
@@ -210,12 +215,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                                      f"{', '.join(keep)}")
     c = {k: given.get(k, _DEFAULTS[k]) for k in keep}
 
-    _require_int("n_samples", c["n_samples"], MIN_SAMPLES[exp])
-    if _require_int("seed", c["seed"], 0) > _SEED_MAX:
-        # a larger seed would draw the numbers of its residue mod 2^64 under
-        # another config hash
-        raise ConfigError("seed", f"must be <= 2**64 - 1, got {c['seed']}")
-    _require_int("shards", c["shards"], 1)
+    c["n_samples"] = _require_int("n_samples", c["n_samples"], MIN_SAMPLES[exp])
+    seed = _required("seed", c["seed"])
+    with _library_rule("seed"):
+        # a seed is one 64-bit word of the Philox key; a larger one would draw
+        # the numbers of its residue mod 2^64 under another config hash
+        c["seed"] = RngStream(seed).seed
+    c["shards"] = _require_int("shards", c["shards"], 1)
     if c["shards"] > c["n_samples"]:
         # every shard beyond n_samples draws nothing and only costs time
         raise ConfigError("shards", f"must be <= n_samples = {c['n_samples']}, "
@@ -224,8 +230,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         # the sampler battery draws no sharded sweep
         raise ConfigError("shards", f"sampler-validate runs unsharded, got {c['shards']}")
 
-    if "field" in c and c["field"] not in ("complex", "real"):
-        raise ConfigError("field", f"must be 'complex' or 'real', got {c['field']!r}")
+    if "field" in c:
+        with _library_rule("field"):
+            _dtype(c["field"])
     if "shape" in c:
         if c["shape"] is None:
             raise ConfigError("shape", f"required for experiment {exp!r}")
@@ -245,9 +252,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("preset", f"must be one of {list(POLYTOPE_PRESETS)} (or "
                                     f"give 'generators'), got {c['preset']!r}")
     if "dim" in c:
-        _require_int("dim", c["dim"], 2)
+        c["dim"] = _require_int("dim", c["dim"], 2)
     if "n_generators" in c:
-        _require_int("n_generators", c["n_generators"], c["dim"] + 1)
+        c["n_generators"] = _require_int("n_generators", c["n_generators"], c["dim"] + 1)
 
     if not isinstance(c["tolerances"], dict):
         raise ConfigError("tolerances", f"expected an object, got {c['tolerances']!r}")

@@ -32,9 +32,9 @@ PSD_TOL = 1e-10
 PPT_TOL = 1e-12
 HERM_ATOL = 1e-12
 # rows per row_blocks block of the blocked stack kernels: eigen_counts,
-# min_eigenvalues, ppt_mask and the samplers' steps after their Gaussian draw,
-# each on a batch-last copy of its block. Each block's working set stays small
-# while the output stack is written once. On a 2-core VM, 32,768 2x3 complex
+# min_eigenvalues, ppt_mask and the samplers, each on a batch-last copy of its
+# block (a sampler's helper also fills the Gaussian parts a block at a time).
+# Each block's working set stays small while the output stack is written once. On a 2-core VM, 32,768 2x3 complex
 # eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
 COUNT_CHUNK = 2048
 

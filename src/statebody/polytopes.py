@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import row_blocks
+from .hermitian import _integer, row_blocks
 from .sampling import RngStream
 
 NORM_SLACK = 1e-12
@@ -230,20 +230,21 @@ def _radial_sweep(body: TangentBody, n: int, rng: RngStream):
 
 def cube_generators(dim: int) -> np.ndarray:
     """Unit generators +-e_i; their polar is the cube [-1, 1]^dim."""
-    eye = np.eye(dim)
+    eye = np.eye(_integer("dim", dim, 1))
     return np.vstack([eye, -eye])
 
 
 def cross_generators(dim: int) -> np.ndarray:
-    """Normalized cube vertices; their polar is a scaled cross-polytope."""
-    if dim > 16:
-        raise ValueError("2^dim generators; keep dim <= 16")
+    """Normalized cube vertices; their polar is a scaled cross-polytope.
+    There are 2^dim of them, so dim is at most 16."""
+    dim = _integer("dim", dim, 1, 16)
     corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * dim))).reshape(dim, -1).T
     return corners / np.sqrt(dim)
 
 
 def simplex_generators(dim: int) -> np.ndarray:
     """dim+1 unit vectors summing to zero; their polar is a regular simplex."""
+    dim = _integer("dim", dim, 1)
     e = np.eye(dim + 1)
     center = np.full(dim + 1, 1.0 / (dim + 1))
     pts = e - center
@@ -259,6 +260,8 @@ def random_unit_generators(dim: int, count: int, rng: RngStream) -> np.ndarray:
 
     Retries degenerate draws are not needed: with count >= dim + 1 the origin
     is interior with overwhelming probability, and construction validates.
+    A count of 0 gives an empty draw, as a sampler's size 0 does.
     """
-    g = rng.generator().standard_normal((count, dim))
+    shape = (_integer("count", count, 0), _integer("dim", dim, 1))
+    g = rng.generator().standard_normal(shape)
     return g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -6,11 +6,16 @@ draws therefore need distinct streams, usually obtained via
 :meth:`RngStream.child`. Samplers always return (size, N, N) stacks; a single
 draw is ``sample_*(shape, rng, 1)[0]``, on the same stream.
 
-Draws stream through row blocks. A stack sampler draws the real and then the
-imaginary Gaussian parts of its whole stack from the generator, in the order
-an unblocked draw would, and allocates its output once. Everything after the
-draw runs on the row blocks of ``hermitian.row_blocks``, each copied once
-into a batch-last real buffer. The state samplers project the block off psi
+Draws stream through row blocks. A stack sampler allocates the real and
+imaginary Gaussian parts of its whole stack, and its output, once. One helper
+thread per call fills the parts from the generator in the order and with the
+numbers of an unblocked draw: the real part of a complex draw in one call,
+then the last part one block of ``hermitian.row_blocks`` per call. Meanwhile
+the boundary sampler draws psi from its own stream, and the calling thread
+runs everything after the draw on each block whose fills are done, copying it
+once into a batch-last real buffer. The helper runs only the generator, so
+every line of this package runs on the caller's thread, and it is joined
+before the sampler returns. The state samplers project the block off psi
 and form the lower triangle of its Gram matrices with one contraction per
 row, batched along the last axis, so no matrix takes a BLAS call of its own.
 The mirror image fills the upper triangle, so every state is exactly
@@ -49,7 +54,11 @@ suite compare its spectra with those of production boundary states.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -58,6 +67,11 @@ from .hermitian import (BipartiteShape, _dtype, _hs_norms, _integer, _sum_in_ord
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
+# fills a sampler keeps queued on its helper thread: enough to keep it busy
+# while the caller works on a block. Each queued fill holds a numpy view of
+# its part, and queuing all of a call's fills at once fragmented glibc's heap:
+# the gamma-radial benchmark cases peaked at 143 MB RSS instead of 139 MB
+_FILLS_AHEAD = 4
 
 
 def _splitmix64(x: int) -> int:
@@ -109,33 +123,75 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
+@contextmanager
 def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
-    """Pairs (rows, x) over the row blocks of a (size, n, cols) Ginibre draw:
-    x is the block copied batch-last into a real (n, cols, b) buffer, or
-    (n, 2 cols, b) with the imaginary parts after the real ones. Both parts
-    are drawn whole, in _ginibre's order."""
+    """Blocks of a (size, n, cols) Ginibre draw, filled on a helper thread.
+
+    The real part and, for the complex field, the imaginary part are
+    allocated whole here. One helper thread fills them with
+    ``gen.standard_normal`` in the order of _ginibre's whole draw, and so
+    with its numbers: every part but the last in one call, then the last one
+    ``row_blocks`` block by block. The managed value iterates the pairs
+    (rows, x) in block order, x being the block copied batch-last into a
+    real (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary parts
+    after the real ones, as soon as its fills are done. The caller's work on
+    a block overlaps the fills of later ones, and the with body may draw from
+    another stream, as the boundary sampler's psi, before it iterates. The
+    helper runs nothing but ``standard_normal``. On leaving, fills not yet
+    started are cancelled and the helper is joined, so an error in a fill or
+    in the caller's work leaves no thread behind.
+    """
     size, n, cols = shape
-    parts = [gen.standard_normal(shape)]
-    if field == "complex":
-        parts.append(gen.standard_normal(shape))
-    for rows in row_blocks(size):
-        x = np.empty((n, len(parts) * cols, len(parts[0][rows])))
-        for i, part in enumerate(parts):
-            x[:, i * cols:(i + 1) * cols] = np.moveaxis(part[rows], 0, -1)
-        yield rows, x
+    parts = [np.empty(shape) for _ in range(1 + (field == "complex"))]
+    blocks = row_blocks(size)
+    outs = chain(parts[:-1], (parts[-1][rows] for rows in blocks))
+    queued = deque()
+    pool = ThreadPoolExecutor(1)
+
+    def fill_ahead():
+        for out in islice(outs, _FILLS_AHEAD - len(queued)):
+            queued.append(pool.submit(gen.standard_normal, out=out))
+
+    def next_fill():
+        fill_ahead()
+        queued.popleft().result()
+
+    def copies():
+        for _ in parts[:-1]:
+            next_fill()
+        for rows in blocks:
+            next_fill()
+            x = np.empty((n, len(parts) * cols, rows.stop - rows.start))
+            for i, part in enumerate(parts):
+                x[:, i * cols:(i + 1) * cols] = np.moveaxis(part[rows], 0, -1)
+            yield rows, x
+
+    try:
+        fill_ahead()
+        yield copies()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
-                cols: int, psi: np.ndarray | None = None) -> np.ndarray:
+                cols: int, psi_rng: RngStream | None = None):
     """The (size, n, n) stack G G^dag / Tr G G^dag of n x cols Ginibre
-    matrices G, each projected off its unit vector in ``psi`` when given:
-    a view of the (n, n, size) array that the blocks are written into."""
+    matrices G: a view of the (n, n, size) array that the blocks are written
+    into. Given ``psi_rng``, each G is first projected off a unit vector
+    drawn from that stream while the helper fills G, and the pair (states,
+    psi) is returned."""
     out = np.empty((n, n, size), dtype=_dtype(field))
-    for rows, x in _ginibre_blocks(gen, (size, n, cols), field):
-        if psi is not None:
-            _project(x, psi[rows])
-        _gram(x, out[..., rows])
-    return np.moveaxis(out, -1, 0)
+    with _ginibre_blocks(gen, (size, n, cols), field) as blocks:
+        psi = None
+        if psi_rng is not None:
+            psi = _ginibre(psi_rng.generator(), (size, n), field)
+            psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        for rows, x in blocks:
+            if psi is not None:
+                _project(x, psi[rows])
+            _gram(x, out[..., rows])
+    states = np.moveaxis(out, -1, 0)
+    return states if psi is None else (states, psi)
 
 
 def _project(x: np.ndarray, psi: np.ndarray):
@@ -262,9 +318,7 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     size = _integer("size", size, 0)
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
-    psi = _ginibre(rng.child(1).generator(), (size, n), shape.field)
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    return _gram_stack(rng.child(0).generator(), shape.field, size, n, cols, psi), psi
+    return _gram_stack(rng.child(0).generator(), shape.field, size, n, cols, rng.child(1))
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -280,15 +334,16 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     n = shape.n
     out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)
-    for rows, x in _ginibre_blocks(rng.generator(), (size, n, n), shape.field):
-        h = out[rows]
-        # the Hermitian part (G + G^dag) / 2, written batch-last
-        hb, a = np.moveaxis(h, 0, -1), x[:, :n]
-        hb.real[...] = 0.5 * (a + np.swapaxes(a, 0, 1))
-        if shape.field == "complex":
-            b = x[:, n:]
-            hb.imag[...] = 0.5 * (b - np.swapaxes(b, 0, 1))
-        tr = np.trace(h, axis1=-2, axis2=-1).real
-        h -= (tr / n)[:, None, None] * eye
-        h /= _hs_norms(h)[:, None, None]
+    with _ginibre_blocks(rng.generator(), (size, n, n), shape.field) as blocks:
+        for rows, x in blocks:
+            h = out[rows]
+            # the Hermitian part (G + G^dag) / 2, written batch-last
+            hb, a = np.moveaxis(h, 0, -1), x[:, :n]
+            hb.real[...] = 0.5 * (a + np.swapaxes(a, 0, 1))
+            if shape.field == "complex":
+                b = x[:, n:]
+                hb.imag[...] = 0.5 * (b - np.swapaxes(b, 0, 1))
+            tr = np.trace(h, axis1=-2, axis2=-1).real
+            h -= (tr / n)[:, None, None] * eye
+            h /= _hs_norms(h)[:, None, None]
     return out

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from statebody import ConfigError, config_from_dict, config_from_json
@@ -75,6 +76,21 @@ def test_bad_shape_strings():
         with pytest.raises(ConfigError) as err:
             config_from_dict(base(shape=bad))
         assert err.value.field == "shape"
+    for bad in ([2, 1.5], [True, 3], [0, 3], [2, 1], [2]):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base(shape=bad))
+        assert err.value.field == "shape"
+
+
+def test_numpy_integers_are_stored_as_ints():
+    """The library's integer rule accepts numpy integers; the config keeps
+    them as Python ints, so its hash and record are those of the plain
+    config."""
+    cfg = config_from_dict(base(n_samples=np.int64(1000), seed=np.uint64(1),
+                                shape=[np.int32(1), np.int64(3)], shards=np.int8(1)))
+    assert cfg == config_from_dict(base())
+    assert cfg.config_hash() == config_from_dict(base()).config_hash()
+    assert all(type(v) is int for v in (cfg.n_samples, cfg.seed, cfg.shards, *cfg.shape))
 
 
 def test_omega_needs_a_bipartite_shape():

@@ -378,10 +378,8 @@ def _boundary_gram_sampler(extra):
     def sample(shape, rng, size):
         n = shape.n
         cols = (n + 1 if shape.field == "complex" else n + 2) + extra
-        psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
-        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
         return sampling._gram_stack(rng.child(0).generator(), shape.field, size, n,
-                                    cols, psi), psi
+                                    cols, rng.child(1))
     return sample
 
 

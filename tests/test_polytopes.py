@@ -81,6 +81,34 @@ def test_random_unit_generators():
     assert np.array_equal(g, random_unit_generators(4, 100, RngStream(13)))
 
 
+PRESETS = {
+    "cube": cube_generators,
+    "cross": cross_generators,
+    "simplex": simplex_generators,
+    "random-unit": lambda dim: random_unit_generators(dim, 10, RngStream(14)),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS.values(), ids=PRESETS.keys())
+def test_presets_check_their_dimension(preset):
+    """A bool, a non-integer or a dimension below one is refused by name;
+    simplex_generators(True) used to return the dim-1 generators. A numpy
+    integer gives the generators of its value."""
+    for bad in (True, 1.5, 0, -1):
+        with pytest.raises(ValueError, match="dim"):
+            preset(bad)
+    assert np.array_equal(preset(np.int64(3)), preset(3))
+
+
+def test_random_unit_generators_check_their_count():
+    for bad in (True, 1.5, -1):
+        with pytest.raises(ValueError, match="count"):
+            random_unit_generators(3, bad, RngStream(15))
+    assert random_unit_generators(3, 0, RngStream(15)).shape == (0, 3)
+    assert np.array_equal(random_unit_generators(3, np.int32(7), RngStream(15)),
+                          random_unit_generators(3, 7, RngStream(15)))
+
+
 # ---------------------------------------------------------------------------
 # construction
 

@@ -1,7 +1,10 @@
 """Samplers: streams, interior/boundary measures, directions."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -538,3 +541,106 @@ def test_sampler_peak_memory_is_output_plus_blocks(draw, size, bound):
         tracemalloc.stop()
     ratio = peak / sum(a.nbytes for a in out)
     assert ratio < bound, f"peak {peak / 2**20:.1f} MiB is {ratio:.2f}x the output"
+
+
+# ---------------------------------------------------------------------------
+# the fill thread: a helper draws the Gaussian parts, the caller does the rest
+
+SAMPLERS = (sample_state_hs, sample_boundary_state_hs, sample_direction)
+
+
+def _modules_off_the_calling_thread(run) -> list:
+    """The module of every Python frame that ran, while ``run()`` ran, on a
+    thread it started. A thread only gets the hook if it starts after it is
+    set, as each sampler call's helper does."""
+    caller = threading.get_ident()
+    seen = []
+
+    def hook(frame, event, arg):
+        if threading.get_ident() != caller:
+            seen.append(frame.f_globals.get("__name__", ""))
+
+    threading.setprofile(hook)
+    try:
+        run()
+    finally:
+        threading.setprofile(None)
+    return seen
+
+
+def test_no_statebody_code_runs_off_the_calling_thread():
+    """The perfbench tracer keeps one span stack, so every statebody frame
+    must run on the caller's thread: the helper runs only the generator's
+    fills. The hook sees the helper's own frames, so it did watch it."""
+    shape = BipartiteShape(2, 2)
+
+    def run():
+        estimate_omega(shape, 5000, RngStream(4900))
+        sample_direction(shape, RngStream(4901), 2 * COUNT_CHUNK + 1)
+
+    modules = _modules_off_the_calling_thread(run)
+    assert "concurrent.futures.thread" in modules
+    assert not [m for m in modules if m.split(".")[0] == "statebody"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, COUNT_CHUNK + 1])
+def test_samplers_leave_no_thread(size):
+    baseline = threading.active_count()
+    for shape in (BipartiteShape(2, 2), BipartiteShape(2, 2, "real")):
+        for draw in SAMPLERS:
+            draw(shape, RngStream(4910, size), size)
+            assert threading.active_count() == baseline, f"{draw.__name__} {shape}"
+
+
+class _FailingGenerator:
+    """A generator whose second standard_normal call raises."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            raise FloatingPointError("fill 2 failed")
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("psi_rng", [None, RngStream(4921)], ids=["interior", "boundary"])
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_a_failing_fill_raises_and_leaves_no_thread(field, psi_rng):
+    """The error of a fill reaches the caller, and the fills after it are
+    cancelled or finished before the helper is joined."""
+    baseline = threading.active_count()
+    gen = _FailingGenerator(RngStream(4920).generator())
+    with pytest.raises(FloatingPointError, match="fill 2 failed"):
+        sampling._gram_stack(gen, field, 3 * COUNT_CHUNK, 4, 5, psi_rng)
+    assert threading.active_count() == baseline
+
+
+def test_concurrent_callers_get_the_bits_of_serial_calls():
+    """Three Python threads, more than the cores of a small machine, sample
+    their own streams at once with a short switch interval: each call's
+    helper fills only its own parts, from its own generator."""
+    shape = BipartiteShape(2, 3)
+    size = 2 * COUNT_CHUNK + 5
+    seeds = (4930, 4931, 4932)
+    start = threading.Barrier(len(seeds))
+
+    def draw_all(seed, wait=False):
+        if wait:
+            start.wait(timeout=60)
+        rng = RngStream(seed)
+        states, psi = sample_boundary_state_hs(shape, rng, size)
+        return [sample_state_hs(shape, rng, size), states, psi,
+                sample_direction(shape, rng, size)]
+
+    serial = [draw_all(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            concurrent = list(pool.map(draw_all, seeds, [True] * len(seeds), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(concurrent, serial):
+        assert all(_same_bytes(a, b) for a, b in zip(got, want))

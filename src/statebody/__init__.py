@@ -33,40 +33,23 @@ from .estimators import (
 from .experiments import run_experiment, summary_line
 from .geometry import (
     BodySpec,
-    BoundaryContact,
     NonGenericDirectionError,
-    boundary_contact,
     inscribed_radius,
-    radial_function,
     support_height,
     tangency_state,
 )
 from .hermitian import (
     BipartiteShape,
-    DensityMatrix,
     DimensionMismatchError,
-    HermitianMatrix,
-    TracelessDirection,
-    hermitian_part,
-    hs_distance,
-    hs_inner,
-    hs_norm,
-    is_ppt,
     maximally_mixed,
-    min_eigenvalue,
-    negativity,
     partial_transpose,
 )
 from .polytopes import (
-    FaceTieError,
-    PolytopeContact,
     TangentBody,
     UnboundedBodyError,
     cross_generators,
     cube_generators,
     intersect_bodies,
-    polar_contact,
-    polar_radial,
     random_unit_generators,
     simplex_generators,
 )

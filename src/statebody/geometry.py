@@ -8,10 +8,10 @@ PSD constraints, rho >= 0 and, on the PPT body, T_A(rho) >= 0, and
 ray by 1 / (N |lambda_min(omega)|), and r is the smallest of these radii.
 Both bodies have constant height: every generic boundary point lies on a
 face tangent to the insphere of radius 1/sqrt((N-1)N), so the batch kernel
-yields radii and no height. Only the single-direction queries solve for the
-zero eigenvector of the binding matrix, decide whether the face met is
-unique, and form the contact point x, its normal n(x) and the height
-<x - rho*, n(x)>, which tests hold against the insphere radius.
+yields radii and no height. Only :func:`support_height`, one direction at a
+time, solves for the zero eigenvector of the binding matrix, decides whether
+the face met is unique, and forms the contact point x, its normal n(x) and
+the height <x - rho*, n(x)>, which tests hold against the insphere radius.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ import numpy as np
 
 from .hermitian import (
     BipartiteShape,
-    DensityMatrix,
-    TracelessDirection,
+    _hs_norms,
     _integer,
-    hs_inner,
     maximally_mixed,
     min_eigenvalues,
     partial_transpose,
 )
 
 GAP_TOL = 1e-10
+HERM_ATOL = 1e-12
 BODY_KINDS = ("full", "ppt")
 
 
@@ -78,28 +77,6 @@ def inscribed_radius(n: int) -> float:
     return 1.0 / np.sqrt((n - 1.0) * n)
 
 
-@dataclass(frozen=True)
-class BoundaryContact:
-    """Boundary data along a direction: the point, the outward unit normal of
-    its supporting hyperplane, and which constraint binds there."""
-
-    point: DensityMatrix
-    normal: TracelessDirection
-    binding: str  # "direct" or "partial-transpose"
-    zero_eigvec: np.ndarray
-
-
-def _direction_stack(body: BodySpec, omega) -> np.ndarray:
-    """One direction, validated as a TracelessDirection, as a stack of one."""
-    if not isinstance(omega, TracelessDirection):
-        omega = TracelessDirection(omega)
-    if omega.dim != body.shape.n:
-        raise ValueError(
-            f"direction dimension {omega.dim} != body dimension {body.shape.n}"
-        )
-    return omega.mat[None]
-
-
 def _constraint_minima(body: BodySpec, mats: np.ndarray):
     """lambda_min of each of the body's constraints on a (B, N, N) stack, as a
     (constraints, B) array: row 0 of the matrices themselves and, on a PPT
@@ -122,21 +99,38 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray) -> np.ndarray:
     return 1.0 / (body.shape.n * -lam)
 
 
-def radial_function(body: BodySpec, omega) -> float:
-    """Distance from I/N to the boundary of ``body`` along ``omega``."""
-    return float(_radial_batch(body, _direction_stack(body, omega)).min())
+def _direction(body: BodySpec, omega) -> np.ndarray:
+    """The Hermitian part of one direction of ``body``: a finite N x N matrix,
+    traceless and of unit Hilbert-Schmidt norm within HERM_ATOL. Anything
+    else, a stack included, raises ValueError."""
+    m = np.asarray(omega)
+    n = body.shape.n
+    if m.shape != (n, n):
+        raise ValueError(f"expected one {n}x{n} direction, got shape {m.shape}")
+    m = m.astype(np.result_type(m.dtype, np.float64))
+    if not np.isfinite(m).all():
+        raise ValueError("direction has a non-finite entry")
+    m = 0.5 * (m + np.conj(m.T))
+    tr = complex(np.trace(m))
+    if abs(tr) > HERM_ATOL:
+        raise ValueError(f"direction is not traceless: trace = {tr:.3e}")
+    nrm = float(_hs_norms(m))
+    if abs(nrm - 1.0) > HERM_ATOL:
+        raise ValueError(f"direction is not unit norm: |omega| = {nrm:.16f}")
+    return m
 
 
 def _generic_contact(body: BodySpec, omega):
-    """Point, normal, height, partial-transpose binding and zero eigenvector
-    along one direction. Raises :class:`NonGenericDirectionError` when the
-    touching face is not unique: the binding matrix's two smallest
+    """Contact point, outward unit normal, height and whether T_A(omega)
+    binds, along one direction. Raises :class:`NonGenericDirectionError`
+    when the touching face is not unique: the binding matrix's two smallest
     eigenvalues, or the radii of the two constraints of a PPT body (a
     corner), lie within GAP_TOL. The normal is c (I/N - P), c =
-    sqrt(N/(N-1)), P the projector onto phi, partially transposed when
-    T_A(omega) binds; the height is <r omega, normal>.
+    sqrt(N/(N-1)), P the projector onto the binding matrix's zero
+    eigenvector, partially transposed when T_A(omega) binds; the height is
+    <r omega, normal>.
     """
-    omega = _direction_stack(body, omega)[0]
+    omega = _direction(body, omega)
     radii = _radial_batch(body, omega[None])[:, 0]
     binding_pt = bool(radii[-1] < radii[0])  # never true for the full body
     binding = partial_transpose(omega, body.shape) if binding_pt else omega
@@ -153,22 +147,9 @@ def _generic_contact(body: BodySpec, omega):
         proj = partial_transpose(proj, body.shape)
     normal = np.sqrt(n / (n - 1.0)) * (np.eye(n) / n - proj)
     ray = radii.min() * omega
-    return body.center + ray, normal, hs_inner(ray, normal), binding_pt, phi
-
-
-def boundary_contact(body: BodySpec, omega) -> BoundaryContact:
-    """Contact data where the ray from I/N along ``omega`` leaves the body.
-
-    Raises :class:`NonGenericDirectionError` on a non-generic direction;
-    callers doing Monte Carlo may discard those.
-    """
-    point, normal, _, binding_pt, phi = _generic_contact(body, omega)
-    return BoundaryContact(
-        point=DensityMatrix(point),
-        normal=TracelessDirection(normal),
-        binding="partial-transpose" if binding_pt else "direct",
-        zero_eigvec=np.ascontiguousarray(phi),
-    )
+    # Tr(ray normal), both Hermitian
+    height = float(np.sum(ray * np.conj(normal)).real)
+    return body.center + ray, normal, height, binding_pt
 
 
 def support_height(body: BodySpec, omega) -> float:
@@ -181,20 +162,22 @@ def support_height(body: BodySpec, omega) -> float:
     return _generic_contact(body, omega)[2]
 
 
-def tangency_state(psi: np.ndarray) -> DensityMatrix:
+def tangency_state(psi: np.ndarray) -> np.ndarray:
     """The state (I - |psi><psi|)/(N-1): one eigenvalue zero, the rest equal.
 
     It is the point where the face of states orthogonal to psi touches the
     insphere, at distance exactly 1/sqrt((N-1)N) from I/N. ``psi`` is one
-    vector of length N >= 2; anything else is rejected.
+    finite vector of length N >= 2; anything else is rejected.
     """
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"expected one vector of length >= 2, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("psi has a non-finite entry")
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-14:
         raise ValueError("zero vector")
     v = v / nrm
     n = v.size
     proj = np.outer(v, np.conj(v))
-    return DensityMatrix((np.eye(n, dtype=complex) - proj) / (n - 1.0))
+    return (np.eye(n, dtype=complex) - proj) / (n - 1.0)

@@ -1,5 +1,5 @@
-"""Hermitian matrix algebra on bipartite systems: Hilbert-Schmidt geometry,
-partial transposition and the PPT test.
+"""Stacks of Hermitian matrices on bipartite systems: partial transposition,
+the PPT test and the eigen kernels.
 
 The PPT test (Peres 1996; Horodecki^3 1996) decides whether the partial
 transpose is positive semidefinite without computing its spectrum: an LDL^dag
@@ -16,9 +16,8 @@ and reads it from :func:`min_eigenvalues`, a Newton iteration on the same
 tridiagonal that the same Sturm counts certify: the interior draws of both
 interior laws and the direction sweeps of the radial kernel. A row of
 either path gets the same bits alone as in any stack. ``eigvalsh`` is left
-for whole spectra (``negativity``, the sampler battery), single matrices
-(``min_eigenvalue``, the wrappers' checks) and the rows ``min_eigenvalues``
-cannot certify.
+for whole spectra (the sampler battery), the one ``eigh`` of
+``geometry.support_height`` and the rows ``min_eigenvalues`` cannot certify.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PSD_TOL = 1e-10
 PPT_TOL = 1e-12
-HERM_ATOL = 1e-12
 # rows per row_blocks block of the blocked stack kernels: eigen_counts,
 # min_eigenvalues, ppt_mask and the samplers, each on a batch-last copy of its
 # block (a sampler's helper also fills the Gaussian parts a block at a time).
@@ -41,15 +38,6 @@ COUNT_CHUNK = 2048
 
 class DimensionMismatchError(ValueError):
     """Matrix size does not factor as the declared K x M system."""
-
-
-def _as_matrix(a) -> np.ndarray:
-    """The ndarray of one square matrix, given as a wrapper type or a bare
-    array; a stack of matrices is rejected."""
-    m = a.mat if isinstance(a, HermitianMatrix) else np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected one square matrix, got shape {m.shape}")
-    return m
 
 
 def row_blocks(size: int, block: int = COUNT_CHUNK) -> list:
@@ -97,12 +85,6 @@ def _dtype(field: str):
     return np.complex128 if field == "complex" else np.float64
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Canonical Hermitian representative (A + A^dag)/2. Works on stacks."""
-    a = np.asarray(a)
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 @dataclass(frozen=True)
 class BipartiteShape:
     """A K x M tensor factorization, K >= 1 and M >= 2, over the "complex"
@@ -140,109 +122,6 @@ class BipartiteShape:
         return f"{self.k}x{self.m} {self.field}"
 
 
-class HermitianMatrix:
-    """A Hermitian matrix, canonicalized to (A + A^dag)/2 on construction."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        m = _as_matrix(mat)
-        m = hermitian_part(m.astype(np.result_type(m.dtype, np.float64)))
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # validated again; the constructor leaves a stored matrix unchanged,
-        # so the copy is equal bit for bit
-        return type(self), (self.mat,)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class DensityMatrix(HermitianMatrix):
-    """Hermitian, trace renormalized to one, positive semidefinite up to tol."""
-
-    __slots__ = ()
-
-    def __init__(self, mat):
-        super().__init__(mat)
-        tr = float(np.trace(self.mat).real)
-        if abs(tr) < 1e-14:
-            raise ValueError(f"trace {tr:.3e} too small to renormalize")
-        # dividing by a trace already within rounding of one would only move
-        # last bits, so normalizing stays idempotent
-        if abs(tr - 1.0) > 4 * self.dim * np.finfo(float).eps:
-            m = self.mat / tr
-            m.setflags(write=False)
-            object.__setattr__(self, "mat", m)
-        lo = float(np.linalg.eigvalsh(self.mat)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(
-                f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} "
-                f"< -{PSD_TOL:.1e}"
-            )
-
-
-class TracelessDirection(HermitianMatrix):
-    """A traceless Hermitian matrix of unit Hilbert-Schmidt norm.
-
-    Construction validates rather than repairs; use :meth:`toward` to project
-    an arbitrary Hermitian matrix onto the direction sphere.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, mat):
-        super().__init__(mat)
-        tr = complex(np.trace(self.mat))
-        if abs(tr) > HERM_ATOL:
-            raise ValueError(f"direction is not traceless: trace = {tr:.3e}")
-        nrm = float(_hs_norms(self.mat))
-        if abs(nrm - 1.0) > HERM_ATOL:
-            raise ValueError(f"direction is not unit norm: |omega| = {nrm:.16f}")
-
-    @classmethod
-    def toward(cls, target) -> "TracelessDirection":
-        """Unit direction from the maximally mixed state toward ``target``."""
-        m = hermitian_part(_as_matrix(target))
-        n = m.shape[0]
-        m = m - (np.trace(m).real / n) * np.eye(n, dtype=m.dtype)
-        nrm = float(_hs_norms(m))
-        if nrm < 1e-14:
-            raise ValueError("target is proportional to the identity")
-        return cls(m / nrm)
-
-
-def hs_inner(a, b) -> float:
-    """Hilbert-Schmidt inner product Tr(A B) of Hermitian A, B (real)."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
-    # Tr(A B) = sum_ij A_ij conj(B_ij) for Hermitian B
-    return float(np.sum(am * np.conj(bm)).real)
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt norm sqrt(Tr A^2)."""
-    return float(_hs_norms(_as_matrix(a)))
-
-
-def hs_distance(a, b) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr (A - B)^2)."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return float(_hs_norms(am - bm))
-
-
 def _pt_blocks(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     """The partial transpose of a stack of N x N matrices as a (..., K, M, K, M)
     view of ``m``, the first tensor factor's indices swapped."""
@@ -256,26 +135,12 @@ def _pt_blocks(m: np.ndarray, shape: BipartiteShape) -> np.ndarray:
 
 
 def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
-    """Transpose the first tensor factor of a K x M system.
-
-    Acts on stacks of matrices along leading axes and accepts wrapper types,
-    but always returns a bare array: the partial transpose of a state need not
-    be a state (a Bell state's has eigenvalue -1/2).
+    """Transpose the first tensor factor of a K x M system: a contiguous
+    array of the shape of ``a``, one N x N matrix or a stack of them along
+    leading axes.
     """
-    m = a.mat if isinstance(a, HermitianMatrix) else np.asarray(a)
+    m = np.asarray(a)
     return np.ascontiguousarray(_pt_blocks(m, shape).reshape(m.shape))
-
-
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = hermitian_part(_as_matrix(a))
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed on a {m.shape[-1]}x{m.shape[-1]} matrix: {exc}"
-        ) from exc
-    return float(w[0])
 
 
 def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
@@ -585,23 +450,6 @@ def _tridiagonal(a: np.ndarray):
     # step k leaves row and column k alone from then on
     i = np.arange(n)
     return a[i, i].real, e2
-
-
-def is_ppt(rho, shape: BipartiteShape) -> bool:
-    """Whether T_A of the Hermitian part of ``rho``, plus PPT_TOL * I, is
-    positive definite: the LDL^dag pivot test of :func:`ppt_mask`."""
-    return bool(ppt_mask(hermitian_part(_as_matrix(rho)), shape))
-
-
-def negativity(rho, shape: BipartiteShape) -> float:
-    """Sum of the absolute values of negative partial-transpose eigenvalues.
-
-    Zero exactly when the state is PPT; positive for every entangled pure
-    state of a bipartite system.
-    """
-    pt = partial_transpose(hermitian_part(_as_matrix(rho)), shape)
-    w = np.linalg.eigvalsh(pt)
-    return float(-np.sum(np.minimum(w, 0.0)))
 
 
 def maximally_mixed(n: int, field: str = "complex") -> np.ndarray:

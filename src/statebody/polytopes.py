@@ -9,14 +9,12 @@ breaks the equality exactly when that face is exposed. The volume estimator
 of :mod:`statebody.estimators` accepts a TangentBody as it accepts a state
 body; ``mc_area`` and :func:`~statebody.estimators.mc_gamma` take polytopes
 only, and gamma is their test of constant height, while ``inner_law`` and
-``radius_law`` take state bodies only. One kernel, :func:`_binding`, finds the binding generator
-of a stack of directions; the estimators' sweep and the single-direction
-queries both run it, so they share one tie rule and one unboundedness check.
+``radius_law`` take state bodies only. One kernel, :func:`_binding`, finds
+the binding generator of a stack of directions, with one tie rule and one
+unboundedness check; the estimators' sweep runs it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +34,6 @@ _BINDING_ROWS = 48
 
 class UnboundedBodyError(ValueError):
     """The generator hull does not contain the origin in its interior."""
-
-
-class FaceTieError(RuntimeError):
-    """Two generators bind the same direction; the face is not unique."""
 
 
 class TangentBody:
@@ -116,16 +110,6 @@ def _check_origin_interior(g: np.ndarray):
         )
 
 
-@dataclass(frozen=True)
-class PolytopeContact:
-    """Binding face data along a direction."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    support_distance: float
-    generator_index: int
-
-
 def _binding(body: TangentBody, dirs: np.ndarray):
     """Binding data of a stack of unit directions, one per row: the largest
     support product <d, y>, the index of the generator attaining it, and a
@@ -159,45 +143,6 @@ def _binding(body: TangentBody, dirs: np.ndarray):
             f"body is unbounded along direction {np.round(bad, 6).tolist()}"
         )
     return smax, idx, ties
-
-
-def _unit_direction(body: TangentBody, direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (body.dim,):
-        raise ValueError(f"expected one vector of length {body.dim}, got shape {d.shape}")
-    nrm = np.linalg.norm(d)
-    if not np.isfinite(nrm) or nrm < 1e-300:
-        raise ValueError("direction must be a nonzero vector")
-    return d / nrm
-
-
-def polar_radial(body: TangentBody, direction) -> float:
-    """Distance from the origin to the boundary along ``direction``."""
-    smax, _, _ = _binding(body, _unit_direction(body, direction)[None])
-    return 1.0 / float(smax[0])
-
-
-def polar_contact(body: TangentBody, direction) -> PolytopeContact:
-    """Binding generator, face normal and support distance along a direction.
-
-    Raises :class:`FaceTieError` when two generators bind within TIE_TOL;
-    those directions hit an edge, not a face.
-    """
-    unit = _unit_direction(body, direction)
-    smax, idx, ties = _binding(body, unit[None])
-    idx = int(idx[0])
-    if ties[0]:
-        raise FaceTieError(
-            f"generator {idx} ties with another along this direction; no unique face"
-        )
-    y = body.generators[idx]
-    ynorm = float(np.linalg.norm(y))
-    return PolytopeContact(
-        point=unit / float(smax[0]),
-        normal=y / ynorm,
-        support_distance=1.0 / ynorm,
-        generator_index=idx,
-    )
 
 
 def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:

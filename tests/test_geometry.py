@@ -10,36 +10,31 @@ from hypothesis import strategies as st
 from statebody import (
     BipartiteShape,
     BodySpec,
-    DensityMatrix,
-    HermitianMatrix,
     NonGenericDirectionError,
     RngStream,
-    TracelessDirection,
-    boundary_contact,
-    hs_distance,
-    hs_inner,
-    hs_norm,
     inscribed_radius,
-    is_ppt,
-    min_eigenvalue,
-    negativity,
     partial_transpose,
-    radial_function,
     sample_direction,
-    sample_state_hs,
     support_height,
     tangency_state,
 )
-from statebody.geometry import _radial_batch
+from statebody.geometry import _generic_contact, _radial_batch
 
 HEIGHT_TOL = 1e-9
 MEMBERSHIP_SLACK = 1e-13
 
 
-def bell_direction() -> TracelessDirection:
+def bell_direction() -> np.ndarray:
+    """The unit direction from I/4 to the Bell state."""
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2.0)
-    return TracelessDirection.toward(np.outer(v, v.conj()))
+    m = np.outer(v, v.conj()) - np.eye(4) / 4
+    return m / np.linalg.norm(m)
+
+
+def radial(body: BodySpec, omega: np.ndarray) -> float:
+    """r(omega) of one direction, as the batch kernel gives it on a stack of one."""
+    return float(_radial_batch(body, omega[None]).min())
 
 
 def radial_by_bisection(body: BodySpec, omega: np.ndarray, iters: int = 80) -> float:
@@ -113,8 +108,8 @@ def test_radial_along_bell_direction():
     ppt = BodySpec("ppt", BipartiteShape(2, 2))
     # the pure-state face lies at sqrt(3)/2; the partial transpose cuts the
     # ray down to the insphere radius
-    assert radial_function(full, om) == pytest.approx(math.sqrt(3.0) / 2, abs=1e-13)
-    assert radial_function(ppt, om) == pytest.approx(1 / math.sqrt(12.0), abs=1e-13)
+    assert radial(full, om) == pytest.approx(math.sqrt(3.0) / 2, abs=1e-13)
+    assert radial(ppt, om) == pytest.approx(1 / math.sqrt(12.0), abs=1e-13)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -124,8 +119,7 @@ def test_radial_matches_bisection(field, kind, km):
     shape = BipartiteShape(km[0], km[1], field)
     body = BodySpec(kind, shape)
     omegas = sample_direction(shape, RngStream(17), size=12)
-    for om in omegas:
-        r = radial_function(body, om)
+    for om, r in zip(omegas, _radial_batch(body, omegas).min(axis=0)):
         assert r == pytest.approx(radial_by_bisection(body, om), abs=1e-9)
 
 
@@ -139,32 +133,33 @@ def test_radial_stack_matches_singles(shape):
     rs, r_direct = radii.min(axis=0), radii[0]
     full = BodySpec("full", shape)
     for i in range(20):
-        assert rs[i] == radial_function(body, omegas[i])
+        assert rs[i] == radial(body, omegas[i])
         # the direct constraint alone bounds the full body
-        assert r_direct[i] == radial_function(full, omegas[i])
+        assert r_direct[i] == radial(full, omegas[i])
     # both constraints bind somewhere in the sample
     assert 0 < np.sum(rs < r_direct) < len(omegas)
 
 
 def test_radial_rejects_bad_directions():
+    """The contact query takes one finite N x N direction, traceless and of
+    unit norm; anything else, a non-finite entry included, raises ValueError
+    before any eigensolve."""
     body = BodySpec("full", BipartiteShape(2, 2))
-    with pytest.raises(ValueError):
-        radial_function(body, np.eye(4))  # not traceless
-    with pytest.raises(ValueError):
-        radial_function(body, np.diag([1.0, -1.0, 0.0]))  # wrong dimension
-
-
-def test_wrapper_input_matches_array_input():
-    body = BodySpec("full", BipartiteShape(1, 2))
-    om = np.diag([1.0, -1.0]) / np.sqrt(2.0)
-    assert radial_function(body, HermitianMatrix(om)) == radial_function(body, om)
-    assert np.array_equal(TracelessDirection(HermitianMatrix(om)).mat,
-                          TracelessDirection(om).mat)
-    rho = DensityMatrix(np.diag([0.7, 0.3]))
-    assert np.array_equal(HermitianMatrix(rho).mat, HermitianMatrix(rho.mat).mat)
-    # a state is unwrapped, then rejected for what it is: not traceless
-    with pytest.raises(ValueError, match="traceless"):
-        TracelessDirection(rho)
+    om = bell_direction()
+    nan_entry = om.copy()
+    nan_entry[0, 1] = np.nan
+    cases = [
+        (np.stack([om, om]), "one 4x4"),
+        (np.diag([1.0, -1.0, 0.0]) / math.sqrt(2.0), "one 4x4"),  # wrong dimension
+        (np.eye(4) / 2.0, "traceless"),  # unit norm
+        (2.0 * om, "unit norm"),
+        (np.full((4, 4), np.nan), "non-finite"),
+        (nan_entry, "non-finite"),
+        (np.where(np.eye(4) > 0, np.inf, 0.0), "non-finite"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            support_height(body, bad)
 
 
 _SHAPE = BipartiteShape(2, 2)
@@ -172,23 +167,15 @@ _PPT = BodySpec("ppt", _SHAPE)
 
 
 @pytest.mark.parametrize("query", [
-    lambda om, rho: radial_function(_PPT, om),
-    lambda om, rho: boundary_contact(_PPT, om),
-    lambda om, rho: support_height(_PPT, om),
-    lambda om, rho: hs_inner(rho, rho),
-    lambda om, rho: hs_norm(rho),
-    lambda om, rho: hs_distance(rho, rho),
-    lambda om, rho: min_eigenvalue(rho),
-    lambda om, rho: negativity(rho, _SHAPE),
-    lambda om, rho: is_ppt(rho, _SHAPE),
-], ids=["radial_function", "boundary_contact", "support_height", "hs_inner",
-        "hs_norm", "hs_distance", "min_eigenvalue", "negativity", "is_ppt"])
+    lambda om, psi: support_height(_PPT, om),
+    lambda om, psi: tangency_state(psi),
+], ids=["support_height", "tangency_state"])
 def test_single_item_queries_reject_stacks(query):
-    """A (k, N, N) stack is an error, not an answer for row 0 or a sum."""
+    """A stack is an error, not an answer for row 0 or a sum."""
     omegas = sample_direction(_SHAPE, RngStream(47), size=5)
-    states = sample_state_hs(_SHAPE, RngStream(48), size=5)
+    psis = np.ones((5, _SHAPE.n))
     with pytest.raises(ValueError):
-        query(omegas, states)
+        query(omegas, psis)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +184,24 @@ def test_single_item_queries_reject_stacks(query):
 
 def test_ppt_contact_along_bell_is_werner_third():
     body = BodySpec("ppt", BipartiteShape(2, 2))
-    contact = boundary_contact(body, bell_direction())
-    assert contact.binding == "partial-transpose"
+    om = bell_direction()
+    point, _, height, binding_pt = _generic_contact(body, om)
+    assert binding_pt
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2.0)
     wern = np.outer(v, v.conj()) / 3 + (2 / 3) * np.eye(4) / 4
-    assert np.allclose(contact.point.mat, wern, atol=1e-12)
-    assert support_height(body, bell_direction()) == pytest.approx(
-        inscribed_radius(4), abs=1e-12
-    )
+    assert np.allclose(point, wern, atol=1e-12)
+    assert height == pytest.approx(inscribed_radius(4), abs=1e-12)
+    # the query reads the Hermitian part of its direction: an anti-Hermitian
+    # diagonal cancels exactly
+    skew = 1e-3j * np.diag([1.0, -1.0, 1.0, -1.0])
+    assert support_height(body, om + skew) == support_height(body, om) == height
 
 
 def test_full_body_bell_direction_is_nongeneric():
     # the contact point is a pure state: threefold-degenerate kernel, so the
     # supporting hyperplane is not unique
     body = BodySpec("full", BipartiteShape(2, 2))
-    with pytest.raises(NonGenericDirectionError):
-        boundary_contact(body, bell_direction())
     with pytest.raises(NonGenericDirectionError):
         support_height(body, bell_direction())
 
@@ -224,9 +212,9 @@ def test_ppt_corner_direction_raises():
     om = np.diag([3.0, 1.0, -1.0, -3.0]).astype(complex) / math.sqrt(20.0)
     body = BodySpec("ppt", BipartiteShape(2, 2))
     with pytest.raises(NonGenericDirectionError):
-        boundary_contact(body, om)
+        support_height(body, om)
     # the radial function itself stays well defined there
-    assert radial_function(body, om) == pytest.approx(
+    assert radial(body, om) == pytest.approx(
         radial_by_bisection(body, om), abs=1e-9
     )
     # and the same direction is perfectly generic for the full body
@@ -261,22 +249,21 @@ def test_contact_normal_properties():
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(37), size=25)
     for om in omegas:
-        c = boundary_contact(body, om)
-        nr = c.normal.mat
+        point, nr, _, binding_pt = _generic_contact(body, om)
         assert abs(np.trace(nr)) < 1e-12
         assert math.sqrt(np.sum(np.abs(nr) ** 2)) == pytest.approx(1.0, abs=1e-12)
-        # outward: positive component along the ray
-        assert hs_inner(nr, om).real > 0
+        # outward: positive component Tr(n omega) along the ray
+        assert np.sum(nr * np.conj(om)).real > 0
         # supporting: every vertex of the insphere stays on the inner side,
         # and stepping outward along the normal leaves the body
-        x_out = c.point.mat + 1e-6 * nr
+        x_out = point + 1e-6 * nr
         lmin = np.linalg.eigvalsh(x_out)[0]
         lmin_pt = np.linalg.eigvalsh(partial_transpose(x_out, shape))[0]
         assert min(lmin, lmin_pt) < 0
-        # the zero eigenvector annihilates the binding matrix
-        bind = c.point.mat if c.binding == "direct" else partial_transpose(
-            c.point.mat, shape)
-        assert np.linalg.norm(bind @ c.zero_eigvec) < 1e-10
+        # the point lies on the binding constraint's face: that matrix is
+        # singular there
+        bind = partial_transpose(point, shape) if binding_pt else point
+        assert abs(np.linalg.eigvalsh(bind)[0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +276,13 @@ def test_tangency_state_properties(seed, n):
     gen = np.random.default_rng(seed)
     psi = gen.standard_normal(n) + 1j * gen.standard_normal(n)
     tau = tangency_state(psi)
-    eigs = np.linalg.eigvalsh(tau.mat)
+    assert type(tau) is np.ndarray and tau.shape == (n, n)
+    eigs = np.linalg.eigvalsh(tau)
     assert eigs[0] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(eigs[1:], 1 / (n - 1), atol=1e-12)
     psi = psi / np.linalg.norm(psi)
-    assert abs(psi.conj() @ tau.mat @ psi) < 1e-12
-    assert hs_distance(tau.mat, np.eye(n) / n) == pytest.approx(
+    assert abs(psi.conj() @ tau @ psi) < 1e-12
+    assert np.linalg.norm(tau - np.eye(n) / n) == pytest.approx(
         inscribed_radius(n), abs=1e-12
     )
 
@@ -305,3 +293,11 @@ def test_tangency_state_rejects_zero_vector():
     # one vector per call: a matrix is not read as its flattened entries
     with pytest.raises(ValueError, match="one vector"):
         tangency_state(np.eye(2))
+
+
+def test_tangency_state_rejects_non_finite_psi():
+    """A NaN or infinite entry raises, rather than giving a NaN state and a
+    RuntimeWarning."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tangency_state([bad, 1.0])

@@ -1,6 +1,5 @@
-"""Matrix layer: wrappers, inner products, partial transpose, PPT checks."""
+"""Matrix layer: shapes, partial transpose, the PPT test and the eigen kernels."""
 
-import pickle
 import tracemalloc
 import warnings
 
@@ -11,20 +10,10 @@ from hypothesis import strategies as st
 
 from statebody import (
     BipartiteShape,
-    DensityMatrix,
     DimensionMismatchError,
-    HermitianMatrix,
     RngStream,
-    TracelessDirection,
     boundary_eigenvalues_laguerre,
-    hermitian_part,
-    hs_distance,
-    hs_inner,
-    hs_norm,
-    is_ppt,
     maximally_mixed,
-    min_eigenvalue,
-    negativity,
     partial_transpose,
     sample_boundary_state_hs,
     sample_direction,
@@ -42,9 +31,10 @@ from statebody.hermitian import (
 
 ATOL = 1e-12
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of each matrix of a stack: the reference Hermitian matrices."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def bell_state() -> np.ndarray:
@@ -125,80 +115,6 @@ def test_unknown_field_is_rejected(call):
             call(field)
 
 
-# ---------------------------------------------------------------------------
-# wrappers
-
-
-def test_hermitian_part_on_stack():
-    gen = np.random.default_rng(0)
-    a = gen.standard_normal((5, 3, 3)) + 1j * gen.standard_normal((5, 3, 3))
-    h = hermitian_part(a)
-    assert np.allclose(h, np.conj(np.swapaxes(h, -1, -2)))
-    assert np.allclose(hermitian_part(h), h)
-
-
-def test_hermitian_matrix_canonicalizes_and_freezes():
-    raw = random_hermitian(3, 1) + 1e-14 * 1j * np.eye(3)
-    m = HermitianMatrix(raw)
-    assert np.allclose(m.mat, m.mat.conj().T, atol=0)
-    with pytest.raises(AttributeError):
-        m.mat = np.eye(3)
-
-
-def test_density_matrix_normalizes_trace():
-    rho = DensityMatrix(2.0 * np.eye(3) / 3)
-    assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("scale", [1.0, 3.0])
-def test_density_matrix_pickle_round_trip_is_exact(scale):
-    """Rebuilding a state from its own matrix, as unpickling does, moves no bit."""
-    states = sample_state_hs(BipartiteShape(2, 3), RngStream(59), 200)
-    for s in states:
-        rho = DensityMatrix(scale * s)
-        assert np.array_equal(pickle.loads(pickle.dumps(rho)).mat, rho.mat)
-
-
-def test_density_matrix_rejects_negative_eigenvalue():
-    bad = np.diag([1.2, -0.2, 0.0])
-    with pytest.raises(ValueError):
-        DensityMatrix(bad)
-
-
-def test_traceless_direction_validates():
-    good = SZ / np.sqrt(2.0)
-    TracelessDirection(good)
-    with pytest.raises(ValueError):
-        TracelessDirection(SZ)  # not unit norm
-    with pytest.raises(ValueError):
-        TracelessDirection(np.eye(2) / np.sqrt(2.0))  # not traceless
-
-
-def test_traceless_direction_toward():
-    target = np.diag([1.0, 0.0, 0.0, 0.0])
-    om = TracelessDirection.toward(target)
-    assert abs(np.trace(om.mat)) < ATOL
-    assert hs_norm(om.mat) == pytest.approx(1.0, abs=ATOL)
-    # points from the center toward the target
-    assert hs_inner(om.mat, target - np.eye(4) / 4).real > 0
-
-
-# ---------------------------------------------------------------------------
-# inner products
-
-
-def test_pauli_inner_products():
-    assert hs_inner(SX, SX) == pytest.approx(2.0)
-    assert hs_inner(SX, SY) == pytest.approx(0.0, abs=ATOL)
-    assert hs_norm(SZ) == pytest.approx(np.sqrt(2.0))
-
-
-def test_hs_distance_center_to_pure():
-    # distance from the maximally mixed qubit to a pure state is sqrt(1/2)
-    pure = np.diag([1.0, 0.0])
-    assert hs_distance(np.eye(2) / 2, pure) == pytest.approx(1 / np.sqrt(2.0))
-
-
 def test_maximally_mixed():
     rho = maximally_mixed(4)
     assert np.allclose(rho, np.eye(4) / 4)
@@ -218,7 +134,7 @@ def test_partial_transpose_is_isometric_involution(seed, km):
     a = random_hermitian(k * m, seed)
     ta = partial_transpose(a, shape)
     assert np.allclose(partial_transpose(ta, shape), a, atol=ATOL)
-    assert hs_norm(ta) == pytest.approx(hs_norm(a), abs=1e-10)
+    assert np.linalg.norm(ta) == pytest.approx(np.linalg.norm(a), abs=1e-10)
     assert np.trace(ta) == pytest.approx(np.trace(a), abs=ATOL)
     assert np.allclose(ta, ta.conj().T, atol=ATOL)
 
@@ -255,28 +171,24 @@ def test_partial_transpose_dimension_mismatch():
 
 
 def test_bell_partial_transpose_spectrum():
+    """The Bell state's partial transpose has spectrum (-1/2, 1/2, 1/2, 1/2),
+    one negative eigenvalue, and the state is not PPT."""
     shape = BipartiteShape(2, 2)
-    # wrapper input comes back as a bare array: the transpose of a state is
-    # not a state
-    for rho in (bell_state(), DensityMatrix(bell_state())):
-        ta = partial_transpose(rho, shape)
-        assert type(ta) is np.ndarray
-        eigs = np.sort(np.linalg.eigvalsh(ta))
-        assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=ATOL)
-    direction = TracelessDirection.toward(bell_state())
-    assert type(partial_transpose(direction, shape)) is np.ndarray
-    assert negativity(bell_state(), shape) == pytest.approx(0.5, abs=ATOL)
-    assert not is_ppt(bell_state(), shape)
+    ta = partial_transpose(bell_state()[None], shape)
+    assert type(ta) is np.ndarray and ta.shape == (1, 4, 4)
+    assert np.allclose(np.linalg.eigvalsh(ta), [[-0.5, 0.5, 0.5, 0.5]], atol=ATOL)
+    assert ppt_mask(bell_state()[None], shape).tolist() == [False]
 
 
 def test_werner_ppt_threshold():
-    """The PT spectrum of p*Bell + (1-p)*I/4 has minimum (1-3p)/4."""
+    """The PT spectrum of p*Bell + (1-p)*I/4 has minimum (1-3p)/4, and no
+    negative eigenvalue up to p = 1/3."""
     shape = BipartiteShape(2, 2)
     for p in np.linspace(0.0, 1.0, 21):
-        rho = werner(float(p))
-        got = min_eigenvalue(partial_transpose(rho, shape))
+        rho = werner(float(p))[None]
+        got = np.linalg.eigvalsh(partial_transpose(rho, shape))[0, 0]
         assert got == pytest.approx((1 - 3 * p) / 4, abs=1e-12)
-        assert is_ppt(rho, shape) == (p <= 1 / 3 + 1e-12)
+        assert ppt_mask(rho, shape).tolist() == [p <= 1 / 3 + 1e-12]
 
 
 def test_werner_ppt_decision_at_the_tolerance():
@@ -284,10 +196,10 @@ def test_werner_ppt_decision_at_the_tolerance():
     margins of ~1e-12 against ~1e-16 of rounding."""
     shape = BipartiteShape(2, 2)
     for lam, want in ((-2 * PPT_TOL, False), (-0.5 * PPT_TOL, True)):
-        rho = werner((1 - 4 * lam) / 3)
-        assert min_eigenvalue(partial_transpose(rho, shape)) == pytest.approx(lam, abs=1e-15)
-        assert ppt_mask(rho[None], shape).tolist() == [want]
-        assert is_ppt(rho, shape) is want
+        rho = werner((1 - 4 * lam) / 3)[None]
+        got = np.linalg.eigvalsh(partial_transpose(rho, shape))[0, 0]
+        assert got == pytest.approx(lam, abs=1e-15)
+        assert ppt_mask(rho, shape).tolist() == [want]
 
 
 # Complex shapes catch a wrongly conjugated Schur update, which real ones
@@ -629,13 +541,3 @@ def test_min_eigenvalues_reject_non_finite_entries(bad):
     h[3, 4, 1] = bad
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         min_eigenvalues(h)
-
-
-def test_min_eigenvalue_matches_eigvalsh():
-    a = random_hermitian(5, 9)
-    assert min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-13)
-
-
-def test_negativity_vanishes_on_ppt_states():
-    shape = BipartiteShape(2, 2)
-    assert negativity(werner(0.2), shape) == pytest.approx(0.0, abs=1e-12)

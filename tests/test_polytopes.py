@@ -16,7 +16,6 @@ import scipy.optimize
 
 from statebody import polytopes
 from statebody import (
-    FaceTieError,
     RngStream,
     TangentBody,
     UnboundedBodyError,
@@ -26,8 +25,6 @@ from statebody import (
     mc_area,
     mc_gamma,
     mc_volume,
-    polar_contact,
-    polar_radial,
     random_unit_generators,
     simplex_generators,
 )
@@ -173,49 +170,45 @@ def test_unbounded_body_is_rejected():
 # radial function and contacts
 
 
+def binding(body: TangentBody, direction) -> tuple:
+    """(1 / r, binding generator, tie) along one direction, normalized, from
+    the binding kernel on a stack of one."""
+    d = np.asarray(direction, dtype=float)
+    smax, idx, ties = polytopes._binding(body, (d / np.linalg.norm(d))[None])
+    return float(smax[0]), int(idx[0]), bool(ties[0])
+
+
 def test_polar_radial_cube():
     body = TangentBody(cube_generators(3))
-    assert polar_radial(body, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
-    assert polar_radial(body, [1.0, 1.0, 1.0]) == pytest.approx(math.sqrt(3.0))
-    # scaling the direction must not matter
-    assert polar_radial(body, [0.2, 0.2, 0.2]) == pytest.approx(math.sqrt(3.0))
+    assert 1 / binding(body, [1.0, 0.0, 0.0])[0] == pytest.approx(1.0)
+    assert 1 / binding(body, [1.0, 1.0, 1.0])[0] == pytest.approx(math.sqrt(3.0))
 
 
 def test_polar_radial_cross():
     body = TangentBody(cross_generators(2))
     # faces at distance 1 along the diagonals, vertices at sqrt(2) on the axes
-    assert polar_radial(body, [1.0, 1.0]) == pytest.approx(1.0)
-    assert polar_radial(body, [1.0, 0.0]) == pytest.approx(math.sqrt(2.0))
+    assert 1 / binding(body, [1.0, 1.0])[0] == pytest.approx(1.0)
+    assert 1 / binding(body, [1.0, 0.0])[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_polar_contact_rectangle():
+    """The face met and its height 1 / |y|: the short generator's face lies
+    at 1.5, the unit ones' at 1."""
     body = TangentBody(RECT)
-    c = polar_contact(body, [0.0, 1.0])
-    assert c.generator_index == 3
-    assert c.support_distance == pytest.approx(1.5)
-    assert np.allclose(c.point, [0.0, 1.5])
-    assert np.allclose(c.normal, [0.0, 1.0])
-    c2 = polar_contact(body, [1.0, 0.0])
-    assert c2.support_distance == pytest.approx(1.0)
+    smax, idx, tie = binding(body, [0.0, 1.0])
+    assert (idx, tie) == (3, False)
+    assert 1 / smax == pytest.approx(1.5)
+    assert 1 / np.linalg.norm(body.generators[idx]) == pytest.approx(1.5)
+    _, idx, _ = binding(body, [1.0, 0.0])
+    assert 1 / np.linalg.norm(body.generators[idx]) == pytest.approx(1.0)
 
 
 def test_polar_contact_tie_on_edge():
-    body = TangentBody(cube_generators(2))
-    with pytest.raises(FaceTieError):
-        polar_contact(body, [1.0, 1.0])
-    # the radial function itself is still fine on edges
-    assert polar_radial(body, [1.0, 1.0]) == pytest.approx(math.sqrt(2.0))
-
-
-def test_direction_validation():
-    body = TangentBody(cube_generators(2))
-    with pytest.raises(ValueError):
-        polar_radial(body, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        polar_radial(body, [0.0, 0.0])
-    # one vector per call: a matrix is not read as its flattened entries
-    with pytest.raises(ValueError, match="one vector"):
-        polar_radial(TangentBody(cube_generators(4)), np.eye(2))
+    """Two generators bind along a square's diagonal; the radial function is
+    still defined there."""
+    smax, _, tie = binding(TangentBody(cube_generators(2)), [1.0, 1.0])
+    assert tie
+    assert 1 / smax == pytest.approx(math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +341,12 @@ def test_intersection_radial_is_pointwise_min():
     cut = intersect_bodies(a, b)
     assert cut.n_generators == 8
     gen = np.random.default_rng(3)
-    for _ in range(25):
-        d = gen.standard_normal(2)
-        assert polar_radial(cut, d) == pytest.approx(
-            min(polar_radial(a, d), polar_radial(b, d)), abs=1e-12
-        )
+    dirs = gen.standard_normal((25, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # r = 1 / smax
+    smax = [polytopes._binding(body, dirs)[0] for body in (cut, a, b)]
+    np.testing.assert_allclose(1 / smax[0], np.minimum(1 / smax[1], 1 / smax[2]),
+                               rtol=0, atol=1e-12)
 
 
 def test_intersection_dimension_mismatch():

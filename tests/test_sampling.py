@@ -21,8 +21,6 @@ from statebody import (
     cross_validate_area,
     cube_generators,
     estimate_omega,
-    hermitian_part,
-    hs_inner,
     inner_law,
     inscribed_radius,
     mc_gamma,
@@ -447,7 +445,8 @@ def _full_stack_boundary(shape, rng, size):
 
 def _full_stack_direction(shape, rng, size):
     n = shape.n
-    h = hermitian_part(sampling._ginibre(rng.generator(), (size, n, n), shape.field))
+    g = sampling._ginibre(rng.generator(), (size, n, n), shape.field)
+    h = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
     tr = np.trace(h, axis1=-2, axis2=-1).real
     h = h - (tr / n)[:, None, None] * np.eye(n, dtype=h.dtype)
     nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))

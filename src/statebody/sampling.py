@@ -9,41 +9,46 @@ and joins one helper thread (below), about 0.37 ms whatever its size, so a
 caller that wants many draws should draw one stack, not loop over single
 draws.
 
-Draws stream through row blocks. A stack sampler allocates the real and
-imaginary Gaussian parts of its whole stack, and its output, once. One helper
-thread per call fills the parts from the generator in the order and with the
-numbers of an unblocked draw: the real part of a complex draw in one call,
-then the last part one block of ``hermitian.row_blocks`` per call. Meanwhile
-the boundary sampler draws psi from its own stream, and the calling thread
-runs everything after the draw on each block whose fills are done, copying it
-once into a batch-last real buffer. The helper runs only the generator, so
-every line of this package runs on the caller's thread, and it is joined
-before the sampler returns. The state samplers project the block off psi
-and form the lower triangle of its Gram matrices with one contraction per
-row, batched along the last axis, so no matrix takes a BLAS call of its own.
-The mirror image fills the upper triangle, so every state is exactly
-Hermitian, and the trace is the diagonal summed in index order. They write
-into an (N, N, size) output and return its (size, N, N) view. The direction
-sampler forms (G + G^dag)/2 from the same buffers. No full-stack temporary
-is formed, and no row's bits depend on its block: the output equals the
-same steps run on the whole stack at once, bit for bit.
+Draws stream through row blocks. A stack sampler allocates the variates of
+its whole stack, and its output, once. One helper thread per call fills them
+from the generator in the order and with the numbers of an unblocked draw:
+every part but the last in one call, then the last part one block of
+``hermitian.row_blocks`` per call. Meanwhile the boundary sampler draws psi
+from its own stream, and the calling thread runs everything after the draw
+on each block whose fills are done, copying it once into a batch-last real
+buffer. The helper runs only the generator, so every line of this package
+runs on the caller's thread, and it is joined before the sampler returns.
+The state samplers form the lower triangle of the block's Gram matrices with
+one contraction per row, batched along the last axis, so no matrix takes a
+BLAS call of its own. The mirror image fills the upper triangle, so every
+state is exactly Hermitian, and the trace is the diagonal summed in index
+order. They write into an (N, N, size) output and return its (size, N, N)
+view. The direction sampler forms (G + G^dag)/2 from Ginibre blocks. No
+full-stack temporary is formed, and no row's bits depend on its block: the
+output equals the same steps run on the whole stack at once, bit for bit.
 
 ========================  =====================================================
-sampler                   distribution
+sampler                   distribution and draw
 ========================  =====================================================
-sample_state_hs           Hilbert-Schmidt (flat) measure on the state body
+sample_state_hs           Hilbert-Schmidt (flat) measure on the state body:
+                          L L^dag / Tr of a Bartlett factor L (diagonal
+                          gammas, then the normals below the diagonal)
 sample_boundary_state_hs  induced surface measure on the boundary (one
                           eigenvalue exactly zero), with the zero
-                          eigenvectors
+                          eigenvectors: a projected Ginibre Gram matrix
+                          (the real, then the imaginary Gaussian parts)
 sample_direction          uniform on the unit sphere of traceless Hermitian
-                          (or real symmetric) matrices
+                          (or real symmetric) matrices: the traceless
+                          Hermitian part of a Ginibre matrix
 ========================  =====================================================
 
-Both state samplers normalize a Ginibre Gram matrix G G^dag. For the interior
-a square G reproduces the flat measure in the complex case, and an N x (N+1)
-real G in the real case. A boundary draw takes one column more and projects
-G off a uniform unit vector psi before forming the Gram matrix, so psi is the
-zero eigenvector. Its nonzero eigenvalues then carry the density obtained by
+The flat measure is the law of a normalized Ginibre Gram matrix G G^dag, with
+a square G in the complex case and an N x (N+1) real G in the real case. The
+interior sampler draws the Bartlett factor L of G G^dag instead, which has
+the same law with N (N-1) normals and N gammas in place of 2 N^2 normals
+(complex). A boundary draw forms the Gram matrix of a Ginibre G with one
+column more, projected off a uniform unit vector psi, so psi is the zero
+eigenvector. Its nonzero eigenvalues then carry the density obtained by
 setting the smallest eigenvalue to zero in the flat-measure eigenvalue
 density:
 
@@ -61,6 +66,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -127,74 +133,83 @@ def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
 
 
 @contextmanager
-def _ginibre_blocks(gen: np.random.Generator, shape: tuple, field: str):
-    """Blocks of a (size, n, cols) Ginibre draw, filled on a helper thread.
+def _filled_blocks(parts: list, size: int):
+    """Row blocks of a draw whose parts are filled on a helper thread.
 
-    The real part and, for the complex field, the imaginary part are
-    allocated whole here. One helper thread fills them with
-    ``gen.standard_normal`` in the order of _ginibre's whole draw, and so
-    with its numbers: every part but the last in one call, then the last one
-    ``row_blocks`` block by block. The managed value iterates the pairs
-    (rows, x) in block order, x being the block copied batch-last into a
-    real (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary parts
-    after the real ones, as soon as its fills are done. The caller's work on
-    a block overlaps the fills of later ones, and the with body may draw from
-    another stream, as the boundary sampler's psi, before it iterates. The
-    helper runs nothing but ``standard_normal``. On leaving, fills not yet
-    started are cancelled and the helper is joined, so an error in a fill or
-    in the caller's work leaves no thread behind.
+    ``parts`` lists (fill, out) pairs in stream order: ``out`` an array
+    allocated whole with the stack on its first axis, ``fill`` a generator
+    method called as ``fill(out=...)``. One helper thread fills every part
+    but the last whole, one call each, then the last one ``row_blocks``
+    block by block, so each part gets the numbers of one whole call. The
+    managed value iterates the blocks' row slices in order, each as soon as
+    its fills are done. The caller's work on a block overlaps the fills of
+    later ones, and the with body may draw from another stream, as the
+    boundary sampler's psi, before it iterates. The helper runs nothing but
+    the fills. On leaving, fills not yet started are cancelled and the
+    helper is joined, so an error in a fill or in the caller's work leaves
+    no thread behind.
     """
-    size, n, cols = shape
-    parts = [np.empty(shape) for _ in range(1 + (field == "complex"))]
+    *whole, (last_fill, last) = parts
     blocks = row_blocks(size)
-    outs = chain(parts[:-1], (parts[-1][rows] for rows in blocks))
+    fills = chain(whole, ((last_fill, last[rows]) for rows in blocks))
     queued = deque()
     pool = ThreadPoolExecutor(1)
 
     def fill_ahead():
-        for out in islice(outs, _FILLS_AHEAD - len(queued)):
-            queued.append(pool.submit(gen.standard_normal, out=out))
+        for fill, out in islice(fills, _FILLS_AHEAD - len(queued)):
+            queued.append(pool.submit(fill, out=out))
 
     def next_fill():
         fill_ahead()
         queued.popleft().result()
 
-    def copies():
-        for _ in parts[:-1]:
+    def ready():
+        for _ in whole:
             next_fill()
         for rows in blocks:
             next_fill()
-            x = np.empty((n, len(parts) * cols, rows.stop - rows.start))
-            for i, part in enumerate(parts):
-                x[:, i * cols:(i + 1) * cols] = np.moveaxis(part[rows], 0, -1)
-            yield rows, x
+            yield rows
 
     try:
         fill_ahead()
-        yield copies()
+        yield ready()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
+def _ginibre_parts(gen: np.random.Generator, shape: tuple, field: str) -> list:
+    """The (fill, out) parts of a Ginibre draw of ``shape``, in _ginibre's
+    order: the real part, then for the complex field the imaginary part."""
+    return [(gen.standard_normal, np.empty(shape)) for _ in range(1 + (field == "complex"))]
+
+
+def _batch_last_block(parts: list, rows: slice) -> np.ndarray:
+    """Block ``rows`` of the (size, n, cols) Ginibre parts copied batch-last
+    into a real (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary
+    parts after the real ones."""
+    b, n, cols = parts[0][1][rows].shape
+    x = np.empty((n, len(parts) * cols, b))
+    for i, (_, out) in enumerate(parts):
+        x[:, i * cols:(i + 1) * cols] = np.moveaxis(out[rows], 0, -1)
+    return x
+
+
 def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
-                cols: int, psi_rng: RngStream | None = None):
-    """The (size, n, n) stack G G^dag / Tr G G^dag of n x cols Ginibre
-    matrices G: a view of the (n, n, size) array that the blocks are written
-    into. Given ``psi_rng``, each G is first projected off a unit vector
-    drawn from that stream while the helper fills G, and the pair (states,
-    psi) is returned."""
+                cols: int, psi_rng: RngStream):
+    """The pair (states, psi): the (size, n, n) stack P G G^dag P / Tr of
+    n x cols Ginibre matrices G projected by P = I - psi psi^dag off unit
+    vectors psi, drawn from ``psi_rng`` while the helper fills G. The states
+    are a view of the (n, n, size) array that the blocks are written into."""
     out = np.empty((n, n, size), dtype=_dtype(field))
-    with _ginibre_blocks(gen, (size, n, cols), field) as blocks:
-        psi = None
-        if psi_rng is not None:
-            psi = _ginibre(psi_rng.generator(), (size, n), field)
-            psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-        for rows, x in blocks:
-            if psi is not None:
-                _project(x, psi[rows])
+    parts = _ginibre_parts(gen, (size, n, cols), field)
+    with _filled_blocks(parts, size) as blocks:
+        psi = _ginibre(psi_rng.generator(), (size, n), field)
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        for rows in blocks:
+            x = _batch_last_block(parts, rows)
+            _project(x, psi[rows])
             _gram(x, out[..., rows])
-    states = np.moveaxis(out, -1, 0)
-    return states if psi is None else (states, psi)
+    return np.moveaxis(out, -1, 0), psi
 
 
 def _project(x: np.ndarray, psi: np.ndarray):
@@ -249,13 +264,67 @@ def _gram(x: np.ndarray, out: np.ndarray):
     np.divide(re, tr, out=out.real)
 
 
+def _bartlett_shapes(n: int, field: str) -> np.ndarray:
+    """Gamma shapes k_i of the squared diagonal L_ii^2 / 2 of the Bartlett
+    factor of an n x c Ginibre Gram matrix: c - i complex, (c - i) / 2 real,
+    with c = n complex and n + 1 real, the flat measure's column counts."""
+    i = np.arange(n)
+    return n - i if field == "complex" else (n + 1 - i) / 2
+
+
+def _bartlett_stack(gen: np.random.Generator, field: str, size: int,
+                    shapes: np.ndarray) -> np.ndarray:
+    """The (size, n, n) stack L L^dag / Tr L L^dag of n x n lower triangular
+    factors L with L_ii = sqrt(2 Gamma(shapes[i])) and standard normal
+    entries below the diagonal, complex ones with i.i.d. parts: a view of the
+    (n, n, size) array that the blocks are written into.
+
+    One ``standard_gamma`` call fills the (size, n) diagonal gammas, then
+    ``standard_normal`` fills the entries below the diagonal block by block,
+    in the C order of the stack: matrix by matrix, row by row, a complex
+    entry's real part before its imaginary part, as a complex array lies in
+    memory. Each block is scattered into a zero batch-last L, whose Gram
+    matrices ``_gram`` forms as for a Ginibre block.
+    """
+    n = len(shapes)
+    parts = 1 + (field == "complex")
+    below_i, below_j = np.tril_indices(n, -1)
+    at_i = np.repeat(below_i, parts)
+    at_j = (below_j[:, None] + n * np.arange(parts)).ravel()
+    d = np.arange(n)
+    gam = np.empty((size, n))
+    z = np.empty((size, len(below_i), parts))
+    out = np.empty((n, n, size), dtype=_dtype(field))
+    with _filled_blocks([(partial(gen.standard_gamma, shapes), gam),
+                         (gen.standard_normal, z)], size) as blocks:
+        for rows in blocks:
+            b = rows.stop - rows.start
+            x = np.zeros((n, parts * n, b))
+            x[d, d] = np.sqrt(2.0 * gam[rows].T)
+            x[at_i, at_j] = z[rows].reshape(b, -1).T
+            _gram(x, out[..., rows])
+    return np.moveaxis(out, -1, 0)
+
+
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
     """A (size, N, N) stack of states distributed by the flat Hilbert-Schmidt
-    measure on the body."""
+    measure on the body.
+
+    rho = L L^dag / Tr L L^dag, with L the Bartlett factor of the Gram matrix
+    G G^dag of an N x N complex (N x (N+1) real) Ginibre matrix G, which has
+    the same (Wishart) law (Bartlett 1933; Goodman, Ann. Math. Stat. 34, 152
+    (1963) for the complex field): L is lower triangular, L_ii^2 / 2 is
+    Gamma(N - i) distributed (Gamma((N + 1 - i) / 2) real), i = 0..N-1, and
+    the entries below the diagonal are standard normal, with i.i.d. real and
+    imaginary parts. All are independent. The stream gives first the (size,
+    N) diagonal gammas, in one call, then the standard normals below the
+    diagonal in the C order of the stack, each complex entry's real part
+    before its imaginary part. A complex draw takes N (N-1) normals and N
+    gammas, against 2 N^2 normals for G.
+    """
     size = _integer("size", size, 0)
-    n = shape.n
-    cols = n if shape.field == "complex" else n + 1
-    return _gram_stack(rng.generator(), shape.field, size, n, cols)
+    return _bartlett_stack(rng.generator(), shape.field, size,
+                           _bartlett_shapes(shape.n, shape.field))
 
 
 def boundary_eigenvalues_laguerre(
@@ -270,10 +339,14 @@ def boundary_eigenvalues_laguerre(
     eigenvalues of B B^T have density prod |l_i - l_j|^beta prod l_i^beta
     exp(-sum l_i / 2); f is homogeneous, so dividing a spectrum by its sum
     gives exactly the law f on the simplex. Rows are i.i.d. and share no
-    Ginibre draw, projection or Gram matrix with production; they share only
-    ``eigvalsh``. It is the independent oracle for the spectra of production
-    boundary states, used only by the sampler battery and the tests. Returns
-    a (size, N-1) array of eigenvalue rows summing to one, sorted ascending.
+    Ginibre draw, projection or Gram matrix with the route they check, the
+    boundary sampler's projected Ginibre Gram matrix; they share only
+    ``eigvalsh``. Like the interior sampler's Bartlett factor, B is a
+    triangular factor with chi-distributed entries, but it checks only the
+    boundary route. It is the independent oracle for the spectra of
+    production boundary states, used only by the sampler battery and the
+    tests. Returns a (size, N-1) array of eigenvalue rows summing to one,
+    sorted ascending.
     """
     m = _integer("n", n, 2) - 1
     _dtype(field)
@@ -337,8 +410,10 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     n = shape.n
     out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)
-    with _ginibre_blocks(rng.generator(), (size, n, n), shape.field) as blocks:
-        for rows, x in blocks:
+    parts = _ginibre_parts(rng.generator(), (size, n, n), shape.field)
+    with _filled_blocks(parts, size) as blocks:
+        for rows in blocks:
+            x = _batch_last_block(parts, rows)
             h = out[rows]
             # the Hermitian part (G + G^dag) / 2, written batch-last
             hb, a = np.moveaxis(h, 0, -1), x[:, :n]

@@ -25,6 +25,7 @@ from statebody import (
     inscribed_radius,
     mc_gamma,
     mc_volume,
+    partial_transpose,
     radius_law,
     sample_boundary_state_hs,
     sample_direction,
@@ -34,6 +35,8 @@ from statebody import (
 from statebody import sampling, validation
 from statebody.hermitian import COUNT_CHUNK
 from statebody.validation import boundary_lmax_cdf_n3
+
+from ginibre_reference import ginibre_gram_states, ginibre_sampler
 
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
@@ -118,11 +121,53 @@ def test_interior_states_are_density_matrices(field):
 
 
 def test_interior_pinned_sample():
-    # frozen regression anchor for the counter-based stream layout
+    # frozen regression anchor for the counter-based stream layout of the
+    # Bartlett draw: the diagonal gammas, then the normals below them
     rho = sample_state_hs(BipartiteShape(1, 3), RngStream(5), size=1)[0]
     assert np.diag(rho).real == pytest.approx(
-        [0.19790234261912282, 0.4777206652342636, 0.3243769921466136], abs=1e-15
+        [0.3240763183969296, 0.51390656125098, 0.16201712035209043], abs=1e-15
     )
+
+
+def _law_statistics(states, shape) -> dict:
+    """Per-state statistics for the interior law test: rho_00 (a Bartlett
+    diagonal that is off moves it), the extreme eigenvalues, the purity and,
+    for a bipartite shape, lambda_min of the partial transpose."""
+    lam = np.linalg.eigvalsh(states)
+    out = {"rho_00": states[:, 0, 0].real, "lambda_min": lam[:, 0],
+           "lambda_max": lam[:, -1], "purity": np.sum(lam ** 2, axis=1)}
+    if shape.k > 1:
+        out["lambda_min_pt"] = np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0]
+    return out
+
+
+def _gamma_shape_off_by_one(which):
+    """The Bartlett draw with diagonal gamma shape ``which`` one too large."""
+    def sample(shape, rng, size):
+        shapes = sampling._bartlett_shapes(shape.n, shape.field).astype(float)
+        shapes[which] += 1
+        return sampling._bartlett_stack(rng.generator(), shape.field, size, shapes)
+    return sample
+
+
+@pytest.mark.parametrize("shape", [BipartiteShape(1, 3), BipartiteShape(2, 2, "real"),
+                                   BipartiteShape(2, 3), BipartiteShape(2, 3, "real")],
+                         ids=str)
+def test_bartlett_states_follow_the_ginibre_gram_law(shape):
+    """Two-sample KS tests of the production (Bartlett) draw against the
+    Ginibre Gram matrices it replaced, on independent streams, pass; the same
+    tests fail for the same draws with the first or the last gamma shape one
+    too large."""
+    size = 20_000
+    want = _law_statistics(ginibre_sampler()(shape, RngStream(6000, 1), size), shape)
+
+    def min_p(sample):
+        got = _law_statistics(sample(shape, RngStream(6000, 0), size), shape)
+        return min(stats.ks_2samp(got[key], want[key]).pvalue for key in want)
+
+    assert min_p(sample_state_hs) > KS_P_MIN
+    for which in (0, -1):
+        assert min_p(_gamma_shape_off_by_one(which)) < 1e-12, which
 
 
 def purity_tail_oracle(field: str) -> float:
@@ -307,7 +352,7 @@ def _short_gram_eigenvalues(n, field, rng, size):
     """Nonzero boundary spectra from the production Gram kernel with one
     column too few."""
     cols = n if field == "complex" else n + 1
-    return np.linalg.eigvalsh(sampling._gram_stack(rng.generator(), field, size, n - 1, cols))
+    return np.linalg.eigvalsh(ginibre_gram_states(rng.generator(), field, size, n - 1, cols))
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -408,31 +453,47 @@ def test_direction_pinned_sample():
 # ---------------------------------------------------------------------------
 # blocked draws
 #
-# Each sampler draws its Gaussian parts whole and runs every later step in
-# row blocks of COUNT_CHUNK. The full-stack formulas below run the same
-# kernels on the whole stack as one batch-last block (the direction one is
-# the batch-first formula as it was before blocking); the blocked samplers
-# must match them bit for bit.
+# Each sampler allocates its variates whole and runs every later step in
+# row blocks of COUNT_CHUNK. The full-stack formulas below draw the variates
+# in one call per part and run the same kernels on the whole stack as one
+# batch-last block (the direction one is the batch-first formula as it was
+# before blocking); the blocked samplers must match them bit for bit.
 
 
-def _one_block(gen, field, size, n, cols, psi=None):
+def _one_block(gen, field, size, n, cols, psi):
     """The Gram kernel on a whole (size, n, cols) Ginibre draw as one block,
-    projected off ``psi`` when given."""
+    projected off ``psi``."""
     parts = [gen.standard_normal((size, n, cols)) for _ in range(1 + (field == "complex"))]
     # in C order, as the samplers' block buffers are: the sums of a
     # contraction follow the layout of its operands
     x = np.ascontiguousarray(np.concatenate([np.moveaxis(part, 0, -1) for part in parts], axis=1))
-    if psi is not None:
-        sampling._project(x, psi)
+    sampling._project(x, psi)
     out = np.empty((n, n, size), dtype=complex if field == "complex" else float)
     sampling._gram(x, out)
     return np.moveaxis(out, -1, 0)
 
 
+def _bartlett_factors(shape, rng, size):
+    """The Bartlett factors L of a whole stack, drawn in one gamma call and
+    one normal call, as a batch-last (n, n, size) buffer, (n, 2n, size) with
+    the imaginary parts after the real ones, in C order."""
+    n, parts = shape.n, 1 + (shape.field == "complex")
+    gen = rng.generator()
+    gam = gen.standard_gamma(sampling._bartlett_shapes(n, shape.field), size=(size, n))
+    below = gen.standard_normal((size, n * (n - 1) // 2, parts))
+    x = np.zeros((n, parts * n, size))
+    d = np.arange(n)
+    x[d, d] = np.sqrt(2.0 * gam).T
+    i, j = np.tril_indices(n, -1)
+    for p in range(parts):
+        x[i, j + p * n] = below[:, :, p].T
+    return x
+
+
 def _full_stack_state(shape, rng, size):
-    n = shape.n
-    cols = n if shape.field == "complex" else n + 1
-    return _one_block(rng.generator(), shape.field, size, n, cols)
+    out = np.empty((shape.n, shape.n, size), dtype=complex if shape.field == "complex" else float)
+    sampling._gram(_bartlett_factors(shape, rng, size), out)
+    return np.moveaxis(out, -1, 0)
 
 
 def _full_stack_boundary(shape, rng, size):
@@ -480,11 +541,13 @@ def test_blocked_samplers_match_full_stack_formulas(shape):
 
 def _matmul_states(shape, rng, size):
     """Interior and boundary states by the batch-first matmul formulas, on
-    the samplers' draws."""
+    the samplers' draws: L L^dag of the Bartlett factors L, and the
+    projected Ginibre Gram matrices."""
     n = shape.n
-    cols = n if shape.field == "complex" else n + 1
-    g = sampling._ginibre(rng.generator(), (size, n, cols), shape.field)
-    g_b = sampling._ginibre(rng.child(0).generator(), (size, n, cols + 1), shape.field)
+    cols = n + 1 if shape.field == "complex" else n + 2
+    x = np.moveaxis(_bartlett_factors(shape, rng, size), -1, 0)
+    g = x[:, :, :n] + 1j * x[:, :, n:] if shape.field == "complex" else x
+    g_b = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
     psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     g_b = g_b - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g_b)
@@ -516,12 +579,13 @@ def test_gram_states_are_hermitian_by_construction(k, m, field):
 
 
 # tracemalloc peak of one call over the bytes it returns, 2x3 complex. The
-# Gaussian parts (as many bytes as the complex output) and the output are
-# whole; everything else is per block. Measured: interior 2.27 (batch-first
-# blocks: 2.40, full-stack samplers: 3.04), boundary 2.25 (2.36, 3.14),
-# direction 2.07 (2.10, 4.03).
+# variates and the output are whole; everything else is per block. The
+# Ginibre parts hold as many bytes as the complex output, the Bartlett
+# gammas and normals 36 of its 72 doubles a state. Measured: interior 1.77
+# (Ginibre Gram route: 2.27, batch-first blocks: 2.40, full-stack samplers:
+# 3.04), boundary 2.25 (2.36, 3.14), direction 2.08 (2.10, 4.03).
 PEAK_CASES = [
-    ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.7),
+    ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.2),
     ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.75),
     ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 3.0),
 ]
@@ -576,6 +640,7 @@ def test_no_statebody_code_runs_off_the_calling_thread():
     def run():
         estimate_omega(shape, 5000, RngStream(4900))
         sample_direction(shape, RngStream(4901), 2 * COUNT_CHUNK + 1)
+        sample_state_hs(BipartiteShape(2, 2, "real"), RngStream(4902), 2 * COUNT_CHUNK + 1)
 
     modules = _modules_off_the_calling_thread(run)
     assert "concurrent.futures.thread" in modules
@@ -592,27 +657,49 @@ def test_samplers_leave_no_thread(size):
 
 
 class _FailingGenerator:
-    """A generator whose second standard_normal call raises."""
+    """A generator whose ``fails``-th fill raises, counting its
+    standard_gamma and standard_normal calls together."""
 
-    def __init__(self, gen):
-        self.gen, self.calls = gen, 0
+    def __init__(self, gen, fails):
+        self.gen, self.fails, self.calls = gen, fails, 0
+
+    def _fill(self, method, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fails:
+            raise FloatingPointError(f"fill {self.fails} failed")
+        return getattr(self.gen, method)(*args, **kwargs)
+
+    def standard_gamma(self, *args, **kwargs):
+        return self._fill("standard_gamma", *args, **kwargs)
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == 2:
-            raise FloatingPointError("fill 2 failed")
-        return self.gen.standard_normal(*args, **kwargs)
+        return self._fill("standard_normal", *args, **kwargs)
 
 
-@pytest.mark.parametrize("psi_rng", [None, RngStream(4921)], ids=["interior", "boundary"])
+def _interior_stack(gen, field):
+    return sampling._bartlett_stack(gen, field, 3 * COUNT_CHUNK,
+                                    sampling._bartlett_shapes(4, field))
+
+
+# (stack over a generator and a field, the fill that fails): the interior
+# draw's first fill is its gammas, its second the first block of normals
+FAILING_FILLS = {
+    "interior": (_interior_stack, 2),
+    "interior-gamma": (_interior_stack, 1),
+    "boundary": (lambda gen, field: sampling._gram_stack(
+        gen, field, 3 * COUNT_CHUNK, 4, 5, RngStream(4921)), 2),
+}
+
+
+@pytest.mark.parametrize("stack,fails", FAILING_FILLS.values(), ids=FAILING_FILLS.keys())
 @pytest.mark.parametrize("field", ["complex", "real"])
-def test_a_failing_fill_raises_and_leaves_no_thread(field, psi_rng):
+def test_a_failing_fill_raises_and_leaves_no_thread(field, stack, fails):
     """The error of a fill reaches the caller, and the fills after it are
     cancelled or finished before the helper is joined."""
     baseline = threading.active_count()
-    gen = _FailingGenerator(RngStream(4920).generator())
-    with pytest.raises(FloatingPointError, match="fill 2 failed"):
-        sampling._gram_stack(gen, field, 3 * COUNT_CHUNK, 4, 5, psi_rng)
+    gen = _FailingGenerator(RngStream(4920).generator(), fails)
+    with pytest.raises(FloatingPointError, match=f"fill {fails} failed"):
+        stack(gen, field)
     assert threading.active_count() == baseline
 
 
@@ -631,7 +718,8 @@ def test_concurrent_callers_get_the_bits_of_serial_calls():
         rng = RngStream(seed)
         states, psi = sample_boundary_state_hs(shape, rng, size)
         return [sample_state_hs(shape, rng, size), states, psi,
-                sample_direction(shape, rng, size)]
+                sample_direction(shape, rng, size),
+                sample_state_hs(BipartiteShape(2, 3, "real"), rng, size)]
 
     serial = [draw_all(seed) for seed in seeds]
     interval = sys.getswitchinterval()

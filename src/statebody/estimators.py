@@ -27,9 +27,13 @@ sampler's PPT fraction.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
-fixed index order. Powers r^D are formed in the log domain and reductions use
-pairwise summation, so estimates are deterministic functions of (config, seed,
-shard count). Every stderr carries a relative floating-point resolution floor:
+fixed index order. Within a chunk the state sweeps stream the samplers'
+batch-last blocks (``state_blocks``, ``boundary_blocks``) through the
+per-block kernels of :mod:`statebody.hermitian`, so omega and the corner
+probe hold O(block) states and the interior laws one Newton group of kept
+rows; no row's result depends on its block. Powers r^D are formed in the log
+domain and reductions use pairwise summation, so estimates are deterministic
+functions of (config, seed, shard count). Every stderr carries a relative floating-point resolution floor:
 degenerate cases (the N = 2 body is a round ball, and the paired area and
 volume samples of a polytope whose every height is r_in are proportional)
 would otherwise report a noise-level stderr and turn acceptance bands into
@@ -45,10 +49,9 @@ import numpy as np
 
 from . import polytopes
 from .geometry import BodySpec, _constraint_minima, _radial_batch
-from .hermitian import (BipartiteShape, _hs_norms, _integer, eigen_counts,
-                        partial_transpose)
+from .hermitian import BipartiteShape, _count_block, _hs_norms, _integer
 from .hermitian import ppt_mask as _ppt_mask
-from .sampling import RngStream, sample_boundary_state_hs, sample_direction, sample_state_hs
+from .sampling import RngStream, boundary_blocks, sample_direction, state_blocks
 
 BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
@@ -305,19 +308,30 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
     return Estimate(value, stderr, len(v), rng.describe(), f"mc_gamma[{body}]")
 
 
-def _in_body(body: BodySpec, states: np.ndarray) -> np.ndarray:
-    """The rows of a (B, N, N) state stack that lie in ``body``: all of them
-    for the full body, those that pass the PPT test for a PPT body."""
-    return states[_ppt_mask(states, body.shape)] if body.kind == "ppt" else states
+def _in_body(body: BodySpec, blocks):
+    """For each batch-last (N, N, b) state block, the (b, N, N) stack of its
+    rows that lie in ``body``: a view of all of them for the full body, a
+    copy of those that pass the PPT test for a PPT body."""
+    def kept(block):
+        states = np.moveaxis(block, -1, 0)
+        return states[_ppt_mask(states, body.shape)] if body.kind == "ppt" else states
+
+    return map(kept, blocks)
 
 
-def _interior_depths(body: BodySpec, stream: RngStream, count: int):
-    """The states of ``count`` uniform draws that lie in ``body``, their depth
-    s = N * lambda_min over its constraints (down to -N * PPT_TOL on a PPT
-    body) and how many minima ``min_eigenvalues`` took from ``eigvalsh``."""
-    states = _in_body(body, sample_state_hs(body.shape, stream, count))
-    lam, fallbacks = _constraint_minima(body, states)
-    return states, body.shape.n * lam.min(axis=0), fallbacks
+def _block_sum(kernel, blocks):
+    """The sum of ``kernel(states)`` over batch-last (N, N, b) state blocks,
+    each seen as its (b, N, N) stack: a count-only sweep, which holds no
+    block past its kernel call."""
+    return sum(map(lambda block: kernel(np.moveaxis(block, -1, 0)), blocks))
+
+
+def _depths(body: BodySpec, stacks):
+    """The depth s = N * lambda_min over the body's constraints of each row
+    of a stream of state stacks that lie in ``body`` (down to -N * PPT_TOL
+    on a PPT body), and how many minima ``eigvalsh`` gave."""
+    lam, fallbacks = _constraint_minima(body, stacks)
+    return body.shape.n * lam.min(axis=0), fallbacks
 
 
 def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> RadiusLaw:
@@ -327,7 +341,7 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
     r^{D-1} / cos(theta) = r^D / h, which for constant height h is the volume
     measure's r^D. So the radius |x - I/N| of a sample_boundary_state_hs
     state (stream child 0) has the law of r(omega) along an interior state
-    rho = I/N + t omega (child 1): its depth s from :func:`_interior_depths`
+    rho = I/N + t omega (child 1): its depth s from :func:`_depths`
     is 1 - t / r(omega), so r(omega) = t / (1 - s). A PPT body keeps the PPT
     rows of both sides: the partial transpose is an isometry fixing I/N, so
     the reflected faces the boundary sampler never reaches carry the same
@@ -342,12 +356,19 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
     n = _integer("n", n, 2)
 
     def boundary(stream, count):
-        states = _in_body(body, sample_boundary_state_hs(body.shape, stream, count)[0])
-        return (_hs_norms(states - body.center),)
+        return (np.concatenate([_hs_norms(states - body.center) for states in
+                                _in_body(body, boundary_blocks(body.shape, stream, count))]),)
 
     def interior(stream, count):
-        states, s, _ = _interior_depths(body, stream, count)
-        return (_hs_norms(states - body.center) / (1.0 - s),)
+        distances = []
+
+        def kept():
+            for states in _in_body(body, state_blocks(body.shape, stream, count)):
+                distances.append(_hs_norms(states - body.center))
+                yield states
+
+        s, _ = _depths(body, kept())
+        return (np.concatenate(distances) / (1.0 - s),)
 
     (r_bdy,) = _sweep(n, rng.child(0), shards, boundary)
     (r_int,) = _sweep(n, rng.child(1), shards, interior)
@@ -366,7 +387,7 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     parallel body at depth e is the scaled copy (1 - e/r_in) K (Schneider,
     Convex Bodies, 2nd ed., 2014), and for rho uniform in K the depth
     s = dist(rho, boundary) / r_in has P(s > x) = (1 - x)^D: s ~ Beta(1, D),
-    whose density at 0 is gamma = r_in * A / V = D. :func:`_interior_depths`
+    whose density at 0 is gamma = r_in * A / V = D. :func:`_depths`
     gives s = N * lambda_min; the minima it takes from ``eigvalsh`` are
     counted in ``n_fallback``.
 
@@ -387,7 +408,7 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
     n = _integer("n", n, 2)
 
     def kernel(stream, count):
-        _, s, fallbacks = _interior_depths(body, stream, count)
+        s, fallbacks = _depths(body, _in_body(body, state_blocks(body.shape, stream, count)))
         t = -np.log1p(-np.clip(s, 0.0, 1.0))
         u = -np.expm1(-body.dim * t)
         bins = np.minimum((u * LAW_BINS).astype(np.intp), LAW_BINS - 1)
@@ -416,11 +437,13 @@ def inner_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> InnerL
 
 
 def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
-                  shards: int, draw) -> Estimate:
-    """PPT fraction of n states that ``draw(stream, count)`` returns in chunks."""
+                  shards: int, blocks) -> Estimate:
+    """PPT fraction of n states that ``blocks(shape, stream, count)`` yields
+    chunk by chunk as batch-last state blocks, each tested as it comes."""
     n = _integer("n", n, 2)
-    (hits,) = _sweep(n, rng, shards, lambda stream, count: (
-        _ppt_mask(draw(stream, count), shape).sum(keepdims=True),))
+    (hits,) = _sweep(n, rng, shards, lambda stream, count: (np.array([_block_sum(
+        lambda states: int(np.count_nonzero(_ppt_mask(states, shape))),
+        blocks(shape, stream, count))]),))
     p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"{label}[{shape}]")
 
@@ -430,16 +453,14 @@ def estimate_p_interior(shape: BipartiteShape, n: int, rng: RngStream,
     """PPT probability of Hilbert-Schmidt interior samples: exactly 1 on
     K = 1, where the partial transpose is a full transpose and keeps the
     spectrum. Only the ratios built on PPT fractions need K >= 2."""
-    return _ppt_fraction("p_interior", shape, n, rng, shards, lambda stream, count:
-                         sample_state_hs(shape, stream, count))
+    return _ppt_fraction("p_interior", shape, n, rng, shards, state_blocks)
 
 
 def estimate_p_boundary(shape: BipartiteShape, n: int, rng: RngStream,
                         shards: int = 1) -> Estimate:
     """PPT probability of boundary samples under the surface measure;
     exactly 1 on K = 1, as for :func:`estimate_p_interior`."""
-    return _ppt_fraction("p_boundary", shape, n, rng, shards, lambda stream, count:
-                         sample_boundary_state_hs(shape, stream, count)[0])
+    return _ppt_fraction("p_boundary", shape, n, rng, shards, boundary_blocks)
 
 
 def _with_hits(est: Estimate, route: str, shape: BipartiteShape) -> Estimate:
@@ -485,9 +506,11 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     log(d_j / d_{j+1}); both are None when a count is 0. a is measured near
     1 on 2x2 and 2x3 complex, not a law: on 2x2 real it read 0.57 to 0.91
     over the decades from 1e-1 to 1e-6. No spectrum is
-    computed: :func:`~statebody.hermitian.eigen_counts` counts the
-    eigenvalues of T_A(rho) below +delta and below -delta, and a state is
-    near the corner when the first count is the larger. Deltas must be finite,
+    computed: the per-block kernel of
+    :func:`~statebody.hermitian.eigen_counts` counts the eigenvalues of
+    T_A(rho) below +delta and below -delta on each boundary block, formed in
+    its own copy, and a state is near the corner when the first count is
+    the larger. Deltas must be finite,
     positive and strictly decreasing. A shape with no PPT section (K = 1)
     raises ValueError.
     """
@@ -498,13 +521,14 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
         raise ValueError(f"deltas must be finite and positive, got {deltas}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError(f"deltas must be strictly decreasing, got {deltas}")
-    xs = np.array(deltas + [-d for d in deltas])
+    xs = np.array(deltas + [-d for d in deltas])[:, None]
+
+    def near(states):
+        below = _count_block(states, xs, shape)
+        return np.count_nonzero(below[:len(deltas)] > below[len(deltas):], axis=1)
 
     def kernel(stream, count):
-        states, _ = sample_boundary_state_hs(shape, stream, count)
-        below = eigen_counts(partial_transpose(states, shape), xs)
-        near = below[:len(deltas)] > below[len(deltas):]
-        return (near.sum(axis=1)[None],)
+        return (_block_sum(near, boundary_blocks(shape, stream, count))[None],)
 
     (counts,) = _sweep(n, rng, shards, kernel)
     counts = [int(c) for c in counts.sum(axis=0)]

@@ -22,10 +22,10 @@ import numpy as np
 
 from .hermitian import (
     BipartiteShape,
+    _block_minima,
     _hs_norms,
     _integer,
     maximally_mixed,
-    min_eigenvalues,
     partial_transpose,
 )
 
@@ -77,23 +77,21 @@ def inscribed_radius(n: int) -> float:
     return 1.0 / np.sqrt((n - 1.0) * n)
 
 
-def _constraint_minima(body: BodySpec, mats: np.ndarray):
-    """lambda_min of each of the body's constraints on a (B, N, N) stack, as a
-    (constraints, B) array: row 0 of the matrices themselves and, on a PPT
-    body, row 1 of their partial transposes; and how many minima
-    ``min_eigenvalues`` took from ``eigvalsh``."""
-    lam, fallbacks = min_eigenvalues(mats)
-    if body.kind == "full":
-        return lam[None], fallbacks
-    lam_pt, more = min_eigenvalues(partial_transpose(mats, body.shape))
-    return np.stack([lam, lam_pt]), fallbacks + more
+def _constraint_minima(body: BodySpec, blocks):
+    """lambda_min of each of the body's constraints on the rows of a sequence
+    of (b, N, N) stack blocks, as a (constraints, rows) array: row 0 of the
+    matrices themselves and, on a PPT body, row 1 of their partial
+    transposes; and how many minima ``eigvalsh`` gave. The blocks may be
+    streamed: one NEWTON_ROWS group of them is held at a time."""
+    shapes = (None,) if body.kind == "full" else (None, body.shape)
+    return _block_minima(blocks, shapes)
 
 
 def _radial_batch(body: BodySpec, omegas: np.ndarray) -> np.ndarray:
     """Radii 1 / (N * -lambda_min) of each constraint along a stack of
     directions, a (constraints, B) array: its column minimum is r(omega), and
     row 0 alone bounds the full body."""
-    lam, _ = _constraint_minima(body, omegas)
+    lam, _ = _constraint_minima(body, [omegas])
     if np.any(lam[0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
     return 1.0 / (body.shape.n * -lam)

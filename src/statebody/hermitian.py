@@ -18,6 +18,13 @@ interior laws and the direction sweeps of the radial kernel. A row of
 either path gets the same bits alone as in any stack. ``eigvalsh`` is left
 for whole spectra (the sampler battery), the one ``eigh`` of
 ``geometry.support_height`` and the rows ``min_eigenvalues`` cannot certify.
+
+Each stack kernel runs a per-block kernel on the stack's row blocks:
+:func:`_ppt_block`, :func:`_count_block` and :func:`_block_minima`. The
+sweeps that stream the samplers' blocks call them directly, on one block
+at a time. Each reads its (b, N, N) block, never writes it, and works on
+its own batch-last copy, which the count and minimum kernels can form as
+the block's partial transposes, so no transposed stack is built.
 """
 
 from __future__ import annotations
@@ -28,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 PPT_TOL = 1e-12
-# rows per row_blocks block of the blocked stack kernels: eigen_counts,
+# rows per row_blocks block of the blocked kernels: eigen_counts,
 # min_eigenvalues, ppt_mask and the samplers, each on a batch-last copy of its
-# block (a sampler's helper also fills the Gaussian parts a block at a time).
-# Each block's working set stays small while the output stack is written once. On a 2-core VM, 32,768 2x3 complex
-# eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
+# block (a sampler's helper also fills the last Gaussian part a block at a
+# time), so each block's working set stays small. On a 2-core VM, 32,768 2x3
+# complex eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
 COUNT_CHUNK = 2048
 
 
@@ -51,12 +58,15 @@ def row_blocks(size: int, block: int = COUNT_CHUNK) -> list:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [size])]
 
 
-def _batch_last(block: np.ndarray) -> np.ndarray:
-    """A private C-order copy of a block of a stack with the stack on the
-    last axis, in at least float64, so each step of a batched kernel works
-    on contiguous runs and writes only to this copy."""
-    return np.array(np.moveaxis(block, 0, -1),
-                    dtype=np.result_type(block.dtype, np.float64), order="C")
+def _batch_last(block: np.ndarray, shape: BipartiteShape | None = None) -> np.ndarray:
+    """A private C-order (n, n, b) copy of a (b, n, n) block of a stack with
+    the stack on the last axis, in at least float64, so each step of a
+    batched kernel works on contiguous runs and writes only to this copy.
+    With a ``shape`` the copy holds the partial transposes of the block."""
+    n = block.shape[-1]
+    a = block if shape is None else _pt_blocks(block, shape)
+    return np.array(np.moveaxis(a, 0, -1), dtype=np.result_type(block.dtype, np.float64),
+                    order="C").reshape(n, n, -1)
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
@@ -152,29 +162,38 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     pivot is > 0 exactly when the matrix is positive definite (Sylvester). As
     the LAPACK Hermitian eigensolvers do, it reads one triangle, the lower: the
     row of each Schur update is the conjugate of the pivot column. A state with
-    a failed pivot stays False. The result agrees with "no eigenvalue of T_A(rho) below -PPT_TOL"
-    except within rounding of -PPT_TOL. The sweep runs on blocks of
-    COUNT_CHUNK states, each on its own copy, so it never copies the stack.
+    a failed pivot stays False. The result agrees with "no eigenvalue of
+    T_A(rho) below -PPT_TOL" except within rounding of -PPT_TOL. The sweep
+    runs :func:`_ppt_block` on blocks of COUNT_CHUNK states, so it never
+    copies the stack.
     """
     m = np.asarray(states)
     n = shape.n
-    blocks = _pt_blocks(m, shape).reshape((-1, shape.k, shape.m, shape.k, shape.m))
-    ok = np.ones(len(blocks), dtype=bool)
-    diag = np.arange(n)
-    for rows in row_blocks(len(blocks)):
-        # the sweep writes only to this copy, never to the caller's states
-        # that _pt_blocks views
-        a = _batch_last(blocks[rows]).reshape(n, n, -1)
-        a[diag, diag] += PPT_TOL
-        good = ok[rows]  # a view: the sweep fills ok in place
-        for k in range(n):
-            d = a[k, k].real
-            good &= d > 0
-            # states with a failed pivot get a zero update and stay finite
-            row = np.conj(a[k + 1:, k]) / np.where(good, d, np.inf)
-            for i in range(k + 1, n):
-                a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
+    _pt_blocks(m, shape)  # checks the matrix size
+    flat = m.reshape(-1, n, n)
+    ok = np.empty(len(flat), dtype=bool)
+    for rows in row_blocks(len(flat)):
+        ok[rows] = _ppt_block(flat[rows], shape)
     return ok.reshape(m.shape[:-2])
+
+
+def _ppt_block(block: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """The PPT mask of :func:`ppt_mask` on one (b, N, N) block of states,
+    which it reads but never writes: the sweep runs on its own batch-last
+    copy of their partial transposes."""
+    n = shape.n
+    a = _batch_last(block, shape)
+    diag = np.arange(n)
+    a[diag, diag] += PPT_TOL
+    good = np.ones(len(block), dtype=bool)
+    for k in range(n):
+        d = a[k, k].real
+        good &= d > 0
+        # states with a failed pivot get a zero update and stay finite
+        row = np.conj(a[k + 1:, k]) / np.where(good, d, np.inf)
+        for i in range(k + 1, n):
+            a[i, k + 1:i + 1] -= a[i, k] * row[:i - k]
+    return good
 
 
 def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
@@ -196,9 +215,16 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
     if np.isnan(xs).any():
         raise ValueError("a threshold is NaN; no eigenvalue count is defined")
     counts = np.zeros((len(xs), len(m)), dtype=np.int64)
-    for rows, diag, e2 in _tridiagonal_blocks(m):
-        counts[:, rows] = _sturm_counts(diag, e2, xs)
+    for rows in row_blocks(len(m)):
+        counts[:, rows] = _count_block(m[rows], xs)
     return counts
+
+
+def _count_block(block: np.ndarray, xs: np.ndarray, shape: BipartiteShape | None = None):
+    """The counts of :func:`eigen_counts` on one (b, n, n) block, below each
+    threshold of the (len(xs), 1) array ``xs``; with a ``shape``, those of
+    the block's partial transposes, formed in the kernel's own copy."""
+    return _sturm_counts(*_tridiagonal_block(_batch_last(block, shape)), xs)
 
 
 def min_eigenvalues(mats: np.ndarray):
@@ -222,23 +248,71 @@ def min_eigenvalues(mats: np.ndarray):
     ``np.linalg.LinAlgError``.
     """
     lead = np.shape(mats)[:-2]
-    m = _stack(mats)
-    n = m.shape[-1]
-    out, ok = np.empty(len(m)), np.empty(len(m), dtype=bool)
-    groups = row_blocks(len(m), NEWTON_ROWS)
-    # one workspace, as wide as the largest group, serves every group: the
-    # tridiagonal, its compacted copy and the scratch rows every step writes
-    work = np.empty((7, n, max((g.stop - g.start for g in groups), default=0)))
-    for group in groups:
-        sub = m[group]
-        w = work[:, :, :len(sub)]
-        for rows, diag, e2 in _tridiagonal_blocks(sub):
-            w[0, :, rows], w[1, :-1, rows] = diag, e2
-        out[group], ok[group] = _newton_min(w)
-    fallback = np.flatnonzero(~ok)
-    if len(fallback):
-        out[fallback] = np.linalg.eigvalsh(m[fallback])[:, 0]
-    return out.reshape(lead), len(fallback)
+    lam, fallbacks = _block_minima([_stack(mats)])
+    return lam[0].reshape(lead), fallbacks
+
+
+def _block_minima(blocks, shapes=(None,)):
+    """The :func:`min_eigenvalues` of each row of a sequence of (b, n, n)
+    stack blocks, read but never written, under each entry of ``shapes``:
+    None for the matrices themselves, a :class:`BipartiteShape` for their
+    partial transposes. Returns a (len(shapes), rows) array over the rows
+    of all blocks in order, and how many entries came from ``eigvalsh``.
+
+    The rows run through the Newton iteration in groups of at least
+    NEWTON_ROWS (:func:`_newton_groups`), and only the current group's
+    blocks are held, so a caller that streams its blocks holds
+    O(NEWTON_ROWS) matrices. No row's result depends on its block or its
+    group.
+    """
+    parts = [_group_minima(group, shapes) for group in _newton_groups(blocks)]
+    if not parts:
+        return np.empty((len(shapes), 0)), 0
+    return np.concatenate([lam for lam, _ in parts], axis=1), sum(f for _, f in parts)
+
+
+def _newton_groups(blocks):
+    """The COUNT_CHUNK-row pieces of a sequence of (b, n, n) blocks, in
+    order, gathered into lists of at least NEWTON_ROWS rows; the last list
+    may hold fewer."""
+    group, held = [], 0
+    for block in blocks:
+        for rows in row_blocks(len(block)):
+            group.append(block[rows])
+            held += rows.stop - rows.start
+            if held >= NEWTON_ROWS:
+                yield group
+                group, held = [], 0
+    if group:
+        yield group
+
+
+def _group_minima(group: list, shapes):
+    """lambda_min under each entry of ``shapes`` of the rows of one Newton
+    group of (b, n, n) pieces, as a (len(shapes), rows) array, and how many
+    came from ``eigvalsh``: each piece is reduced on its own batch-last
+    copy into one workspace, the rows the Newton kernel cannot certify are
+    sent to ``eigvalsh``."""
+    n, rows = group[0].shape[-1], sum(map(len, group))
+    lam, fallbacks = np.empty((len(shapes), rows)), 0
+    for c, shape in enumerate(shapes):
+        # the tridiagonals, their compacted copies and the scratch rows
+        # every Newton step writes
+        w = np.empty((7, n, rows))
+        lo = 0
+        for piece in group:
+            hi = lo + len(piece)
+            w[0, :, lo:hi], w[1, :-1, lo:hi] = _tridiagonal_block(_batch_last(piece, shape))
+            lo = hi
+        lam[c], ok = _newton_min(w)
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            mats = np.concatenate(group)[bad]
+            if shape is not None:
+                mats = partial_transpose(mats, shape)
+            lam[c, bad] = np.linalg.eigvalsh(mats)[:, 0]
+            fallbacks += len(bad)
+    return lam, fallbacks
 
 
 def _stack(mats) -> np.ndarray:
@@ -255,28 +329,29 @@ def _stack(mats) -> np.ndarray:
 SCALE_EXP = 100
 
 
-def _tridiagonal_blocks(m: np.ndarray):
-    """For each block of COUNT_CHUNK rows of a (B, n, n) Hermitian stack: its
-    row slice and its tridiagonal's diagonal and squared subdiagonal."""
-    n = m.shape[-1]
-    for rows in row_blocks(len(m)):
-        a = _batch_last(m[rows])
-        if not np.isfinite(a).all():
-            raise np.linalg.LinAlgError(
-                f"non-finite entry in a stack of {n}x{n} matrices")
-        # a matrix whose largest entry lies outside 2^(+-SCALE_EXP) is
-        # scaled by a power of two near it, which is exact, so no reflector
-        # of a tiny or a huge matrix under- or overflows. The float view holds
-        # a complex entry's two parts side by side on the batch axis
-        parts = np.abs(a.view(np.float64)).max(axis=(0, 1))
-        _, exp = np.frexp(parts.reshape(a.shape[-1], -1).max(axis=1))
-        exp[np.abs(exp) <= SCALE_EXP] = 0
-        if exp.any():
-            a *= np.ldexp(1.0, -exp)
-        diag, e2 = _tridiagonal(a)
-        if exp.any():
-            diag, e2 = np.ldexp(diag, exp), np.ldexp(e2, 2 * exp)
-        yield rows, diag, e2
+def _tridiagonal_block(a: np.ndarray):
+    """The diagonal and squared subdiagonal of the tridiagonals of a
+    batch-last (n, n, b) Hermitian copy, which it overwrites. A non-finite
+    entry raises ``np.linalg.LinAlgError``."""
+    n = a.shape[0]
+    # one pass gives each matrix's largest entry, and a NaN or an inf
+    # propagates through it. A matrix whose largest entry lies outside
+    # 2^(+-SCALE_EXP) is scaled by a power of two near it, which is exact,
+    # so no reflector of a tiny or a huge matrix under- or overflows. The
+    # float view holds a complex entry's two parts side by side on the
+    # batch axis
+    parts = np.abs(a.view(np.float64)).max(axis=(0, 1))
+    top = parts.reshape(a.shape[-1], -1).max(axis=1)
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError(f"non-finite entry in a stack of {n}x{n} matrices")
+    _, exp = np.frexp(top)
+    exp[np.abs(exp) <= SCALE_EXP] = 0
+    if exp.any():
+        a *= np.ldexp(1.0, -exp)
+    diag, e2 = _tridiagonal(a)
+    if exp.any():
+        diag, e2 = np.ldexp(diag, exp), np.ldexp(e2, 2 * exp)
+    return diag, e2
 
 
 def _sturm_counts(diag: np.ndarray, e2: np.ndarray, xs) -> np.ndarray:

@@ -3,29 +3,38 @@
 Every sampler is a pure function of an :class:`RngStream` value: calling it
 twice with the same stream and size returns bit-identical output. Distinct
 draws therefore need distinct streams, usually obtained via
-:meth:`RngStream.child`. Samplers always return (size, N, N) stacks; a single
-draw is ``sample_*(shape, rng, 1)[0]``, on the same stream. Each call starts
-and joins one helper thread (below), about 0.37 ms whatever its size, so a
+:meth:`RngStream.child`. Samplers return (size, N, N) stacks; a single draw
+is ``sample_*(shape, rng, 1)[0]``, on the same stream. Each call starts and
+joins one helper thread (below), about 0.37 ms whatever its size, so a
 caller that wants many draws should draw one stack, not loop over single
-draws.
+draws. The state draws also come as block sources, :func:`state_blocks`
+and :func:`boundary_blocks`: iterators of the same states, bit for bit, as
+batch-last (N, N, b) blocks, one per ``hermitian.row_blocks`` slice. The
+stack samplers copy exactly these blocks into their stack, so there is one
+code path, and a sweep that only counts can consume each block before it
+asks for the next, holding O(block) states.
 
-Draws stream through row blocks. A stack sampler allocates the variates of
-its whole stack, and its output, once. One helper thread per call fills them
-from the generator in the order and with the numbers of an unblocked draw:
-every part but the last in one call, then the last part one block of
-``hermitian.row_blocks`` per call. Meanwhile the boundary sampler draws psi
-from its own stream, and the calling thread runs everything after the draw
-on each block whose fills are done, copying it once into a batch-last real
-buffer. The helper runs only the generator, so every line of this package
-runs on the caller's thread, and it is joined before the sampler returns.
-The state samplers form the lower triangle of the block's Gram matrices with
-one contraction per row, batched along the last axis, so no matrix takes a
-BLAS call of its own. The mirror image fills the upper triangle, so every
-state is exactly Hermitian, and the trace is the diagonal summed in index
-order. They write into an (N, N, size) output and return its (size, N, N)
-view. The direction sampler forms (G + G^dag)/2 from Ginibre blocks. No
-full-stack temporary is formed, and no row's bits depend on its block: the
-output equals the same steps run on the whole stack at once, bit for bit.
+Draws stream through row blocks. One helper thread per call fills the
+Gaussian parts from the generator in the order and with the numbers of an
+unblocked draw: every part but the last whole, one call each, then the last
+part one block of ``hermitian.row_blocks`` per call, each into a buffer of
+its own (:func:`_filled_blocks`), so only the parts drawn in one call are
+held whole. Meanwhile the boundary sampler draws the real and imaginary
+normals of psi from its own stream into real buffers, and the calling
+thread runs everything after the draw on each block whose fills are done,
+copying it once into a batch-last real buffer. The helper runs only the
+generator, so every line of this package runs on the caller's thread, and
+it is joined once the draw is consumed, or its iterator closed or
+collected. The state samplers form the lower triangle of the block's Gram
+matrices with one contraction per row, batched along the last axis, so no
+matrix takes a BLAS call of its own. The mirror image fills the upper
+triangle, so every state is exactly Hermitian, and the trace is the
+diagonal summed in index order. Each block is an (N, N, b) array; a stack
+sampler returns the (size, N, N) view of the (N, N, size) array it copies
+the blocks into. The direction sampler forms (G + G^dag)/2 from Ginibre
+blocks. No full-stack temporary is formed, and no row's bits depend on its
+block: the output equals the same steps run on the whole stack at once, bit
+for bit.
 
 ========================  =====================================================
 sampler                   distribution and draw
@@ -37,6 +46,8 @@ sample_boundary_state_hs  induced surface measure on the boundary (one
                           eigenvalue exactly zero), with the zero
                           eigenvectors: a projected Ginibre Gram matrix
                           (the real, then the imaginary Gaussian parts)
+state_blocks,             the states of the two samplers above, as
+boundary_blocks           batch-last blocks
 sample_direction          uniform on the unit sphere of traceless Hermitian
                           (or real symmetric) matrices: the traceless
                           Hermitian part of a Ginibre matrix
@@ -67,7 +78,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -125,50 +137,49 @@ class RngStream:
         return f"{_ALGORITHM}:{self.seed}:{self.stream}"
 
 
-def _ginibre(gen: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
-    """Independent standard Gaussian entries; complex ones get i.i.d. parts."""
-    if field == "complex":
-        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return gen.standard_normal(shape)
-
-
 @contextmanager
-def _filled_blocks(parts: list, size: int):
-    """Row blocks of a draw whose parts are filled on a helper thread.
+def _filled_blocks(whole: list, last: tuple, size: int):
+    """Row blocks of a draw whose Gaussian parts are filled on a helper thread.
 
-    ``parts`` lists (fill, out) pairs in stream order: ``out`` an array
+    ``whole`` lists (fill, out) pairs in stream order: ``out`` an array
     allocated whole with the stack on its first axis, ``fill`` a generator
-    method called as ``fill(out=...)``. One helper thread fills every part
-    but the last whole, one call each, then the last one ``row_blocks``
-    block by block, so each part gets the numbers of one whole call. The
-    managed value iterates the blocks' row slices in order, each as soon as
-    its fills are done. The caller's work on a block overlaps the fills of
-    later ones, and the with body may draw from another stream, as the
-    boundary sampler's psi, before it iterates. The helper runs nothing but
-    the fills. On leaving, fills not yet started are cancelled and the
-    helper is joined, so an error in a fill or in the caller's work leaves
-    no thread behind.
+    method called as ``fill(out=...)``. ``last`` is the (fill, row shape)
+    pair of the part drawn after them. One helper thread fills every part of
+    ``whole`` in one call each, then the last part one ``row_blocks`` block
+    per call, each into a (b, *row shape) buffer of its own, allocated when
+    its fill is queued. So each part gets the numbers of one whole call, and
+    only the parts drawn in one call are held whole: the last part's buffers
+    live from their fill until the caller drops them. The managed value
+    iterates (rows, buffer) pairs in block order, each as soon as its fills
+    are done. The caller's work on a block overlaps the fills of later ones,
+    and the with body may draw from another stream, as the boundary
+    sampler's psi, before it iterates. The helper runs nothing but the
+    fills. On leaving, fills not yet started are cancelled and the helper is
+    joined, so an error in a fill or in the caller's work leaves no thread
+    behind.
     """
-    *whole, (last_fill, last) = parts
+    last_fill, row_shape = last
     blocks = row_blocks(size)
-    fills = chain(whole, ((last_fill, last[rows]) for rows in blocks))
+    fills = chain(whole, ((last_fill, np.empty((rows.stop - rows.start, *row_shape)))
+                          for rows in blocks))
     queued = deque()
     pool = ThreadPoolExecutor(1)
 
     def fill_ahead():
         for fill, out in islice(fills, _FILLS_AHEAD - len(queued)):
-            queued.append(pool.submit(fill, out=out))
+            queued.append((pool.submit(fill, out=out), out))
 
     def next_fill():
         fill_ahead()
-        queued.popleft().result()
+        future, out = queued.popleft()
+        future.result()
+        return out
 
     def ready():
         for _ in whole:
             next_fill()
         for rows in blocks:
-            next_fill()
-            yield rows
+            yield rows, next_fill()
 
     try:
         fill_ahead()
@@ -177,39 +188,89 @@ def _filled_blocks(parts: list, size: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _ginibre_parts(gen: np.random.Generator, shape: tuple, field: str) -> list:
-    """The (fill, out) parts of a Ginibre draw of ``shape``, in _ginibre's
-    order: the real part, then for the complex field the imaginary part."""
-    return [(gen.standard_normal, np.empty(shape)) for _ in range(1 + (field == "complex"))]
+def _ginibre_parts(gen: np.random.Generator, shape: tuple, field: str):
+    """The parts of a Ginibre draw of ``shape`` for :func:`_filled_blocks`:
+    the whole real part first for the complex field, then the last part,
+    the imaginary part (complex) or the real part (real), by blocks."""
+    whole = [(gen.standard_normal, np.empty(shape))] if field == "complex" else []
+    return whole, (gen.standard_normal, shape[1:])
 
 
-def _batch_last_block(parts: list, rows: slice) -> np.ndarray:
-    """Block ``rows`` of the (size, n, cols) Ginibre parts copied batch-last
-    into a real (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary
-    parts after the real ones."""
-    b, n, cols = parts[0][1][rows].shape
+def _batch_last_block(whole: list, rows: slice, last: np.ndarray) -> np.ndarray:
+    """Block ``rows`` of a Ginibre draw copied batch-last into a real
+    (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary parts after
+    the real ones: the rows of the ``whole`` parts, then the last part's
+    (b, n, cols) block buffer ``last``."""
+    parts = [out[rows] for _, out in whole] + [last]
+    b, n, cols = last.shape
     x = np.empty((n, len(parts) * cols, b))
-    for i, (_, out) in enumerate(parts):
-        x[:, i * cols:(i + 1) * cols] = np.moveaxis(out[rows], 0, -1)
+    for i, part in enumerate(parts):
+        x[:, i * cols:(i + 1) * cols] = np.moveaxis(part, 0, -1)
     return x
+
+
+def _unit_rows(normals: list, rows: slice, field: str) -> np.ndarray:
+    """Rows ``rows`` of the unit vectors psi / |psi|: the real, then for the
+    complex field the imaginary, parts of psi are the whole real buffers
+    ``normals``, assembled here without a complex temporary."""
+    re = normals[0][rows]
+    psi = np.empty(re.shape, dtype=_dtype(field))
+    psi.real[...] = re
+    if field == "complex":
+        psi.imag[...] = normals[1][rows]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    return psi
+
+
+def _stacked(blocks, size: int, n: int, field: str) -> np.ndarray:
+    """The (size, n, n) stack of a draw's batch-last (n, n, b) blocks, in
+    row order: a view of the (n, n, size) array they are copied into."""
+    out = np.empty((n, n, size), dtype=_dtype(field))
+    lo = 0
+    for block in blocks:
+        hi = lo + block.shape[-1]
+        out[..., lo:hi] = block
+        lo = hi
+    return np.moveaxis(out, -1, 0)
+
+
+def _gram_blocks(gen: np.random.Generator, field: str, size: int, n: int,
+                 cols: int, psi_rng: RngStream):
+    """For each row block, in order, the pair (states, psi): the batch-last
+    (n, n, b) block of P G G^dag P / Tr of n x cols Ginibre matrices G
+    projected by P = I - psi psi^dag off unit vectors psi, and the block's
+    (b, n) rows of psi. While the helper fills G, the normals of psi are
+    drawn whole from ``psi_rng`` into real buffers, as :func:`_unit_rows`
+    reads them. No block's buffers are held once it is yielded."""
+    whole, last = _ginibre_parts(gen, (size, n, cols), field)
+    with _filled_blocks(whole, last, size) as blocks:
+        psi_gen = psi_rng.generator()
+        normals = [psi_gen.standard_normal((size, n)) for _ in range(1 + (field == "complex"))]
+
+        def block(rows, z):
+            psi = _unit_rows(normals, rows, field)
+            x = _batch_last_block(whole, rows, z)
+            _project(x, psi)
+            out = np.empty((n, n, len(psi)), dtype=_dtype(field))
+            _gram(x, out)
+            return out, psi
+
+        yield from starmap(block, blocks)
 
 
 def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
                 cols: int, psi_rng: RngStream):
-    """The pair (states, psi): the (size, n, n) stack P G G^dag P / Tr of
-    n x cols Ginibre matrices G projected by P = I - psi psi^dag off unit
-    vectors psi, drawn from ``psi_rng`` while the helper fills G. The states
-    are a view of the (n, n, size) array that the blocks are written into."""
-    out = np.empty((n, n, size), dtype=_dtype(field))
-    parts = _ginibre_parts(gen, (size, n, cols), field)
-    with _filled_blocks(parts, size) as blocks:
-        psi = _ginibre(psi_rng.generator(), (size, n), field)
-        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-        for rows in blocks:
-            x = _batch_last_block(parts, rows)
-            _project(x, psi[rows])
-            _gram(x, out[..., rows])
-    return np.moveaxis(out, -1, 0), psi
+    """The pair (states, psi) of :func:`_gram_blocks` as whole stacks: the
+    (size, n, n) states, a view of the (n, n, size) array the blocks are
+    copied into, and the (size, n) unit vectors."""
+    states = np.empty((n, n, size), dtype=_dtype(field))
+    psi = np.empty((size, n), dtype=_dtype(field))
+    lo = 0
+    for block, rows_psi in _gram_blocks(gen, field, size, n, cols, psi_rng):
+        hi = lo + len(rows_psi)
+        states[..., lo:hi], psi[lo:hi] = block, rows_psi
+        lo = hi
+    return np.moveaxis(states, -1, 0), psi
 
 
 def _project(x: np.ndarray, psi: np.ndarray):
@@ -272,19 +333,19 @@ def _bartlett_shapes(n: int, field: str) -> np.ndarray:
     return n - i if field == "complex" else (n + 1 - i) / 2
 
 
-def _bartlett_stack(gen: np.random.Generator, field: str, size: int,
-                    shapes: np.ndarray) -> np.ndarray:
-    """The (size, n, n) stack L L^dag / Tr L L^dag of n x n lower triangular
-    factors L with L_ii = sqrt(2 Gamma(shapes[i])) and standard normal
-    entries below the diagonal, complex ones with i.i.d. parts: a view of the
-    (n, n, size) array that the blocks are written into.
+def _bartlett_blocks(gen: np.random.Generator, field: str, size: int,
+                     shapes: np.ndarray):
+    """The batch-last (n, n, b) blocks, in row order, of the stack
+    L L^dag / Tr L L^dag of n x n lower triangular factors L with
+    L_ii = sqrt(2 Gamma(shapes[i])) and standard normal entries below the
+    diagonal, complex ones with i.i.d. parts.
 
     One ``standard_gamma`` call fills the (size, n) diagonal gammas, then
     ``standard_normal`` fills the entries below the diagonal block by block,
     in the C order of the stack: matrix by matrix, row by row, a complex
     entry's real part before its imaginary part, as a complex array lies in
-    memory. Each block is scattered into a zero batch-last L, whose Gram
-    matrices ``_gram`` forms as for a Ginibre block.
+    memory. Each block is scattered into a zero-padded batch-last L, whose
+    Gram matrices ``_gram`` forms as for a Ginibre block.
     """
     n = len(shapes)
     parts = 1 + (field == "complex")
@@ -293,17 +354,45 @@ def _bartlett_stack(gen: np.random.Generator, field: str, size: int,
     at_j = (below_j[:, None] + n * np.arange(parts)).ravel()
     d = np.arange(n)
     gam = np.empty((size, n))
-    z = np.empty((size, len(below_i), parts))
-    out = np.empty((n, n, size), dtype=_dtype(field))
-    with _filled_blocks([(partial(gen.standard_gamma, shapes), gam),
-                         (gen.standard_normal, z)], size) as blocks:
-        for rows in blocks:
-            b = rows.stop - rows.start
-            x = np.zeros((n, parts * n, b))
-            x[d, d] = np.sqrt(2.0 * gam[rows].T)
-            x[at_i, at_j] = z[rows].reshape(b, -1).T
-            _gram(x, out[..., rows])
-    return np.moveaxis(out, -1, 0)
+    # one zero-padded L per block size, kept across blocks: each block writes
+    # the same entries, so the zeros above the diagonal stay. A fresh zeroed
+    # L per block made glibc trim and regrow its heap block after block: an
+    # interior sweep of 32,768 2x3 complex states took 14,743 page faults
+    # and 61 ms a call, against 1,345 and 43 ms with the L kept
+    factors = {}
+
+    def block(rows, z):
+        b = len(z)
+        if b not in factors:
+            factors[b] = np.zeros((n, parts * n, b))
+        x = factors[b]
+        x[d, d] = np.sqrt(2.0 * gam[rows].T)
+        x[at_i, at_j] = z.reshape(b, -1).T
+        out = np.empty((n, n, b), dtype=_dtype(field))
+        _gram(x, out)
+        return out
+
+    with _filled_blocks([(partial(gen.standard_gamma, shapes), gam)],
+                        (gen.standard_normal, (len(below_i), parts)), size) as blocks:
+        yield from starmap(block, blocks)
+
+
+def _bartlett_stack(gen: np.random.Generator, field: str, size: int,
+                    shapes: np.ndarray) -> np.ndarray:
+    """The (size, n, n) stack of the :func:`_bartlett_blocks` of a draw."""
+    return _stacked(_bartlett_blocks(gen, field, size, shapes), size, len(shapes), field)
+
+
+def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
+    """The states of ``sample_state_hs(shape, rng, size)``, bit for bit, as
+    an iterator of batch-last (N, N, b) blocks, one per
+    ``hermitian.row_blocks(size)`` slice, in order. The helper fills the
+    normals of later blocks while the caller works on a block, and only
+    the diagonal gammas are held whole: a sweep that consumes each block
+    before it asks for the next holds O(block) states."""
+    size = _integer("size", size, 0)
+    return _bartlett_blocks(rng.generator(), shape.field, size,
+                            _bartlett_shapes(shape.n, shape.field))
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -382,6 +471,16 @@ def boundary_eigenvalues_wishart(
     return np.linalg.eigvalsh(states)[:, 1:]
 
 
+def _boundary_draw(shape: BipartiteShape, rng: RngStream, size: int) -> tuple:
+    """The arguments of :func:`_gram_blocks` for a boundary draw: G from
+    rng.child(0) with one column more than the interior draw's Ginibre
+    matrix, psi from rng.child(1)."""
+    size = _integer("size", size, 0)
+    n = shape.n
+    cols = n + 1 if shape.field == "complex" else n + 2
+    return rng.child(0).generator(), shape.field, size, n, cols, rng.child(1)
+
+
 def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
@@ -391,10 +490,17 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     P does not depend on the phase of psi. Returns the pair (states,
     zero_eigvecs) of (size, N, N) and (size, N) stacks.
     """
-    size = _integer("size", size, 0)
-    n = shape.n
-    cols = n + 1 if shape.field == "complex" else n + 2
-    return _gram_stack(rng.child(0).generator(), shape.field, size, n, cols, rng.child(1))
+    return _gram_stack(*_boundary_draw(shape, rng, size))
+
+
+def boundary_blocks(shape: BipartiteShape, rng: RngStream, size: int):
+    """The states of ``sample_boundary_state_hs(shape, rng, size)``, bit for
+    bit and without psi, as an iterator of batch-last (N, N, b) blocks, one
+    per ``hermitian.row_blocks(size)`` slice, in order. Only the real
+    Ginibre part and the normals of psi are held whole (complex field; the
+    real field holds only psi's): a sweep that consumes each block before
+    it asks for the next holds O(block) states."""
+    return map(itemgetter(0), _gram_blocks(*_boundary_draw(shape, rng, size)))
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -410,10 +516,10 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     n = shape.n
     out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)
-    parts = _ginibre_parts(rng.generator(), (size, n, n), shape.field)
-    with _filled_blocks(parts, size) as blocks:
-        for rows in blocks:
-            x = _batch_last_block(parts, rows)
+    whole, last = _ginibre_parts(rng.generator(), (size, n, n), shape.field)
+    with _filled_blocks(whole, last, size) as blocks:
+        for rows, z in blocks:
+            x = _batch_last_block(whole, rows, z)
             h = out[rows]
             # the Hermitian part (G + G^dag) / 2, written batch-last
             hb, a = np.moveaxis(h, 0, -1), x[:, :n]

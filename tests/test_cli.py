@@ -7,6 +7,8 @@ import pytest
 from statebody import config_from_dict, estimators, run_experiment, sample_boundary_state_hs
 from statebody.cli import main
 
+from ginibre_reference import blocks_of
+
 
 def write_cfg(tmp_path, name="cfg.json", **over):
     d = {"experiment": "gamma", "shape": "1x3", "n_samples": 1000, "seed": 4,
@@ -98,7 +100,7 @@ def test_non_finite_partial_transpose_exit_three(tmp_path, monkeypatch, capsys):
         states[0, 0, 0] = float("nan")
         return states, radii
 
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", nan_states)
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(nan_states))
     cfg = write_cfg(tmp_path, experiment="corner-probe", shape="2x2", seed=1)
     assert main(["run", str(cfg)]) == 3
     assert "non-finite" in capsys.readouterr().err

@@ -36,7 +36,7 @@ from statebody import (
 )
 from statebody.cli import main
 
-from ginibre_reference import ginibre_sampler
+from ginibre_reference import blocks_of, ginibre_sampler
 
 QUBIT = BodySpec("full", BipartiteShape(1, 2))
 CUBE = TangentBody(cube_generators(3))
@@ -128,7 +128,7 @@ def test_inner_law_of_ppt_body():
                                   BodySpec("ppt", BipartiteShape(2, 2))],
                          ids=["full-1x3", "ppt-2x2"])
 def test_inner_law_fails_with_a_wrong_gram(monkeypatch, body, extra):
-    monkeypatch.setattr(estimators, "sample_state_hs", ginibre_sampler(extra))
+    monkeypatch.setattr(estimators, "state_blocks", blocks_of(ginibre_sampler(extra)))
     law = inner_law(body, 20_000, RngStream(104))
     est = law.gamma
     assert abs(est.value - body.dim) > SIGMA_LOOSE * est.stderr
@@ -136,7 +136,7 @@ def test_inner_law_fails_with_a_wrong_gram(monkeypatch, body, extra):
 
 
 def test_gamma_experiment_fails_with_a_wrong_gram(monkeypatch):
-    monkeypatch.setattr(estimators, "sample_state_hs", ginibre_sampler(1))
+    monkeypatch.setattr(estimators, "state_blocks", blocks_of(ginibre_sampler(1)))
     for shape, body in (("1x3", "full"), ("2x3", "ppt")):
         d = {"experiment": "gamma", "shape": shape, "body": body,
              "n_samples": 32768, "seed": 105}
@@ -178,12 +178,15 @@ def test_inner_law_matches_the_eigvalsh_route(monkeypatch, body):
     law, vol, check = run()
     rows = []
 
-    def eigvalsh_minimum(mats):
+    def eigvalsh_minima(blocks, shapes):
         """The eigensolver route the state bodies took before the Newton kernel."""
+        mats = np.concatenate(list(blocks))
         rows.append(len(mats))
-        return np.linalg.eigvalsh(mats)[:, 0], 0
+        return np.stack([np.linalg.eigvalsh(mats if shape is None else
+                                            partial_transpose(mats, shape))[:, 0]
+                         for shape in shapes]), 0
 
-    monkeypatch.setattr(geometry, "min_eigenvalues", eigvalsh_minimum)
+    monkeypatch.setattr(geometry, "_block_minima", eigvalsh_minima)
     ref, ref_vol, ref_check = run()
     assert rows  # the patch reached the kernel
     assert law.n_fallback == 0
@@ -198,9 +201,10 @@ def test_inner_law_matches_the_eigvalsh_route(monkeypatch, body):
 
 
 def test_inner_law_peak_memory():
-    """65,536 full 1x4 complex draws peak at the interior sampler's 33.8 MiB
-    (tracemalloc, with the eigvalsh route and with the Newton kernel): the
-    kernel's per-group buffers stay below the sampler's own."""
+    """65,536 full 1x4 complex draws peak at 12.4 MiB (tracemalloc): the
+    sweep streams the interior blocks and holds one Newton group of them,
+    16,384 states, where the whole interior stack peaked at 25.2 MiB (33.8
+    MiB before the Bartlett draw)."""
     body = BodySpec("full", BipartiteShape(1, 4))
     inner_law(body, 1000, RngStream(4601))
     tracemalloc.start()
@@ -209,7 +213,7 @@ def test_inner_law_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_inner_law_needs_kept_rows(monkeypatch):
@@ -225,8 +229,8 @@ def test_inner_law_needs_kept_rows(monkeypatch):
     # the boundary, where the estimate of D would divide by zero
     pure = np.zeros((3, 3))
     pure[0, 0] = 1.0
-    monkeypatch.setattr(estimators, "sample_state_hs", lambda shape, rng, size:
-                        np.repeat(pure[None], size, axis=0))
+    monkeypatch.setattr(estimators, "state_blocks", blocks_of(lambda shape, rng, size:
+                        np.repeat(pure[None], size, axis=0)))
     with pytest.raises(InsufficientSamplesError, match="on the boundary"):
         inner_law(BodySpec("full", BipartiteShape(1, 3)), 1000, RngStream(1))
 
@@ -328,16 +332,16 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
         raise AssertionError("eigh called")
 
     eigvalsh, solved = np.linalg.eigvalsh, []
-    minima, reported = geometry.min_eigenvalues, []
+    minima, reported = geometry._block_minima, []
 
-    def counted_minima(mats):
-        lam, fallbacks = minima(mats)
+    def counted_minima(blocks, shapes):
+        lam, fallbacks = minima(blocks, shapes)
         reported.append(fallbacks)
         return lam, fallbacks
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-    monkeypatch.setattr(geometry, "min_eigenvalues", counted_minima)
+    monkeypatch.setattr(geometry, "_block_minima", counted_minima)
     full = BodySpec("full", BipartiteShape(1, 3))
     ppt = BodySpec("ppt", BipartiteShape(2, 2))
     # the single-direction queries solve for their one zero eigenvector
@@ -376,14 +380,14 @@ def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
     assert law.p_value > 0.01
     assert (law.n_boundary, law.n_interior) == (20_000, 20_000)
     assert law.seed == RngStream(8).describe()
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(-1))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(-1)))
     assert radius_law(body, 20_000, RngStream(8)).p_value < 1e-6
 
 
 def test_height_check_fails_with_a_wrong_boundary_sampler(monkeypatch, tmp_path):
     d = {"experiment": "height-check", "shape": "1x3", "body": "full",
          "n_samples": 20_000, "seed": 8, "output_path": str(tmp_path)}
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(-1))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(-1)))
     record = run_experiment(config_from_dict(d), write=False)
     assert record.metrics["p_value"] < 1e-6 and not record.passed
     cfg = tmp_path / "h.json"
@@ -405,8 +409,9 @@ def test_radius_law_interior_radii_are_the_radial_function(monkeypatch, body):
     monkeypatch.setattr(stats, "ks_2samp", lambda a, b: seen.append(b) or ks_2samp(a, b))
     radius_law(body, 4000, RngStream(4700))
     # one shard and one chunk: the interior side draws from child(1).child(0)
-    states, _, fallbacks = estimators._interior_depths(
-        body, RngStream(4700).child(1).child(0), 4000)
+    states = np.concatenate(list(estimators._in_body(body, sampling.state_blocks(
+        body.shape, RngStream(4700).child(1).child(0), 4000))))
+    _, fallbacks = estimators._depths(body, [states])
     dev = states - body.center
     nrm = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
     ref = estimators._radial_batch(body, dev / nrm[:, None, None]).min(axis=0)
@@ -459,14 +464,14 @@ def test_omega_report():
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
 def test_omega_fails_with_a_wrong_gram(monkeypatch, extra):
-    monkeypatch.setattr(estimators, "sample_state_hs", ginibre_sampler(extra))
+    monkeypatch.setattr(estimators, "state_blocks", blocks_of(ginibre_sampler(extra)))
     rep = estimate_omega(BipartiteShape(2, 2), 20_000, RngStream(106))
     assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
 def test_omega_fails_with_a_wrong_boundary_sampler(monkeypatch, extra):
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", _boundary_gram_sampler(extra))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(extra)))
     rep = estimate_omega(BipartiteShape(2, 2), 20_000, RngStream(107))
     assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
 
@@ -478,7 +483,7 @@ def _split_z(body, sample, n, rng):
     for j, start in enumerate(range(0, n, estimators.BATCH)):
         states = sample(body.shape, rng.child(j), min(estimators.BATCH, n - start))
         states = states[estimators._ppt_mask(states, body.shape)]
-        lam, _ = geometry._constraint_minima(body, states)
+        lam, _ = geometry._constraint_minima(body, [states])
         above += int(np.sum(lam[1] > lam[0]))
         kept += len(states)
     return (above - kept / 2) / math.sqrt(kept / 4)
@@ -522,10 +527,10 @@ def test_zero_ppt_boundary_hits_raise(monkeypatch):
     product[0, 0] = 1.0
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     werner = 0.9 * np.outer(phi, phi) + 0.025 * np.eye(4)
-    monkeypatch.setattr(estimators, "sample_boundary_state_hs", lambda shape, rng, size:
-                        (np.repeat(product[None], size, axis=0), None))
-    monkeypatch.setattr(estimators, "sample_state_hs", lambda shape, rng, size:
-                        np.repeat(werner[None], size, axis=0))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(lambda shape, rng, size:
+                        (np.repeat(product[None], size, axis=0), None)))
+    monkeypatch.setattr(estimators, "state_blocks", blocks_of(lambda shape, rng, size:
+                        np.repeat(werner[None], size, axis=0)))
     with pytest.raises(InsufficientSamplesError, match="too few PPT interior hits"):
         estimate_omega(BipartiteShape(2, 2), 1000, RngStream(13))
 
@@ -543,18 +548,24 @@ def test_cross_validate_area():
 
 
 def test_cross_validate_area_is_one_paired_sweep(monkeypatch):
-    """Each chunk of directions takes one min_eigenvalues call per
-    constraint, and the fraction pairs the PPT radius with the full body's
+    """Each chunk of directions takes one eigen kernel call for both
+    constraints, and the fraction pairs the PPT radius with the full body's
     along the same directions."""
     shape, n = BipartiteShape(2, 2), 3000
-    minima, calls = geometry.min_eigenvalues, []
-    monkeypatch.setattr(geometry, "min_eigenvalues", lambda a: calls.append(len(a)) or minima(a))
+    minima, calls = geometry._block_minima, []
+
+    def counted(blocks, shapes):
+        blocks = list(blocks)
+        calls.append((sum(map(len, blocks)), len(shapes)))
+        return minima(blocks, shapes)
+
+    monkeypatch.setattr(geometry, "_block_minima", counted)
     cross_validate_area(shape, n, RngStream(68), shards=2)
-    assert calls == [n // 2] * 4
+    assert calls == [(n // 2, 2)] * 2
     calls.clear()
     check = cross_validate_area(shape, n, RngStream(68))
-    assert calls == [n, n]
-    monkeypatch.setattr(geometry, "min_eigenvalues", minima)
+    assert calls == [(n, 2)]
+    monkeypatch.setattr(geometry, "_block_minima", minima)
     # one shard, one chunk: the directions come from child(0).child(0)
     omegas = sampling.sample_direction(shape, RngStream(68).child(0).child(0), n)
     ppt, full = (geometry._radial_batch(BodySpec(kind, shape), omegas).min(axis=0)
@@ -607,6 +618,25 @@ def test_corner_probe_rows_equal_a_full_spectrum(shape):
     want = tuple((d, *estimators._binomial_estimate(int(np.sum(closest < d)), n))
                  for d in deltas)
     assert res.rows == want
+
+
+def test_count_only_sweep_holds_no_state_stack():
+    """The corner probe streams each boundary block through the partial
+    transpose and the Sturm counts, so one 16,384-state 2x3 complex chunk
+    peaks below the bytes of its state stack plus the whole real Ginibre
+    part: building the stack, its partial transpose and both Ginibre parts
+    took 23.9 MiB, the blocks 13.6 MiB."""
+    shape, n, deltas = BipartiteShape(2, 3), 16_384, (1e-1, 1e-2)
+    corner_probe(shape, 1000, deltas, RngStream(4610))
+    tracemalloc.start()
+    try:
+        corner_probe(shape, n, deltas, RngStream(4611))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = n * shape.n ** 2 * np.dtype(complex).itemsize
+    real_part = n * shape.n * (shape.n + 1) * np.dtype(float).itemsize
+    assert peak < stack + real_part, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_corner_probe_needs_a_ppt_section():

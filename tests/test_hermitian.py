@@ -19,7 +19,7 @@ from statebody import (
     sample_direction,
     sample_state_hs,
 )
-from statebody import hermitian, polytopes
+from statebody import hermitian, polytopes, sampling
 from statebody.hermitian import (
     COUNT_CHUNK,
     PPT_TOL,
@@ -500,8 +500,8 @@ def test_min_eigenvalues_keep_the_stack_shape():
 
 def test_min_eigenvalues_across_newton_groups():
     """A stack five rows longer than a Newton group: the last group is one
-    short block, written into the start of the group buffers. One row longer,
-    the lone last row joins the group before it, one row wider than the rest."""
+    short block. One row longer, the lone last row joins the group before
+    it, one row wider than the rest."""
     for extra in (5, 1):
         a = _min_eig_stack("state", 4, "complex", hermitian.NEWTON_ROWS + extra, 4501)
         got, fallbacks = min_eigenvalues(a)
@@ -533,6 +533,57 @@ def test_min_eigenvalues_fall_back_to_eigvalsh(monkeypatch):
         got, fallbacks = min_eigenvalues(a)
         assert fallbacks == len(a)
         assert got.tobytes() == np.linalg.eigvalsh(a)[:, 0].tobytes()
+
+
+def _joined(parts: list, like: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The per-block results ``parts`` joined along ``axis``; ``like`` with
+    no rows when there is no block."""
+    return np.concatenate(parts, axis=axis) if parts else like
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+KERNEL_SIZES = [0, 1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1, 5000]
+
+
+@pytest.mark.parametrize("sweeps", [hermitian.NEWTON_SWEEPS, 0], ids=["newton", "eigvalsh"])
+@pytest.mark.parametrize("shape", [BipartiteShape(2, m, f) for m in (2, 3)
+                                   for f in ("complex", "real")], ids=str)
+def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
+    """On the samplers' batch-last blocks, the per-block kernels the sweeps
+    stream through give what the stack kernels give on the assembled stack,
+    byte for byte: the PPT mask, the eigen counts of the partial transposes
+    and lambda_min of both constraints, on every block and on each block's
+    PPT rows, the inner law's groups. With no Newton sweep every minimum
+    comes from eigvalsh. The blocks are the stacks' rows, one per
+    row_blocks slice."""
+    monkeypatch.setattr(hermitian, "NEWTON_SWEEPS", sweeps)
+    xs = np.array([1e-1, 1e-3, -1e-3, -1e-1])[:, None]
+    for size in KERNEL_SIZES:
+        rng = RngStream(4850 + size, shape.n)
+        draws = [(sampling.state_blocks(shape, rng, size), sample_state_hs(shape, rng, size)),
+                 (sampling.boundary_blocks(shape, rng, size),
+                  sample_boundary_state_hs(shape, rng, size)[0])]
+        for blocks, stack in draws:
+            blocks = [np.moveaxis(block, -1, 0) for block in blocks]
+            assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(size)]
+            assert _same_bytes(_joined(blocks, stack), stack)
+            mask = ppt_mask(stack, shape)
+            assert _same_bytes(_joined([hermitian._ppt_block(b, shape) for b in blocks],
+                                       mask), mask)
+            counts = eigen_counts(partial_transpose(stack, shape), xs)
+            assert _same_bytes(_joined([hermitian._count_block(b, xs, shape) for b in blocks],
+                                       counts, axis=1), counts)
+            for stream, rows in ((blocks, stack),
+                                 ([b[hermitian._ppt_block(b, shape)] for b in blocks],
+                                  stack[mask])):
+                lam, fallbacks = hermitian._block_minima(iter(stream), (None, shape))
+                want = [min_eigenvalues(rows), min_eigenvalues(partial_transpose(rows, shape))]
+                assert _same_bytes(lam, np.stack([w[0] for w in want]))
+                assert fallbacks == sum(w[1] for w in want) == (0 if sweeps else 2 * len(rows))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,15 +15,20 @@ from pathlib import Path
 import pytest
 
 from statebody import BipartiteShape, BodySpec, RngStream, TangentBody, cube_generators
-from statebody import estimators, inner_law, mc_gamma, mc_volume, polytopes
+from statebody import estimators, inner_law, mc_gamma, mc_volume, polytopes, sampling
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# boundaries whose functions left the package; their time counts to callers
+# boundaries no caller looks up any more: their functions left the package,
+# or, for the estimators' stack samplers and partial transpose, the sweeps
+# stream sampler blocks into the per-block kernels instead. Their time
+# counts to their callers
 RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check",
            "sampling.sample_haar_unitary", "sampling.boundary_eigenvalues_metropolis",
            "validation.boundary_eigenvalues_metropolis",
-           "estimators._contact_batch", "experiments.height_certificate"}
+           "estimators._contact_batch", "experiments.height_certificate",
+           "estimators.sample_state_hs", "estimators.sample_boundary_state_hs",
+           "estimators.partial_transpose"}
 
 SHAPE = BipartiteShape(2, 2)
 ROWS = 6
@@ -43,12 +48,11 @@ def _small_result(attr: str):
     """A real result of the function each counted boundary wraps, on ROWS items."""
     rng = RngStream(17)
     if attr in ("sample_state_hs", "sample_boundary_state_hs", "sample_direction"):
-        return getattr(estimators, attr)(SHAPE, rng, ROWS)
+        return getattr(sampling, attr)(SHAPE, rng, ROWS)
     if attr == "boundary_eigenvalues_wishart":
-        from statebody import sampling
         return sampling.boundary_eigenvalues_wishart(3, "complex", rng, ROWS)
     if attr == "_ppt_mask":
-        return estimators._ppt_mask(estimators.sample_state_hs(SHAPE, rng, ROWS), SHAPE)
+        return estimators._ppt_mask(sampling.sample_state_hs(SHAPE, rng, ROWS), SHAPE)
     if attr == "_radial_sweep":
         return polytopes._radial_sweep(TangentBody(cube_generators(3)), ROWS, rng)
     raise AssertionError(f"no small result for counted boundary {attr}")
@@ -92,19 +96,19 @@ def test_installed_tracer_sees_the_production_calls(spans):
         mc_gamma(TangentBody(cube_generators(3)), 64, RngStream(5))
         inner_law(BodySpec("ppt", SHAPE), 256, RngStream(6))
     assert set(missing) == RETIRED
-    # both PPT routes of omega, then the inner law's row filter
+    # both PPT routes of omega, then the inner law's row filter, each on
+    # the sampler's blocks
     assert tracer.counts["hermitian.ppt_tests"] == 512 + 256
-    # the one chunk each of mc_volume and inner_law on the PPT body
-    # transposes through the constraint kernel in geometry, inside the
-    # radial span for mc_volume
-    transposes = [s for s in tracer.spans if s.metric == "hermitian.partial_transpose_s"]
-    assert [s.name for s in transposes] == ["geometry.partial_transpose"] * 2
-    assert tracer.spans[transposes[0].parent].name == "estimators._radial_batch"
+    # mc_volume and inner_law on the PPT body transpose inside the eigen
+    # kernel's working copy, which no boundary wraps
+    assert not [s for s in tracer.spans if s.metric == "hermitian.partial_transpose_s"]
+    assert [s.name for s in tracer.spans if s.metric == "geometry.radial_s"] == [
+        "estimators._radial_batch"]
     # the state-body volume sweep runs through no counted boundary since the
     # contact kernel was retired
     assert "geometry.directions" not in tracer.counts
     assert tracer.counts["polytopes.directions"] == 64
-    # interior states, boundary states, the directions and the inner law's
-    # interior states
-    assert tracer.counts["sampling.draws"] == 256 + 256 + 128 + 256
+    # only the directions: the state sweeps stream from the block sources,
+    # which no boundary wraps
+    assert tracer.counts["sampling.draws"] == 128
     assert all(a is b for a, b in zip(current(), originals))  # patches undone

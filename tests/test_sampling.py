@@ -36,7 +36,7 @@ from statebody import sampling, validation
 from statebody.hermitian import COUNT_CHUNK
 from statebody.validation import boundary_lmax_cdf_n3
 
-from ginibre_reference import ginibre_gram_states, ginibre_sampler
+from ginibre_reference import ginibre, ginibre_gram_states, ginibre_sampler
 
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
@@ -499,14 +499,14 @@ def _full_stack_state(shape, rng, size):
 def _full_stack_boundary(shape, rng, size):
     n = shape.n
     cols = n + 1 if shape.field == "complex" else n + 2
-    psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
+    psi = ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     return _one_block(rng.child(0).generator(), shape.field, size, n, cols, psi), psi
 
 
 def _full_stack_direction(shape, rng, size):
     n = shape.n
-    g = sampling._ginibre(rng.generator(), (size, n, n), shape.field)
+    g = ginibre(rng.generator(), (size, n, n), shape.field)
     h = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
     tr = np.trace(h, axis1=-2, axis2=-1).real
     h = h - (tr / n)[:, None, None] * np.eye(n, dtype=h.dtype)
@@ -547,8 +547,8 @@ def _matmul_states(shape, rng, size):
     cols = n + 1 if shape.field == "complex" else n + 2
     x = np.moveaxis(_bartlett_factors(shape, rng, size), -1, 0)
     g = x[:, :, :n] + 1j * x[:, :, n:] if shape.field == "complex" else x
-    g_b = sampling._ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
-    psi = sampling._ginibre(rng.child(1).generator(), (size, n), shape.field)
+    g_b = ginibre(rng.child(0).generator(), (size, n, cols), shape.field)
+    psi = ginibre(rng.child(1).generator(), (size, n), shape.field)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     g_b = g_b - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g_b)
     for h in (g, g_b):
@@ -579,15 +579,17 @@ def test_gram_states_are_hermitian_by_construction(k, m, field):
 
 
 # tracemalloc peak of one call over the bytes it returns, 2x3 complex. The
-# variates and the output are whole; everything else is per block. The
-# Ginibre parts hold as many bytes as the complex output, the Bartlett
-# gammas and normals 36 of its 72 doubles a state. Measured: interior 1.77
-# (Ginibre Gram route: 2.27, batch-first blocks: 2.40, full-stack samplers:
-# 3.04), boundary 2.25 (2.36, 3.14), direction 2.08 (2.10, 4.03).
+# output and the parts drawn in one call are whole (the real Ginibre part,
+# psi's normals, the Bartlett gammas); the last part's fills and everything
+# else are per block. Measured: interior 1.80 (whole Bartlett normals: 1.77,
+# Ginibre Gram route: 2.27, batch-first blocks: 2.40, full-stack samplers:
+# 3.04), boundary 2.39 (2.25, 2.36, 3.14), direction 1.64 (2.08, 2.10,
+# 4.03). The stack samplers copy each block into the stack, which holds one
+# block more than writing in place.
 PEAK_CASES = [
     ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.2),
     ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.75),
-    ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 3.0),
+    ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 2.0),
 ]
 
 
@@ -654,6 +656,25 @@ def test_samplers_leave_no_thread(size):
         for draw in SAMPLERS:
             draw(shape, RngStream(4910, size), size)
             assert threading.active_count() == baseline, f"{draw.__name__} {shape}"
+
+
+@pytest.mark.parametrize("source", [sampling.state_blocks, sampling.boundary_blocks],
+                         ids=["interior", "boundary"])
+def test_a_block_source_left_early_leaves_no_thread(source):
+    """A sweep that raises on its first block, or drops the iterator after
+    one block, joins the helper: closing the iterator cancels the fills
+    not yet started."""
+    shape, size = BipartiteShape(2, 3), 4 * COUNT_CHUNK
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError):
+        for _ in source(shape, RngStream(4915), size):
+            raise FloatingPointError("the caller's kernel failed")
+    assert threading.active_count() == baseline
+    blocks = source(shape, RngStream(4915), size)
+    next(blocks)
+    assert threading.active_count() == baseline + 1
+    del blocks
+    assert threading.active_count() == baseline
 
 
 class _FailingGenerator:

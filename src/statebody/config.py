@@ -15,6 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as _dc_field, fields
 
+from .estimators import _deltas
 from .hermitian import BipartiteShape, _dtype, _integer
 from .sampling import RngStream
 
@@ -167,18 +168,11 @@ def _parse_shape(value) -> tuple:
 
 
 def _parse_deltas(value) -> tuple:
-    if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
-        raise ConfigError("deltas",
-                          f"expected a list of finite numbers, got {value!r}")
-    deltas = tuple(float(x) for x in value)
+    with _library_rule("deltas"):
+        deltas = _deltas(value)
     if len(deltas) < 2:
         # the verdict compares the last two fractions
         raise ConfigError("deltas", f"needs at least two thresholds, got {list(deltas)}")
-    if any(x <= 0 for x in deltas):
-        # no sample has |lambda| < 0, so a zero threshold passes vacuously
-        raise ConfigError("deltas", f"must be positive, got {list(deltas)}")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ConfigError("deltas", f"must be strictly decreasing, got {list(deltas)}")
     return deltas
 
 

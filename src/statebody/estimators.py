@@ -43,6 +43,8 @@ rounding lotteries.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,6 +495,26 @@ def estimate_omega(shape: BipartiteShape, n: int, rng: RngStream,
     return OmegaReport(shape, p_v, p_a, omega, omega * rel)
 
 
+def _deltas(deltas) -> tuple:
+    """The corner probe's thresholds as a tuple of floats. They must be a
+    sequence of numbers, bools excluded, finite, positive (no state has
+    |lambda| < 0, so a zero threshold would pass vacuously) and strictly
+    decreasing; anything else raises ValueError naming deltas."""
+    if isinstance(deltas, (str, bytes)) or not np.iterable(deltas):
+        raise ValueError(f"deltas must be a sequence of numbers, got {deltas!r}")
+    deltas = list(deltas)
+    for x in deltas:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"deltas must be numbers, got {x!r}")
+    # compared before the float conversion, which overflows on a huge int
+    if not all(0 < x <= sys.float_info.max for x in deltas):
+        raise ValueError(f"deltas must be finite and positive, got {deltas}")
+    deltas = tuple(map(float, deltas))
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError(f"deltas must be strictly decreasing, got {list(deltas)}")
+    return deltas
+
+
 def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
                  shards: int = 1) -> CornerProbeResult:
     """Fractions of boundary samples with a partial-transpose eigenvalue
@@ -510,18 +532,13 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     :func:`~statebody.hermitian.eigen_counts` counts the eigenvalues of
     T_A(rho) below +delta and below -delta on each boundary block, formed in
     its own copy, and a state is near the corner when the first count is
-    the larger. Deltas must be finite,
-    positive and strictly decreasing. A shape with no PPT section (K = 1)
-    raises ValueError.
+    the larger. Deltas are checked by :func:`_deltas`. A shape with no PPT
+    section (K = 1) raises ValueError.
     """
     BodySpec("ppt", shape)
     n = _integer("n", n, 2)
-    deltas = [float(x) for x in deltas]
-    if not all(math.isfinite(x) and x > 0 for x in deltas):
-        raise ValueError(f"deltas must be finite and positive, got {deltas}")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError(f"deltas must be strictly decreasing, got {deltas}")
-    xs = np.array(deltas + [-d for d in deltas])[:, None]
+    deltas = _deltas(deltas)
+    xs = np.array([*deltas, *(-d for d in deltas)])[:, None]
 
     def near(states):
         below = _count_block(states, xs, shape)

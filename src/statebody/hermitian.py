@@ -37,7 +37,7 @@ import numpy as np
 PPT_TOL = 1e-12
 # rows per row_blocks block of the blocked kernels: eigen_counts,
 # min_eigenvalues, ppt_mask and the samplers, each on a batch-last copy of its
-# block (a sampler's helper also fills the last Gaussian part a block at a
+# block (a sampler's helper also fills every Gaussian part a block at a
 # time), so each block's working set stays small. On a 2-core VM, 32,768 2x3
 # complex eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
 COUNT_CHUNK = 2048

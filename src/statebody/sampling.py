@@ -14,38 +14,39 @@ stack samplers copy exactly these blocks into their stack, so there is one
 code path, and a sweep that only counts can consume each block before it
 asks for the next, holding O(block) states.
 
-Draws stream through row blocks. One helper thread per call fills the
-Gaussian parts from the generator in the order and with the numbers of an
-unblocked draw: every part but the last whole, one call each, then the last
-part one block of ``hermitian.row_blocks`` per call, each into a buffer of
-its own (:func:`_filled_blocks`), so only the parts drawn in one call are
-held whole. Meanwhile the boundary sampler draws the real and imaginary
-normals of psi from its own stream into real buffers, and the calling
-thread runs everything after the draw on each block whose fills are done,
-copying it once into a batch-last real buffer. The helper runs only the
-generator, so every line of this package runs on the caller's thread, and
-it is joined once the draw is consumed, or its iterator closed or
-collected. The state samplers form the lower triangle of the block's Gram
-matrices with one contraction per row, batched along the last axis, so no
-matrix takes a BLAS call of its own. The mirror image fills the upper
-triangle, so every state is exactly Hermitian, and the trace is the
-diagonal summed in index order. Each block is an (N, N, b) array; a stack
-sampler returns the (size, N, N) view of the (N, N, size) array it copies
-the blocks into. The direction sampler forms (G + G^dag)/2 from Ginibre
-blocks. No full-stack temporary is formed, and no row's bits depend on its
-block: the output equals the same steps run on the whole stack at once, bit
-for bit.
+Draws stream through row blocks. Each random part of a draw, such as the
+interior draw's gammas and its normals, or a boundary draw's G and psi,
+comes from a generator of its own, and one helper thread per call fills
+every part one ``hermitian.row_blocks`` block per call, each into a buffer
+of its own (:func:`_filled_blocks`). No part is ever held whole, and row i
+of a draw depends only on its stream and i: the first s rows of a longer
+draw are the size-s draw, bit for bit. A complex Gaussian part lies as a
+complex array does, each entry's real part next to its imaginary part, so
+psi is the complex view of its buffer. The calling thread runs everything
+after the draw on each block whose fills are done, while the helper fills
+later blocks, copying a Ginibre block once into a batch-last real buffer.
+The helper runs only the generators, so every line of this package runs on
+the caller's thread, and it is joined once the draw is consumed, or its
+iterator closed or collected. The state samplers form the lower triangle
+of the block's Gram matrices with one contraction per row, batched along
+the last axis, so no matrix takes a BLAS call of its own. The mirror image
+fills the upper triangle, so every state is exactly Hermitian, and the
+trace is the diagonal summed in index order. Each block is an (N, N, b)
+array; a stack sampler returns the (size, N, N) view of the (N, N, size)
+array it copies the blocks into. The direction sampler forms
+(G + G^dag)/2 from Ginibre blocks. No full-stack temporary is formed, and
+no row's bits depend on its block: the output equals the same steps run on
+the whole stack at once, bit for bit.
 
 ========================  =====================================================
 sampler                   distribution and draw
 ========================  =====================================================
 sample_state_hs           Hilbert-Schmidt (flat) measure on the state body:
                           L L^dag / Tr of a Bartlett factor L (diagonal
-                          gammas, then the normals below the diagonal)
+                          gammas and the normals below the diagonal)
 sample_boundary_state_hs  induced surface measure on the boundary (one
                           eigenvalue exactly zero), with the zero
                           eigenvectors: a projected Ginibre Gram matrix
-                          (the real, then the imaginary Gaussian parts)
 state_blocks,             the states of the two samplers above, as
 boundary_blocks           batch-last blocks
 sample_direction          uniform on the unit sphere of traceless Hermitian
@@ -78,7 +79,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice, starmap
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -88,10 +89,11 @@ from .hermitian import (BipartiteShape, _dtype, _hs_norms, _integer, _sum_in_ord
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
-# fills a sampler keeps queued on its helper thread: enough to keep it busy
-# while the caller works on a block. Each queued fill holds a numpy view of
-# its part, and queuing all of a call's fills at once fragmented glibc's heap:
-# the gamma-radial benchmark cases peaked at 143 MB RSS instead of 139 MB
+# blocks a sampler keeps queued on its helper thread, one fill per part
+# each: enough to keep it busy while the caller works on a block. Each queued
+# block holds its buffers, and queuing all of a call's fills at once
+# fragmented glibc's heap: the gamma-radial benchmark cases peaked at 143 MB
+# RSS instead of 139 MB
 _FILLS_AHEAD = 4
 
 
@@ -138,88 +140,71 @@ class RngStream:
 
 
 @contextmanager
-def _filled_blocks(whole: list, last: tuple, size: int):
+def _filled_blocks(parts: list, size: int):
     """Row blocks of a draw whose Gaussian parts are filled on a helper thread.
 
-    ``whole`` lists (fill, out) pairs in stream order: ``out`` an array
-    allocated whole with the stack on its first axis, ``fill`` a generator
-    method called as ``fill(out=...)``. ``last`` is the (fill, row shape)
-    pair of the part drawn after them. One helper thread fills every part of
-    ``whole`` in one call each, then the last part one ``row_blocks`` block
-    per call, each into a (b, *row shape) buffer of its own, allocated when
-    its fill is queued. So each part gets the numbers of one whole call, and
-    only the parts drawn in one call are held whole: the last part's buffers
-    live from their fill until the caller drops them. The managed value
-    iterates (rows, buffer) pairs in block order, each as soon as its fills
-    are done. The caller's work on a block overlaps the fills of later ones,
-    and the with body may draw from another stream, as the boundary
-    sampler's psi, before it iterates. The helper runs nothing but the
-    fills. On leaving, fills not yet started are cancelled and the helper is
-    joined, so an error in a fill or in the caller's work leaves no thread
-    behind.
+    ``parts`` lists one (fill, row shape) pair per random part of the draw:
+    ``fill`` a method of the part's own generator, called as
+    ``fill(out=...)``. For each ``row_blocks`` block, in order, one helper
+    thread fills every part into a (b, *row shape) buffer of its own,
+    allocated when its fill is queued. Each generator serves one part, so a
+    part's blocks get the numbers of one whole call, row i of a draw depends
+    only on its streams and i, and no part is ever held whole: a block's
+    buffers live from their fill until the caller drops them. The managed
+    value iterates (rows, buffers) pairs in block order, the buffers in the
+    order of ``parts``, each as soon as its fills are done, while the helper
+    fills later blocks. The helper runs nothing but the fills. On leaving,
+    fills not yet started are cancelled and the helper is joined, so an
+    error in a fill or in the caller's work leaves no thread behind.
     """
-    last_fill, row_shape = last
-    blocks = row_blocks(size)
-    fills = chain(whole, ((last_fill, np.empty((rows.stop - rows.start, *row_shape)))
-                          for rows in blocks))
+    blocks = iter(row_blocks(size))
     queued = deque()
     pool = ThreadPoolExecutor(1)
 
     def fill_ahead():
-        for fill, out in islice(fills, _FILLS_AHEAD - len(queued)):
-            queued.append((pool.submit(fill, out=out), out))
-
-    def next_fill():
-        fill_ahead()
-        future, out = queued.popleft()
-        future.result()
-        return out
+        for rows in islice(blocks, _FILLS_AHEAD - len(queued)):
+            bufs = [np.empty((rows.stop - rows.start, *shape)) for _, shape in parts]
+            queued.append((rows, bufs, [pool.submit(fill, out=buf)
+                                        for (fill, _), buf in zip(parts, bufs)]))
 
     def ready():
-        for _ in whole:
-            next_fill()
-        for rows in blocks:
-            yield rows, next_fill()
+        fill_ahead()
+        while queued:
+            rows, bufs, futures = queued.popleft()
+            for future in futures:
+                future.result()
+            yield rows, bufs
+            fill_ahead()
 
     try:
-        fill_ahead()
         yield ready()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _ginibre_parts(gen: np.random.Generator, shape: tuple, field: str):
-    """The parts of a Ginibre draw of ``shape`` for :func:`_filled_blocks`:
-    the whole real part first for the complex field, then the last part,
-    the imaginary part (complex) or the real part (real), by blocks."""
-    whole = [(gen.standard_normal, np.empty(shape))] if field == "complex" else []
-    return whole, (gen.standard_normal, shape[1:])
+def _parts(field: str) -> int:
+    """Real numbers per entry: one real, two complex, the real part first,
+    as a complex array lies in memory."""
+    return 1 + (field == "complex")
 
 
-def _batch_last_block(whole: list, rows: slice, last: np.ndarray) -> np.ndarray:
-    """Block ``rows`` of a Ginibre draw copied batch-last into a real
-    (n, cols, b) buffer, or (n, 2 cols, b) with the imaginary parts after
-    the real ones: the rows of the ``whole`` parts, then the last part's
-    (b, n, cols) block buffer ``last``."""
-    parts = [out[rows] for _, out in whole] + [last]
-    b, n, cols = last.shape
-    x = np.empty((n, len(parts) * cols, b))
-    for i, part in enumerate(parts):
-        x[:, i * cols:(i + 1) * cols] = np.moveaxis(part, 0, -1)
-    return x
+def _batch_buffer(shape: tuple, b: int) -> np.ndarray:
+    """An empty real (*shape, b) buffer, batch last, for the Gram kernel: a
+    view of a two-row buffer when b is 1. einsum sums a contiguous run in
+    another order than a strided one, so a lone row's contractions would
+    round otherwise than the same row's in a longer block, and the first
+    row of a one-row draw would differ from that of a longer draw."""
+    return np.empty((*shape, max(b, 2)))[..., :b]
 
 
-def _unit_rows(normals: list, rows: slice, field: str) -> np.ndarray:
-    """Rows ``rows`` of the unit vectors psi / |psi|: the real, then for the
-    complex field the imaginary, parts of psi are the whole real buffers
-    ``normals``, assembled here without a complex temporary."""
-    re = normals[0][rows]
-    psi = np.empty(re.shape, dtype=_dtype(field))
-    psi.real[...] = re
-    if field == "complex":
-        psi.imag[...] = normals[1][rows]
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    return psi
+def _batch_last_block(z: np.ndarray) -> np.ndarray:
+    """A (b, n, cols, parts) Gaussian block copied batch-last into a real
+    (n, parts cols, b) buffer: row i holds the real parts of its entries,
+    then for the complex field their imaginary parts."""
+    b, n, cols, parts = z.shape
+    x = _batch_buffer((n, parts, cols), b)
+    x[...] = z.transpose(1, 3, 2, 0)
+    return x.reshape(n, parts * cols, b)
 
 
 def _stacked(blocks, size: int, n: int, field: str) -> np.ndarray:
@@ -234,39 +219,34 @@ def _stacked(blocks, size: int, n: int, field: str) -> np.ndarray:
     return np.moveaxis(out, -1, 0)
 
 
-def _gram_blocks(gen: np.random.Generator, field: str, size: int, n: int,
-                 cols: int, psi_rng: RngStream):
+def _gram_blocks(rng: RngStream, field: str, size: int, n: int, cols: int):
     """For each row block, in order, the pair (states, psi): the batch-last
     (n, n, b) block of P G G^dag P / Tr of n x cols Ginibre matrices G
     projected by P = I - psi psi^dag off unit vectors psi, and the block's
-    (b, n) rows of psi. While the helper fills G, the normals of psi are
-    drawn whole from ``psi_rng`` into real buffers, as :func:`_unit_rows`
-    reads them. No block's buffers are held once it is yielded."""
-    whole, last = _ginibre_parts(gen, (size, n, cols), field)
-    with _filled_blocks(whole, last, size) as blocks:
-        psi_gen = psi_rng.generator()
-        normals = [psi_gen.standard_normal((size, n)) for _ in range(1 + (field == "complex"))]
-
-        def block(rows, z):
-            psi = _unit_rows(normals, rows, field)
-            x = _batch_last_block(whole, rows, z)
+    (b, n) rows of psi, the complex (or real) view of its normals' buffer.
+    G comes from rng.child(0) and psi from rng.child(1)."""
+    parts = _parts(field)
+    with _filled_blocks([(rng.child(0).generator().standard_normal, (n, cols, parts)),
+                         (rng.child(1).generator().standard_normal, (n, parts))],
+                        size) as blocks:
+        for _, (z, normals) in blocks:
+            psi = normals.view(_dtype(field)).reshape(len(z), n)
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            x = _batch_last_block(z)
             _project(x, psi)
-            out = np.empty((n, n, len(psi)), dtype=_dtype(field))
+            out = np.empty((n, n, len(z)), dtype=_dtype(field))
             _gram(x, out)
-            return out, psi
-
-        yield from starmap(block, blocks)
+            yield out, psi
 
 
-def _gram_stack(gen: np.random.Generator, field: str, size: int, n: int,
-                cols: int, psi_rng: RngStream):
+def _gram_stack(rng: RngStream, field: str, size: int, n: int, cols: int):
     """The pair (states, psi) of :func:`_gram_blocks` as whole stacks: the
     (size, n, n) states, a view of the (n, n, size) array the blocks are
     copied into, and the (size, n) unit vectors."""
     states = np.empty((n, n, size), dtype=_dtype(field))
     psi = np.empty((size, n), dtype=_dtype(field))
     lo = 0
-    for block, rows_psi in _gram_blocks(gen, field, size, n, cols, psi_rng):
+    for block, rows_psi in _gram_blocks(rng, field, size, n, cols):
         hi = lo + len(rows_psi)
         states[..., lo:hi], psi[lo:hi] = block, rows_psi
         lo = hi
@@ -325,74 +305,70 @@ def _gram(x: np.ndarray, out: np.ndarray):
     np.divide(re, tr, out=out.real)
 
 
+def _flat_cols(n: int, field: str) -> int:
+    """Columns of the n-row Ginibre matrix whose normalized Gram matrix has
+    the flat measure: n complex, n + 1 real. A boundary draw takes one
+    more."""
+    return n if field == "complex" else n + 1
+
+
 def _bartlett_shapes(n: int, field: str) -> np.ndarray:
     """Gamma shapes k_i of the squared diagonal L_ii^2 / 2 of the Bartlett
-    factor of an n x c Ginibre Gram matrix: c - i complex, (c - i) / 2 real,
-    with c = n complex and n + 1 real, the flat measure's column counts."""
-    i = np.arange(n)
-    return n - i if field == "complex" else (n + 1 - i) / 2
+    factor of an n x c Ginibre Gram matrix with c = ``_flat_cols(n, field)``
+    columns: c - i complex, (c - i) / 2 real."""
+    k = _flat_cols(n, field) - np.arange(n)
+    return k if field == "complex" else k / 2
 
 
-def _bartlett_blocks(gen: np.random.Generator, field: str, size: int,
-                     shapes: np.ndarray):
+def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray):
     """The batch-last (n, n, b) blocks, in row order, of the stack
     L L^dag / Tr L L^dag of n x n lower triangular factors L with
     L_ii = sqrt(2 Gamma(shapes[i])) and standard normal entries below the
     diagonal, complex ones with i.i.d. parts.
 
-    One ``standard_gamma`` call fills the (size, n) diagonal gammas, then
-    ``standard_normal`` fills the entries below the diagonal block by block,
-    in the C order of the stack: matrix by matrix, row by row, a complex
-    entry's real part before its imaginary part, as a complex array lies in
-    memory. Each block is scattered into a zero-padded batch-last L, whose
-    Gram matrices ``_gram`` forms as for a Ginibre block.
+    ``standard_gamma`` on rng.child(0) fills the (b, n) diagonal gammas and
+    ``standard_normal`` on rng.child(1) the entries below the diagonal,
+    block by block, in the C order of the stack: matrix by matrix, row by
+    row, a complex entry's real part before its imaginary part. Each block
+    is scattered into a zero-padded batch-last L, whose Gram matrices
+    ``_gram`` forms as for a Ginibre block.
     """
-    n = len(shapes)
-    parts = 1 + (field == "complex")
+    n, parts = len(shapes), _parts(field)
     below_i, below_j = np.tril_indices(n, -1)
     at_i = np.repeat(below_i, parts)
     at_j = (below_j[:, None] + n * np.arange(parts)).ravel()
     d = np.arange(n)
-    gam = np.empty((size, n))
     # one zero-padded L per block size, kept across blocks: each block writes
     # the same entries, so the zeros above the diagonal stay. A fresh zeroed
     # L per block made glibc trim and regrow its heap block after block: an
     # interior sweep of 32,768 2x3 complex states took 14,743 page faults
     # and 61 ms a call, against 1,345 and 43 ms with the L kept
     factors = {}
-
-    def block(rows, z):
-        b = len(z)
-        if b not in factors:
-            factors[b] = np.zeros((n, parts * n, b))
-        x = factors[b]
-        x[d, d] = np.sqrt(2.0 * gam[rows].T)
-        x[at_i, at_j] = z.reshape(b, -1).T
-        out = np.empty((n, n, b), dtype=_dtype(field))
-        _gram(x, out)
-        return out
-
-    with _filled_blocks([(partial(gen.standard_gamma, shapes), gam)],
-                        (gen.standard_normal, (len(below_i), parts)), size) as blocks:
-        yield from starmap(block, blocks)
-
-
-def _bartlett_stack(gen: np.random.Generator, field: str, size: int,
-                    shapes: np.ndarray) -> np.ndarray:
-    """The (size, n, n) stack of the :func:`_bartlett_blocks` of a draw."""
-    return _stacked(_bartlett_blocks(gen, field, size, shapes), size, len(shapes), field)
+    fills = [(partial(rng.child(0).generator().standard_gamma, shapes), (n,)),
+             (rng.child(1).generator().standard_normal, (len(below_i), parts))]
+    with _filled_blocks(fills, size) as blocks:
+        for _, (gam, z) in blocks:
+            b = len(z)
+            if b not in factors:
+                factors[b] = _batch_buffer((n, parts * n), b)
+                factors[b][...] = 0.0
+            x = factors[b]
+            x[d, d] = np.sqrt(2.0 * gam.T)
+            x[at_i, at_j] = z.reshape(b, -1).T
+            out = np.empty((n, n, b), dtype=_dtype(field))
+            _gram(x, out)
+            yield out
 
 
 def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     """The states of ``sample_state_hs(shape, rng, size)``, bit for bit, as
     an iterator of batch-last (N, N, b) blocks, one per
     ``hermitian.row_blocks(size)`` slice, in order. The helper fills the
-    normals of later blocks while the caller works on a block, and only
-    the diagonal gammas are held whole: a sweep that consumes each block
-    before it asks for the next holds O(block) states."""
+    gammas and normals of later blocks while the caller works on a block:
+    a sweep that consumes each block before it asks for the next holds
+    O(block) states."""
     size = _integer("size", size, 0)
-    return _bartlett_blocks(rng.generator(), shape.field, size,
-                            _bartlett_shapes(shape.n, shape.field))
+    return _bartlett_blocks(rng, shape.field, size, _bartlett_shapes(shape.n, shape.field))
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -405,15 +381,15 @@ def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndar
     (1963) for the complex field): L is lower triangular, L_ii^2 / 2 is
     Gamma(N - i) distributed (Gamma((N + 1 - i) / 2) real), i = 0..N-1, and
     the entries below the diagonal are standard normal, with i.i.d. real and
-    imaginary parts. All are independent. The stream gives first the (size,
-    N) diagonal gammas, in one call, then the standard normals below the
+    imaginary parts. All are independent. rng.child(0) gives the diagonal
+    gammas, row by row, and rng.child(1) the standard normals below the
     diagonal in the C order of the stack, each complex entry's real part
-    before its imaginary part. A complex draw takes N (N-1) normals and N
+    before its imaginary part, so the first s states of a draw are the
+    states of a size-s draw. A complex draw takes N (N-1) normals and N
     gammas, against 2 N^2 normals for G.
     """
     size = _integer("size", size, 0)
-    return _bartlett_stack(rng.generator(), shape.field, size,
-                           _bartlett_shapes(shape.n, shape.field))
+    return _stacked(state_blocks(shape, rng, size), size, shape.n, shape.field)
 
 
 def boundary_eigenvalues_laguerre(
@@ -471,36 +447,29 @@ def boundary_eigenvalues_wishart(
     return np.linalg.eigvalsh(states)[:, 1:]
 
 
-def _boundary_draw(shape: BipartiteShape, rng: RngStream, size: int) -> tuple:
-    """The arguments of :func:`_gram_blocks` for a boundary draw: G from
-    rng.child(0) with one column more than the interior draw's Ginibre
-    matrix, psi from rng.child(1)."""
-    size = _integer("size", size, 0)
-    n = shape.n
-    cols = n + 1 if shape.field == "complex" else n + 2
-    return rng.child(0).generator(), shape.field, size, n, cols, rng.child(1)
-
-
 def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
     rho = P G G^dag P / Tr(P G G^dag P) with P = I - psi psi^dag, psi a
     normalized Gaussian vector and G a Ginibre matrix with one column more
     than the interior draw. psi is the zero eigenvector up to rounding, and
-    P does not depend on the phase of psi. Returns the pair (states,
-    zero_eigvecs) of (size, N, N) and (size, N) stacks.
+    P does not depend on the phase of psi. G comes from rng.child(0) and
+    psi from rng.child(1), each entry's real part before its imaginary
+    part. Returns the pair (states, zero_eigvecs) of (size, N, N) and
+    (size, N) stacks.
     """
-    return _gram_stack(*_boundary_draw(shape, rng, size))
+    size = _integer("size", size, 0)
+    return _gram_stack(rng, shape.field, size, shape.n, _flat_cols(shape.n, shape.field) + 1)
 
 
 def boundary_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     """The states of ``sample_boundary_state_hs(shape, rng, size)``, bit for
     bit and without psi, as an iterator of batch-last (N, N, b) blocks, one
-    per ``hermitian.row_blocks(size)`` slice, in order. Only the real
-    Ginibre part and the normals of psi are held whole (complex field; the
-    real field holds only psi's): a sweep that consumes each block before
-    it asks for the next holds O(block) states."""
-    return map(itemgetter(0), _gram_blocks(*_boundary_draw(shape, rng, size)))
+    per ``hermitian.row_blocks(size)`` slice, in order: a sweep that
+    consumes each block before it asks for the next holds O(block) states."""
+    size = _integer("size", size, 0)
+    return map(itemgetter(0), _gram_blocks(rng, shape.field, size, shape.n,
+                                           _flat_cols(shape.n, shape.field) + 1))
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -510,23 +479,24 @@ def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.nda
     A Gaussian Hermitian (real symmetric) matrix with i.i.d. standard-normal
     coefficients on any Hilbert-Schmidt orthonormal basis, projected traceless
     and normalized; equivalent to drawing Gaussian coefficients on a
-    generalized Gell-Mann basis without materializing the basis.
+    generalized Gell-Mann basis without materializing the basis. The
+    Ginibre matrix G, whose Hermitian part this is, comes from rng itself,
+    each complex entry's real part before its imaginary part.
     """
     size = _integer("size", size, 0)
     n = shape.n
     out = np.empty((size, n, n), dtype=_dtype(shape.field))
     eye = np.eye(n, dtype=out.dtype)
-    whole, last = _ginibre_parts(rng.generator(), (size, n, n), shape.field)
-    with _filled_blocks(whole, last, size) as blocks:
-        for rows, z in blocks:
-            x = _batch_last_block(whole, rows, z)
+    with _filled_blocks([(rng.generator().standard_normal, (n, n, _parts(shape.field)))],
+                        size) as blocks:
+        for rows, (z,) in blocks:
             h = out[rows]
-            # the Hermitian part (G + G^dag) / 2, written batch-last
-            hb, a = np.moveaxis(h, 0, -1), x[:, :n]
-            hb.real[...] = 0.5 * (a + np.swapaxes(a, 0, 1))
+            # the Hermitian part (G + G^dag) / 2
+            a = z[..., 0]
+            h.real[...] = 0.5 * (a + np.swapaxes(a, 1, 2))
             if shape.field == "complex":
-                b = x[:, n:]
-                hb.imag[...] = 0.5 * (b - np.swapaxes(b, 0, 1))
+                b = z[..., 1]
+                h.imag[...] = 0.5 * (b - np.swapaxes(b, 1, 2))
             tr = np.trace(h, axis1=-2, axis2=-1).real
             h -= (tr / n)[:, None, None] * eye
             h /= _hs_norms(h)[:, None, None]

@@ -3,13 +3,12 @@ sources, kept for the tests only.
 
 ``sample_state_hs`` draws the Bartlett factor of a Ginibre Gram matrix. This
 module forms the Gram matrix G G^dag of the Ginibre matrix G itself, with the
-production kernels (``_ginibre_parts``, ``_filled_blocks``,
-``_batch_last_block``, ``_gram``). It is the reference law of the Bartlett
-draw, and with a wrong column count the base of the negative controls.
-``ginibre`` is the whole-array Gaussian draw the samplers' blocked and
-real-buffer draws must match bit for bit, and ``blocks_of`` turns any stack
-sampler into a block source, so a negative control can replace the one the
-estimators stream from.
+production kernels (``_filled_blocks``, ``_batch_last_block``, ``_gram``).
+It is the reference law of the Bartlett draw, and with a wrong column count
+the base of the negative controls. ``ginibre`` is the whole-array Gaussian
+draw the samplers' blocked draws must match bit for bit, and ``blocks_of``
+turns any stack sampler into a block source, so a negative control can
+replace the one the estimators stream from.
 """
 
 import numpy as np
@@ -19,21 +18,22 @@ from statebody.hermitian import row_blocks
 
 
 def ginibre(gen, shape: tuple, field: str) -> np.ndarray:
-    """Independent standard Gaussian entries of ``shape``, drawn whole: the
-    real parts, then for the complex field the imaginary parts."""
+    """Independent standard Gaussian entries of ``shape``, drawn whole in one
+    call: for the complex field each entry's real part, then its imaginary
+    part, as a complex array lies in memory."""
     if field == "complex":
-        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        return gen.standard_normal((*shape, 2)).view(complex)[..., 0]
     return gen.standard_normal(shape)
 
 
 def ginibre_gram_states(gen, field: str, size: int, n: int, cols: int) -> np.ndarray:
     """The (size, n, n) stack G G^dag / Tr G G^dag of n x cols Ginibre
-    matrices G drawn from ``gen``."""
+    matrices G drawn from ``gen``, one part filled block by block."""
     out = np.empty((n, n, size), dtype=complex if field == "complex" else float)
-    whole, last = sampling._ginibre_parts(gen, (size, n, cols), field)
-    with sampling._filled_blocks(whole, last, size) as blocks:
-        for rows, z in blocks:
-            sampling._gram(sampling._batch_last_block(whole, rows, z), out[..., rows])
+    parts = [(gen.standard_normal, (n, cols, sampling._parts(field)))]
+    with sampling._filled_blocks(parts, size) as blocks:
+        for rows, (z,) in blocks:
+            sampling._gram(sampling._batch_last_block(z), out[..., rows])
     return np.moveaxis(out, -1, 0)
 
 

@@ -122,10 +122,11 @@ def test_interior_states_are_density_matrices(field):
 
 def test_interior_pinned_sample():
     # frozen regression anchor for the counter-based stream layout of the
-    # Bartlett draw: the diagonal gammas, then the normals below them
+    # Bartlett draw: the diagonal gammas from child 0, the normals below them
+    # from child 1
     rho = sample_state_hs(BipartiteShape(1, 3), RngStream(5), size=1)[0]
     assert np.diag(rho).real == pytest.approx(
-        [0.3240763183969296, 0.51390656125098, 0.16201712035209043], abs=1e-15
+        [0.29707867868903953, 0.2347527386071463, 0.4681685827038142], abs=1e-15
     )
 
 
@@ -146,7 +147,8 @@ def _gamma_shape_off_by_one(which):
     def sample(shape, rng, size):
         shapes = sampling._bartlett_shapes(shape.n, shape.field).astype(float)
         shapes[which] += 1
-        return sampling._bartlett_stack(rng.generator(), shape.field, size, shapes)
+        return sampling._stacked(sampling._bartlett_blocks(rng, shape.field, size, shapes),
+                                 size, shape.n, shape.field)
     return sample
 
 
@@ -404,7 +406,7 @@ def test_boundary_pinned_sample():
     states, _ = sample_boundary_state_hs(BipartiteShape(1, 3), RngStream(5), size=2)
     eigs = np.linalg.eigvalsh(states[0])
     assert eigs == pytest.approx(
-        [0.0, 0.37877330275764615, 0.6212266972423541], abs=1e-13
+        [0.0, 0.2349293132554358, 0.7650706867445645], abs=1e-13
     )
 
 
@@ -447,26 +449,35 @@ def test_direction_isotropy(field):
 
 def test_direction_pinned_sample():
     om = sample_direction(BipartiteShape(2, 2), RngStream(9), size=1)[0]
-    assert om[0, 0] == pytest.approx(0.07555542490312417 + 0j, abs=1e-15)
+    assert om[0, 0] == pytest.approx(0.02387781615571166 + 0j, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # blocked draws
 #
-# Each sampler allocates its variates whole and runs every later step in
-# row blocks of COUNT_CHUNK. The full-stack formulas below draw the variates
-# in one call per part and run the same kernels on the whole stack as one
-# batch-last block (the direction one is the batch-first formula as it was
-# before blocking); the blocked samplers must match them bit for bit.
+# Each sampler fills every random part from a generator of its own, one row
+# block of COUNT_CHUNK at a time. The full-stack formulas below draw each part
+# whole, in one call on its own generator, and run the same kernels on the
+# whole stack as one batch-last block (the direction one is the batch-first
+# formula as it was before blocking); the blocked samplers must match them
+# bit for bit.
+
+
+def _batch_last_zeros(shape, size):
+    """A zeroed (*shape, size) buffer in C order, as the samplers' block
+    buffers are: the sums of a contraction follow the layout of its
+    operands, and a one-row stack is a view of a two-row buffer, since
+    einsum sums a contiguous run in another order."""
+    return np.zeros((*shape, max(size, 2)))[..., :size]
 
 
 def _one_block(gen, field, size, n, cols, psi):
     """The Gram kernel on a whole (size, n, cols) Ginibre draw as one block,
     projected off ``psi``."""
-    parts = [gen.standard_normal((size, n, cols)) for _ in range(1 + (field == "complex"))]
-    # in C order, as the samplers' block buffers are: the sums of a
-    # contraction follow the layout of its operands
-    x = np.ascontiguousarray(np.concatenate([np.moveaxis(part, 0, -1) for part in parts], axis=1))
+    z = gen.standard_normal((size, n, cols, sampling._parts(field)))
+    x = _batch_last_zeros((n, z.shape[-1] * cols), size)
+    x[...] = np.concatenate([np.moveaxis(z[..., p], 0, -1) for p in range(z.shape[-1])],
+                            axis=1)
     sampling._project(x, psi)
     out = np.empty((n, n, size), dtype=complex if field == "complex" else float)
     sampling._gram(x, out)
@@ -474,14 +485,15 @@ def _one_block(gen, field, size, n, cols, psi):
 
 
 def _bartlett_factors(shape, rng, size):
-    """The Bartlett factors L of a whole stack, drawn in one gamma call and
-    one normal call, as a batch-last (n, n, size) buffer, (n, 2n, size) with
-    the imaginary parts after the real ones, in C order."""
-    n, parts = shape.n, 1 + (shape.field == "complex")
-    gen = rng.generator()
-    gam = gen.standard_gamma(sampling._bartlett_shapes(n, shape.field), size=(size, n))
-    below = gen.standard_normal((size, n * (n - 1) // 2, parts))
-    x = np.zeros((n, parts * n, size))
+    """The Bartlett factors L of a whole stack, the gammas drawn in one call
+    on child 0 and the normals in one call on child 1, as a batch-last
+    (n, n, size) buffer, (n, 2n, size) with the imaginary parts after the
+    real ones."""
+    n, parts = shape.n, sampling._parts(shape.field)
+    gam = rng.child(0).generator().standard_gamma(sampling._bartlett_shapes(n, shape.field),
+                                                  size=(size, n))
+    below = rng.child(1).generator().standard_normal((size, n * (n - 1) // 2, parts))
+    x = _batch_last_zeros((n, parts * n), size)
     d = np.arange(n)
     x[d, d] = np.sqrt(2.0 * gam).T
     i, j = np.tril_indices(n, -1)
@@ -539,6 +551,23 @@ def test_blocked_samplers_match_full_stack_formulas(shape):
                            _full_stack_direction(shape, rng, size))
 
 
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_a_draw_is_a_prefix_of_a_longer_draw(field):
+    """Every random part comes from a generator of its own, filled block by
+    block, so row i of a draw depends only on its stream and i: the first s
+    rows of a longer draw equal a size-s draw byte for byte, a one-row draw
+    included."""
+    shape, rng = BipartiteShape(2, 3, field), RngStream(4550)
+    draws = {"interior": lambda size: (sample_state_hs(shape, rng, size),),
+             "boundary": lambda size: sample_boundary_state_hs(shape, rng, size),
+             "direction": lambda size: (sample_direction(shape, rng, size),)}
+    for name, draw in draws.items():
+        longer = draw(6000)
+        for size in (1, COUNT_CHUNK - 1, COUNT_CHUNK + 1, 5000):
+            for got, want in zip(draw(size), longer, strict=True):
+                assert _same_bytes(got, want[:size]), (name, size)
+
+
 def _matmul_states(shape, rng, size):
     """Interior and boundary states by the batch-first matmul formulas, on
     the samplers' draws: L L^dag of the Bartlett factors L, and the
@@ -578,18 +607,17 @@ def test_gram_states_are_hermitian_by_construction(k, m, field):
         assert np.max(np.abs(np.einsum("sij,sj->si", boundary, psi))) <= 1e-14
 
 
-# tracemalloc peak of one call over the bytes it returns, 2x3 complex. The
-# output and the parts drawn in one call are whole (the real Ginibre part,
-# psi's normals, the Bartlett gammas); the last part's fills and everything
-# else are per block. Measured: interior 1.80 (whole Bartlett normals: 1.77,
-# Ginibre Gram route: 2.27, batch-first blocks: 2.40, full-stack samplers:
-# 3.04), boundary 2.39 (2.25, 2.36, 3.14), direction 1.64 (2.08, 2.10,
-# 4.03). The stack samplers copy each block into the stack, which holds one
-# block more than writing in place.
+# tracemalloc peak of one call over the bytes it returns, 2x3 complex. Only
+# the output is whole: every Gaussian part is filled block by block, and
+# everything else is per block. Measured: interior 1.76, boundary 2.05,
+# direction 1.18; with the real Ginibre part, psi's normals and the Bartlett
+# gammas drawn whole: 1.80, 2.39 and 1.64. The bounds are about 0.35 above
+# the measured ratios. The stack samplers copy each block into the stack,
+# which holds one block more than writing in place.
 PEAK_CASES = [
-    ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.2),
-    ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.75),
-    ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 2.0),
+    ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.1),
+    ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.4),
+    ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 1.55),
 ]
 
 
@@ -677,12 +705,19 @@ def test_a_block_source_left_early_leaves_no_thread(source):
     assert threading.active_count() == baseline
 
 
-class _FailingGenerator:
-    """A generator whose ``fails``-th fill raises, counting its
-    standard_gamma and standard_normal calls together."""
+class _FailingStream:
+    """A stream stand-in whose children share one generator, whose
+    ``fails``-th fill raises, counting its standard_gamma and
+    standard_normal calls together."""
 
-    def __init__(self, gen, fails):
-        self.gen, self.fails, self.calls = gen, fails, 0
+    def __init__(self, fails):
+        self.gen, self.fails, self.calls = RngStream(4920).generator(), fails, 0
+
+    def child(self, index):
+        return self
+
+    def generator(self):
+        return self
 
     def _fill(self, method, *args, **kwargs):
         self.calls += 1
@@ -697,30 +732,28 @@ class _FailingGenerator:
         return self._fill("standard_normal", *args, **kwargs)
 
 
-def _interior_stack(gen, field):
-    return sampling._bartlett_stack(gen, field, 3 * COUNT_CHUNK,
-                                    sampling._bartlett_shapes(4, field))
-
-
-# (stack over a generator and a field, the fill that fails): the interior
-# draw's first fill is its gammas, its second the first block of normals
+# (sampler, the fill that fails): each block queues one fill per part, in
+# the order of the parts, and the draw has three blocks. The interior draw's
+# fills are a block's gammas, then its normals; the boundary draw's its G,
+# then its psi
 FAILING_FILLS = {
-    "interior": (_interior_stack, 2),
-    "interior-gamma": (_interior_stack, 1),
-    "boundary": (lambda gen, field: sampling._gram_stack(
-        gen, field, 3 * COUNT_CHUNK, 4, 5, RngStream(4921)), 2),
+    "interior-gamma": (sample_state_hs, 1),
+    "interior": (sample_state_hs, 2),
+    "interior-later-gamma": (sample_state_hs, 5),
+    "boundary": (sample_boundary_state_hs, 3),
+    "boundary-psi": (sample_boundary_state_hs, 4),
+    "direction": (sample_direction, 2),
 }
 
 
-@pytest.mark.parametrize("stack,fails", FAILING_FILLS.values(), ids=FAILING_FILLS.keys())
+@pytest.mark.parametrize("draw,fails", FAILING_FILLS.values(), ids=FAILING_FILLS.keys())
 @pytest.mark.parametrize("field", ["complex", "real"])
-def test_a_failing_fill_raises_and_leaves_no_thread(field, stack, fails):
+def test_a_failing_fill_raises_and_leaves_no_thread(field, draw, fails):
     """The error of a fill reaches the caller, and the fills after it are
     cancelled or finished before the helper is joined."""
     baseline = threading.active_count()
-    gen = _FailingGenerator(RngStream(4920).generator(), fails)
     with pytest.raises(FloatingPointError, match=f"fill {fails} failed"):
-        stack(gen, field)
+        draw(BipartiteShape(1, 4, field), _FailingStream(fails), 3 * COUNT_CHUNK)
     assert threading.active_count() == baseline
 
 

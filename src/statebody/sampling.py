@@ -14,22 +14,24 @@ stack samplers copy exactly these blocks into their stack, so there is one
 code path, and a sweep that only counts can consume each block before it
 asks for the next, holding O(block) states.
 
-Draws stream through row blocks. Each random part of a draw, such as the
-interior draw's gammas and its normals, or a boundary draw's G and psi,
-comes from a generator of its own, and one helper thread per call fills
-every part one ``hermitian.row_blocks`` block per call, each into a buffer
-of its own (:func:`_filled_blocks`). No part is ever held whole, and row i
+Draws stream through row blocks. Each random part of a draw, such as a
+state draw's gammas, its normals and a boundary draw's psi, comes from a
+generator of its own, and one helper thread per call fills every part one
+``hermitian.row_blocks`` block per call, each into a buffer of its own
+(:func:`_filled_blocks`). No part is ever held whole, and row i
 of a draw depends only on its stream and i: the first s rows of a longer
 draw are the size-s draw, bit for bit. A complex Gaussian part lies as a
 complex array does, each entry's real part next to its imaginary part, so
 psi is the complex view of its buffer. The calling thread runs everything
 after the draw on each block whose fills are done, while the helper fills
-later blocks, copying a Ginibre block once into a batch-last real buffer.
-The helper runs only the generators, so every line of this package runs on
-the caller's thread, and it is joined once the draw is consumed, or its
-iterator closed or collected. The state samplers form the lower triangle
-of the block's Gram matrices with one contraction per row, batched along
-the last axis, so no matrix takes a BLAS call of its own. The mirror image
+later blocks, scattering a block's factors into a zero-padded batch-last
+real buffer kept across blocks. The helper runs only the generators, so
+every line of this package runs on the caller's thread, and it is joined
+once the draw is consumed, or its iterator closed or collected. Both state
+draws run one kernel, :func:`_bartlett_blocks`; the boundary draw adds psi
+and projects the factors off it. The state samplers form the lower
+triangle of the block's Gram matrices with one contraction per row,
+batched along the last axis, so no matrix takes a BLAS call of its own. The mirror image
 fills the upper triangle, so every state is exactly Hermitian, and the
 trace is the diagonal summed in index order. Each block is an (N, N, b)
 array; a stack sampler returns the (size, N, N) view of the (N, N, size)
@@ -46,7 +48,8 @@ sample_state_hs           Hilbert-Schmidt (flat) measure on the state body:
                           gammas and the normals below the diagonal)
 sample_boundary_state_hs  induced surface measure on the boundary (one
                           eigenvalue exactly zero), with the zero
-                          eigenvectors: a projected Ginibre Gram matrix
+                          eigenvectors: P L L^dag P / Tr of a Bartlett
+                          factor L for one column more, P = I - psi psi^dag
 state_blocks,             the states of the two samplers above, as
 boundary_blocks           batch-last blocks
 sample_direction          uniform on the unit sphere of traceless Hermitian
@@ -58,11 +61,14 @@ The flat measure is the law of a normalized Ginibre Gram matrix G G^dag, with
 a square G in the complex case and an N x (N+1) real G in the real case. The
 interior sampler draws the Bartlett factor L of G G^dag instead, which has
 the same law with N (N-1) normals and N gammas in place of 2 N^2 normals
-(complex). A boundary draw forms the Gram matrix of a Ginibre G with one
+(complex). A boundary state is the Gram matrix of a Ginibre G with one
 column more, projected off a uniform unit vector psi, so psi is the zero
-eigenvector. Its nonzero eigenvalues then carry the density obtained by
-setting the smallest eigenvalue to zero in the flat-measure eigenvalue
-density:
+eigenvector; the boundary sampler draws the Bartlett factor of that G G^dag
+and projects it, which has the same law, since psi is independent of both
+(a 2x3 complex state takes 30 normals, 6 gammas and 12 normals for psi in
+place of 84 and 12). Its nonzero eigenvalues then carry the density
+obtained by setting the smallest eigenvalue to zero in the flat-measure
+eigenvalue density:
 
     f(lambda) ~ prod_{i<j} |l_i - l_j|^beta * prod_i l_i^beta
 
@@ -197,16 +203,6 @@ def _batch_buffer(shape: tuple, b: int) -> np.ndarray:
     return np.empty((*shape, max(b, 2)))[..., :b]
 
 
-def _batch_last_block(z: np.ndarray) -> np.ndarray:
-    """A (b, n, cols, parts) Gaussian block copied batch-last into a real
-    (n, parts cols, b) buffer: row i holds the real parts of its entries,
-    then for the complex field their imaginary parts."""
-    b, n, cols, parts = z.shape
-    x = _batch_buffer((n, parts, cols), b)
-    x[...] = z.transpose(1, 3, 2, 0)
-    return x.reshape(n, parts * cols, b)
-
-
 def _stacked(blocks, size: int, n: int, field: str) -> np.ndarray:
     """The (size, n, n) stack of a draw's batch-last (n, n, b) blocks, in
     row order: a view of the (n, n, size) array they are copied into."""
@@ -217,40 +213,6 @@ def _stacked(blocks, size: int, n: int, field: str) -> np.ndarray:
         out[..., lo:hi] = block
         lo = hi
     return np.moveaxis(out, -1, 0)
-
-
-def _gram_blocks(rng: RngStream, field: str, size: int, n: int, cols: int):
-    """For each row block, in order, the pair (states, psi): the batch-last
-    (n, n, b) block of P G G^dag P / Tr of n x cols Ginibre matrices G
-    projected by P = I - psi psi^dag off unit vectors psi, and the block's
-    (b, n) rows of psi, the complex (or real) view of its normals' buffer.
-    G comes from rng.child(0) and psi from rng.child(1)."""
-    parts = _parts(field)
-    with _filled_blocks([(rng.child(0).generator().standard_normal, (n, cols, parts)),
-                         (rng.child(1).generator().standard_normal, (n, parts))],
-                        size) as blocks:
-        for _, (z, normals) in blocks:
-            psi = normals.view(_dtype(field)).reshape(len(z), n)
-            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-            x = _batch_last_block(z)
-            _project(x, psi)
-            out = np.empty((n, n, len(z)), dtype=_dtype(field))
-            _gram(x, out)
-            yield out, psi
-
-
-def _gram_stack(rng: RngStream, field: str, size: int, n: int, cols: int):
-    """The pair (states, psi) of :func:`_gram_blocks` as whole stacks: the
-    (size, n, n) states, a view of the (n, n, size) array the blocks are
-    copied into, and the (size, n) unit vectors."""
-    states = np.empty((n, n, size), dtype=_dtype(field))
-    psi = np.empty((size, n), dtype=_dtype(field))
-    lo = 0
-    for block, rows_psi in _gram_blocks(rng, field, size, n, cols):
-        hi = lo + len(rows_psi)
-        states[..., lo:hi], psi[lo:hi] = block, rows_psi
-        lo = hi
-    return np.moveaxis(states, -1, 0), psi
 
 
 def _project(x: np.ndarray, psi: np.ndarray):
@@ -312,42 +274,56 @@ def _flat_cols(n: int, field: str) -> int:
     return n if field == "complex" else n + 1
 
 
-def _bartlett_shapes(n: int, field: str) -> np.ndarray:
+def _bartlett_shapes(n: int, field: str, extra: int = 0) -> np.ndarray:
     """Gamma shapes k_i of the squared diagonal L_ii^2 / 2 of the Bartlett
     factor of an n x c Ginibre Gram matrix with c = ``_flat_cols(n, field)``
-    columns: c - i complex, (c - i) / 2 real."""
-    k = _flat_cols(n, field) - np.arange(n)
+    + ``extra`` columns: c - i complex, (c - i) / 2 real. A boundary draw
+    takes ``extra`` = 1."""
+    k = _flat_cols(n, field) + extra - np.arange(n)
     return k if field == "complex" else k / 2
 
 
-def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray):
-    """The batch-last (n, n, b) blocks, in row order, of the stack
-    L L^dag / Tr L L^dag of n x n lower triangular factors L with
-    L_ii = sqrt(2 Gamma(shapes[i])) and standard normal entries below the
-    diagonal, complex ones with i.i.d. parts.
+def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray,
+                     project: bool = False):
+    """For each row block, in order, the pair (states, psi): the batch-last
+    (n, n, b) block of the stack L L^dag / Tr L L^dag of n x n lower
+    triangular factors L with L_ii = sqrt(2 Gamma(shapes[i])) and standard
+    normal entries below the diagonal, complex ones with i.i.d. parts; with
+    ``project``, of P L L^dag P / Tr with P = I - psi psi^dag, for unit
+    vectors psi, and the block's (b, n) rows of psi, the complex (or real)
+    view of its normals' buffer. Without ``project`` psi is None.
 
-    ``standard_gamma`` on rng.child(0) fills the (b, n) diagonal gammas and
-    ``standard_normal`` on rng.child(1) the entries below the diagonal,
-    block by block, in the C order of the stack: matrix by matrix, row by
-    row, a complex entry's real part before its imaginary part. Each block
-    is scattered into a zero-padded batch-last L, whose Gram matrices
-    ``_gram`` forms as for a Ginibre block.
+    ``standard_gamma`` on rng.child(0) fills the (b, n) diagonal gammas,
+    ``standard_normal`` on rng.child(1) the entries below the diagonal, and
+    ``standard_normal`` on rng.child(2) the normals of psi, block by block,
+    in the C order of the stack: matrix by matrix, row by row, a complex
+    entry's real part before its imaginary part. Each block is scattered
+    into a zero-padded batch-last L, projected off psi by ``_project``, and
+    ``_gram`` forms its Gram matrices as for a Ginibre block.
     """
     n, parts = len(shapes), _parts(field)
     below_i, below_j = np.tril_indices(n, -1)
     at_i = np.repeat(below_i, parts)
     at_j = (below_j[:, None] + n * np.arange(parts)).ravel()
     d = np.arange(n)
+    # the entries no scatter writes: the parts' strict upper triangles and
+    # the imaginary diagonal, which the projection fills
+    zero = np.ones((n, parts * n), dtype=bool)
+    zero[d, d] = zero[at_i, at_j] = False
+    zero_i, zero_j = np.nonzero(zero)
     # one zero-padded L per block size, kept across blocks: each block writes
-    # the same entries, so the zeros above the diagonal stay. A fresh zeroed
-    # L per block made glibc trim and regrow its heap block after block: an
-    # interior sweep of 32,768 2x3 complex states took 14,743 page faults
-    # and 61 ms a call, against 1,345 and 43 ms with the L kept
+    # the same entries, so the zeros above the diagonal stay, and a projected
+    # block re-zeroes only them. A fresh zeroed L per block made glibc trim
+    # and regrow its heap block after block: an interior sweep of 32,768 2x3
+    # complex states took 14,743 page faults and 61 ms a call, against 1,345
+    # and 43 ms with the L kept
     factors = {}
     fills = [(partial(rng.child(0).generator().standard_gamma, shapes), (n,)),
              (rng.child(1).generator().standard_normal, (len(below_i), parts))]
+    if project:
+        fills.append((rng.child(2).generator().standard_normal, (n, parts)))
     with _filled_blocks(fills, size) as blocks:
-        for _, (gam, z) in blocks:
+        for _, (gam, z, *normals) in blocks:
             b = len(z)
             if b not in factors:
                 factors[b] = _batch_buffer((n, parts * n), b)
@@ -355,9 +331,37 @@ def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray):
             x = factors[b]
             x[d, d] = np.sqrt(2.0 * gam.T)
             x[at_i, at_j] = z.reshape(b, -1).T
+            psi = None
+            if project:
+                x[zero_i, zero_j] = 0.0
+                psi = normals[0].view(_dtype(field)).reshape(b, n)
+                psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+                _project(x, psi)
             out = np.empty((n, n, b), dtype=_dtype(field))
             _gram(x, out)
-            yield out
+            yield out, psi
+
+
+def _boundary_stack(pairs, size: int, n: int, field: str):
+    """The (states, psi) blocks of a projected draw as whole stacks: the
+    (size, n, n) states, a view of the (n, n, size) array the blocks are
+    copied into, and the (size, n) unit vectors."""
+    states = np.empty((n, n, size), dtype=_dtype(field))
+    psi = np.empty((size, n), dtype=_dtype(field))
+    lo = 0
+    for block, rows_psi in pairs:
+        hi = lo + len(rows_psi)
+        states[..., lo:hi], psi[lo:hi] = block, rows_psi
+        lo = hi
+    return np.moveaxis(states, -1, 0), psi
+
+
+def _boundary_pairs(shape: BipartiteShape, rng: RngStream, size: int):
+    """The (states, psi) blocks of the boundary draw: the Bartlett factor of
+    a Ginibre Gram matrix with one column more than the flat measure's,
+    projected off psi."""
+    shapes = _bartlett_shapes(shape.n, shape.field, 1)
+    return _bartlett_blocks(rng, shape.field, size, shapes, project=True)
 
 
 def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
@@ -368,7 +372,8 @@ def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     a sweep that consumes each block before it asks for the next holds
     O(block) states."""
     size = _integer("size", size, 0)
-    return _bartlett_blocks(rng, shape.field, size, _bartlett_shapes(shape.n, shape.field))
+    return map(itemgetter(0), _bartlett_blocks(rng, shape.field, size,
+                                               _bartlett_shapes(shape.n, shape.field)))
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -404,14 +409,15 @@ def boundary_eigenvalues_laguerre(
     eigenvalues of B B^T have density prod |l_i - l_j|^beta prod l_i^beta
     exp(-sum l_i / 2); f is homogeneous, so dividing a spectrum by its sum
     gives exactly the law f on the simplex. Rows are i.i.d. and share no
-    Ginibre draw, projection or Gram matrix with the route they check, the
-    boundary sampler's projected Ginibre Gram matrix; they share only
-    ``eigvalsh``. Like the interior sampler's Bartlett factor, B is a
-    triangular factor with chi-distributed entries, but it checks only the
-    boundary route. It is the independent oracle for the spectra of
-    production boundary states, used only by the sampler battery and the
-    tests. Returns a (size, N-1) array of eigenvalue rows summing to one,
-    sorted ascending.
+    draw, projection or Gram matrix with the route they check, the boundary
+    sampler's projected Bartlett factor; they share only ``eigvalsh``. Like
+    the samplers' N x N Bartlett factors, B is a triangular factor with
+    chi-distributed entries, but it is (N-1)-dimensional and bidiagonal,
+    projected off nothing, and takes no gamma shape from them, so a wrong
+    shape in ``_bartlett_shapes`` cannot move both. It is the independent
+    oracle for the spectra of production boundary states, used only by the
+    sampler battery and the tests. Returns a (size, N-1) array of
+    eigenvalue rows summing to one, sorted ascending.
     """
     m = _integer("n", n, 2) - 1
     _dtype(field)
@@ -439,8 +445,9 @@ def boundary_eigenvalues_wishart(
     """Nonzero eigenvalues of production boundary states on one N-level body.
 
     The spectra of ``sample_boundary_state_hs`` with the zero eigenvalue
-    dropped: those of a normalized (N-1) x (N+1) complex (or (N-1) x (N+2)
-    real) Ginibre Gram matrix, distributed exactly by f. Returns (size, N-1)
+    dropped, drawn from its projected Bartlett factor: they have the law of
+    the spectra of a normalized (N-1) x (N+1) complex (or (N-1) x (N+2)
+    real) Wishart matrix, distributed exactly by f. Returns (size, N-1)
     rows sorted ascending.
     """
     states, _ = sample_boundary_state_hs(BipartiteShape(1, n, field), rng, size)
@@ -450,16 +457,24 @@ def boundary_eigenvalues_wishart(
 def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     """Boundary states under the induced Hilbert-Schmidt surface measure.
 
-    rho = P G G^dag P / Tr(P G G^dag P) with P = I - psi psi^dag, psi a
-    normalized Gaussian vector and G a Ginibre matrix with one column more
-    than the interior draw. psi is the zero eigenvector up to rounding, and
-    P does not depend on the phase of psi. G comes from rng.child(0) and
-    psi from rng.child(1), each entry's real part before its imaginary
-    part. Returns the pair (states, zero_eigvecs) of (size, N, N) and
-    (size, N) stacks.
+    rho = P L L^dag P / Tr(P L L^dag P) with P = I - psi psi^dag, psi a
+    normalized Gaussian vector and L the Bartlett factor of the Gram matrix
+    G G^dag of a Ginibre matrix G with one column more than the interior
+    draw's: N + 1 complex, N + 2 real. L L^dag has the (Wishart) law of
+    G G^dag, and psi is independent of both, so rho has the law of
+    P G G^dag P / Tr: L_ii^2 / 2 is Gamma(N + 1 - i) distributed
+    (Gamma((N + 2 - i) / 2) real), the entries below the diagonal standard
+    normal. psi is the zero eigenvector up to rounding, and P does not
+    depend on the phase of psi. rng.child(0) gives the diagonal gammas,
+    rng.child(1) the normals below the diagonal and rng.child(2) the
+    normals of psi, in the C order of the stack, each complex entry's real
+    part before its imaginary part. A 2x3 complex draw takes 30 normals, 6
+    gammas and 12 normals for psi, against 84 and 12 for the projected G.
+    Returns the pair (states, zero_eigvecs) of (size, N, N) and (size, N)
+    stacks.
     """
     size = _integer("size", size, 0)
-    return _gram_stack(rng, shape.field, size, shape.n, _flat_cols(shape.n, shape.field) + 1)
+    return _boundary_stack(_boundary_pairs(shape, rng, size), size, shape.n, shape.field)
 
 
 def boundary_blocks(shape: BipartiteShape, rng: RngStream, size: int):
@@ -468,8 +483,7 @@ def boundary_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     per ``hermitian.row_blocks(size)`` slice, in order: a sweep that
     consumes each block before it asks for the next holds O(block) states."""
     size = _integer("size", size, 0)
-    return map(itemgetter(0), _gram_blocks(rng, shape.field, size, shape.n,
-                                           _flat_cols(shape.n, shape.field) + 1))
+    return map(itemgetter(0), _boundary_pairs(shape, rng, size))
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:

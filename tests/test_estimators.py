@@ -36,7 +36,7 @@ from statebody import (
 )
 from statebody.cli import main
 
-from ginibre_reference import blocks_of, ginibre_sampler
+from ginibre_reference import blocks_of, ginibre_boundary_sampler, ginibre_sampler
 
 QUBIT = BodySpec("full", BipartiteShape(1, 2))
 CUBE = TangentBody(cube_generators(3))
@@ -363,30 +363,20 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
 # the radius law: boundary radii against interior radial values
 
 
-def _boundary_gram_sampler(extra):
-    """The production boundary sampler with ``extra`` Ginibre columns more."""
-    def sample(shape, rng, size):
-        n = shape.n
-        return sampling._gram_stack(rng, shape.field, size, n,
-                                    sampling._flat_cols(n, shape.field) + 1 + extra)
-    return sample
-
-
-
 def test_radius_law_fails_with_a_wrong_boundary_sampler(monkeypatch):
     body = BodySpec("full", BipartiteShape(1, 3))
     law = radius_law(body, 20_000, RngStream(8))
     assert law.p_value > 0.01
     assert (law.n_boundary, law.n_interior) == (20_000, 20_000)
     assert law.seed == RngStream(8).describe()
-    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(-1)))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(ginibre_boundary_sampler(-1)))
     assert radius_law(body, 20_000, RngStream(8)).p_value < 1e-6
 
 
 def test_height_check_fails_with_a_wrong_boundary_sampler(monkeypatch, tmp_path):
     d = {"experiment": "height-check", "shape": "1x3", "body": "full",
          "n_samples": 20_000, "seed": 8, "output_path": str(tmp_path)}
-    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(-1)))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(ginibre_boundary_sampler(-1)))
     record = run_experiment(config_from_dict(d), write=False)
     assert record.metrics["p_value"] < 1e-6 and not record.passed
     cfg = tmp_path / "h.json"
@@ -474,7 +464,7 @@ def test_omega_fails_with_a_wrong_gram(monkeypatch, extra):
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["column-more", "column-fewer"])
 def test_omega_fails_with_a_wrong_boundary_sampler(monkeypatch, extra):
-    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(_boundary_gram_sampler(extra)))
+    monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(ginibre_boundary_sampler(extra)))
     rep = estimate_omega(BipartiteShape(2, 2), 20_000, RngStream(107))
     assert abs(rep.omega - 2.0) > SIGMA_LOOSE * rep.stderr
 

@@ -586,6 +586,26 @@ def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
                 assert fallbacks == sum(w[1] for w in want) == (0 if sweeps else 2 * len(rows))
 
 
+@pytest.mark.parametrize("shape", [BipartiteShape(2, 2), BipartiteShape(2, 3),
+                                   BipartiteShape(2, 3, "real")], ids=str)
+def test_gathered_group_minima_equal_the_per_piece_minima(shape):
+    """On a PPT sweep a Newton group holds each block's few kept rows as a
+    piece of its own. The pieces are gathered into copies of at most
+    COUNT_CHUNK rows before the tridiagonal reduction; the minima of both
+    constraints equal those of each piece reduced alone, bit for bit, on
+    groups that take one copy (2x3 complex) and several (2x2 complex, 2x3
+    real), with pieces of one row among them."""
+    blocks = [np.moveaxis(b, -1, 0)
+              for b in sampling.state_blocks(shape, RngStream(4860), 8 * COUNT_CHUNK)]
+    pieces = [b[hermitian._ppt_block(b, shape)] for b in blocks]
+    pieces[1:1] = [blocks[0][:1], blocks[1][5:6]]
+    lam, fallbacks = hermitian._group_minima(pieces, (None, shape))
+    alone = [hermitian._group_minima([piece], (None, shape)) for piece in pieces]
+    assert _same_bytes(lam, np.concatenate([got for got, _ in alone], axis=1))
+    assert fallbacks == sum(f for _, f in alone) == 0
+    assert (lam.shape[1] > COUNT_CHUNK) == (shape != BipartiteShape(2, 3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_min_eigenvalues_reject_non_finite_entries(bad):
     h = np.stack([random_hermitian(6, s) for s in range(5)])

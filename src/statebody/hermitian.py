@@ -15,9 +15,12 @@ caller needs only the smallest eigenvalue per constraint of a state body,
 and reads it from :func:`min_eigenvalues`, a Newton iteration on the same
 tridiagonal that the same Sturm counts certify: the interior draws of both
 interior laws and the direction sweeps of the radial kernel. A row of
-either path gets the same bits alone as in any stack. ``eigvalsh`` is left
-for whole spectra (the sampler battery), the one ``eigh`` of
-``geometry.support_height`` and the rows ``min_eigenvalues`` cannot certify.
+either path gets the same bits alone as in any stack. The whole nonzero
+spectra of production boundary states at N <= 4, which the sampler battery
+reads, come in closed form from their power sums (:func:`_spectrum_block`).
+``eigvalsh`` is left for the spectra of the battery's beta-Laguerre oracle,
+the one ``eigh`` of ``geometry.support_height`` and the rows
+``min_eigenvalues`` cannot certify.
 
 Each stack kernel runs a per-block kernel on the stack's row blocks:
 :func:`_ppt_block`, :func:`_count_block` and :func:`_block_minima`. The
@@ -25,6 +28,7 @@ sweeps that stream the samplers' blocks call them directly, on one block
 at a time. Each reads its (b, N, N) block, never writes it, and works on
 its own batch-last copy, which the count and minimum kernels can form as
 the block's partial transposes, so no transposed stack is built.
+:func:`_spectrum_block` reads a sampler's batch-last block as it comes.
 """
 
 from __future__ import annotations
@@ -232,6 +236,62 @@ def _count_block(block: np.ndarray, xs: np.ndarray, shape: BipartiteShape | None
     threshold of the (len(xs), 1) array ``xs``; with a ``shape``, those of
     the block's partial transposes, formed in the kernel's own copy."""
     return _sturm_counts(*_tridiagonal_block(_batch_last([block], shape)), xs)
+
+
+def _power_sums(block: np.ndarray):
+    """The power sums (p1, p2, p3), p_k = Tr rho^k, of each matrix of a
+    batch-last (n, n, b) Hermitian block, as (b,) arrays: p1 the diagonal
+    summed in index order, p2 = sum |rho_ij|^2 and, for n = 4 only (else
+    None), p3 = Re sum_ik (rho rho)_ik rho_ki, one contraction per row of
+    rho rho. Each runs per column, so a matrix's sums do not depend on its
+    block."""
+    n = block.shape[0]
+    d = np.arange(n)
+    p1 = _sum_in_order(block[d, d].real)
+    sq = block.real ** 2
+    if np.iscomplexobj(block):
+        sq += block.imag ** 2
+    p2 = _sum_in_order(sq.reshape(n * n, -1))
+    p3 = None
+    if n == 4:
+        p3 = sum(np.einsum("kb,kb->b", np.einsum("jb,jkb->kb", block[i], block),
+                           block[:, i]).real for i in range(n))
+    return p1, p2, p3
+
+
+def _spectrum_block(block: np.ndarray) -> np.ndarray:
+    """The nonzero eigenvalues of each state of a batch-last (N, N, b) block
+    of trace-one rank-(N - 1) Hermitian states, N = 2..4, as a (b, N - 1)
+    array of rows sorted ascending, read off the :func:`_power_sums`.
+
+    A row has at most three nonzero eigenvalues, so Newton's identities
+    give them in closed form. N = 2 gives p1, and N = 3
+    (p1 -+ sqrt(2 p2 - p1^2)) / 2. N = 4 takes the elementary symmetric
+    sums e2 = (p1^2 - p2) / 2 and e3 = (p1^3 - 3 p1 p2 + 2 p3) / 6 to the
+    trigonometric roots of the cubic (Smith, Comm. ACM 4, 168 (1961)) and
+    sorts them: at a tie the formula's own order can be off by an ulp. On
+    production boundary states a row lies within 1e-12 of ``eigvalsh``'s;
+    a double root costs about sqrt(eps). A state's row does not depend on
+    its block."""
+    n = block.shape[0]
+    p1, p2, p3 = _power_sums(block)
+    if n == 2:
+        return p1[:, None]
+    if n == 3:
+        half_gap = 0.5 * np.sqrt(np.maximum(2.0 * p2 - p1 * p1, 0.0))
+        return np.stack([0.5 * p1 - half_gap, 0.5 * p1 + half_gap], axis=1)
+    e2 = 0.5 * (p1 * p1 - p2)
+    e3 = (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3) / 6.0
+    # t^3 + p t + q = 0 for t = lambda - p1 / 3, with p <= 0 for a real
+    # spectrum; t = 2 r cos(angle - 2 pi k / 3), r = sqrt(-p / 3)
+    shift = p1 / 3.0
+    p = e2 - p1 * shift
+    q = shift * (e2 - 2.0 * shift * shift) - e3
+    r = np.sqrt(np.maximum(-p / 3.0, 0.0))
+    cos3 = np.divide(q, -2.0 * r ** 3, out=np.zeros_like(q), where=r > 0)
+    angle = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+    roots = shift + 2.0 * r * np.cos(angle - (2.0 * np.pi / 3.0) * np.arange(3)[:, None])
+    return np.sort(roots.T, axis=1)
 
 
 def min_eigenvalues(mats: np.ndarray):

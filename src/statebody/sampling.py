@@ -75,7 +75,9 @@ eigenvalue density:
 with beta = 2 (complex) or 1 (real), and its eigenvectors form a Haar frame.
 The beta-Laguerre bidiagonal model draws f directly, i.i.d. and exactly; it
 is kept only as an independent oracle: the sampler battery and the test
-suite compare its spectra with those of production boundary states.
+suite compare its spectra, from ``eigvalsh``, with those of production
+boundary states, which :func:`boundary_eigenvalues_wishart` reads off their
+power sums in closed form.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .hermitian import (BipartiteShape, _dtype, _hs_norms, _integer, _sum_in_order,
-                        row_blocks)
+from .hermitian import (BipartiteShape, _dtype, _hs_norms, _integer, _spectrum_block,
+                        _sum_in_order, row_blocks)
 
 _MASK64 = (1 << 64) - 1
 _ALGORITHM = "philox4x64"
@@ -409,8 +411,10 @@ def boundary_eigenvalues_laguerre(
     eigenvalues of B B^T have density prod |l_i - l_j|^beta prod l_i^beta
     exp(-sum l_i / 2); f is homogeneous, so dividing a spectrum by its sum
     gives exactly the law f on the simplex. Rows are i.i.d. and share no
-    draw, projection or Gram matrix with the route they check, the boundary
-    sampler's projected Bartlett factor; they share only ``eigvalsh``. Like
+    draw, projection, Gram matrix or eigen kernel with the route they check,
+    the boundary sampler's projected Bartlett factor: the oracle's spectra
+    come from LAPACK's ``eigvalsh``, production's from the power sums of
+    ``hermitian._spectrum_block``. Like
     the samplers' N x N Bartlett factors, B is a triangular factor with
     chi-distributed entries, but it is (N-1)-dimensional and bidiagonal,
     projected off nothing, and takes no gamma shape from them, so a wrong
@@ -442,16 +446,28 @@ def boundary_eigenvalues_laguerre(
 def boundary_eigenvalues_wishart(
     n: int, field: str, rng: RngStream, size: int
 ) -> np.ndarray:
-    """Nonzero eigenvalues of production boundary states on one N-level body.
+    """Nonzero eigenvalues of production boundary states on one N-level body,
+    N = 2..4.
 
     The spectra of ``sample_boundary_state_hs`` with the zero eigenvalue
     dropped, drawn from its projected Bartlett factor: they have the law of
     the spectra of a normalized (N-1) x (N+1) complex (or (N-1) x (N+2)
-    real) Wishart matrix, distributed exactly by f. Returns (size, N-1)
-    rows sorted ascending.
+    real) Wishart matrix, distributed exactly by f. The blocks of
+    ``boundary_blocks`` stream through ``hermitian._spectrum_block``, which
+    reads each spectrum off the power sums Tr rho^k in closed form, so no
+    state stack is held and no matrix takes a LAPACK call. Returns
+    (size, N-1) rows sorted ascending.
     """
-    states, _ = sample_boundary_state_hs(BipartiteShape(1, n, field), rng, size)
-    return np.linalg.eigvalsh(states)[:, 1:]
+    n = _integer("n", n, 2, 4)
+    shape = BipartiteShape(1, n, field)
+    size = _integer("size", size, 0)
+    out = np.empty((size, n - 1))
+    lo = 0
+    for block in boundary_blocks(shape, rng, size):
+        hi = lo + block.shape[-1]
+        out[lo:hi] = _spectrum_block(block)
+        lo = hi
+    return out
 
 
 def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):

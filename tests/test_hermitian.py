@@ -612,3 +612,59 @@ def test_min_eigenvalues_reject_non_finite_entries(bad):
     h[3, 4, 1] = bad
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         min_eigenvalues(h)
+
+
+# ---------------------------------------------------------------------------
+# closed-form boundary spectra
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectrum_block_matches_eigvalsh_on_production_states(n, field):
+    """On 10^5 production boundary states the power-sum spectra lie within
+    1e-11 of LAPACK's nonzero eigenvalues (the worst seen: 1.9e-13 at N =
+    4 real), block by block."""
+    shape, rng, size = BipartiteShape(1, n, field), RngStream(4800 + n), 100_000
+    got = np.concatenate([hermitian._spectrum_block(b)
+                          for b in sampling.boundary_blocks(shape, rng, size)])
+    states, _ = sample_boundary_state_hs(shape, rng, size)
+    assert got.shape == (size, n - 1)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(states)[:, 1:])) <= 1e-11
+
+
+def _unitaries(rng, size, n, field):
+    g = rng.standard_normal((size, n, n))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((size, n, n))
+    return np.linalg.qr(g)[0]
+
+
+def _degenerate_cases(field, size=2048):
+    """(N, batch-last block, exact nonzero spectrum) for trace-one rank-(N-1)
+    states with a repeated nonzero eigenvalue: P / (N - 1) for
+    P = I - psi psi^dag, the root of multiplicity N - 1, and at N = 4
+    U diag(0, a, a, 1 - 2a) U^dag with a double root below or above the
+    third."""
+    rng = np.random.default_rng(4900)
+    for n in (2, 3, 4):
+        psi = _unitaries(rng, size, n, field)[:, :, 0]
+        p = np.eye(n) - psi[:, :, None] * np.conj(psi)[:, None, :]
+        yield n, hermitian_part(p) / (n - 1), np.full(n - 1, 1.0 / (n - 1))
+    for spectrum in ([0.2, 0.2, 0.6], [0.1, 0.45, 0.45]):
+        u = _unitaries(rng, size, 4, field)
+        rho = (u * np.array([0.0, *spectrum])) @ np.conj(np.swapaxes(u, -1, -2))
+        yield 4, hermitian_part(rho), np.array(spectrum)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_spectrum_block_at_repeated_roots(field):
+    """At a double or triple nonzero root the closed form stays sorted,
+    sums to one and lies within 1e-7 of the exact roots: a repeated root
+    costs about sqrt(eps), not more."""
+    for n, states, exact in _degenerate_cases(field):
+        got = hermitian._spectrum_block(np.ascontiguousarray(np.moveaxis(states, 0, -1)))
+        assert got.shape == (len(states), n - 1)
+        assert np.all(np.diff(got, axis=1) >= 0), n
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12, n
+        assert np.max(np.abs(got - exact)) <= 1e-7, (n, exact)
+

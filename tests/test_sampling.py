@@ -32,7 +32,7 @@ from statebody import (
     sample_state_hs,
     sphere_area,
 )
-from statebody import sampling, validation
+from statebody import hermitian, sampling, validation
 from statebody.hermitian import COUNT_CHUNK
 from statebody.validation import boundary_lmax_cdf_n3
 
@@ -307,6 +307,8 @@ INTEGER_SITES = {
        for name, f in SIZE_SITES.items()},
     "laguerre n": ("n", lambda v: boundary_eigenvalues_laguerre(v, "real", RngStream(1), 2),
                    2, None, 3),
+    "wishart n": ("n", lambda v: boundary_eigenvalues_wishart(v, "real", RngStream(1), 2),
+                  2, 4, 3),
     "inscribed_radius": ("n", inscribed_radius, 2, None, 3),
     "sphere_area": ("d", sphere_area, 1, None, 3),
     "mc_volume": ("n", lambda v: mc_volume(_FULL, v, RngStream(1)), 2, None, 4),
@@ -406,12 +408,58 @@ def test_battery_fails_a_short_gram(field, monkeypatch):
     assert not checks["all_passed"]
 
 
+def _one_power_sum_wrong(n):
+    """hermitian._power_sums with one sum wrong at N = n only: at N = 3, p2
+    raised by 0.01, so 2 p2 reads 2 p2 + 0.02 (half that fault passed the
+    battery at 4,000 samples, p = 0.32 complex and 0.019 real); at N = 4,
+    p3 negated, which flips the sign of the p3 term of e3."""
+    power_sums = hermitian._power_sums
+
+    def wrong(block):
+        p1, p2, p3 = power_sums(block)
+        if len(block) != n:
+            return p1, p2, p3
+        return (p1, p2 + 0.01, p3) if n == 3 else (p1, p2, -p3)
+    return wrong
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n,check", [(3, "boundary_lmax_exact_ks_n3"),
+                                     (4, "boundary_joint_chi2_n4")])
+def test_battery_fails_a_wrong_power_sum(field, n, check, monkeypatch):
+    """The closed-form spectra are covered: at N = 3 by the closed-form law
+    of lambda_max, at N = 4 by the chi-square against the LAPACK oracle."""
+    monkeypatch.setattr(hermitian, "_power_sums", _one_power_sum_wrong(n))
+    checks = validation.sampler_validation(field, 4000, RngStream(58))
+    assert not checks[check]["passed"], checks[check]
+    assert not checks["all_passed"]
+
+
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_battery_spectrum_is_the_production_spectrum(field):
-    """The oracle is compared with the spectra production draws."""
-    lam = boundary_eigenvalues_wishart(4, field, RngStream(43), 50)
-    states, _ = sample_boundary_state_hs(BipartiteShape(1, 4, field), RngStream(43), 50)
-    assert np.array_equal(lam, np.linalg.eigvalsh(states)[:, 1:])
+    """The oracle is compared with the spectra of the states production
+    draws: the power-sum kernel on the boundary blocks of the same stream,
+    bit for bit, which lie within 1e-12 of LAPACK's spectra of the
+    boundary sampler's states."""
+    shape, rng = BipartiteShape(1, 4, field), RngStream(43)
+    lam = boundary_eigenvalues_wishart(4, field, rng, 50)
+    blocks = sampling.boundary_blocks(shape, rng, 50)
+    assert np.array_equal(lam, np.concatenate([hermitian._spectrum_block(b) for b in blocks]))
+    states, _ = sample_boundary_state_hs(shape, rng, 50)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(states)[:, 1:])) <= 1e-12
+
+
+def test_only_the_oracle_calls_lapack(monkeypatch):
+    """Production spectra take no eigvalsh call; the beta-Laguerre oracle
+    does, so the two share no eigen kernel."""
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    for n in (2, 3, 4):
+        assert boundary_eigenvalues_wishart(n, "complex", RngStream(44), 300).shape == (300, n - 1)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        boundary_eigenvalues_laguerre(3, "complex", RngStream(44), 300)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -579,11 +627,12 @@ def test_a_draw_is_a_prefix_of_a_longer_draw(field):
     """Every random part comes from a generator of its own, filled block by
     block, so row i of a draw depends only on its stream and i: the first s
     rows of a longer draw equal a size-s draw byte for byte, a one-row draw
-    included."""
+    included, and so do the production boundary spectra."""
     shape, rng = BipartiteShape(2, 3, field), RngStream(4550)
     draws = {"interior": lambda size: (sample_state_hs(shape, rng, size),),
              "boundary": lambda size: sample_boundary_state_hs(shape, rng, size),
-             "direction": lambda size: (sample_direction(shape, rng, size),)}
+             "direction": lambda size: (sample_direction(shape, rng, size),),
+             "spectra": lambda size: (boundary_eigenvalues_wishart(4, field, rng, size),)}
     for name, draw in draws.items():
         longer = draw(6000)
         for size in (1, COUNT_CHUNK - 1, COUNT_CHUNK + 1, 5000):

@@ -52,7 +52,7 @@ import numpy as np
 from . import polytopes
 from .geometry import BodySpec, _constraint_minima, _radial_batch
 from .hermitian import BipartiteShape, _count_block, _hs_norms, _integer
-from .hermitian import ppt_mask as _ppt_mask
+from .hermitian import _ppt_block as _ppt_mask
 from .sampling import RngStream, boundary_blocks, sample_direction, state_blocks
 
 BATCH = 1 << 16
@@ -311,28 +311,19 @@ def mc_gamma(body: polytopes.TangentBody, n: int, rng: RngStream,
 
 
 def _in_body(body: BodySpec, blocks):
-    """For each batch-last (N, N, b) state block, the (b, N, N) stack of its
-    rows that lie in ``body``: a view of all of them for the full body, a
+    """For each batch-last (N, N, b) state block, the batch-last block of
+    its states that lie in ``body``: the block itself for the full body, a
     copy of those that pass the PPT test for a PPT body."""
-    def kept(block):
-        states = np.moveaxis(block, -1, 0)
-        return states[_ppt_mask(states, body.shape)] if body.kind == "ppt" else states
-
-    return map(kept, blocks)
+    if body.kind == "full":
+        return blocks
+    return (block[..., _ppt_mask(block, body.shape)] for block in blocks)
 
 
-def _block_sum(kernel, blocks):
-    """The sum of ``kernel(states)`` over batch-last (N, N, b) state blocks,
-    each seen as its (b, N, N) stack: a count-only sweep, which holds no
-    block past its kernel call."""
-    return sum(map(lambda block: kernel(np.moveaxis(block, -1, 0)), blocks))
-
-
-def _depths(body: BodySpec, stacks):
-    """The depth s = N * lambda_min over the body's constraints of each row
-    of a stream of state stacks that lie in ``body`` (down to -N * PPT_TOL
-    on a PPT body), and how many minima ``eigvalsh`` gave."""
-    lam, fallbacks = _constraint_minima(body, stacks)
+def _depths(body: BodySpec, blocks):
+    """The depth s = N * lambda_min over the body's constraints of each
+    state of a stream of batch-last state blocks that lie in ``body`` (down
+    to -N * PPT_TOL on a PPT body), and how many minima ``eigvalsh`` gave."""
+    lam, fallbacks = _constraint_minima(body, blocks)
     return body.shape.n * lam.min(axis=0), fallbacks
 
 
@@ -357,17 +348,20 @@ def radius_law(body: BodySpec, n: int, rng: RngStream, shards: int = 1) -> Radiu
 
     n = _integer("n", n, 2)
 
+    def distance(block):
+        return _hs_norms(np.moveaxis(block, -1, 0) - body.center)
+
     def boundary(stream, count):
-        return (np.concatenate([_hs_norms(states - body.center) for states in
+        return (np.concatenate([distance(block) for block in
                                 _in_body(body, boundary_blocks(body.shape, stream, count))]),)
 
     def interior(stream, count):
         distances = []
 
         def kept():
-            for states in _in_body(body, state_blocks(body.shape, stream, count)):
-                distances.append(_hs_norms(states - body.center))
-                yield states
+            for block in _in_body(body, state_blocks(body.shape, stream, count)):
+                distances.append(distance(block))
+                yield block
 
         s, _ = _depths(body, kept())
         return (np.concatenate(distances) / (1.0 - s),)
@@ -443,9 +437,12 @@ def _ppt_fraction(label: str, shape: BipartiteShape, n: int, rng: RngStream,
     """PPT fraction of n states that ``blocks(shape, stream, count)`` yields
     chunk by chunk as batch-last state blocks, each tested as it comes."""
     n = _integer("n", n, 2)
-    (hits,) = _sweep(n, rng, shards, lambda stream, count: (np.array([_block_sum(
-        lambda states: int(np.count_nonzero(_ppt_mask(states, shape))),
-        blocks(shape, stream, count))]),))
+
+    def kernel(stream, count):
+        return (np.array([sum(np.count_nonzero(_ppt_mask(block, shape))
+                              for block in blocks(shape, stream, count))]),)
+
+    (hits,) = _sweep(n, rng, shards, kernel)
     p, se = _binomial_estimate(int(np.sum(hits)), n)
     return Estimate(p, se, n, rng.describe(), f"{label}[{shape}]")
 
@@ -540,12 +537,12 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     deltas = _deltas(deltas)
     xs = np.array([*deltas, *(-d for d in deltas)])[:, None]
 
-    def near(states):
-        below = _count_block(states, xs, shape)
+    def near(block):
+        below = _count_block(block, xs, shape)
         return np.count_nonzero(below[:len(deltas)] > below[len(deltas):], axis=1)
 
     def kernel(stream, count):
-        return (_block_sum(near, boundary_blocks(shape, stream, count))[None],)
+        return (sum(map(near, boundary_blocks(shape, stream, count)))[None],)
 
     (counts,) = _sweep(n, rng, shards, kernel)
     counts = [int(c) for c in counts.sum(axis=0)]

@@ -78,10 +78,10 @@ def inscribed_radius(n: int) -> float:
 
 
 def _constraint_minima(body: BodySpec, blocks):
-    """lambda_min of each of the body's constraints on the rows of a sequence
-    of (b, N, N) stack blocks, as a (constraints, rows) array: row 0 of the
-    matrices themselves and, on a PPT body, row 1 of their partial
-    transposes; and how many minima ``eigvalsh`` gave. The blocks may be
+    """lambda_min of each of the body's constraints on the matrices of a
+    sequence of batch-last (N, N, b) blocks, as a (constraints, rows) array:
+    row 0 of the matrices themselves and, on a PPT body, row 1 of their
+    partial transposes; and how many minima ``eigvalsh`` gave. The blocks may be
     streamed: one NEWTON_ROWS group of them is held at a time."""
     shapes = (None,) if body.kind == "full" else (None, body.shape)
     return _block_minima(blocks, shapes)
@@ -91,7 +91,7 @@ def _radial_batch(body: BodySpec, omegas: np.ndarray) -> np.ndarray:
     """Radii 1 / (N * -lambda_min) of each constraint along a stack of
     directions, a (constraints, B) array: its column minimum is r(omega), and
     row 0 alone bounds the full body."""
-    lam, _ = _constraint_minima(body, [omegas])
+    lam, _ = _constraint_minima(body, [np.moveaxis(omegas, 0, -1)])
     if np.any(lam[0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
     return 1.0 / (body.shape.n * -lam)

@@ -22,13 +22,14 @@ reads, come in closed form from their power sums (:func:`_spectrum_block`).
 the one ``eigh`` of ``geometry.support_height`` and the rows
 ``min_eigenvalues`` cannot certify.
 
-Each stack kernel runs a per-block kernel on the stack's row blocks:
-:func:`_ppt_block`, :func:`_count_block` and :func:`_block_minima`. The
-sweeps that stream the samplers' blocks call them directly, on one block
-at a time. Each reads its (b, N, N) block, never writes it, and works on
-its own batch-last copy, which the count and minimum kernels can form as
-the block's partial transposes, so no transposed stack is built.
-:func:`_spectrum_block` reads a sampler's batch-last block as it comes.
+Each stack kernel runs a per-block kernel on batch-last views of the
+stack's row blocks: :func:`_ppt_block`, :func:`_count_block` and
+:func:`_block_minima`. The sweeps that stream the samplers' blocks call
+them directly, on one block at a time. Every per-block kernel,
+:func:`_spectrum_block` included, reads a batch-last (N, N, b) block as the
+samplers yield it and never writes it. All but :func:`_spectrum_block` work
+on their own C-order copy (:func:`_batch_last`), which can hold the
+block's partial transposes, so no transposed stack is built.
 """
 
 from __future__ import annotations
@@ -63,21 +64,32 @@ def row_blocks(size: int, block: int = COUNT_CHUNK) -> list:
 
 
 def _batch_last(pieces: list, shape: BipartiteShape | None = None) -> np.ndarray:
-    """A private C-order (n, n, b) copy of a list of (b_i, n, n) pieces of a
-    stack, one after another, with the stack on the last axis, in at least
-    float64, so each step of a batched kernel works on contiguous runs and
-    writes only to this copy. With a ``shape`` the copy holds the partial
-    transposes of the pieces."""
-    n = pieces[0].shape[-1]
-    if shape is not None:
-        pieces = [_pt_blocks(a, shape) for a in pieces]
-    out = np.empty((*pieces[0].shape[1:], sum(map(len, pieces))),
+    """A private C-order (n, n, b) copy of a list of batch-last (n, n, b_i)
+    pieces joined along the last axis, in at least float64, so each step of
+    a batched kernel works on contiguous runs and writes only to this copy.
+    With a ``shape`` the copy holds the partial transposes of the pieces,
+    and a piece whose leading axes are not (shape.n, shape.n) raises
+    DimensionMismatchError; without one, pieces whose leading axes are not
+    square and equal raise ValueError. A stack-first (N, N, N) array cannot
+    be told from a block by its shape: it is read as a block."""
+    n = pieces[0].shape[0] if shape is None else shape.n
+    if any(a.shape[:-1] != (n, n) for a in pieces):
+        error = ValueError if shape is None else DimensionMismatchError
+        raise error(f"expected batch-last blocks of square {n}x{n} matrices, got "
+                    f"shapes {[a.shape for a in pieces]}")
+    out = np.empty((n, n, sum(a.shape[-1] for a in pieces)),
                    dtype=np.result_type(pieces[0].dtype, np.float64))
+    dest, split = out, (n, n)
+    if shape is not None:
+        # the first factor's indices swapped: out[i, k, j, l] = a[j, k, i, l]
+        split = (shape.k, shape.m) * 2
+        dest = np.swapaxes(out.reshape(*split, out.shape[-1]), 0, 2)
     lo = 0
     for a in pieces:
-        out[..., lo:lo + len(a)] = np.moveaxis(a, 0, -1)
-        lo += len(a)
-    return out.reshape(n, n, lo)
+        hi = lo + a.shape[-1]
+        dest[..., lo:hi] = a.reshape(*split, a.shape[-1])
+        lo = hi
+    return out
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
@@ -175,8 +187,8 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     row of each Schur update is the conjugate of the pivot column. A state with
     a failed pivot stays False. The result agrees with "no eigenvalue of
     T_A(rho) below -PPT_TOL" except within rounding of -PPT_TOL. The sweep
-    runs :func:`_ppt_block` on blocks of COUNT_CHUNK states, so it never
-    copies the stack.
+    runs :func:`_ppt_block` on the batch-last views of blocks of COUNT_CHUNK
+    states, so it never copies the stack.
     """
     m = np.asarray(states)
     n = shape.n
@@ -184,19 +196,19 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     flat = m.reshape(-1, n, n)
     ok = np.empty(len(flat), dtype=bool)
     for rows in row_blocks(len(flat)):
-        ok[rows] = _ppt_block(flat[rows], shape)
+        ok[rows] = _ppt_block(np.moveaxis(flat[rows], 0, -1), shape)
     return ok.reshape(m.shape[:-2])
 
 
 def _ppt_block(block: np.ndarray, shape: BipartiteShape) -> np.ndarray:
-    """The PPT mask of :func:`ppt_mask` on one (b, N, N) block of states,
-    which it reads but never writes: the sweep runs on its own batch-last
-    copy of their partial transposes."""
+    """The PPT mask of :func:`ppt_mask` on one batch-last (N, N, b) block of
+    states, which it reads but never writes: the sweep runs on its own copy
+    of their partial transposes."""
     n = shape.n
     a = _batch_last([block], shape)
     diag = np.arange(n)
     a[diag, diag] += PPT_TOL
-    good = np.ones(len(block), dtype=bool)
+    good = np.ones(a.shape[-1], dtype=bool)
     for k in range(n):
         d = a[k, k].real
         good &= d > 0
@@ -227,14 +239,15 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
         raise ValueError("a threshold is NaN; no eigenvalue count is defined")
     counts = np.zeros((len(xs), len(m)), dtype=np.int64)
     for rows in row_blocks(len(m)):
-        counts[:, rows] = _count_block(m[rows], xs)
+        counts[:, rows] = _count_block(np.moveaxis(m[rows], 0, -1), xs)
     return counts
 
 
 def _count_block(block: np.ndarray, xs: np.ndarray, shape: BipartiteShape | None = None):
-    """The counts of :func:`eigen_counts` on one (b, n, n) block, below each
-    threshold of the (len(xs), 1) array ``xs``; with a ``shape``, those of
-    the block's partial transposes, formed in the kernel's own copy."""
+    """The counts of :func:`eigen_counts` on one batch-last (n, n, b) block,
+    below each threshold of the (len(xs), 1) array ``xs``; with a
+    ``shape``, those of the block's partial transposes, formed in the
+    kernel's own copy."""
     return _sturm_counts(*_tridiagonal_block(_batch_last([block], shape)), xs)
 
 
@@ -315,13 +328,13 @@ def min_eigenvalues(mats: np.ndarray):
     ``np.linalg.LinAlgError``.
     """
     lead = np.shape(mats)[:-2]
-    lam, fallbacks = _block_minima([_stack(mats)])
+    lam, fallbacks = _block_minima([np.moveaxis(_stack(mats), 0, -1)])
     return lam[0].reshape(lead), fallbacks
 
 
 def _block_minima(blocks, shapes=(None,)):
-    """The :func:`min_eigenvalues` of each row of a sequence of (b, n, n)
-    stack blocks, read but never written, under each entry of ``shapes``:
+    """The :func:`min_eigenvalues` of each matrix of a sequence of batch-last
+    (n, n, b) blocks, read but never written, under each entry of ``shapes``:
     None for the matrices themselves, a :class:`BipartiteShape` for their
     partial transposes. Returns a (len(shapes), rows) array over the rows
     of all blocks in order, and how many entries came from ``eigvalsh``.
@@ -339,13 +352,13 @@ def _block_minima(blocks, shapes=(None,)):
 
 
 def _newton_groups(blocks):
-    """The COUNT_CHUNK-row pieces of a sequence of (b, n, n) blocks, in
-    order, gathered into lists of at least NEWTON_ROWS rows; the last list
-    may hold fewer."""
+    """The COUNT_CHUNK-row pieces of a sequence of batch-last (n, n, b)
+    blocks, in order, gathered into lists of at least NEWTON_ROWS rows; the
+    last list may hold fewer."""
     group, held = [], 0
     for block in blocks:
-        for rows in row_blocks(len(block)):
-            group.append(block[rows])
+        for rows in row_blocks(block.shape[-1]):
+            group.append(block[..., rows])
             held += rows.stop - rows.start
             if held >= NEWTON_ROWS:
                 yield group
@@ -356,19 +369,21 @@ def _newton_groups(blocks):
 
 def _group_minima(group: list, shapes):
     """lambda_min under each entry of ``shapes`` of the rows of one Newton
-    group of (b, n, n) pieces, as a (len(shapes), rows) array, and how many
-    came from ``eigvalsh``: consecutive pieces are gathered into batch-last
-    copies of at most COUNT_CHUNK rows, each reduced at once into one
-    workspace (on a PPT body a piece holds only a block's few kept rows:
-    reducing each on its own took 18 ms against 9 ms for the 1,763 kept of
-    65,536 2x3 complex draws, one BLAS thread), and the rows the Newton
-    kernel cannot certify are sent to ``eigvalsh``."""
-    n, rows = group[0].shape[-1], sum(map(len, group))
-    batches = [[]]
+    group of batch-last (n, n, b) pieces, as a (len(shapes), rows) array,
+    and how many came from ``eigvalsh``: consecutive pieces are gathered
+    into C-order copies of at most COUNT_CHUNK rows, each reduced at once
+    into one workspace (on a PPT body a piece holds only a block's few
+    kept rows: reducing each on its own took 18 ms against 9 ms for the
+    1,763 kept of 65,536 2x3 complex draws, one BLAS thread), and the rows
+    the Newton kernel cannot certify are sent to ``eigvalsh``."""
+    n, rows = group[0].shape[0], sum(piece.shape[-1] for piece in group)
+    batches, held = [[]], 0
     for piece in group:
-        if batches[-1] and sum(map(len, batches[-1])) + len(piece) > COUNT_CHUNK:
+        if batches[-1] and held + piece.shape[-1] > COUNT_CHUNK:
             batches.append([])
+            held = 0
         batches[-1].append(piece)
+        held += piece.shape[-1]
     lam, fallbacks = np.empty((len(shapes), rows)), 0
     for c, shape in enumerate(shapes):
         # the tridiagonals, their compacted copies and the scratch rows
@@ -376,13 +391,13 @@ def _group_minima(group: list, shapes):
         w = np.empty((7, n, rows))
         lo = 0
         for batch in batches:
-            hi = lo + sum(map(len, batch))
+            hi = lo + sum(piece.shape[-1] for piece in batch)
             w[0, :, lo:hi], w[1, :-1, lo:hi] = _tridiagonal_block(_batch_last(batch, shape))
             lo = hi
         lam[c], ok = _newton_min(w)
         bad = np.flatnonzero(~ok)
         if len(bad):
-            mats = np.concatenate(group)[bad]
+            mats = np.moveaxis(np.concatenate(group, axis=-1)[..., bad], -1, 0)
             if shape is not None:
                 mats = partial_transpose(mats, shape)
             lam[c, bad] = np.linalg.eigvalsh(mats)[:, 0]

@@ -47,9 +47,9 @@ sample_state_hs           Hilbert-Schmidt (flat) measure on the state body:
                           L L^dag / Tr of a Bartlett factor L (diagonal
                           gammas and the normals below the diagonal)
 sample_boundary_state_hs  induced surface measure on the boundary (one
-                          eigenvalue exactly zero), with the zero
-                          eigenvectors: P L L^dag P / Tr of a Bartlett
-                          factor L for one column more, P = I - psi psi^dag
+                          eigenvalue exactly zero): P L L^dag P / Tr of a
+                          Bartlett factor L for one column more,
+                          P = I - psi psi^dag
 state_blocks,             the states of the two samplers above, as
 boundary_blocks           batch-last blocks
 sample_direction          uniform on the unit sphere of traceless Hermitian
@@ -88,7 +88,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -287,13 +286,12 @@ def _bartlett_shapes(n: int, field: str, extra: int = 0) -> np.ndarray:
 
 def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray,
                      project: bool = False):
-    """For each row block, in order, the pair (states, psi): the batch-last
-    (n, n, b) block of the stack L L^dag / Tr L L^dag of n x n lower
-    triangular factors L with L_ii = sqrt(2 Gamma(shapes[i])) and standard
-    normal entries below the diagonal, complex ones with i.i.d. parts; with
-    ``project``, of P L L^dag P / Tr with P = I - psi psi^dag, for unit
-    vectors psi, and the block's (b, n) rows of psi, the complex (or real)
-    view of its normals' buffer. Without ``project`` psi is None.
+    """For each row block, in order, the batch-last (n, n, b) block of the
+    stack L L^dag / Tr L L^dag of n x n lower triangular factors L with
+    L_ii = sqrt(2 Gamma(shapes[i])) and standard normal entries below the
+    diagonal, complex ones with i.i.d. parts; with ``project``, of
+    P L L^dag P / Tr with P = I - psi psi^dag, for unit vectors psi, the
+    complex (or real) view of their normals' buffer.
 
     ``standard_gamma`` on rng.child(0) fills the (b, n) diagonal gammas,
     ``standard_normal`` on rng.child(1) the entries below the diagonal, and
@@ -333,7 +331,6 @@ def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray,
             x = factors[b]
             x[d, d] = np.sqrt(2.0 * gam.T)
             x[at_i, at_j] = z.reshape(b, -1).T
-            psi = None
             if project:
                 x[zero_i, zero_j] = 0.0
                 psi = normals[0].view(_dtype(field)).reshape(b, n)
@@ -341,29 +338,7 @@ def _bartlett_blocks(rng: RngStream, field: str, size: int, shapes: np.ndarray,
                 _project(x, psi)
             out = np.empty((n, n, b), dtype=_dtype(field))
             _gram(x, out)
-            yield out, psi
-
-
-def _boundary_stack(pairs, size: int, n: int, field: str):
-    """The (states, psi) blocks of a projected draw as whole stacks: the
-    (size, n, n) states, a view of the (n, n, size) array the blocks are
-    copied into, and the (size, n) unit vectors."""
-    states = np.empty((n, n, size), dtype=_dtype(field))
-    psi = np.empty((size, n), dtype=_dtype(field))
-    lo = 0
-    for block, rows_psi in pairs:
-        hi = lo + len(rows_psi)
-        states[..., lo:hi], psi[lo:hi] = block, rows_psi
-        lo = hi
-    return np.moveaxis(states, -1, 0), psi
-
-
-def _boundary_pairs(shape: BipartiteShape, rng: RngStream, size: int):
-    """The (states, psi) blocks of the boundary draw: the Bartlett factor of
-    a Ginibre Gram matrix with one column more than the flat measure's,
-    projected off psi."""
-    shapes = _bartlett_shapes(shape.n, shape.field, 1)
-    return _bartlett_blocks(rng, shape.field, size, shapes, project=True)
+            yield out
 
 
 def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
@@ -374,8 +349,7 @@ def state_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     a sweep that consumes each block before it asks for the next holds
     O(block) states."""
     size = _integer("size", size, 0)
-    return map(itemgetter(0), _bartlett_blocks(rng, shape.field, size,
-                                               _bartlett_shapes(shape.n, shape.field)))
+    return _bartlett_blocks(rng, shape.field, size, _bartlett_shapes(shape.n, shape.field))
 
 
 def sample_state_hs(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:
@@ -421,7 +395,8 @@ def boundary_eigenvalues_laguerre(
     shape in ``_bartlett_shapes`` cannot move both. It is the independent
     oracle for the spectra of production boundary states, used only by the
     sampler battery and the tests. Returns a (size, N-1) array of
-    eigenvalue rows summing to one, sorted ascending.
+    eigenvalue rows summing to one, sorted ascending, drawn and solved one
+    ``row_blocks`` block at a time, so only the output is held whole.
     """
     m = _integer("n", n, 2) - 1
     _dtype(field)
@@ -434,13 +409,17 @@ def boundary_eigenvalues_laguerre(
     two_a = 2 * beta + 2 + beta * (m - 1)  # 2(N+1) complex, N+2 real
     i = np.arange(m)
     dof = np.concatenate([two_a - beta * i, beta * i[:0:-1]])
-    # the 2m-1 variates of a row are consecutive draws of the one generator
-    chi = np.sqrt(rng.generator().chisquare(dof, size=(size, 2 * m - 1)))
-    b = np.zeros((size, m, m))
-    b[:, i, i] = chi[:, :m]
-    b[:, i[1:], i[:-1]] = chi[:, m:]
-    lam = np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))
-    return lam / lam.sum(axis=1, keepdims=True)
+    gen, out = rng.generator(), np.empty((size, m))
+    for rows in row_blocks(size):
+        # the 2m-1 variates of a row are consecutive draws of the one
+        # generator, so each block continues where the one before stopped
+        chi = np.sqrt(gen.chisquare(dof, size=(rows.stop - rows.start, 2 * m - 1)))
+        b = np.zeros((len(chi), m, m))
+        b[:, i, i] = chi[:, :m]
+        b[:, i[1:], i[:-1]] = chi[:, m:]
+        lam = np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))
+        out[rows] = lam / lam.sum(axis=1, keepdims=True)
+    return out
 
 
 def boundary_eigenvalues_wishart(
@@ -486,20 +465,22 @@ def sample_boundary_state_hs(shape: BipartiteShape, rng: RngStream, size: int):
     normals of psi, in the C order of the stack, each complex entry's real
     part before its imaginary part. A 2x3 complex draw takes 30 normals, 6
     gammas and 12 normals for psi, against 84 and 12 for the projected G.
-    Returns the pair (states, zero_eigvecs) of (size, N, N) and (size, N)
-    stacks.
+    Returns a (size, N, N) stack.
     """
     size = _integer("size", size, 0)
-    return _boundary_stack(_boundary_pairs(shape, rng, size), size, shape.n, shape.field)
+    return _stacked(boundary_blocks(shape, rng, size), size, shape.n, shape.field)
 
 
 def boundary_blocks(shape: BipartiteShape, rng: RngStream, size: int):
     """The states of ``sample_boundary_state_hs(shape, rng, size)``, bit for
-    bit and without psi, as an iterator of batch-last (N, N, b) blocks, one
-    per ``hermitian.row_blocks(size)`` slice, in order: a sweep that
-    consumes each block before it asks for the next holds O(block) states."""
+    bit, as an iterator of batch-last (N, N, b) blocks, one per
+    ``hermitian.row_blocks(size)`` slice, in order: the Bartlett factor of a
+    Ginibre Gram matrix with one column more than the flat measure's,
+    projected off psi. A sweep that consumes each block before it asks for
+    the next holds O(block) states."""
     size = _integer("size", size, 0)
-    return map(itemgetter(0), _boundary_pairs(shape, rng, size))
+    return _bartlett_blocks(rng, shape.field, size, _bartlett_shapes(shape.n, shape.field, 1),
+                            project=True)
 
 
 def sample_direction(shape: BipartiteShape, rng: RngStream, size: int) -> np.ndarray:

@@ -129,7 +129,7 @@ def sampler_validation(field: str, n: int, rng: RngStream,
 
     # boundary states of a qubit are pure and isotropic on the Bloch sphere
     # (a circle in the real case, where the y component vanishes)
-    bstates, _ = sample_boundary_state_hs(shape2, rng.child(15), n)
+    bstates = sample_boundary_state_hs(shape2, rng.child(15), n)
     bloch = _bloch(bstates)
     radii = np.linalg.norm(bloch, axis=1)
     comps = (0, 1, 2) if field == "complex" else (0, 2)

@@ -49,12 +49,11 @@ def ginibre_gram_states(gen, field: str, size: int, n: int, cols: int) -> np.nda
     return np.moveaxis(out, -1, 0)
 
 
-def ginibre_boundary_pairs(rng, field: str, size: int, n: int, cols: int):
-    """For each row block, in order, the pair (states, psi): the batch-last
-    (n, n, b) block of P G G^dag P / Tr of n x cols Ginibre matrices G
-    projected by P = I - psi psi^dag off unit vectors psi, and the block's
-    (b, n) rows of psi. G comes from rng.child(0) and psi from
-    rng.child(1)."""
+def ginibre_boundary_blocks(rng, field: str, size: int, n: int, cols: int):
+    """For each row block, in order, the batch-last (n, n, b) block of
+    P G G^dag P / Tr of n x cols Ginibre matrices G projected by
+    P = I - psi psi^dag off unit vectors psi. G comes from rng.child(0) and
+    psi from rng.child(1)."""
     parts = sampling._parts(field)
     dtype = complex if field == "complex" else float
     fills = [(rng.child(0).generator().standard_normal, (n, cols, parts)),
@@ -67,7 +66,7 @@ def ginibre_boundary_pairs(rng, field: str, size: int, n: int, cols: int):
             sampling._project(x, psi)
             out = np.empty((n, n, len(z)), dtype=dtype)
             sampling._gram(x, out)
-            yield out, psi
+            yield out
 
 
 def ginibre_sampler(extra: int = 0):
@@ -88,20 +87,18 @@ def ginibre_boundary_sampler(extra: int = 0):
     def sample(shape, rng, size):
         n = shape.n
         cols = sampling._flat_cols(n, shape.field) + 1 + extra
-        pairs = ginibre_boundary_pairs(rng, shape.field, size, n, cols)
-        return sampling._boundary_stack(pairs, size, n, shape.field)
+        blocks = ginibre_boundary_blocks(rng, shape.field, size, n, cols)
+        return sampling._stacked(blocks, size, n, shape.field)
     return sample
 
 
 def blocks_of(sample):
     """A block source with the signature of ``sampling.state_blocks`` and
     ``sampling.boundary_blocks``: the stack that ``sample(shape, rng, size)``
-    returns (the first of a pair), yielded batch-last, one (N, N, b) block
-    per ``row_blocks(size)`` slice."""
+    returns, yielded batch-last, one (N, N, b) block per ``row_blocks(size)``
+    slice."""
     def blocks(shape, rng, size):
         states = sample(shape, rng, size)
-        if isinstance(states, tuple):
-            states = states[0]
         for rows in row_blocks(size):
             yield np.moveaxis(states[rows], 0, -1)
     return blocks

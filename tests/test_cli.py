@@ -96,9 +96,9 @@ def test_non_finite_partial_transpose_exit_three(tmp_path, monkeypatch, capsys):
     eigensolve, not a count."""
 
     def nan_states(shape, stream, count):
-        states, radii = sample_boundary_state_hs(shape, stream, count)
+        states = sample_boundary_state_hs(shape, stream, count)
         states[0, 0, 0] = float("nan")
-        return states, radii
+        return states
 
     monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(nan_states))
     cfg = write_cfg(tmp_path, experiment="corner-probe", shape="2x2", seed=1)

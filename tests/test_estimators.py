@@ -180,7 +180,7 @@ def test_inner_law_matches_the_eigvalsh_route(monkeypatch, body):
 
     def eigvalsh_minima(blocks, shapes):
         """The eigensolver route the state bodies took before the Newton kernel."""
-        mats = np.concatenate(list(blocks))
+        mats = np.moveaxis(np.concatenate(list(blocks), axis=-1), -1, 0)
         rows.append(len(mats))
         return np.stack([np.linalg.eigvalsh(mats if shape is None else
                                             partial_transpose(mats, shape))[:, 0]
@@ -398,10 +398,10 @@ def test_radius_law_interior_radii_are_the_radial_function(monkeypatch, body):
     monkeypatch.setattr(stats, "ks_2samp", lambda a, b: seen.append(b) or ks_2samp(a, b))
     radius_law(body, 4000, RngStream(4700))
     # one shard and one chunk: the interior side draws from child(1).child(0)
-    states = np.concatenate(list(estimators._in_body(body, sampling.state_blocks(
-        body.shape, RngStream(4700).child(1).child(0), 4000))))
-    _, fallbacks = estimators._depths(body, [states])
-    dev = states - body.center
+    kept = np.concatenate(list(estimators._in_body(body, sampling.state_blocks(
+        body.shape, RngStream(4700).child(1).child(0), 4000))), axis=-1)
+    _, fallbacks = estimators._depths(body, [kept])
+    dev = np.moveaxis(kept, -1, 0) - body.center
     nrm = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
     ref = estimators._radial_batch(body, dev / nrm[:, None, None]).min(axis=0)
     # a floor on the kept rows, not on draw luck: ppt 2x3 real keeps about
@@ -475,10 +475,11 @@ def _split_z(body, sample, n, rng):
     above = kept = 0
     for j, start in enumerate(range(0, n, estimators.BATCH)):
         states = sample(body.shape, rng.child(j), min(estimators.BATCH, n - start))
-        states = states[estimators._ppt_mask(states, body.shape)]
-        lam, _ = geometry._constraint_minima(body, [states])
+        block = np.moveaxis(states, 0, -1)
+        block = block[..., estimators._ppt_mask(block, body.shape)]
+        lam, _ = geometry._constraint_minima(body, [block])
         above += int(np.sum(lam[1] > lam[0]))
-        kept += len(states)
+        kept += block.shape[-1]
     return (above - kept / 2) / math.sqrt(kept / 4)
 
 
@@ -521,7 +522,7 @@ def test_zero_ppt_boundary_hits_raise(monkeypatch):
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     werner = 0.9 * np.outer(phi, phi) + 0.025 * np.eye(4)
     monkeypatch.setattr(estimators, "boundary_blocks", blocks_of(lambda shape, rng, size:
-                        (np.repeat(product[None], size, axis=0), None)))
+                        np.repeat(product[None], size, axis=0)))
     monkeypatch.setattr(estimators, "state_blocks", blocks_of(lambda shape, rng, size:
                         np.repeat(werner[None], size, axis=0)))
     with pytest.raises(InsufficientSamplesError, match="too few PPT interior hits"):
@@ -549,7 +550,7 @@ def test_cross_validate_area_is_one_paired_sweep(monkeypatch):
 
     def counted(blocks, shapes):
         blocks = list(blocks)
-        calls.append((sum(map(len, blocks)), len(shapes)))
+        calls.append((sum(b.shape[-1] for b in blocks), len(shapes)))
         return minima(blocks, shapes)
 
     monkeypatch.setattr(geometry, "_block_minima", counted)
@@ -612,7 +613,7 @@ def test_corner_probe_rows_equal_a_full_spectrum(shape):
     n, deltas = 6000, (1e-1, 1e-2, 1e-3)
     res = corner_probe(shape, n, deltas, RngStream(4500))
     # one shard, one chunk: the states come from child 0 of the stream
-    states, _ = sampling.sample_boundary_state_hs(shape, RngStream(4500).child(0), n)
+    states = sampling.sample_boundary_state_hs(shape, RngStream(4500).child(0), n)
     closest = np.min(np.abs(np.linalg.eigvalsh(partial_transpose(states, shape))), axis=-1)
     want = tuple((d, *estimators._binomial_estimate(int(np.sum(closest < d)), n))
                  for d in deltas)

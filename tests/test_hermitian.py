@@ -222,7 +222,7 @@ def test_ppt_mask_matches_spectral_test(shape, seed):
     n = 20_000
     rng = RngStream(seed)
     for states in (sample_state_hs(shape, rng.child(0), n),
-                   sample_boundary_state_hs(shape, rng.child(1), n)[0]):
+                   sample_boundary_state_hs(shape, rng.child(1), n)):
         spectral = np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0] >= -PPT_TOL
         assert np.array_equal(ppt_mask(states, shape), spectral)
 
@@ -234,7 +234,10 @@ def test_ppt_mask_matches_spectral_test(shape, seed):
 ], ids=str)
 def test_ppt_mask_leaves_its_input_intact(shape):
     """The sweep runs on a private copy. For K = 1 the partial transpose is a
-    view of the states, so a sweep in place would overwrite them."""
+    view of the states, so a sweep in place would overwrite them. So do the
+    per-block kernels the sweeps stream through, each on a sampler's blocks
+    marked read-only: the PPT sweep, the Sturm counts with and without a
+    partial transpose and lambda_min of both constraints."""
     # contiguous, as the sampler's batch-last view is not: for K = 1 the
     # partial transpose must view the states for the sweep to be at risk
     states = np.ascontiguousarray(sample_state_hs(shape, RngStream(4200), 500))
@@ -243,6 +246,34 @@ def test_ppt_mask_leaves_its_input_intact(shape):
     assert np.shares_memory(pt, states) == (shape.k == 1)
     ppt_mask(states, shape)
     assert states.tobytes() == before
+    xs = np.array([0.0, 0.01])[:, None]
+    for source in (sampling.state_blocks, sampling.boundary_blocks):
+        blocks = _read_only_blocks(source, shape, RngStream(4210), COUNT_CHUNK + 7)
+        for block, _ in blocks:
+            hermitian._ppt_block(block, shape)
+            hermitian._count_block(block, xs)
+            hermitian._count_block(block, xs, shape)
+        hermitian._block_minima([block for block, _ in blocks], (None, shape))
+        assert all(block.tobytes() == before for block, before in blocks)
+
+
+def _read_only_blocks(source, shape, rng, size):
+    """A sampler's batch-last blocks, each marked read-only, with its bytes."""
+    blocks = list(source(shape, rng, size))
+    for block in blocks:
+        block.setflags(write=False)
+    return [(block, block.tobytes()) for block in blocks]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spectrum_block_leaves_the_sampler_blocks_intact(n):
+    """The power sums read a read-only boundary block and leave its bytes."""
+    for field in ("complex", "real"):
+        blocks = _read_only_blocks(sampling.boundary_blocks, BipartiteShape(1, n, field),
+                                   RngStream(4220), COUNT_CHUNK + 7)
+        for block, before in blocks:
+            hermitian._spectrum_block(block)
+            assert block.tobytes() == before
 
 
 def test_ppt_mask_raises_no_warning_on_failed_pivots():
@@ -414,6 +445,35 @@ def test_stack_kernels_reject_non_square_matrices(kernel):
             kernel(bad)
 
 
+BLOCK_KERNELS = {
+    "_ppt_block": (hermitian._ppt_block, DimensionMismatchError),
+    "_count_block": (lambda b, shape: hermitian._count_block(b, np.zeros((1, 1))), ValueError),
+    "_count_block pt": (lambda b, shape: hermitian._count_block(b, np.zeros((1, 1)), shape),
+                        DimensionMismatchError),
+    "_block_minima": (lambda b, shape: hermitian._block_minima([b]), ValueError),
+    "_block_minima pt": (lambda b, shape: hermitian._block_minima([b], (shape,)),
+                         DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("kernel,error", BLOCK_KERNELS.values(), ids=BLOCK_KERNELS.keys())
+def test_block_kernels_reject_a_stack_first_block(kernel, error):
+    """The per-block kernels read batch-last (N, N, b) blocks: a stack-first
+    (b, N, N) array with b != N is rejected, with a shape as a dimension
+    mismatch, not read as matrices of another size."""
+    shape = BipartiteShape(2, 2)
+    with pytest.raises(error, match="square"):
+        kernel(sample_state_hs(shape, RngStream(4230), 6), shape)
+
+
+def test_batch_last_rejects_pieces_of_another_size():
+    """A block of the wrong size for the shape, and blocks that do not agree."""
+    with pytest.raises(DimensionMismatchError, match="square"):
+        hermitian._batch_last([np.zeros((6, 6, 3))], BipartiteShape(2, 2))
+    with pytest.raises(ValueError, match="square"):
+        hermitian._batch_last([np.zeros((4, 4, 3)), np.zeros((6, 6, 3))])
+
+
 @pytest.mark.parametrize("block", [COUNT_CHUNK, 5 * polytopes._BINDING_ROWS],
                          ids=["COUNT_CHUNK", "binding step"])
 def test_row_blocks_join_a_lone_last_row(block):
@@ -566,11 +626,11 @@ def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
         rng = RngStream(4850 + size, shape.n)
         draws = [(sampling.state_blocks(shape, rng, size), sample_state_hs(shape, rng, size)),
                  (sampling.boundary_blocks(shape, rng, size),
-                  sample_boundary_state_hs(shape, rng, size)[0])]
+                  sample_boundary_state_hs(shape, rng, size))]
         for blocks, stack in draws:
-            blocks = [np.moveaxis(block, -1, 0) for block in blocks]
-            assert [len(b) for b in blocks] == [r.stop - r.start for r in row_blocks(size)]
-            assert _same_bytes(_joined(blocks, stack), stack)
+            blocks = list(blocks)
+            assert [b.shape[-1] for b in blocks] == [r.stop - r.start for r in row_blocks(size)]
+            assert _same_bytes(_joined([np.moveaxis(b, -1, 0) for b in blocks], stack), stack)
             mask = ppt_mask(stack, shape)
             assert _same_bytes(_joined([hermitian._ppt_block(b, shape) for b in blocks],
                                        mask), mask)
@@ -578,7 +638,7 @@ def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
             assert _same_bytes(_joined([hermitian._count_block(b, xs, shape) for b in blocks],
                                        counts, axis=1), counts)
             for stream, rows in ((blocks, stack),
-                                 ([b[hermitian._ppt_block(b, shape)] for b in blocks],
+                                 ([b[..., hermitian._ppt_block(b, shape)] for b in blocks],
                                   stack[mask])):
                 lam, fallbacks = hermitian._block_minima(iter(stream), (None, shape))
                 want = [min_eigenvalues(rows), min_eigenvalues(partial_transpose(rows, shape))]
@@ -595,10 +655,9 @@ def test_gathered_group_minima_equal_the_per_piece_minima(shape):
     constraints equal those of each piece reduced alone, bit for bit, on
     groups that take one copy (2x3 complex) and several (2x2 complex, 2x3
     real), with pieces of one row among them."""
-    blocks = [np.moveaxis(b, -1, 0)
-              for b in sampling.state_blocks(shape, RngStream(4860), 8 * COUNT_CHUNK)]
-    pieces = [b[hermitian._ppt_block(b, shape)] for b in blocks]
-    pieces[1:1] = [blocks[0][:1], blocks[1][5:6]]
+    blocks = list(sampling.state_blocks(shape, RngStream(4860), 8 * COUNT_CHUNK))
+    pieces = [b[..., hermitian._ppt_block(b, shape)] for b in blocks]
+    pieces[1:1] = [blocks[0][..., :1], blocks[1][..., 5:6]]
     lam, fallbacks = hermitian._group_minima(pieces, (None, shape))
     alone = [hermitian._group_minima([piece], (None, shape)) for piece in pieces]
     assert _same_bytes(lam, np.concatenate([got for got, _ in alone], axis=1))
@@ -627,7 +686,7 @@ def test_spectrum_block_matches_eigvalsh_on_production_states(n, field):
     shape, rng, size = BipartiteShape(1, n, field), RngStream(4800 + n), 100_000
     got = np.concatenate([hermitian._spectrum_block(b)
                           for b in sampling.boundary_blocks(shape, rng, size)])
-    states, _ = sample_boundary_state_hs(shape, rng, size)
+    states = sample_boundary_state_hs(shape, rng, size)
     assert got.shape == (size, n - 1)
     assert np.max(np.abs(got - np.linalg.eigvalsh(states)[:, 1:])) <= 1e-11
 

@@ -52,7 +52,7 @@ def _small_result(attr: str):
     if attr == "boundary_eigenvalues_wishart":
         return sampling.boundary_eigenvalues_wishart(3, "complex", rng, ROWS)
     if attr == "_ppt_mask":
-        return estimators._ppt_mask(sampling.sample_state_hs(SHAPE, rng, ROWS), SHAPE)
+        return estimators._ppt_mask(next(sampling.state_blocks(SHAPE, rng, ROWS)), SHAPE)
     if attr == "_radial_sweep":
         return polytopes._radial_sweep(TangentBody(cube_generators(3)), ROWS, rng)
     raise AssertionError(f"no small result for counted boundary {attr}")

@@ -150,10 +150,8 @@ def _gamma_shape_off_by_one(which, boundary=False):
     def sample(shape, rng, size):
         shapes = sampling._bartlett_shapes(shape.n, shape.field, int(boundary)).astype(float)
         shapes[which] += 1
-        pairs = sampling._bartlett_blocks(rng, shape.field, size, shapes, project=boundary)
-        if boundary:
-            return sampling._boundary_stack(pairs, size, shape.n, shape.field)[0]
-        return sampling._stacked((states for states, _ in pairs), size, shape.n, shape.field)
+        blocks = sampling._bartlett_blocks(rng, shape.field, size, shapes, project=boundary)
+        return sampling._stacked(blocks, size, shape.n, shape.field)
     return sample
 
 
@@ -187,14 +185,14 @@ def test_projected_bartlett_states_follow_the_ginibre_boundary_law(shape):
     eigenvalue in place of lambda_min; the same tests fail for the same
     draws with the first or the last gamma shape one too large."""
     size = 20_000
-    want = _law_statistics(ginibre_boundary_sampler()(shape, RngStream(6100, 1), size)[0],
+    want = _law_statistics(ginibre_boundary_sampler()(shape, RngStream(6100, 1), size),
                            shape, zeros=1)
 
     def min_p(sample):
         got = _law_statistics(sample(shape, RngStream(6100, 0), size), shape, zeros=1)
         return min(stats.ks_2samp(got[key], want[key]).pvalue for key in want)
 
-    assert min_p(lambda *args: sample_boundary_state_hs(*args)[0]) > KS_P_MIN
+    assert min_p(sample_boundary_state_hs) > KS_P_MIN
     for which in (0, -1):
         assert min_p(_gamma_shape_off_by_one(which, boundary=True)) < 1e-12, which
 
@@ -379,6 +377,46 @@ def test_laguerre_lmax_matches_exact_law_n3(field):
     assert ks.pvalue > KS_P_MIN, f"{field}: p={ks.pvalue:.3g}"
 
 
+def _whole_laguerre(n, field, rng, size):
+    """The beta-Laguerre oracle's spectra with every variate drawn in one
+    call and every B B^T solved in one eigvalsh call."""
+    m, beta = n - 1, 2 if field == "complex" else 1
+    i = np.arange(m)
+    dof = np.concatenate([2 * beta + 2 + beta * (m - 1) - beta * i, beta * i[:0:-1]])
+    chi = np.sqrt(rng.generator().chisquare(dof, size=(size, 2 * m - 1)))
+    b = np.zeros((size, m, m))
+    b[:, i, i] = chi[:, :m]
+    b[:, i[1:], i[:-1]] = chi[:, m:]
+    lam = np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))
+    return lam / lam.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_laguerre_blocks_match_the_whole_draw(field, n):
+    """Drawn and solved block by block from its one generator, the oracle
+    gives the spectra of the whole-stack draw bit for bit."""
+    for size in (1, 2, COUNT_CHUNK + 1, 5000):
+        got = boundary_eigenvalues_laguerre(n, field, RngStream(53, size), size)
+        want = _whole_laguerre(n, field, RngStream(53, size), size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), size
+
+
+@pytest.mark.parametrize("size", [2**15, 2**17])
+def test_laguerre_oracle_holds_only_its_output(size):
+    """The oracle holds one row block of variates and matrices at a time:
+    at N = 4 complex its tracemalloc peak exceeds the bytes it returns by
+    less than 1 MiB (drawn and solved whole, by 5.75 and 23.0 MiB)."""
+    boundary_eigenvalues_laguerre(4, "complex", RngStream(59), 8)
+    tracemalloc.start()
+    try:
+        lam = boundary_eigenvalues_laguerre(4, "complex", RngStream(59), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - lam.nbytes < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def _short_gram_eigenvalues(n, field, rng, size):
     """Nonzero boundary spectra from the production Gram kernel with one
     column too few."""
@@ -445,7 +483,7 @@ def test_battery_spectrum_is_the_production_spectrum(field):
     lam = boundary_eigenvalues_wishart(4, field, rng, 50)
     blocks = sampling.boundary_blocks(shape, rng, 50)
     assert np.array_equal(lam, np.concatenate([hermitian._spectrum_block(b) for b in blocks]))
-    states, _ = sample_boundary_state_hs(shape, rng, 50)
+    states = sample_boundary_state_hs(shape, rng, 50)
     assert np.max(np.abs(lam - np.linalg.eigvalsh(states)[:, 1:])) <= 1e-12
 
 
@@ -465,23 +503,20 @@ def test_only_the_oracle_calls_lapack(monkeypatch):
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_boundary_states_sit_on_the_boundary(field):
     shape = BipartiteShape(1, 4, field)
-    states, psi = sample_boundary_state_hs(shape, RngStream(61), size=300)
+    states = sample_boundary_state_hs(shape, RngStream(61), size=300)
     assert states.shape == (300, 4, 4)
     assert np.allclose(np.trace(states, axis1=-2, axis2=-1), 1.0, atol=1e-12)
     eigs = np.linalg.eigvalsh(states)
     assert np.max(np.abs(eigs[:, 0])) < ZERO_EIG_TOL
     assert eigs[:, 1].min() > 0
-    # psi spans the kernel
-    rp = np.einsum("sij,sj->si", states, psi)
-    assert np.max(np.abs(rp)) < 1e-10
-    assert np.allclose(np.sum(np.abs(psi) ** 2, axis=1), 1.0, atol=1e-12)
 
 
 def test_boundary_pinned_sample():
     # frozen regression anchor for the stream layout of the projected
     # Bartlett draw: the gammas from child 0, the normals below the diagonal
     # from child 1 and psi from child 2
-    states, _ = sample_boundary_state_hs(BipartiteShape(1, 3), RngStream(5), size=2)
+    states = sample_boundary_state_hs(BipartiteShape(1, 3), RngStream(5), size=2)
+    assert states.shape == (2, 3, 3)
     eigs = np.linalg.eigvalsh(states[0])
     assert eigs == pytest.approx(
         [0.0, 0.3323276018356594, 0.6676723981643398], abs=1e-13
@@ -489,10 +524,10 @@ def test_boundary_pinned_sample():
 
 
 def test_boundary_determinism():
-    a, pa = sample_boundary_state_hs(BipartiteShape(2, 2), RngStream(3), size=50)
-    b, pb = sample_boundary_state_hs(BipartiteShape(2, 2), RngStream(3), size=50)
+    a = sample_boundary_state_hs(BipartiteShape(2, 2), RngStream(3), size=50)
+    b = sample_boundary_state_hs(BipartiteShape(2, 2), RngStream(3), size=50)
+    assert a.shape == (50, 4, 4)
     assert np.array_equal(a, b)
-    assert np.array_equal(pa, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +609,21 @@ def _full_stack_state(shape, rng, size):
     return np.moveaxis(out, -1, 0)
 
 
+def _boundary_psi(shape, rng, size):
+    """The boundary draw's unit vectors psi, redrawn whole from child 2."""
+    psi = ginibre(rng.child(2).generator(), (size, shape.n), shape.field)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
 def _full_stack_boundary(shape, rng, size):
     """The Bartlett factors with one column more, psi drawn in one call on
     child 2, projected off psi as one block."""
     n = shape.n
-    psi = ginibre(rng.child(2).generator(), (size, n), shape.field)
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     x = _bartlett_factors(shape, rng, size, extra=1)
-    sampling._project(x, psi)
+    sampling._project(x, _boundary_psi(shape, rng, size))
     out = np.empty((n, n, size), dtype=complex if shape.field == "complex" else float)
     sampling._gram(x, out)
-    return np.moveaxis(out, -1, 0), psi
+    return np.moveaxis(out, -1, 0)
 
 
 def _full_stack_direction(shape, rng, size):
@@ -614,10 +653,8 @@ def test_blocked_samplers_match_full_stack_formulas(shape):
         rng = RngStream(4500 + size, shape.n)
         assert _same_bytes(sample_state_hs(shape, rng, size),
                            _full_stack_state(shape, rng, size))
-        states, psi = sample_boundary_state_hs(shape, rng, size)
-        want_states, want_psi = _full_stack_boundary(shape, rng, size)
-        assert _same_bytes(states, want_states)
-        assert _same_bytes(psi, want_psi)
+        assert _same_bytes(sample_boundary_state_hs(shape, rng, size),
+                           _full_stack_boundary(shape, rng, size))
         assert _same_bytes(sample_direction(shape, rng, size),
                            _full_stack_direction(shape, rng, size))
 
@@ -630,7 +667,7 @@ def test_a_draw_is_a_prefix_of_a_longer_draw(field):
     included, and so do the production boundary spectra."""
     shape, rng = BipartiteShape(2, 3, field), RngStream(4550)
     draws = {"interior": lambda size: (sample_state_hs(shape, rng, size),),
-             "boundary": lambda size: sample_boundary_state_hs(shape, rng, size),
+             "boundary": lambda size: (sample_boundary_state_hs(shape, rng, size),),
              "direction": lambda size: (sample_direction(shape, rng, size),),
              "spectra": lambda size: (boundary_eigenvalues_wishart(4, field, rng, size),)}
     for name, draw in draws.items():
@@ -652,8 +689,7 @@ def _matmul_states(shape, rng, size):
         return x[:, :, :n] + 1j * x[:, :, n:] if shape.field == "complex" else x
 
     g, g_b = factors(0), factors(1)
-    psi = ginibre(rng.child(2).generator(), (size, n), shape.field)
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    psi = _boundary_psi(shape, rng, size)
     g_b = g_b - psi[:, :, None] * (np.conj(psi)[:, None, :] @ g_b)
     for h in (g, g_b):
         w = h @ np.conj(np.swapaxes(h, -1, -2))
@@ -666,33 +702,36 @@ def test_gram_states_are_hermitian_by_construction(k, m, field):
     """What the samplers guarantee without a Hermitian-part pass, also for a
     lone last row: every state equals its conjugate transpose bit for bit,
     its trace is one within 4 N eps, and a boundary state annihilates its
-    psi. Their sums run in another order than a matmul's, so they agree with
-    the matmul formulas to a few eps, not bit for bit."""
+    psi, redrawn from its stream. Their sums run in another order than a
+    matmul's, so they agree with the matmul formulas to a few eps, not bit
+    for bit."""
     shape = BipartiteShape(k, m, field)
     eps = np.finfo(float).eps
     for size in (1, 2, COUNT_CHUNK + 1):
         rng = RngStream(4700 + size, shape.n)
-        boundary, psi = sample_boundary_state_hs(shape, rng, size)
+        boundary = sample_boundary_state_hs(shape, rng, size)
         interior = sample_state_hs(shape, rng, size)
         for states, want in zip((interior, boundary), _matmul_states(shape, rng, size)):
             assert np.array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
             tr = np.trace(states, axis1=-2, axis2=-1)
             assert np.max(np.abs(tr - 1.0)) <= 4 * shape.n * eps
             assert np.max(np.abs(states - want)) <= 8 * eps
+        psi = _boundary_psi(shape, rng, size)
         assert np.max(np.abs(np.einsum("sij,sj->si", boundary, psi))) <= 1e-14
 
 
 # tracemalloc peak of one call over the bytes it returns, 2x3 complex. Only
 # the output is whole: every Gaussian part is filled block by block, and
-# everything else is per block. Measured: interior 1.76, boundary 1.75 (2.05
-# from a projected Ginibre G), direction 1.18; with the real Ginibre part,
-# psi's normals and the Bartlett gammas drawn whole: 1.80, 2.39 and 1.64.
-# The bounds are about 0.35 above the measured ratios. The stack samplers
-# copy each block into the stack, which holds one block more than writing in
-# place.
+# everything else is per block. Measured: interior 1.76, boundary 1.85,
+# direction 1.18. With the real Ginibre part, psi's normals and the Bartlett
+# gammas drawn whole they read 1.80, 2.39 and 1.64, and 2.05 from a
+# projected Ginibre G, those boundary ratios over its states and psi. The
+# bounds are about 0.35 above the measured ratios, 0.25 for the boundary.
+# The stack samplers copy each block into the stack, which holds one block
+# more than writing in place.
 PEAK_CASES = [
     ("interior", lambda shape, rng, n: (sample_state_hs(shape, rng, n),), 16_384, 2.1),
-    ("boundary", lambda shape, rng, n: sample_boundary_state_hs(shape, rng, n), 16_384, 2.1),
+    ("boundary", lambda shape, rng, n: (sample_boundary_state_hs(shape, rng, n),), 16_384, 2.1),
     ("direction", lambda shape, rng, n: (sample_direction(shape, rng, n),), 65_536, 1.55),
 ]
 
@@ -848,8 +887,7 @@ def test_concurrent_callers_get_the_bits_of_serial_calls():
         if wait:
             start.wait(timeout=60)
         rng = RngStream(seed)
-        states, psi = sample_boundary_state_hs(shape, rng, size)
-        return [sample_state_hs(shape, rng, size), states, psi,
+        return [sample_state_hs(shape, rng, size), sample_boundary_state_hs(shape, rng, size),
                 sample_direction(shape, rng, size),
                 sample_state_hs(BipartiteShape(2, 3, "real"), rng, size)]
 

@@ -7,7 +7,7 @@ dimension, and the interior-to-boundary PPT probability ratio equals two.
 This package samples, certifies and cross-validates those facts numerically.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .config import ConfigError, ExperimentConfig, config_from_dict, config_from_json
 from .estimators import (

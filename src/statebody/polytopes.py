@@ -11,14 +11,17 @@ body; ``mc_area`` and :func:`~statebody.estimators.mc_gamma` take polytopes
 only, and gamma is their test of constant height, while ``inner_law`` and
 ``radius_law`` take state bodies only. One kernel, :func:`_binding`, finds
 the binding generator of a stack of directions, with one tie rule and one
-unboundedness check; the estimators' sweep runs it.
+unboundedness check; the estimators' sweep runs it. A body with few
+generators reduces each product block generator by generator across its
+rows, a larger one row by row; the two orders agree bit for bit, and
+``_BY_GENERATOR`` is the crossover.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import _integer, row_blocks
+from .hermitian import _integer, _sum_in_order, row_blocks
 from .sampling import RngStream
 
 NORM_SLACK = 1e-12
@@ -30,6 +33,13 @@ _BINDING_CELLS = 1 << 17
 # block that starts inside a group rounds some products differently from one
 # product over the whole stack; 48 covers groups of 8, 16 and 24
 _BINDING_ROWS = 48
+# `_binding` reduces the blocks of a body with at most this many generators
+# generator by generator. 8,192 directions in dimension 4, one BLAS thread,
+# 2-core VM, per call: 195/292 us by generator against 684/848 us by row for
+# the simplex (5) and cube (8), 288/675/944 against 840/1,031/1,237 us for 8,
+# 16 and 24 random unit generators; about even from 26 to 31, and behind at
+# 32 (2,492 against 1,849 us)
+_BY_GENERATOR = 24
 
 
 class UnboundedBodyError(ValueError):
@@ -119,30 +129,67 @@ def _binding(body: TangentBody, dirs: np.ndarray):
     The rows run in the ``row_blocks`` of ``_BINDING_CELLS // n_generators``
     rows, rounded down to a multiple of ``_BINDING_ROWS`` (at least one), so
     each block's (rows, generators) product matrix stays near 1 MiB and in
-    cache through its argmax, runner-up and tie passes whatever the generator
-    count. With one BLAS thread every row's result is bit for bit the one a
-    single product over the whole stack gives.
+    cache through its reductions whatever the generator count. With one BLAS
+    thread every row's result is bit for bit the one a single product over
+    the whole stack gives.
+
+    A body with at most ``_BY_GENERATOR`` generators reduces each block
+    generator by generator, across the rows (``_top_two_by_generator``); a
+    larger one takes the argmax, masks it and takes the runner-up row by
+    row. Both find the first index of the largest product, as ``np.argmax``
+    does, and the same runner-up, with exact max, min and compare, so the two
+    orders agree bit for bit.
     """
     n = len(dirs)
     smax = np.empty(n)
     idx = np.empty(n, dtype=np.intp)
     ties = np.empty(n, dtype=bool)
     step = max(1, _BINDING_CELLS // (body.n_generators * _BINDING_ROWS)) * _BINDING_ROWS
+    by_generator = body.n_generators <= _BY_GENERATOR
     for rows in row_blocks(n, step):
         s = dirs[rows] @ body.generators.T
-        i = np.arange(len(s))
-        top = np.argmax(s, axis=1)
-        best = s[i, top]
-        # the runner-up product, in place: no copy of the block's products
-        s[i, top] = -np.inf
-        ties[rows] = (best - s.max(axis=1)) <= TIE_TOL * np.maximum(best, 1.0)
-        smax[rows], idx[rows] = best, top
+        best, top = smax[rows], idx[rows]
+        if by_generator:
+            second = _top_two_by_generator(s, best, top)
+        else:
+            i = np.arange(len(s))
+            np.argmax(s, axis=1, out=top)
+            best[:] = s[i, top]
+            # the runner-up product, in place: no copy of the block's products
+            s[i, top] = -np.inf
+            second = s.max(axis=1)
+        ties[rows] = (best - second) <= TIE_TOL * np.maximum(best, 1.0)
     if np.any(smax <= 0.0):
         bad = dirs[int(np.argmin(smax))]
         raise UnboundedBodyError(
             f"body is unbounded along direction {np.round(bad, 6).tolist()}"
         )
     return smax, idx, ties
+
+
+def _top_two_by_generator(s: np.ndarray, best: np.ndarray, top: np.ndarray):
+    """Largest entry of each row of ``s`` into ``best``, the first column
+    holding it into ``top``, and the runner-up returned, reduced over the
+    columns one at a time: ``best`` is the running maximum, ``top`` moves to
+    column j only where column j is strictly larger (so the first of equal
+    maxima stays), and the runner-up is max(runner-up, min(best, column)),
+    which is the best value again where two columns tie exactly. Each step is
+    a ufunc across the rows; as j rises, ``top`` is max(top, j * larger).
+    """
+    n = len(s)
+    second = np.full(n, -np.inf)
+    larger = np.empty(n, dtype=bool)
+    low = np.empty(n)
+    at = np.empty(n, dtype=np.intp)
+    best[:] = s[:, 0]
+    top[:] = 0
+    for j in range(1, s.shape[1]):
+        col = s[:, j]
+        np.greater(col, best, out=larger)
+        np.maximum(top, np.multiply(larger, j, out=at), out=top)
+        np.maximum(second, np.minimum(best, col, out=low), out=second)
+        np.maximum(best, col, out=best)
+    return second
 
 
 def intersect_bodies(a: TangentBody, b: TangentBody) -> TangentBody:
@@ -206,7 +253,12 @@ def random_unit_generators(dim: int, count: int, rng: RngStream) -> np.ndarray:
     Retries degenerate draws are not needed: with count >= dim + 1 the origin
     is interior with overwhelming probability, and construction validates.
     A count of 0 gives an empty draw, as a sampler's size 0 does.
+
+    Each row's norm is the square root of its squares added in index order,
+    one ufunc per coordinate across the rows. Up to dimension 7 that is
+    ``np.linalg.norm(g, axis=1)`` bit for bit; from 8 on numpy adds a row in
+    unrolled blocks, so those rows differ from it in their last bits.
     """
     shape = (_integer("count", count, 0), _integer("dim", dim, 1))
     g = rng.generator().standard_normal(shape)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return g / np.sqrt(_sum_in_order(np.square(g).T))[:, None]

@@ -136,6 +136,21 @@ def load_records(results_dir):
     return records, errors
 
 
+def _integer_order(value) -> tuple:
+    """Integers in numeric order, then anything else by its text."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (0, value, "")
+    return (1, 0, str(value))
+
+
+def _report_order(record) -> tuple:
+    """Report rows by experiment, then shape as a tuple of integers (a
+    shapeless polytope record before any shape), then seed as an integer."""
+    shape = record.config.get("shape") or ()
+    return (record.experiment, tuple(map(_integer_order, shape)),
+            _integer_order(record.config.get("seed")))
+
+
 def render_report(records, errors=()):
     """Markdown and CSV summaries of a batch of records."""
     lines = ["# statebody results", ""]
@@ -145,8 +160,7 @@ def render_report(records, errors=()):
             "| sigma | pass |",
             "|---|---|---|---|---|---|---|---|---|---|",
         ]
-        for r in sorted(records, key=lambda r: (r.experiment, str(r.config.get("shape")),
-                                                str(r.config.get("seed")))):
+        for r in sorted(records, key=_report_order):
             row = r.csv_row()
             sigma = f"{r.sigma_dev:+.2f}" if r.sigma_dev is not None else "-"
             target = f"{r.target:.6g}" if r.target is not None else "-"

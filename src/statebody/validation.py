@@ -110,18 +110,23 @@ def sampler_validation(field: str, n: int, rng: RngStream,
     p3 = two_sample_chi2(lam3_w[:, -1:], lam3_m[:, -1:], CHI2_BINS)
     checks["boundary_joint_chi2_n3"] = {
         "p_value": p3, "passed": bool(p3 > p_threshold)}
+    # each check's arrays go as soon as its verdict is in, so the battery
+    # holds one check's samples at a time
+    del lam3_w, lam3_m
 
     lam4_w = boundary_eigenvalues_wishart(4, field, rng.child(12), n)
     lam4_m = boundary_eigenvalues_laguerre(4, field, rng.child(13), n)
     p4 = two_sample_chi2(lam4_w[:, 1:], lam4_m[:, 1:], CHI2_BINS_2D)
     checks["boundary_joint_chi2_n4"] = {
         "p_value": p4, "passed": bool(p4 > p_threshold)}
+    del lam4_w, lam4_m
 
     # interior purity tail against the closed-form value
     shape2 = BipartiteShape(1, 2, field)
     states = sample_state_hs(shape2, rng.child(14), n)
     target = PURITY_TAIL_COMPLEX if field == "complex" else PURITY_TAIL_REAL
     phat = float(np.mean(_purity(states) > 0.75))
+    del states
     se = math.sqrt(max(phat * (1 - phat), 1e-12) / n)
     sig = abs(phat - target) / se
     checks["purity_tail_n2"] = {

@@ -78,6 +78,23 @@ def test_random_unit_generators():
     assert np.array_equal(g, random_unit_generators(4, 100, RngStream(13)))
 
 
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_random_unit_generators_match_linalg_norm(dim):
+    """Norms added in index order are np.linalg.norm's bit for bit up to
+    dimension 7. From 8 on numpy adds each row in unrolled blocks, and over
+    200,000 rows per dimension 8-11 the norms differed by up to 3 ulps and
+    the entries by up to 4."""
+    for size in (0, 1, 2, 8192):
+        g = RngStream(4750 + size).generator().standard_normal((size, dim))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        got = random_unit_generators(dim, size, RngStream(4750 + size))
+        assert got.shape == want.shape
+        if dim <= 7:
+            assert got.tobytes() == want.tobytes(), size
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
 PRESETS = {
     "cube": cube_generators,
     "cross": cross_generators,
@@ -215,13 +232,17 @@ def test_polar_contact_tie_on_edge():
 # binding kernel
 
 # The binding kernel as one (rows, generators) product over the whole stack,
-# run against the row-blocked `polytopes._binding` in a fresh interpreter with
-# one BLAS thread: a threaded product splits its rows at other places, so its
-# last bits depend on the thread count with or without blocks.
+# reduced row by row, run against the row-blocked `polytopes._binding` in a
+# fresh interpreter with one BLAS thread: a threaded product splits its rows
+# at other places, so its last bits depend on the thread count with or
+# without blocks. Bodies on both sides of `_BY_GENERATOR` check that the
+# generator-by-generator reduction agrees with the row-wise one bit for bit.
 BINDING_SCRIPT = r"""
+import itertools
 import json
 import numpy as np
-from statebody import RngStream, TangentBody, cube_generators, random_unit_generators
+from statebody import (RngStream, TangentBody, cross_generators, cube_generators,
+                       random_unit_generators, simplex_generators)
 from statebody import polytopes
 
 def one_product(body, dirs):
@@ -250,41 +271,76 @@ counts = [1, block - 1, block] + [k * block + 1 for k in range(1, 9)] + [8192] *
 for seed, n in enumerate(counts, 4701):
     cases.append((f"random-unit n={n} seed={seed}", body, unit_rows(6, n, seed)))
 cube = TangentBody(cube_generators(4))
-dirs = unit_rows(4, 3 * rows_per_block(cube) + 1, 4710)
+edges = unit_rows(4, 3 * rows_per_block(cube) + 1, 4710)
 # every fifth row meets an edge: two coordinates of equal size, the rest 0
 gen = RngStream(4711).generator()
-for i in range(0, len(dirs), 5):
+for i in range(0, len(edges), 5):
     axes = gen.choice(4, size=2, replace=False)
-    dirs[i] = 0.0
-    dirs[i, axes] = gen.choice([-1.0, 1.0], size=2) / np.sqrt(2.0)
-cases.append(("cube", cube, dirs))
-out = {"block": block, "equal": {}}
+    edges[i] = 0.0
+    edges[i, axes] = gen.choice([-1.0, 1.0], size=2) / np.sqrt(2.0)
+cases.append(("cube", cube, edges))
+cases.append(("simplex dim 4", TangentBody(simplex_generators(4)), unit_rows(4, 8192, 4712)))
+cases.append(("cross dim 3", TangentBody(cross_generators(3)), unit_rows(3, 8192, 4713)))
+# the crossover count reduces generator by generator, one more by rows
+m = polytopes._BY_GENERATOR
+for k in (m, m + 1):
+    cases.append((f"random-unit m={k}", TangentBody(random_unit_generators(4, k, RngStream(4740))),
+                  unit_rows(4, 8192, 4714 + k)))
+# a shrunk generator cutting the cube's (1, 1, 1, 1) corner binds near it,
+# so the index decides the height 1 / |y|
+corner = np.full((1, 4), 0.8 / 2.0)
+shrunk = TangentBody(np.vstack([cube_generators(4), corner]))
+dirs = unit_rows(4, 8192, 4716)
+dirs[::2] = np.abs(dirs[::2])
+cases.append(("shrunk corner", shrunk, dirs))
+# the cube's vertex directions (+-1, ..., +-1) / 2: four generators tie exactly
+vertices = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
+cases.append(("cube vertices", cube, np.tile(vertices, (64, 1))))
+out = {"block": block, "equal": {}, "by_generator": {}}
 for name, b, d in cases:
     got = polytopes._binding(b, d)
     want = one_product(b, d.copy())
     out["equal"][name] = [g.tobytes() == w.tobytes() for g, w in zip(got, want)]
-ties = polytopes._binding(cube, dirs)[2]
+    out["by_generator"][name] = b.n_generators <= polytopes._BY_GENERATOR
+ties = polytopes._binding(cube, edges)[2]
 out["edge_ties"] = bool(ties[::5].all())
 out["tie_frac"] = float(ties.mean())
+smax, idx, ties = polytopes._binding(cube, vertices)
+# generator i is +e_i for i < 4 and -e_(i-4) after: the first positive axis wins
+first = [int(np.argmax(np.concatenate([v, -v]) == 0.5)) for v in vertices]
+out["vertex_first"] = idx.tolist() == first and bool(ties.all()) and bool((smax == 0.5).all())
+out["corner_binds"] = int(np.sum(polytopes._binding(shrunk, dirs)[1] == 8))
 print(json.dumps(out))
 """
 
 
 def test_binding_blocks_match_one_product():
-    """Row blocks change no bit of (smax, idx, ties): a 500-generator body on
-    a single row, one row below a block, one block, k blocks plus a lone row
-    (k = 1..8) and 8,192 rows, and a cube whose exact edge ties stay
-    flagged."""
+    """Row blocks and the generator-by-generator reduction change no bit of
+    (smax, idx, ties): a 500-generator body on a single row, one row below a
+    block, one block, k blocks plus a lone row (k = 1..8) and 8,192 rows; a
+    cube whose exact edge ties stay flagged; the simplex, the cross, random
+    bodies at the crossover count and one above it, a cube with a shrunk
+    corner generator, and the cube's vertex directions, where four
+    generators tie exactly and the first of them is the index."""
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", BINDING_SCRIPT], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     res = json.loads(out.splitlines()[-1])
     assert res["block"] < 8192  # the 8,192-row stacks run in several blocks
-    assert len(res["equal"]) == 16
+    assert len(res["equal"]) == 22
     for name, equal in res["equal"].items():
         assert equal == [True, True, True], name
     assert res["edge_ties"] and res["tie_frac"] < 0.21
+    # both reduction orders ran, split at the crossover
+    by_generator = res["by_generator"]
+    assert not by_generator["random-unit n=1 seed=4701"]
+    assert all(by_generator[k] for k in ("cube", "simplex dim 4", "cross dim 3",
+                                         "shrunk corner", "cube vertices"))
+    m = polytopes._BY_GENERATOR
+    assert by_generator[f"random-unit m={m}"] and not by_generator[f"random-unit m={m + 1}"]
+    assert res["vertex_first"]
+    assert res["corner_binds"] > 1000  # the shrunk generator's face is met
 
 
 def test_binding_peak_memory_is_one_block():

@@ -101,3 +101,29 @@ def test_render_report(tmp_path):
     assert len(lines) == 3
     md_empty, _ = render_report([], errors=[("x.json", "boom")])
     assert "no records" in md_empty.lower() or "unreadable" in md_empty.lower()
+
+
+def test_render_report_orders_seeds_and_shapes_as_integers():
+    """Seeds 9, 10, 100 and shapes 2x2, 2x3, 10x2 come in numeric order, not
+    as text ("10" < "100" < "9", "10x2" < "2x2"); a shapeless polytope record
+    comes first among its experiment's rows wherever it sits in the input."""
+    def row(experiment, shape, seed):
+        config = {"experiment": experiment, "seed": seed}
+        if shape:
+            config["shape"] = list(shape)
+        return ResultRecord(experiment=experiment, config=config,
+                            config_hash="cd" * 32, metrics={}, value=2.0,
+                            stderr=None, target=None, sigma_dev=None,
+                            passed=True, version="0.1.0")
+
+    records = [row("omega", (10, 2), 1), row("omega", (2, 2), 100),
+               row("omega", (2, 2), 9), row("omega", (2, 3), 1),
+               row("omega", (2, 2), 10), row("polytope-gamma", None, 10),
+               row("polytope-gamma", None, 9)]
+    md, _ = render_report(records)
+    table = [line.split("|") for line in md.splitlines() if line.startswith("| ")][1:]
+    assert [(cells[2].strip(), cells[5].strip()) for cells in table] == [
+        ("2x2", "9"), ("2x2", "10"), ("2x2", "100"), ("2x3", "1"), ("10x2", "1"),
+        ("-", "9"), ("-", "10")]
+    md_reversed, _ = render_report(records[::-1])
+    assert md_reversed == md

@@ -446,6 +446,21 @@ def test_battery_fails_a_short_gram(field, monkeypatch):
     assert not checks["all_passed"]
 
 
+def test_battery_holds_one_check_at_a_time():
+    """Each check's arrays go once its verdict is in: at complex n = 2^15 the
+    tracemalloc peak was 8.5 MiB with every check's samples kept to the end
+    and 4.4 MiB without."""
+    validation.sampler_validation("complex", 64, RngStream(59))
+    tracemalloc.start()
+    try:
+        checks = validation.sampler_validation("complex", 2**15, RngStream(59))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks["all_passed"]
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def _one_power_sum_wrong(n):
     """hermitian._power_sums with one sum wrong at N = n only: at N = 3, p2
     raised by 0.01, so 2 p2 reads 2 p2 + 0.02 (half that fault passed the

@@ -27,17 +27,18 @@ sampler's PPT fraction.
 
 Every sampling loop runs through :func:`_sweep`, which splits n samples into
 shards and chunks, gives each its own child stream and concatenates results in
-fixed index order. Within a chunk the state sweeps stream the samplers'
-batch-last blocks (``state_blocks``, ``boundary_blocks``) through the
-per-block kernels of :mod:`statebody.hermitian`, so omega and the corner
-probe hold O(block) states and the interior laws one Newton group of kept
+fixed index order. Within a chunk the sweeps stream the samplers'
+batch-last blocks (``state_blocks``, ``boundary_blocks``,
+``direction_blocks``) through the per-block kernels of
+:mod:`statebody.hermitian`, so omega and the corner probe hold O(block)
+states and the interior laws and the radial sweeps one Newton group of
 rows; no row's result depends on its block. Powers r^D are formed in the log
 domain and reductions use pairwise summation, so estimates are deterministic
-functions of (config, seed, shard count). Every stderr carries a relative floating-point resolution floor:
-degenerate cases (the N = 2 body is a round ball, and the paired area and
-volume samples of a polytope whose every height is r_in are proportional)
-would otherwise report a noise-level stderr and turn acceptance bands into
-rounding lotteries.
+functions of (config, seed, shard count). Every stderr carries a relative
+floating-point resolution floor: degenerate cases (the N = 2 body is a round
+ball, and the paired area and volume samples of a polytope whose every
+height is r_in are proportional) would otherwise report a noise-level stderr
+and turn acceptance bands into rounding lotteries.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from . import polytopes
 from .geometry import BodySpec, _constraint_minima, _radial_batch
 from .hermitian import BipartiteShape, _count_block, _hs_norms, _integer
 from .hermitian import _ppt_block as _ppt_mask
-from .sampling import RngStream, boundary_blocks, sample_direction, state_blocks
+from .sampling import RngStream, boundary_blocks, direction_blocks, state_blocks
 
 BATCH = 1 << 16
 STDERR_REL_FLOOR = 1e-12
@@ -137,9 +138,9 @@ class InnerLaw:
     ``gamma`` is the estimate of D from the ``n_kept`` rows of ``n_samples``
     interior draws that lie in the body; ``p_value`` is a chi-square test of
     the law at the body's own D. A small value refutes constant height or
-    the interior sampler. ``n_fallback`` counts the eigenvalues that
-    :func:`~statebody.hermitian.min_eigenvalues` could not certify and took
-    from ``eigvalsh``; it is not part of any record.
+    the interior sampler. ``n_fallback`` counts the eigenvalues that the
+    per-block Newton kernel :func:`~statebody.hermitian._block_minima` could
+    not certify and took from ``eigvalsh``; it is not part of any record.
     """
 
     body: str
@@ -231,8 +232,9 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
 
     A polytope sweeps in chunks of polytopes._SWEEP_BATCH and adds the
     support height of the face met and whether that face is unique; a state
-    body draws traceless directions in chunks of BATCH and adds log r of
-    the full body along the same directions.
+    body streams the blocks of traceless directions of chunks of BATCH into
+    the radial kernel and adds log r of the full body along the same
+    directions.
     """
     if isinstance(body, polytopes.TangentBody):
         return _sweep(
@@ -241,7 +243,7 @@ def _radial(body: BodySpec | polytopes.TangentBody, n: int, rng: RngStream,
             batch=polytopes._SWEEP_BATCH)
 
     def kernel(stream, count):
-        radii = _radial_batch(body, sample_direction(body.shape, stream, count))
+        radii = _radial_batch(body, direction_blocks(body.shape, stream, count))
         return np.log(radii.min(axis=0)), np.log(radii[0])
 
     return _sweep(n, rng, shards, kernel)
@@ -524,12 +526,11 @@ def corner_probe(shape: BipartiteShape, n: int, deltas, rng: RngStream,
     conditional binomial c_{j+1} | c_j, sqrt((1 - c_{j+1}/c_j) / c_{j+1}) /
     log(d_j / d_{j+1}); both are None when a count is 0. a is measured near
     1 on 2x2 and 2x3 complex, not a law: on 2x2 real it read 0.57 to 0.91
-    over the decades from 1e-1 to 1e-6. No spectrum is
-    computed: the per-block kernel of
-    :func:`~statebody.hermitian.eigen_counts` counts the eigenvalues of
-    T_A(rho) below +delta and below -delta on each boundary block, formed in
-    its own copy, and a state is near the corner when the first count is
-    the larger. Deltas are checked by :func:`_deltas`. A shape with no PPT
+    over the decades from 1e-1 to 1e-6. No spectrum is computed: the
+    per-block Sturm kernel :func:`~statebody.hermitian._count_block` counts
+    the eigenvalues of T_A(rho) below +delta and below -delta on each
+    boundary block, formed in its own copy, and a state is near the corner
+    when the first count is the larger. Deltas are checked by :func:`_deltas`. A shape with no PPT
     section (K = 1) raises ValueError.
     """
     BodySpec("ppt", shape)

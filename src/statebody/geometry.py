@@ -87,11 +87,12 @@ def _constraint_minima(body: BodySpec, blocks):
     return _block_minima(blocks, shapes)
 
 
-def _radial_batch(body: BodySpec, omegas: np.ndarray) -> np.ndarray:
-    """Radii 1 / (N * -lambda_min) of each constraint along a stack of
-    directions, a (constraints, B) array: its column minimum is r(omega), and
-    row 0 alone bounds the full body."""
-    lam, _ = _constraint_minima(body, [np.moveaxis(omegas, 0, -1)])
+def _radial_batch(body: BodySpec, blocks) -> np.ndarray:
+    """Radii 1 / (N * -lambda_min) of each constraint along the directions
+    of a sequence of batch-last (N, N, b) blocks, a (constraints, rows)
+    array: its column minimum is r(omega), and row 0 alone bounds the full
+    body. The blocks may be streamed, as from ``sampling.direction_blocks``."""
+    lam, _ = _constraint_minima(body, blocks)
     if np.any(lam[0] >= 0):
         raise ValueError("direction with no negative eigenvalue; not traceless?")
     return 1.0 / (body.shape.n * -lam)
@@ -129,7 +130,7 @@ def _generic_contact(body: BodySpec, omega):
     <r omega, normal>.
     """
     omega = _direction(body, omega)
-    radii = _radial_batch(body, omega[None])[:, 0]
+    radii = _radial_batch(body, [omega[..., None]])[:, 0]
     binding_pt = bool(radii[-1] < radii[0])  # never true for the full body
     binding = partial_transpose(omega, body.shape) if binding_pt else omega
     w, vecs = np.linalg.eigh(binding)

@@ -8,26 +8,25 @@ exactly when that matrix is positive definite (Sylvester's criterion). It
 agrees with the spectral test lambda_min(T_A(rho)) >= -PPT_TOL except for
 states whose lambda_min lies within rounding of -PPT_TOL.
 
-Two batch eigen paths serve the stacks. The corner probe needs only how
-many eigenvalues lie below some thresholds and uses :func:`eigen_counts`,
-Sturm counts on a batched Householder tridiagonal. Every other batch
-caller needs only the smallest eigenvalue per constraint of a state body,
-and reads it from :func:`min_eigenvalues`, a Newton iteration on the same
-tridiagonal that the same Sturm counts certify: the interior draws of both
-interior laws and the direction sweeps of the radial kernel. A row of
-either path gets the same bits alone as in any stack. The whole nonzero
-spectra of production boundary states at N <= 4, which the sampler battery
-reads, come in closed form from their power sums (:func:`_spectrum_block`).
-``eigvalsh`` is left for the spectra of the battery's beta-Laguerre oracle,
-the one ``eigh`` of ``geometry.support_height`` and the rows
-``min_eigenvalues`` cannot certify.
+Every kernel here but :func:`partial_transpose` is a per-block kernel: it
+reads a batch-last (N, N, b) block as the samplers' block sources yield it,
+and the sweeps stream those blocks through it, one at a time; no kernel
+takes a stack-first stack. The PPT test is :func:`_ppt_block`. Two batch
+eigen paths serve the blocks. The corner probe needs only how many
+eigenvalues lie below some thresholds and uses :func:`_count_block`, Sturm
+counts on a batched Householder tridiagonal. Every other batch caller needs
+only the smallest eigenvalue per constraint of a state body, and reads it
+from :func:`_block_minima`, a Newton iteration on the same tridiagonal that
+the same Sturm counts certify: the interior draws of both interior laws and
+the direction sweeps of the radial kernel. A row of either path gets the
+same bits alone as in any block. The whole nonzero spectra of production
+boundary states at N <= 4, which the sampler battery reads, come in closed
+form from their power sums (:func:`_spectrum_block`). ``eigvalsh`` is left
+for the spectra of the battery's beta-Laguerre oracle, the one ``eigh`` of
+``geometry.support_height`` and the rows :func:`_block_minima` cannot
+certify.
 
-Each stack kernel runs a per-block kernel on batch-last views of the
-stack's row blocks: :func:`_ppt_block`, :func:`_count_block` and
-:func:`_block_minima`. The sweeps that stream the samplers' blocks call
-them directly, on one block at a time. Every per-block kernel,
-:func:`_spectrum_block` included, reads a batch-last (N, N, b) block as the
-samplers yield it and never writes it. All but :func:`_spectrum_block` work
+No per-block kernel writes its block. All but :func:`_spectrum_block` work
 on their own C-order copy (:func:`_batch_last`), which can hold the
 block's partial transposes, so no transposed stack is built.
 """
@@ -40,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 PPT_TOL = 1e-12
-# rows per row_blocks block of the blocked kernels: eigen_counts,
-# min_eigenvalues, ppt_mask and the samplers, each on a batch-last copy of its
-# block (a sampler's helper also fills every Gaussian part a block at a
-# time), so each block's working set stays small. On a 2-core VM, 32,768 2x3
-# complex eigen_counts took 0.07 s in blocks of 2,048 and 0.14 s in one piece
+# rows per row_blocks block of the samplers' block sources, and so of the
+# blocks the per-block kernels take, each on a batch-last copy of its block
+# (a sampler's helper also fills every Gaussian part a block at a time), so
+# each block's working set stays small. On a 2-core VM, the eigen counts of
+# 32,768 2x3 complex matrices took 0.07 s in blocks of 2,048 and 0.14 s in
+# one piece
 COUNT_CHUNK = 2048
 
 
@@ -176,9 +176,10 @@ def partial_transpose(a, shape: BipartiteShape) -> np.ndarray:
     return np.ascontiguousarray(_pt_blocks(m, shape).reshape(m.shape))
 
 
-def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
-    """Batched PPT test on stacks of exactly Hermitian states, as the samplers
-    return them: True where T_A(rho) + PPT_TOL * I is positive definite.
+def _ppt_block(block: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """Batched PPT test on one batch-last (N, N, b) block of exactly
+    Hermitian states, as the samplers yield them: a (b,) mask, True where
+    T_A(rho) + PPT_TOL * I is positive definite.
 
     The test is an LDL^dag sweep without pivoting: the k-th pivot is the first
     diagonal entry of the Schur complement left by the first k steps, and every
@@ -186,24 +187,11 @@ def ppt_mask(states: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     the LAPACK Hermitian eigensolvers do, it reads one triangle, the lower: the
     row of each Schur update is the conjugate of the pivot column. A state with
     a failed pivot stays False. The result agrees with "no eigenvalue of
-    T_A(rho) below -PPT_TOL" except within rounding of -PPT_TOL. The sweep
-    runs :func:`_ppt_block` on the batch-last views of blocks of COUNT_CHUNK
-    states, so it never copies the stack.
+    T_A(rho) below -PPT_TOL" except within rounding of -PPT_TOL. The block
+    is read but never written: the sweep runs on its own copy of the
+    partial transposes, and a block whose leading axes are not (N, N)
+    raises DimensionMismatchError.
     """
-    m = np.asarray(states)
-    n = shape.n
-    _pt_blocks(m, shape)  # checks the matrix size
-    flat = m.reshape(-1, n, n)
-    ok = np.empty(len(flat), dtype=bool)
-    for rows in row_blocks(len(flat)):
-        ok[rows] = _ppt_block(np.moveaxis(flat[rows], 0, -1), shape)
-    return ok.reshape(m.shape[:-2])
-
-
-def _ppt_block(block: np.ndarray, shape: BipartiteShape) -> np.ndarray:
-    """The PPT mask of :func:`ppt_mask` on one batch-last (N, N, b) block of
-    states, which it reads but never writes: the sweep runs on its own copy
-    of their partial transposes."""
     n = shape.n
     a = _batch_last([block], shape)
     diag = np.arange(n)
@@ -219,9 +207,11 @@ def _ppt_block(block: np.ndarray, shape: BipartiteShape) -> np.ndarray:
     return good
 
 
-def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
-    """Number of eigenvalues below each threshold, for a stack of Hermitian
-    matrices: a (len(xs), B) integer array for a (B, n, n) stack.
+def _count_block(block: np.ndarray, xs: np.ndarray, shape: BipartiteShape | None = None):
+    """Number of eigenvalues below each threshold of the (len(xs), 1) array
+    ``xs`` of each matrix of a batch-last (n, n, b) Hermitian block, a
+    (len(xs), b) integer array; with a ``shape``, of the block's partial
+    transposes, formed in the kernel's own copy.
 
     No spectrum is computed. Batched Householder steps reduce each matrix to a
     real symmetric tridiagonal with the same eigenvalues; only its diagonal and
@@ -231,23 +221,11 @@ def eigen_counts(mats: np.ndarray, xs) -> np.ndarray:
     d_k = (a_k - x) - e_{k-1}^2 / d_{k-1}, as LAPACK's bisection does
     (Barth, Martin & Wilkinson 1967): a pivot smaller in magnitude than
     pivmin is taken as -pivmin, as in ``dstebz``. Both triangles are read. A
-    non-finite entry raises ``np.linalg.LinAlgError``, a NaN threshold ValueError.
+    non-finite entry raises ``np.linalg.LinAlgError``, a NaN threshold
+    ValueError.
     """
-    m = _stack(mats)
-    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
     if np.isnan(xs).any():
         raise ValueError("a threshold is NaN; no eigenvalue count is defined")
-    counts = np.zeros((len(xs), len(m)), dtype=np.int64)
-    for rows in row_blocks(len(m)):
-        counts[:, rows] = _count_block(np.moveaxis(m[rows], 0, -1), xs)
-    return counts
-
-
-def _count_block(block: np.ndarray, xs: np.ndarray, shape: BipartiteShape | None = None):
-    """The counts of :func:`eigen_counts` on one batch-last (n, n, b) block,
-    below each threshold of the (len(xs), 1) array ``xs``; with a
-    ``shape``, those of the block's partial transposes, formed in the
-    kernel's own copy."""
     return _sturm_counts(*_tridiagonal_block(_batch_last([block], shape)), xs)
 
 
@@ -307,37 +285,27 @@ def _spectrum_block(block: np.ndarray) -> np.ndarray:
     return np.sort(roots.T, axis=1)
 
 
-def min_eigenvalues(mats: np.ndarray):
-    """Smallest eigenvalue of each matrix in a stack of Hermitian matrices,
-    without computing the spectrum: an array of the stack's leading shape,
-    and the number of its entries taken from ``eigvalsh``.
-
-    On the tridiagonal of :func:`eigen_counts` (scaled by a power of two to
-    norm <= 1, which is exact), Newton's method on det(T - x) starts from the
-    Gershgorin lower bound, NEWTON_ROWS rows at a time. Its step is
-    1 / tr((T - x)^{-1}), the diagonal of the inverse read off the forward
-    and backward pivots of T - x (a twisted factorization), so left of
-    lambda_min every quantity stays bounded and the step never passes
-    lambda_min: the iterates rise monotonically. A row
-    stops once a step is at most MIN_EIG_STEP or a forward pivot is no
-    longer positive. Two Sturm counts under ``eigen_counts``' pivmin rule
-    certify each stopped row, none below x - MIN_EIG_TOL and at least one
-    below x + MIN_EIG_TOL (in units of the scale); a row that fails, or that
-    has not stopped after NEWTON_SWEEPS sweeps, is sent to ``eigvalsh``.
-    Both triangles are read; a non-finite entry raises
-    ``np.linalg.LinAlgError``.
-    """
-    lead = np.shape(mats)[:-2]
-    lam, fallbacks = _block_minima([np.moveaxis(_stack(mats), 0, -1)])
-    return lam[0].reshape(lead), fallbacks
-
-
 def _block_minima(blocks, shapes=(None,)):
-    """The :func:`min_eigenvalues` of each matrix of a sequence of batch-last
-    (n, n, b) blocks, read but never written, under each entry of ``shapes``:
-    None for the matrices themselves, a :class:`BipartiteShape` for their
-    partial transposes. Returns a (len(shapes), rows) array over the rows
-    of all blocks in order, and how many entries came from ``eigvalsh``.
+    """Smallest eigenvalue of each matrix of a sequence of batch-last
+    (n, n, b) Hermitian blocks, read but never written, under each entry of
+    ``shapes``: None for the matrices themselves, a :class:`BipartiteShape`
+    for their partial transposes. Returns a (len(shapes), rows) array over
+    the rows of all blocks in order, and how many entries came from
+    ``eigvalsh``. No spectrum is computed.
+
+    On the tridiagonal of :func:`_count_block` (scaled by a power of two to
+    norm <= 1, which is exact), Newton's method on det(T - x) starts from the
+    Gershgorin lower bound. Its step is 1 / tr((T - x)^{-1}), the diagonal
+    of the inverse read off the forward and backward pivots of T - x (a
+    twisted factorization), so left of lambda_min every quantity stays
+    bounded and the step never passes lambda_min: the iterates rise
+    monotonically. A row stops once a step is at most MIN_EIG_STEP or a
+    forward pivot is no longer positive. Two Sturm counts under
+    :func:`_count_block`'s pivmin rule certify each stopped row, none below
+    x - MIN_EIG_TOL and at least one below x + MIN_EIG_TOL (in units of the
+    scale); a row that fails, or that has not stopped after NEWTON_SWEEPS
+    sweeps, is sent to ``eigvalsh``. Both triangles are read; a non-finite
+    entry raises ``np.linalg.LinAlgError``.
 
     The rows run through the Newton iteration in groups of at least
     NEWTON_ROWS (:func:`_newton_groups`), and only the current group's
@@ -405,15 +373,6 @@ def _group_minima(group: list, shapes):
     return lam, fallbacks
 
 
-def _stack(mats) -> np.ndarray:
-    """A stack of square matrices as a (B, n, n) array, else ValueError."""
-    m = np.asarray(mats)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    n = m.shape[-1]
-    return m.reshape(-1, n, n)
-
-
 # a matrix with its largest entry within 2^(+-SCALE_EXP) is reduced
 # unscaled: its squared column norms stay far from under- and overflow
 SCALE_EXP = 100
@@ -429,9 +388,10 @@ def _tridiagonal_block(a: np.ndarray):
     # 2^(+-SCALE_EXP) is scaled by a power of two near it, which is exact,
     # so no reflector of a tiny or a huge matrix under- or overflows. The
     # float view holds a complex entry's two parts side by side on the
-    # batch axis
+    # batch axis; their count per column is given, so an empty block
+    # reshapes too
     parts = np.abs(a.view(np.float64)).max(axis=(0, 1))
-    top = parts.reshape(a.shape[-1], -1).max(axis=1)
+    top = parts.reshape(a.shape[-1], 1 + np.iscomplexobj(a)).max(axis=1)
     if not np.isfinite(top).all():
         raise np.linalg.LinAlgError(f"non-finite entry in a stack of {n}x{n} matrices")
     _, exp = np.frexp(top)
@@ -487,7 +447,7 @@ _PIVOT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 def _newton_min(w: np.ndarray):
     """lambda_min of each tridiagonal by the Newton iteration of
-    :func:`min_eigenvalues`, and whether the row stopped and was certified.
+    :func:`_block_minima`, and whether the row stopped and was certified.
     ``w`` is a (7, n, b) workspace holding the diagonal in ``w[0]`` and the
     squared subdiagonal in ``w[1, :-1]``, which are overwritten."""
     n, b = w.shape[1:]

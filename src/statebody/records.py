@@ -152,7 +152,9 @@ def _report_order(record) -> tuple:
 
 
 def render_report(records, errors=()):
-    """Markdown and CSV summaries of a batch of records."""
+    """Markdown and CSV summaries of a batch of records, both in
+    :func:`_report_order`."""
+    records = sorted(records, key=_report_order)
     lines = ["# statebody results", ""]
     if records:
         lines += [
@@ -160,7 +162,7 @@ def render_report(records, errors=()):
             "| sigma | pass |",
             "|---|---|---|---|---|---|---|---|---|---|",
         ]
-        for r in sorted(records, key=_report_order):
+        for r in records:
             row = r.csv_row()
             sigma = f"{r.sigma_dev:+.2f}" if r.sigma_dev is not None else "-"
             target = f"{r.target:.6g}" if r.target is not None else "-"

@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ginibre_reference import blocks_of, scaled_directions
+
+from statebody import estimators
 from statebody import (
     BipartiteShape,
     BodySpec,
@@ -182,6 +185,24 @@ def test_criterion_4_corner_probe_and_area_doubling():
               f" vs doubled {check.discrepancy_sigma:+.2f}s, vs 8/33 {dev_exact:+.2f}s")
     line = _report(4, "corner probe + area doubling", ok, detail)
     assert ok, line
+
+
+def test_criterion_4_exact_fraction_fails_for_a_wrong_direction_law(monkeypatch):
+    """Criterion 4's exact check of the radial PPT volume fraction, 8/33 on
+    2x2 complex, and its doubling check fail when the parts of each
+    direction off the diagonal are scaled by 1 in place of sqrt(1/2): the
+    directions are then not uniform, and the fraction reads about 7% low,
+    -6.4 and -6.1 sigma here.
+
+    Criterion 2's full-body volumes are nearly blind to this fault, as the
+    law of r(omega) on a full body depends on the spectrum of omega alone:
+    on full 1x3 complex the volume reads about 0.3% low, -1.9 sigma at
+    criterion 2's 10^6 directions, so no check of it is a control."""
+    monkeypatch.setattr(estimators, "direction_blocks", blocks_of(scaled_directions(1.0)))
+    check = cross_validate_area(BipartiteShape(2, 2), 1 << 19, RngStream(3402))
+    dev_exact = (check.radial.value - 8 / 33) / check.radial.stderr
+    assert dev_exact < -SIGMA and check.discrepancy_sigma < -SIGMA, \
+        f"vs 8/33 {dev_exact:+.2f}s, vs doubled {check.discrepancy_sigma:+.2f}s"
 
 
 def test_criterion_5_sampler_distribution_battery():

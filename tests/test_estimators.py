@@ -346,7 +346,7 @@ def test_no_batch_path_solves_for_eigenvectors(monkeypatch):
     ppt = BodySpec("ppt", BipartiteShape(2, 2))
     # the single-direction queries solve for their one zero eigenvector
     with pytest.raises(AssertionError, match="eigh called"):
-        support_height(full, estimators.sample_direction(full.shape, RngStream(4), 1)[0])
+        support_height(full, sampling.sample_direction(full.shape, RngStream(4), 1)[0])
     for sweeps in (hermitian.NEWTON_SWEEPS, 0):
         monkeypatch.setattr(hermitian, "NEWTON_SWEEPS", sweeps)
         solved.clear()
@@ -403,7 +403,8 @@ def test_radius_law_interior_radii_are_the_radial_function(monkeypatch, body):
     _, fallbacks = estimators._depths(body, [kept])
     dev = np.moveaxis(kept, -1, 0) - body.center
     nrm = np.sqrt(np.sum(np.abs(dev) ** 2, axis=(-2, -1)))
-    ref = estimators._radial_batch(body, dev / nrm[:, None, None]).min(axis=0)
+    ref = estimators._radial_batch(body, [np.moveaxis(dev / nrm[:, None, None], 0, -1)])
+    ref = ref.min(axis=0)
     # a floor on the kept rows, not on draw luck: ppt 2x3 real keeps about
     # 13.1% of its draws, 524 of 4,000 with sigma 21, so 400 is 6 sigma
     # below the mean
@@ -561,7 +562,7 @@ def test_cross_validate_area_is_one_paired_sweep(monkeypatch):
     assert calls == [(n, 2)]
     monkeypatch.setattr(geometry, "_block_minima", minima)
     # one shard, one chunk: the directions come from child(0).child(0)
-    omegas = sampling.sample_direction(shape, RngStream(68).child(0).child(0), n)
+    omegas = list(sampling.direction_blocks(shape, RngStream(68).child(0).child(0), n))
     ppt, full = (geometry._radial_batch(BodySpec(kind, shape), omegas).min(axis=0)
                  for kind in ("ppt", "full"))
     want = np.mean(ppt ** shape.dim_body) / np.mean(full ** shape.dim_body)
@@ -636,6 +637,23 @@ def test_count_only_sweep_holds_no_state_stack():
     finally:
         tracemalloc.stop()
     stack = n * shape.n ** 2 * np.dtype(complex).itemsize
+    assert peak < stack, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_radial_sweep_holds_no_direction_stack():
+    """mc_volume streams each direction block into the Newton groups of the
+    radial kernel, so one 65,536-direction ppt 2x3 complex chunk peaks below
+    the bytes of its direction stack alone: 23.6 MiB against 36 MiB. With
+    the directions drawn as one stack it peaked at 47.5 MiB."""
+    body, n = BodySpec("ppt", BipartiteShape(2, 3)), estimators.BATCH
+    mc_volume(body, 1000, RngStream(4620))
+    tracemalloc.start()
+    try:
+        mc_volume(body, n, RngStream(4621))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = n * body.shape.n ** 2 * np.dtype(complex).itemsize
     assert peak < stack, f"peak {peak / 2**20:.1f} MiB"
 
 

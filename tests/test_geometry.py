@@ -33,8 +33,8 @@ def bell_direction() -> np.ndarray:
 
 
 def radial(body: BodySpec, omega: np.ndarray) -> float:
-    """r(omega) of one direction, as the batch kernel gives it on a stack of one."""
-    return float(_radial_batch(body, omega[None]).min())
+    """r(omega) of one direction, as the batch kernel gives it on a block of one."""
+    return float(_radial_batch(body, [omega[..., None]]).min())
 
 
 def radial_by_bisection(body: BodySpec, omega: np.ndarray, iters: int = 80) -> float:
@@ -119,7 +119,7 @@ def test_radial_matches_bisection(field, kind, km):
     shape = BipartiteShape(km[0], km[1], field)
     body = BodySpec(kind, shape)
     omegas = sample_direction(shape, RngStream(17), size=12)
-    for om, r in zip(omegas, _radial_batch(body, omegas).min(axis=0)):
+    for om, r in zip(omegas, _radial_batch(body, [np.moveaxis(omegas, 0, -1)]).min(axis=0)):
         assert r == pytest.approx(radial_by_bisection(body, om), abs=1e-9)
 
 
@@ -128,7 +128,7 @@ def test_radial_stack_matches_singles(shape):
     """A direction alone gets the radii of its row in the stack, bit for bit."""
     body = BodySpec("ppt", shape)
     omegas = sample_direction(shape, RngStream(23), size=20)
-    radii = _radial_batch(body, omegas)
+    radii = _radial_batch(body, [np.moveaxis(omegas, 0, -1)])
     assert radii.shape == (2, 20)
     rs, r_direct = radii.min(axis=0), radii[0]
     full = BodySpec("full", shape)

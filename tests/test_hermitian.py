@@ -1,6 +1,9 @@
-"""Matrix layer: shapes, partial transpose, the PPT test and the eigen kernels."""
+"""Matrix layer: shapes, partial transpose, the PPT test and the eigen kernels.
 
-import tracemalloc
+The kernels take batch-last (N, N, b) blocks; a test with a stack-first
+(b, N, N) stack passes its batch-last view, ``np.moveaxis(stack, 0, -1)``.
+"""
+
 import warnings
 
 import numpy as np
@@ -23,9 +26,9 @@ from statebody import hermitian, polytopes, sampling
 from statebody.hermitian import (
     COUNT_CHUNK,
     PPT_TOL,
-    eigen_counts,
-    min_eigenvalues,
-    ppt_mask,
+    _block_minima,
+    _count_block,
+    _ppt_block,
     row_blocks,
 )
 
@@ -177,7 +180,7 @@ def test_bell_partial_transpose_spectrum():
     ta = partial_transpose(bell_state()[None], shape)
     assert type(ta) is np.ndarray and ta.shape == (1, 4, 4)
     assert np.allclose(np.linalg.eigvalsh(ta), [[-0.5, 0.5, 0.5, 0.5]], atol=ATOL)
-    assert ppt_mask(bell_state()[None], shape).tolist() == [False]
+    assert _ppt_block(bell_state()[..., None], shape).tolist() == [False]
 
 
 def test_werner_ppt_threshold():
@@ -188,7 +191,7 @@ def test_werner_ppt_threshold():
         rho = werner(float(p))[None]
         got = np.linalg.eigvalsh(partial_transpose(rho, shape))[0, 0]
         assert got == pytest.approx((1 - 3 * p) / 4, abs=1e-12)
-        assert ppt_mask(rho, shape).tolist() == [p <= 1 / 3 + 1e-12]
+        assert _ppt_block(np.moveaxis(rho, 0, -1), shape).tolist() == [p <= 1 / 3 + 1e-12]
 
 
 def test_werner_ppt_decision_at_the_tolerance():
@@ -199,7 +202,7 @@ def test_werner_ppt_decision_at_the_tolerance():
         rho = werner((1 - 4 * lam) / 3)[None]
         got = np.linalg.eigvalsh(partial_transpose(rho, shape))[0, 0]
         assert got == pytest.approx(lam, abs=1e-15)
-        assert ppt_mask(rho, shape).tolist() == [want]
+        assert _ppt_block(np.moveaxis(rho, 0, -1), shape).tolist() == [want]
 
 
 # Complex shapes catch a wrongly conjugated Schur update, which real ones
@@ -224,7 +227,7 @@ def test_ppt_mask_matches_spectral_test(shape, seed):
     for states in (sample_state_hs(shape, rng.child(0), n),
                    sample_boundary_state_hs(shape, rng.child(1), n)):
         spectral = np.linalg.eigvalsh(partial_transpose(states, shape))[:, 0] >= -PPT_TOL
-        assert np.array_equal(ppt_mask(states, shape), spectral)
+        assert np.array_equal(_ppt_block(np.moveaxis(states, 0, -1), shape), spectral)
 
 
 @pytest.mark.parametrize("shape", [
@@ -244,7 +247,7 @@ def test_ppt_mask_leaves_its_input_intact(shape):
     before = states.tobytes()
     pt = partial_transpose(states, shape)
     assert np.shares_memory(pt, states) == (shape.k == 1)
-    ppt_mask(states, shape)
+    _ppt_block(np.moveaxis(states, 0, -1), shape)
     assert states.tobytes() == before
     xs = np.array([0.0, 0.01])[:, None]
     for source in (sampling.state_blocks, sampling.boundary_blocks):
@@ -286,7 +289,7 @@ def test_ppt_mask_raises_no_warning_on_failed_pivots():
     states = np.concatenate([special, sample_state_hs(shape, RngStream(4300), 200)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask = ppt_mask(states, shape)
+        mask = _ppt_block(np.moveaxis(states, 0, -1), shape)
     assert mask[:4].tolist() == [False, False, True, True]
     assert mask.any() and not mask.all()
 
@@ -296,53 +299,45 @@ def _spectral_ppt(states, shape):
 
 
 def test_ppt_mask_of_an_empty_stack():
-    mask = ppt_mask(np.zeros((0, 6, 6), complex), BipartiteShape(2, 3))
+    mask = _ppt_block(np.zeros((6, 6, 0), complex), BipartiteShape(2, 3))
     assert mask.shape == (0,) and mask.dtype == bool
 
 
 @pytest.mark.parametrize("rho,want", [(bell_state(), False), (werner(0.2), True)],
                          ids=["bell", "werner"])
 def test_ppt_mask_of_a_single_matrix(rho, want):
-    """One (N, N) matrix gives a 0-d mask, as the spectral test does."""
+    """One (N, N) matrix, as a one-row block, gets a one-entry mask that
+    decides as the spectral test does."""
     shape = BipartiteShape(2, 2)
-    mask = ppt_mask(rho, shape)
-    assert mask.shape == () and mask.dtype == bool
-    assert bool(mask) is want
+    mask = _ppt_block(rho[..., None], shape)
+    assert mask.shape == (1,) and mask.dtype == bool
+    assert bool(mask[0]) is want
     assert bool(_spectral_ppt(rho, shape)) is want
 
 
 def test_ppt_mask_fails_a_pivot_in_the_last_block_only():
-    """A stack one row longer than a block, PPT everywhere except its last
-    row: the block holding only that row must keep its own failed pivot."""
+    """A block one row longer than COUNT_CHUNK, PPT everywhere except its
+    last row: that row keeps its own failed pivot, and no other row takes
+    it."""
     shape = BipartiteShape(2, 2)
     ps = np.linspace(0.0, 0.3, COUNT_CHUNK)
     states = np.stack([werner(float(p)) for p in ps] + [bell_state()])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask = ppt_mask(states, shape)
+        mask = _ppt_block(np.moveaxis(states, 0, -1), shape)
     assert np.array_equal(mask, _spectral_ppt(states, shape))
     assert mask[:-1].all() and not mask[-1]
 
 
-def test_ppt_mask_copies_one_block_at_a_time():
-    """The batch-last copy is made per block of COUNT_CHUNK rows, so the
-    tracemalloc peak stays far below the stack's size (a full-stack copy
-    read 1.38x the states' bytes at 16,384 2x3 complex states; blocks, 0.27x)."""
-    shape = BipartiteShape(2, 3)
-    states = sample_state_hs(shape, RngStream(4400), 16_384)
-    ppt_mask(states[:8], shape)
-    tracemalloc.start()
-    try:
-        ppt_mask(states, shape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.7 * states.nbytes, f"peak {peak / 2**20:.1f} MiB"
-
-
 def _counts_below(w: np.ndarray, xs) -> np.ndarray:
-    """(len(xs), B) counts of the eigenvalues w (B, n) below each threshold."""
-    return (w[None] < np.asarray(xs, float)[:, None, None]).sum(-1)
+    """(len(xs), B) counts of the eigenvalues w (B, n) below each threshold
+    of the (len(xs), 1) column ``xs``."""
+    return (w[None] < xs[:, :, None]).sum(-1)
+
+
+def _column(xs) -> np.ndarray:
+    """Thresholds as the (len(xs), 1) column the Sturm kernel takes."""
+    return np.array(xs, dtype=float)[:, None]
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -359,9 +354,9 @@ def test_eigen_counts_match_eigvalsh(n, field):
         a = a + 1j * gen.standard_normal((b, n, n))
     h = hermitian_part(a)
     w = np.linalg.eigvalsh(h)
-    xs = np.linspace(-2.05, 2.05, 9)
-    assert np.min(np.abs(w[..., None] - xs)) > 1e-9
-    got = eigen_counts(h, xs)
+    xs = np.linspace(-2.05, 2.05, 9)[:, None]
+    assert np.min(np.abs(w[..., None] - xs[:, 0])) > 1e-9
+    got = _count_block(np.moveaxis(h, 0, -1), xs)
     assert got.shape == (len(xs), b)
     assert np.array_equal(got, _counts_below(w, xs))
 
@@ -371,18 +366,19 @@ def test_eigen_counts_on_exact_inputs():
     with full ones, multiples of I and the Bell state's partial transpose,
     eigenvalues -1/2 and 1/2 (three times)."""
     diag = np.stack([np.diag(v) for v in ([3.0, -1.0, 0.5, 2.0], [0.0, 0.0, 1.0, -2.0])])
-    xs = [-2.5, -0.5, 0.25, 0.75, 2.5, 3.5]
-    assert np.array_equal(eigen_counts(diag, xs),
+    xs = _column([-2.5, -0.5, 0.25, 0.75, 2.5, 3.5])
+    assert np.array_equal(_count_block(np.moveaxis(diag, 0, -1), xs),
                           _counts_below(np.sort(np.diagonal(diag, axis1=1, axis2=2)), xs))
     mixed = np.concatenate([diag, np.stack([random_hermitian(4, s) for s in (1, 2)])])
     w = np.linalg.eigvalsh(mixed)
-    assert np.min(np.abs(w[..., None] - xs)) > 1e-9
-    assert np.array_equal(eigen_counts(mixed, xs), _counts_below(w, xs))
+    assert np.min(np.abs(w[..., None] - xs[:, 0])) > 1e-9
+    assert np.array_equal(_count_block(np.moveaxis(mixed, 0, -1), xs), _counts_below(w, xs))
     for n in (1, 2, 5, 8):
         scalar = np.stack([c * np.eye(n) for c in (-1.0, 0.0, 0.7)])
-        assert eigen_counts(scalar, [-0.5, 0.5]).tolist() == [[n, 0, 0], [n, n, 0]]
+        assert _count_block(np.moveaxis(scalar, 0, -1), _column([-0.5, 0.5])).tolist() == \
+            [[n, 0, 0], [n, n, 0]]
     bell_pt = partial_transpose(bell_state(), BipartiteShape(2, 2))
-    assert eigen_counts(bell_pt[None], [-0.75, -0.25, 0.25, 0.75]).tolist() == \
+    assert _count_block(bell_pt[..., None], _column([-0.75, -0.25, 0.25, 0.75])).tolist() == \
         [[0], [1], [1], [4]]
 
 
@@ -395,8 +391,8 @@ def test_eigen_counts_guard_a_zero_pivot():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for h in (swap, chain):
-            want = _counts_below(np.linalg.eigvalsh(h)[None], [0.0])
-            assert np.array_equal(eigen_counts(h[None], [0.0]), want)
+            want = _counts_below(np.linalg.eigvalsh(h)[None], _column([0.0]))
+            assert np.array_equal(_count_block(h[..., None], _column([0.0])), want)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
@@ -407,14 +403,15 @@ def test_eigen_counts_of_tiny_and_huge_matrices(scale):
     1 / (alpha (alpha + |x_0|)) into a non-finite reflector: at 1e-150 one
     row of this stack did so without the scaling."""
     h = _min_eig_stack("double minimum", 4, "complex", COUNT_CHUNK - 1, 0) * scale
-    xs = np.array([-0.5, 0.0, 0.5]) * scale
+    xs = _column([-0.5, 0.0, 0.5]) * scale
     w = np.linalg.eigvalsh(h)
-    assert np.min(np.abs(w[..., None] - xs)) > 1e-9 * scale
-    assert np.array_equal(eigen_counts(h, xs), _counts_below(w, xs))
+    assert np.min(np.abs(w[..., None] - xs[:, 0])) > 1e-9 * scale
+    assert np.array_equal(_count_block(np.moveaxis(h, 0, -1), xs), _counts_below(w, xs))
 
 
 def test_eigen_counts_of_an_empty_stack():
-    assert eigen_counts(np.zeros((0, 4, 4), complex), [0.1, -0.1]).shape == (2, 0)
+    for field in (complex, float):
+        assert _count_block(np.zeros((4, 4, 0), field), _column([0.1, -0.1])).shape == (2, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -424,25 +421,17 @@ def test_eigen_counts_reject_non_finite_entries(bad):
     h = np.stack([random_hermitian(6, s) for s in range(5)])
     h[3, 4, 1] = bad
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-        eigen_counts(h, [0.0])
+        _count_block(np.moveaxis(h, 0, -1), _column([0.0]))
 
 
 def test_eigen_counts_reject_a_nan_threshold():
     """No eigenvalue lies below NaN or not below it; infinite thresholds
     count none and all."""
-    h = np.stack([random_hermitian(4, s) for s in range(3)])
+    block = np.moveaxis(np.stack([random_hermitian(4, s) for s in range(3)]), 0, -1)
     with pytest.raises(ValueError, match="NaN"):
-        eigen_counts(h, [0.0, np.nan])
-    assert np.array_equal(eigen_counts(h, [-np.inf, np.inf]), [[0, 0, 0], [4, 4, 4]])
-
-
-@pytest.mark.parametrize("kernel", [lambda m: eigen_counts(m, [0.0]), min_eigenvalues],
-                         ids=["eigen_counts", "min_eigenvalues"])
-def test_stack_kernels_reject_non_square_matrices(kernel):
-    """Two 2x4 matrices are not one 4x4 matrix."""
-    for bad in (np.arange(16.0).reshape(2, 2, 4), np.arange(4.0)):
-        with pytest.raises(ValueError, match="square"):
-            kernel(bad)
+        _count_block(block, _column([0.0, np.nan]))
+    assert np.array_equal(_count_block(block, _column([-np.inf, np.inf])),
+                          [[0, 0, 0], [4, 4, 4]])
 
 
 BLOCK_KERNELS = {
@@ -460,10 +449,12 @@ BLOCK_KERNELS = {
 def test_block_kernels_reject_a_stack_first_block(kernel, error):
     """The per-block kernels read batch-last (N, N, b) blocks: a stack-first
     (b, N, N) array with b != N is rejected, with a shape as a dimension
-    mismatch, not read as matrices of another size."""
+    mismatch, not read as matrices of another size; so is an array that
+    holds no square matrix."""
     shape = BipartiteShape(2, 2)
-    with pytest.raises(error, match="square"):
-        kernel(sample_state_hs(shape, RngStream(4230), 6), shape)
+    for bad in (sample_state_hs(shape, RngStream(4230), 6), np.arange(4.0)[:, None]):
+        with pytest.raises(error, match="square"):
+            kernel(bad, shape)
 
 
 def test_batch_last_rejects_pieces_of_another_size():
@@ -538,7 +529,7 @@ def test_min_eigenvalues_match_eigvalsh(kind, n, field, rows, scale, seed):
     differed by up to 9.5 eps ||A||_F, while over 790,000 rows of every kind
     below the difference stayed under 4.3 eps ||A||_1."""
     a = _min_eig_stack(kind, n, field, rows, seed) * scale
-    got, fallbacks = min_eigenvalues(a)
+    (got,), fallbacks = _block_minima([np.moveaxis(a, 0, -1)])
     want = np.linalg.eigvalsh(a)[:, 0] if rows else np.zeros(0)
     assert got.shape == (rows,)
     norm = np.abs(a).sum(axis=(1, 2))
@@ -549,22 +540,13 @@ def test_min_eigenvalues_match_eigvalsh(kind, n, field, rows, scale, seed):
         assert fallbacks == 0
 
 
-def test_min_eigenvalues_keep_the_stack_shape():
-    """Leading axes are kept, as eigvalsh(a)[..., 0] keeps them."""
-    a = _min_eig_stack("traceless direction", 4, "complex", 6, 4500).reshape(2, 3, 4, 4)
-    got, fallbacks = min_eigenvalues(a)
-    assert got.shape == (2, 3) and fallbacks == 0
-    assert min_eigenvalues(a[0, 0])[0].shape == ()
-    assert np.allclose(got, np.linalg.eigvalsh(a)[..., 0], atol=1e-14)
-
-
 def test_min_eigenvalues_across_newton_groups():
-    """A stack five rows longer than a Newton group: the last group is one
-    short block. One row longer, the lone last row joins the group before
+    """A block five rows longer than a Newton group: the last group is one
+    short piece. One row longer, the lone last row joins the group before
     it, one row wider than the rest."""
     for extra in (5, 1):
         a = _min_eig_stack("state", 4, "complex", hermitian.NEWTON_ROWS + extra, 4501)
-        got, fallbacks = min_eigenvalues(a)
+        (got,), fallbacks = _block_minima([np.moveaxis(a, 0, -1)])
         assert fallbacks == 0
         assert np.max(np.abs(got - np.linalg.eigvalsh(a)[:, 0])) < 1e-14
 
@@ -576,12 +558,13 @@ def test_a_row_alone_matches_its_row_in_the_stack(shape):
     adds a reduction over a one-row batch pairwise, which on these shapes
     moves most rows' minima by a few ulps unless the kernels sum in order."""
     states = sample_state_hs(shape, RngStream(4503), 64)
-    xs = [0.0, 0.01, 0.05]
-    lam, _ = min_eigenvalues(states)
-    counts = eigen_counts(states, xs)
+    xs = _column([0.0, 0.01, 0.05])
+    lam, _ = _block_minima([np.moveaxis(states, 0, -1)])
+    counts = _count_block(np.moveaxis(states, 0, -1), xs)
     for i in range(len(states)):
-        assert min_eigenvalues(states[i:i + 1])[0].tobytes() == lam[i:i + 1].tobytes()
-        assert np.array_equal(eigen_counts(states[i:i + 1], xs), counts[:, i:i + 1])
+        row = np.moveaxis(states[i:i + 1], 0, -1)
+        assert _block_minima([row])[0].tobytes() == lam[:, i:i + 1].tobytes()
+        assert np.array_equal(_count_block(row, xs), counts[:, i:i + 1])
 
 
 def test_min_eigenvalues_fall_back_to_eigvalsh(monkeypatch):
@@ -590,7 +573,7 @@ def test_min_eigenvalues_fall_back_to_eigvalsh(monkeypatch):
     monkeypatch.setattr(hermitian, "NEWTON_SWEEPS", 0)
     for kind in MIN_EIG_KINDS:
         a = _min_eig_stack(kind, 6, "complex", COUNT_CHUNK + 1, 4502)
-        got, fallbacks = min_eigenvalues(a)
+        (got,), fallbacks = _block_minima([np.moveaxis(a, 0, -1)])
         assert fallbacks == len(a)
         assert got.tobytes() == np.linalg.eigvalsh(a)[:, 0].tobytes()
 
@@ -614,12 +597,12 @@ KERNEL_SIZES = [0, 1, COUNT_CHUNK - 1, COUNT_CHUNK, COUNT_CHUNK + 1, 5000]
                                    for f in ("complex", "real")], ids=str)
 def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
     """On the samplers' batch-last blocks, the per-block kernels the sweeps
-    stream through give what the stack kernels give on the assembled stack,
+    stream through give what they give on the assembled stack as one block,
     byte for byte: the PPT mask, the eigen counts of the partial transposes
-    and lambda_min of both constraints, on every block and on each block's
-    PPT rows, the inner law's groups. With no Newton sweep every minimum
-    comes from eigvalsh. The blocks are the stacks' rows, one per
-    row_blocks slice."""
+    (against those of the explicitly transposed stack) and lambda_min of
+    both constraints, on every block and on each block's PPT rows, the
+    inner law's groups. With no Newton sweep every minimum comes from
+    eigvalsh. The blocks are the stacks' rows, one per row_blocks slice."""
     monkeypatch.setattr(hermitian, "NEWTON_SWEEPS", sweeps)
     xs = np.array([1e-1, 1e-3, -1e-3, -1e-1])[:, None]
     for size in KERNEL_SIZES:
@@ -631,18 +614,19 @@ def test_block_kernels_match_the_stack_kernels(monkeypatch, shape, sweeps):
             blocks = list(blocks)
             assert [b.shape[-1] for b in blocks] == [r.stop - r.start for r in row_blocks(size)]
             assert _same_bytes(_joined([np.moveaxis(b, -1, 0) for b in blocks], stack), stack)
-            mask = ppt_mask(stack, shape)
+            mask = _ppt_block(np.moveaxis(stack, 0, -1), shape)
             assert _same_bytes(_joined([hermitian._ppt_block(b, shape) for b in blocks],
                                        mask), mask)
-            counts = eigen_counts(partial_transpose(stack, shape), xs)
+            counts = _count_block(np.moveaxis(partial_transpose(stack, shape), 0, -1), xs)
             assert _same_bytes(_joined([hermitian._count_block(b, xs, shape) for b in blocks],
                                        counts, axis=1), counts)
             for stream, rows in ((blocks, stack),
                                  ([b[..., hermitian._ppt_block(b, shape)] for b in blocks],
                                   stack[mask])):
                 lam, fallbacks = hermitian._block_minima(iter(stream), (None, shape))
-                want = [min_eigenvalues(rows), min_eigenvalues(partial_transpose(rows, shape))]
-                assert _same_bytes(lam, np.stack([w[0] for w in want]))
+                want = [_block_minima([np.moveaxis(rows, 0, -1)]),
+                        _block_minima([np.moveaxis(partial_transpose(rows, shape), 0, -1)])]
+                assert _same_bytes(lam, np.concatenate([w[0] for w in want]))
                 assert fallbacks == sum(w[1] for w in want) == (0 if sweeps else 2 * len(rows))
 
 
@@ -670,7 +654,7 @@ def test_min_eigenvalues_reject_non_finite_entries(bad):
     h = np.stack([random_hermitian(6, s) for s in range(5)])
     h[3, 4, 1] = bad
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-        min_eigenvalues(h)
+        _block_minima([np.moveaxis(h, 0, -1)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,15 @@ from statebody import estimators, inner_law, mc_gamma, mc_volume, polytopes, sam
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # boundaries no caller looks up any more: their functions left the package,
-# or, for the estimators' stack samplers and partial transpose, the sweeps
-# stream sampler blocks into the per-block kernels instead. Their time
-# counts to their callers
+# or, for the estimators' stack samplers (the direction sampler included)
+# and partial transpose, the sweeps stream sampler blocks into the
+# per-block kernels instead. Their time counts to their callers
 RETIRED = {"experiments.polytope_gamma_mc", "experiments.constant_height_check",
            "sampling.sample_haar_unitary", "sampling.boundary_eigenvalues_metropolis",
            "validation.boundary_eigenvalues_metropolis",
            "estimators._contact_batch", "experiments.height_certificate",
            "estimators.sample_state_hs", "estimators.sample_boundary_state_hs",
-           "estimators.partial_transpose"}
+           "estimators.sample_direction", "estimators.partial_transpose"}
 
 SHAPE = BipartiteShape(2, 2)
 ROWS = 6
@@ -108,7 +108,8 @@ def test_installed_tracer_sees_the_production_calls(spans):
     # contact kernel was retired
     assert "geometry.directions" not in tracer.counts
     assert tracer.counts["polytopes.directions"] == 64
-    # only the directions: the state sweeps stream from the block sources,
-    # which no boundary wraps
-    assert tracer.counts["sampling.draws"] == 128
+    # no draw is counted: every sweep, the direction sweep included, streams
+    # from a block source, which no boundary wraps, so the draws' time
+    # counts to the radial and PPT spans that consume the blocks
+    assert "sampling.draws" not in tracer.counts
     assert all(a is b for a, b in zip(current(), originals))  # patches undone

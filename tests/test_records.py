@@ -127,3 +127,17 @@ def test_render_report_orders_seeds_and_shapes_as_integers():
         ("-", "9"), ("-", "10")]
     md_reversed, _ = render_report(records[::-1])
     assert md_reversed == md
+
+
+def test_render_report_csv_follows_the_table_order():
+    """The CSV rows come in the markdown table's order, whatever the input
+    order: seeds 10 and 9 of one shape, then a shapeless polytope record."""
+    records = [make_record(seed=10), make_record(seed=9, value=2.5),
+               ResultRecord(experiment="polytope-gamma",
+                            config={"experiment": "polytope-gamma", "seed": 3},
+                            config_hash="cd" * 32, metrics={}, value=4.0, stderr=None,
+                            target=None, sigma_dev=None, passed=True, version="0.1.0")]
+    _, csv_text = render_report(records)
+    assert csv_text == render_report(records[::-1])[1]
+    seeds = [line.split(",")[CSV_COLUMNS.index("seed")] for line in csv_text.splitlines()[1:]]
+    assert seeds == ["9", "10", "3"]

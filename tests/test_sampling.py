@@ -32,12 +32,12 @@ from statebody import (
     sample_state_hs,
     sphere_area,
 )
-from statebody import hermitian, sampling, validation
+from statebody import geometry, hermitian, sampling, validation
 from statebody.hermitian import COUNT_CHUNK
 from statebody.validation import boundary_lmax_cdf_n3
 
-from ginibre_reference import (ginibre, ginibre_boundary_sampler, ginibre_gram_states,
-                               ginibre_sampler)
+from ginibre_reference import (ginibre, ginibre_boundary_sampler, ginibre_directions,
+                               ginibre_gram_states, ginibre_sampler, scaled_directions)
 
 ZERO_EIG_TOL = 1e-12
 KS_P_MIN = 1e-3
@@ -576,8 +576,71 @@ def test_direction_isotropy(field):
 
 
 def test_direction_pinned_sample():
+    # frozen regression anchor for the stream layout of the direction draw:
+    # the diagonal normals, then the entries below the diagonal row by row,
+    # a complex entry's real part before its imaginary part, all on rng
     om = sample_direction(BipartiteShape(2, 2), RngStream(9), size=1)[0]
-    assert om[0, 0] == pytest.approx(0.02387781615571166 + 0j, abs=1e-15)
+    assert om[0, 0] == pytest.approx(0.004080495541517412 + 0j, abs=1e-15)
+    assert om[1, 0] == pytest.approx(-0.2805160757413559 - 0.006800530135303184j, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [BipartiteShape(1, 3), BipartiteShape(2, 2, "real"),
+                                   BipartiteShape(2, 3), BipartiteShape(2, 3, "real")],
+                         ids=str)
+def test_direction_blocks_are_a_block_source(shape):
+    """The blocks of a draw are the rows of ``sample_direction``, one per
+    row_blocks slice; the first s rows of a longer draw are the size-s draw,
+    bit for bit, across a block edge and for a one-row draw; and every
+    direction is exactly Hermitian, traceless and of unit norm to 1e-12."""
+    rng, size = RngStream(6300), 2 * COUNT_CHUNK + 3
+    blocks = list(sampling.direction_blocks(shape, rng, size))
+    assert [b.shape[-1] for b in blocks] == [r.stop - r.start for r in
+                                             hermitian.row_blocks(size)]
+    longer = np.concatenate(blocks, axis=-1)
+    assert _same_bytes(np.moveaxis(longer, -1, 0), sample_direction(shape, rng, size))
+    for s in (1, 2, COUNT_CHUNK - 1, COUNT_CHUNK + 1):
+        got = np.concatenate(list(sampling.direction_blocks(shape, rng, s)), axis=-1)
+        assert _same_bytes(got, np.ascontiguousarray(longer[..., :s])), s
+    om = np.moveaxis(longer, -1, 0)
+    assert np.array_equal(om, np.conj(np.swapaxes(om, -1, -2)))
+    assert np.max(np.abs(np.trace(om, axis1=-2, axis2=-1))) <= 1e-12
+    assert np.max(np.abs(np.sqrt(np.sum(np.abs(om) ** 2, axis=(-2, -1))) - 1.0)) <= 1e-12
+
+
+def _direction_statistics(omegas, shape) -> dict:
+    """Per-direction statistics for the direction law tests: r(omega) of the
+    full body and, for a bipartite shape, of the PPT body, omega_00 and
+    Tr omega^3."""
+    blocks = [np.moveaxis(omegas, 0, -1)]
+    out = {"r_full": geometry._radial_batch(BodySpec("full", shape), blocks)[0],
+           "omega_00": omegas[:, 0, 0].real,
+           "tr_cube": np.einsum("sij,sjk,ski->s", omegas, omegas, omegas).real}
+    if shape.k > 1:
+        out["r_ppt"] = geometry._radial_batch(BodySpec("ppt", shape), blocks).min(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [6200, 6201])
+@pytest.mark.parametrize("shape", [BipartiteShape(1, 3), BipartiteShape(2, 2, "real"),
+                                   BipartiteShape(2, 3), BipartiteShape(2, 3, "real")],
+                         ids=str)
+def test_directions_follow_the_ginibre_law(shape, seed):
+    """Two-sample KS tests of the production directions (N(0, 1) diagonal,
+    N(0, 1/2) parts off it) against the traceless Hermitian parts of
+    Ginibre matrices they replaced, on independent streams, pass; the same
+    tests fail for the same draws with the parts off the diagonal scaled by
+    1 in place of sqrt(1/2). omega_00 catches that fault; r(omega) of the
+    full body and Tr omega^3 depend on the spectrum alone and barely move
+    (KS p 0.4 to 0.9 at this size)."""
+    size = 20_000
+    want = _direction_statistics(ginibre_directions(shape, RngStream(seed, 1), size), shape)
+
+    def min_p(sample):
+        got = _direction_statistics(sample(shape, RngStream(seed, 0), size), shape)
+        return min(stats.ks_2samp(got[key], want[key]).pvalue for key in want)
+
+    assert min_p(sample_direction) > KS_P_MIN
+    assert min_p(scaled_directions(1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +649,8 @@ def test_direction_pinned_sample():
 # Each sampler fills every random part from a generator of its own, one row
 # block of COUNT_CHUNK at a time. The full-stack formulas below draw each part
 # whole, in one call on its own generator, and run the same kernels on the
-# whole stack as one batch-last block (the direction one is the batch-first
-# formula as it was before blocking); the blocked samplers must match them
-# bit for bit.
+# whole stack as one batch-last block (the direction one forms the stack
+# batch-first); the blocked samplers must match them bit for bit.
 
 
 def _batch_last_zeros(shape, size):
@@ -641,14 +703,7 @@ def _full_stack_boundary(shape, rng, size):
     return np.moveaxis(out, -1, 0)
 
 
-def _full_stack_direction(shape, rng, size):
-    n = shape.n
-    g = ginibre(rng.generator(), (size, n, n), shape.field)
-    h = 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
-    tr = np.trace(h, axis1=-2, axis2=-1).real
-    h = h - (tr / n)[:, None, None] * np.eye(n, dtype=h.dtype)
-    nrm = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))
-    return h / nrm[:, None, None]
+_full_stack_direction = scaled_directions(np.sqrt(0.5))
 
 
 def _same_bytes(a, b):
@@ -738,8 +793,9 @@ def test_gram_states_are_hermitian_by_construction(k, m, field):
 # tracemalloc peak of one call over the bytes it returns, 2x3 complex. Only
 # the output is whole: every Gaussian part is filled block by block, and
 # everything else is per block. Measured: interior 1.76, boundary 1.85,
-# direction 1.18. With the real Ginibre part, psi's normals and the Bartlett
-# gammas drawn whole they read 1.80, 2.39 and 1.64, and 2.05 from a
+# direction 1.17 (1.18 from the Ginibre part of the old direction draw).
+# With the real Ginibre part, psi's normals and the Bartlett gammas drawn
+# whole they read 1.80, 2.39 and 1.64, and 2.05 from a
 # projected Ginibre G, those boundary ratios over its states and psi. The
 # bounds are about 0.35 above the measured ratios, 0.25 for the boundary.
 # The stack samplers copy each block into the stack, which holds one block
@@ -816,8 +872,9 @@ def test_samplers_leave_no_thread(size):
             assert threading.active_count() == baseline, f"{draw.__name__} {shape}"
 
 
-@pytest.mark.parametrize("source", [sampling.state_blocks, sampling.boundary_blocks],
-                         ids=["interior", "boundary"])
+@pytest.mark.parametrize("source", [sampling.state_blocks, sampling.boundary_blocks,
+                                    sampling.direction_blocks],
+                         ids=["interior", "boundary", "direction"])
 def test_a_block_source_left_early_leaves_no_thread(source):
     """A sweep that raises on its first block, or drops the iterator after
     one block, joins the helper: closing the iterator cancels the fills
@@ -865,7 +922,8 @@ class _FailingStream:
 # (sampler, the fill that fails): each block queues one fill per part, in
 # the order of the parts, and the draw has three blocks. The interior draw's
 # fills are a block's gammas, then its normals; the boundary draw's its
-# gammas, its normals, then its psi
+# gammas, its normals, then its psi; the direction draw's its one part of
+# normals, so its second fill is the second block's
 FAILING_FILLS = {
     "interior-gamma": (sample_state_hs, 1),
     "interior": (sample_state_hs, 2),
